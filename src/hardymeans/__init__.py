@@ -30,6 +30,7 @@ from .core import (
     QuasiArithmetic,
     as_samples,
     evaluate,
+    evaluate_batch,
     neg_power_generator,
     power_generator,
 )

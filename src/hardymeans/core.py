@@ -20,6 +20,7 @@ __all__ = [
     "BracketError",
     "CancellationWarning",
     "as_samples",
+    "as_sample_rows",
     "Generator",
     "IDENTITY",
     "LOG",
@@ -42,7 +43,11 @@ __all__ = [
     "ARITH",
     "GEOM",
     "HARM",
+    "lower_deviation",
+    "mean_kernel",
     "evaluate",
+    "evaluate_batch",
+    "prefix_means",
 ]
 
 
@@ -73,6 +78,24 @@ class CancellationWarning(UserWarning):
     switched silently), but cancellation degrades accuracy."""
 
 
+def as_sample_rows(x) -> np.ndarray:
+    """Validate a stack of equal-length sample vectors along the last
+    axis: nonempty rows, entries strictly positive and finite.
+
+    Accepts any array-like (a scalar is treated as a 1-vector) and
+    returns a float ndarray.
+    """
+    arr = np.ascontiguousarray(x, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.size == 0:
+        raise ValueError("sample vectors must be nonempty")
+    # min and max propagate nan, so this also rejects nan entries
+    if not (arr.min() > 0.0 and arr.max() < np.inf):
+        raise ValueError("sample entries must be finite and strictly positive")
+    return arr
+
+
 def as_samples(x) -> np.ndarray:
     """Validate a sample vector: 1-d, nonempty, strictly positive, finite.
 
@@ -80,13 +103,9 @@ def as_samples(x) -> np.ndarray:
     returns a float ndarray.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim > 1 or arr.size == 0:
         raise ValueError("sample vector must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-        raise ValueError("sample entries must be finite and strictly positive")
-    return arr
+    return as_sample_rows(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +147,25 @@ class Generator:
             return self.p != 0.0
         return True
 
+    def unchecked(self, t: np.ndarray) -> np.ndarray:
+        """The generator's values with no finiteness check, for points
+        between data points where the checked call succeeded: every kind
+        is monotone, so its values there are finite too."""
+        if self.kind == "identity":
+            return t + 0.0
+        if self.kind == "log":
+            return np.log(t)
+        if self.kind == "exp":
+            return np.exp(t)
+        if self.kind == "pow":
+            return t**self.p
+        return -(t**self.p)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "identity":
-                out = t + 0.0
-            elif self.kind == "log":
-                out = np.log(t)
-            elif self.kind == "exp":
-                out = np.exp(t)
-            elif self.kind == "pow":
-                out = t ** self.p
-            else:
-                out = -(t ** self.p)
-        if not np.all(np.isfinite(out)):
+            out = self.unchecked(t)
+        if not np.isfinite(out).all():
             raise OverflowError(
                 f"generator {self.describe()} produced a non-finite value"
             )
@@ -160,7 +184,7 @@ class Generator:
                 out = s ** (1.0 / self.p)
             else:
                 out = (-s) ** (1.0 / self.p)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise OverflowError(
                 f"inverse of generator {self.describe()} produced a non-finite value"
             )
@@ -326,6 +350,52 @@ GEOM = Power(0.0)
 HARM = Power(-1.0)
 
 
+def lower_deviation(dev: DeviationSpec) -> MeanExpr:
+    """The family mean a deviation defines.
+
+    The arithmetic deviation x - y gives the arithmetic mean; a pair
+    deviation f(x) - g(x) (f/g)(y) gives the Bajraktarevic mean of
+    (f, g).  The pair is a deviation only when f/g is increasing, which
+    :func:`mean_kernel` checks on the data.
+    """
+    if isinstance(dev, ArithmeticDeviation):
+        return ARITH
+    return Bajraktarevic(dev.f, dev.g)
+
+
+def mean_kernel(expr: MeanExpr, xs: np.ndarray, running: bool = False) -> np.ndarray:
+    """The family kernel of ``expr`` on a validated sample array.
+
+    Works along the last axis and keeps leading batch axes.  With
+    ``running=False`` each row reduces to its mean; with ``running=True``
+    the result has the input's shape and holds the mean of every prefix
+    of every row.
+    """
+    # local imports: families and gauss both import this module
+    from . import families, gauss
+
+    if isinstance(expr, Power):
+        return families.power_kernel(expr.p, xs, running)
+    if isinstance(expr, QuasiArithmetic):
+        return families.quasi_arithmetic_kernel(expr.gen, xs, running)
+    if isinstance(expr, Gini):
+        return families.gini_kernel(expr.p, expr.q, xs, running)
+    if isinstance(expr, Bajraktarevic):
+        return families.bajraktarevic_kernel(expr.f, expr.g, xs, running)
+    if isinstance(expr, Deviation):
+        mean = lower_deviation(expr.dev)
+        if isinstance(mean, Bajraktarevic):
+            return families.bajraktarevic_kernel(mean.f, mean.g, xs, running, deviation=True)
+        return mean_kernel(mean, xs, running)
+    if isinstance(expr, Gauss):
+        return gauss.gauss_kernel(expr.children, xs, running)
+    if isinstance(expr, MinOf):
+        return np.minimum.accumulate(xs, axis=-1) if running else xs.min(axis=-1)
+    if isinstance(expr, MaxOf):
+        return np.maximum.accumulate(xs, axis=-1) if running else xs.max(axis=-1)
+    raise TypeError(f"not a mean expression: {expr!r}")
+
+
 def evaluate(expr: MeanExpr, x) -> float:
     """Evaluate a mean expression at a vector of positive reals.
 
@@ -333,26 +403,28 @@ def evaluate(expr: MeanExpr, x) -> float:
     (deviation roots, product iterations) raise explicit errors and are
     never truncated to a best-effort value.
     """
-    xs = as_samples(x)
-    # local imports: families and gauss both import this module
-    from . import families
+    return float(mean_kernel(expr, as_samples(x)))
 
-    if isinstance(expr, Power):
-        return families.power_mean(expr.p, xs)
-    if isinstance(expr, QuasiArithmetic):
-        return families.quasi_arithmetic_mean(expr.gen, xs)
-    if isinstance(expr, Gini):
-        return families.gini_mean(expr.p, expr.q, xs)
-    if isinstance(expr, Bajraktarevic):
-        return families.bajraktarevic_mean(expr.f, expr.g, xs)
-    if isinstance(expr, Deviation):
-        return families.deviation_mean(expr.dev, xs)
-    if isinstance(expr, Gauss):
-        from . import gauss
 
-        return gauss.gauss_product(expr.children, xs)
-    if isinstance(expr, MinOf):
-        return float(xs.min())
-    if isinstance(expr, MaxOf):
-        return float(xs.max())
-    raise TypeError(f"not a mean expression: {expr!r}")
+def evaluate_batch(expr: MeanExpr, x) -> np.ndarray:
+    """The mean of every row of a stack of equal-length sample vectors.
+
+    Row i of the result equals ``evaluate(expr, x[i])`` bit for bit.
+    """
+    return np.asarray(mean_kernel(expr, as_sample_rows(x)), dtype=float)
+
+
+def prefix_means(expr: MeanExpr, x, ns=None) -> np.ndarray:
+    """M(x[..., :n]) for each n in ``ns`` (all prefixes by default).
+
+    Runs the family's running-prefix kernel along the last axis of a
+    sample vector or of a stack of equal-length vectors.
+    """
+    xs = as_sample_rows(x)
+    out = mean_kernel(expr, xs, running=True)
+    # every mean of one entry is that entry; the kernels' power sums
+    # would round it
+    out[..., 0] = xs[..., 0]
+    if ns is None:
+        return out
+    return out[..., np.asarray(list(ns), dtype=int) - 1]

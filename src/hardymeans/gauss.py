@@ -6,6 +6,11 @@ a mean the envelope [min, max] shrinks monotonically; the iteration
 stops once the relative gap is below tolerance and the midpoint of the
 final envelope is returned.  Failure to converge is an explicit error:
 downstream estimates must never ingest an unconverged product.
+
+The kernel runs many products at once: the first step applies the
+children's kernels to every row (or every prefix) of the input, and the
+later steps iterate the matrix of k-vectors together, dropping each row
+as it converges.
 """
 from __future__ import annotations
 
@@ -14,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MeanExpr, NonConvergenceError, as_samples, evaluate
+from .core import MeanExpr, NonConvergenceError, as_samples, mean_kernel
 
-__all__ = ["GaussConfig", "gauss_step", "gauss_product"]
+__all__ = ["GaussConfig", "gauss_kernel", "gauss_step", "gauss_product"]
 
 
 @dataclass(frozen=True)
@@ -38,11 +43,52 @@ def _check_means(means: Sequence[MeanExpr]) -> tuple:
     return means
 
 
+def _step(means: tuple, w: np.ndarray, running: bool = False) -> np.ndarray:
+    """Every child's kernel on w, stacked along a new last axis."""
+    return np.stack([mean_kernel(m, w, running) for m in means], axis=-1)
+
+
+def gauss_kernel(
+    means: Sequence[MeanExpr],
+    xs: np.ndarray,
+    running: bool = False,
+    cfg: GaussConfig = GaussConfig(),
+) -> np.ndarray:
+    """Gaussian product of every row (or every prefix) of a validated
+    sample array; see :func:`gauss_product` for the stopping rule."""
+    means = _check_means(means)
+    if running:
+        lo, hi = np.minimum.accumulate(xs, axis=-1), np.maximum.accumulate(xs, axis=-1)
+    else:
+        lo, hi = xs.min(axis=-1), xs.max(axis=-1)
+    gap = (hi - lo) / hi
+    out = np.array(0.5 * (hi + lo))
+    flat = out.reshape(-1)
+    rows = np.flatnonzero(~(gap <= cfg.tolerance))
+    if rows.size == 0:
+        return out
+    w = _step(means, xs, running).reshape(-1, len(means))[rows]
+    for iteration in range(1, cfg.max_iterations + 1):
+        hi, lo = w.max(axis=1), w.min(axis=1)
+        gap = (hi - lo) / hi
+        done = gap <= cfg.tolerance
+        flat[rows[done]] = 0.5 * (hi[done] + lo[done])
+        rows, w, gap = rows[~done], w[~done], gap[~done]
+        if rows.size == 0:
+            return out
+        if iteration == cfg.max_iterations:
+            break
+        w = _step(means, w)
+    raise NonConvergenceError(
+        "Gaussian product did not converge",
+        iterations=cfg.max_iterations,
+        gap=float(np.max(gap)),
+    )
+
+
 def gauss_step(means: Sequence[MeanExpr], v) -> np.ndarray:
     """One simultaneous step: component i is means[i] evaluated on v."""
-    means = _check_means(means)
-    vs = as_samples(v)
-    return np.array([evaluate(m, vs) for m in means])
+    return _step(_check_means(means), as_samples(v))
 
 
 def gauss_product(
@@ -55,20 +101,4 @@ def gauss_product(
     Raises NonConvergenceError (with the final gap) after
     cfg.max_iterations.
     """
-    means = _check_means(means)
-    w = as_samples(v)
-    gap = float("inf")
-    for iteration in range(cfg.max_iterations + 1):
-        hi = float(w.max())
-        lo = float(w.min())
-        gap = (hi - lo) / hi
-        if gap <= cfg.tolerance:
-            return 0.5 * (hi + lo)
-        if iteration == cfg.max_iterations:
-            break
-        w = gauss_step(means, w)
-    raise NonConvergenceError(
-        "Gaussian product did not converge",
-        iterations=cfg.max_iterations,
-        gap=gap,
-    )
+    return float(gauss_kernel(means, as_samples(v), cfg=cfg))

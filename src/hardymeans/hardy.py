@@ -27,23 +27,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     Bajraktarevic,
     Deviation,
-    ArithmeticDeviation,
-    PairDeviation,
     Gauss,
     Gini,
     MeanComputationError,
     MeanExpr,
-    MinOf,
-    MaxOf,
     Power,
     QuasiArithmetic,
     as_samples,
-    evaluate,
+    lower_deviation,
+    prefix_means,
 )
 from .gauss import GaussConfig, gauss_product
 from .probes import ProbeConfig, probe_properties
@@ -106,11 +102,7 @@ def canonical(expr: MeanExpr) -> MeanExpr:
             return canonical(Gini(expr.f.p, expr.g.p))
         return expr
     if isinstance(expr, Deviation):
-        if isinstance(expr.dev, ArithmeticDeviation):
-            return Power(1.0)
-        if isinstance(expr.dev, PairDeviation):
-            return canonical(Bajraktarevic(expr.dev.f, expr.dev.g))
-        return expr
+        return canonical(lower_deviation(expr.dev))
     if isinstance(expr, Gauss):
         return Gauss(tuple(canonical(c) for c in expr.children))
     return expr
@@ -208,63 +200,6 @@ def published_tolerance(expr: MeanExpr) -> float | None:
 # prefix means and the p_n sweep
 
 
-def _prefix_means_fast(expr: MeanExpr, xs: np.ndarray) -> np.ndarray | None:
-    """Running-sum evaluation of all prefixes for the families that
-    permit it; None when the family has no incremental form or the
-    running sums leave the finite range."""
-    n_arr = np.arange(1.0, xs.size + 1.0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(expr, Power):
-            if expr.p == 0.0:
-                return np.exp(np.cumsum(np.log(xs)) / n_arr)
-            t = xs ** expr.p
-            if not np.all(np.isfinite(t)):
-                return None
-            out = (np.cumsum(t) / n_arr) ** (1.0 / expr.p)
-            return out if np.all(np.isfinite(out)) else None
-        if isinstance(expr, Gini):
-            p, q = expr.p, expr.q
-            logx = np.log(xs)
-            if p == q:
-                t = xs ** p
-                if not np.all(np.isfinite(t)):
-                    return None
-                out = np.exp(np.cumsum(t * logx) / np.cumsum(t))
-                return out if np.all(np.isfinite(out)) else None
-            if p < q:
-                p, q = q, p
-            tp, tq = xs ** p, xs ** q
-            if not (np.all(np.isfinite(tp)) and np.all(np.isfinite(tq))):
-                return None
-            out = (np.cumsum(tp) / np.cumsum(tq)) ** (1.0 / (p - q))
-            return out if np.all(np.isfinite(out)) else None
-        if isinstance(expr, QuasiArithmetic):
-            vals = expr.gen(xs)  # explicit OverflowError is part of the contract
-            out = expr.gen.inverse(np.cumsum(vals) / n_arr)
-            return np.asarray(out, dtype=float)
-        if isinstance(expr, MinOf):
-            return np.minimum.accumulate(xs)
-        if isinstance(expr, MaxOf):
-            return np.maximum.accumulate(xs)
-    return None
-
-
-def prefix_means(expr: MeanExpr, x, ns=None) -> np.ndarray:
-    """M(x[:n]) for each n in ``ns`` (all prefixes by default).
-
-    Power, Gini and quasi-arithmetic means use running power sums; the
-    implicit families fall back to one evaluation per prefix.
-    """
-    xs = as_samples(x)
-    fast = _prefix_means_fast(expr, xs)
-    if fast is not None:
-        if ns is None:
-            return fast
-        return fast[np.asarray(list(ns), dtype=int) - 1]
-    lengths = range(1, xs.size + 1) if ns is None else ns
-    return np.array([evaluate(expr, xs[:k]) for k in lengths])
-
-
 @dataclass(frozen=True, eq=False)
 class PnSequence:
     """Values p_n = n * M(1, 1/2, ..., 1/n) for n = 1..n_max, with the
@@ -319,6 +254,10 @@ class HardyConfig:
             raise ValueError("divergence_ceiling must be positive")
 
 
+# a p_n decrease larger than this, relative to p_{n_max}, is above
+# rounding level and withholds certification
+_PN_DECREASE_TOL = 1e-12
+
 _GATE_PROPERTIES = (
     "homogeneity",
     "symmetry",
@@ -362,7 +301,8 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
 
     Homogeneous means (per the seeded probe) use the monotone p_n
     truncation, a certified-from-below estimate when the symmetry,
-    increasingness, concavity and repetition probes also pass.
+    increasingness, concavity and repetition probes also pass and the
+    computed p_n never decrease by more than rounding.
     Non-homogeneous means fall back to the uncertified grid estimator:
     the maximum over a log-spaced y-grid of the minimum over the tail
     window [n_max/2, n_max] of (n/y) * M(y/1, ..., y/n).  Registered
@@ -422,6 +362,12 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
             notes.append(
                 "estimate (uncertified): probes failed for "
                 + ", ".join(failed)
+            )
+        elif pn.max_decrease > _PN_DECREASE_TOL * pn.final:
+            notes.append(
+                f"estimate (uncertified): p_n decreased by {pn.max_decrease:.3g}, "
+                f"more than {_PN_DECREASE_TOL:g} relative; the truncation is "
+                "not monotone"
             )
         else:
             notes.append(
@@ -522,7 +468,7 @@ def liminf_ratio(expr: MeanExpr, sequence: str, n_max: int) -> LiminfEstimate:
 def hardy_ratio(expr: MeanExpr, x) -> float:
     """(M(x_1) + M(x_1,x_2) + ... + M(x_1,...,x_n)) / (x_1 + ... + x_n)."""
     xs = as_samples(x)
-    return float(math.fsum(prefix_means(expr, xs)) / xs.sum())
+    return math.fsum(prefix_means(expr, xs)) / math.fsum(xs)
 
 
 @dataclass(frozen=True)
@@ -579,6 +525,9 @@ def hardy_sequence_bound(
     decay to ~1e-300.  The result is a lower estimate of the n-term
     constant, achieved by the reported vector.
     """
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy import optimize
+
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
@@ -676,8 +625,7 @@ def hardy_partial_check(expr: MeanExpr, x, reference: float) -> PartialCheck:
     """Ratio of summed prefix means to the summed entries of a truncated
     summable sequence, and whether it stays strictly below a reference
     constant."""
-    xs = as_samples(x)
     if not reference > 0.0:
         raise ValueError("reference constant must be positive")
-    ratio = float(math.fsum(prefix_means(expr, xs)) / xs.sum())
+    ratio = hardy_ratio(expr, x)
     return PartialCheck(ratio=ratio, reference=reference, strictly_below=ratio < reference)

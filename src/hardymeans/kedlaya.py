@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .core import MeanExpr, as_samples, evaluate
+from .core import MeanExpr, as_samples, evaluate, evaluate_batch, prefix_means
 from .probes import sample_vector
 
 __all__ = [
@@ -173,6 +173,15 @@ def kedlaya_matrix(n: int) -> KedlayaMatrix:
     return KedlayaMatrix(n=n, entries=entries)
 
 
+def _prefix_average_margins(expr: MeanExpr, xs: np.ndarray) -> np.ndarray:
+    """check_kedlaya_inequality on every row of a validated (..., n) stack."""
+    n = xs.shape[-1]
+    rhs = evaluate_batch(expr, np.cumsum(xs, axis=-1) / np.arange(1.0, n + 1.0))
+    prefix = prefix_means(expr, xs).reshape(-1, n)
+    lhs = np.array([math.fsum(row) for row in prefix]).reshape(rhs.shape) / n
+    return rhs - lhs
+
+
 def check_kedlaya_inequality(expr: MeanExpr, x) -> float:
     """Signed margin of the prefix-average inequality at x.
 
@@ -180,12 +189,7 @@ def check_kedlaya_inequality(expr: MeanExpr, x) -> float:
     arithmetic average of M over the prefixes of x; nonnegative means
     the inequality holds at x.
     """
-    xs = as_samples(x)
-    n = xs.size
-    prefix_averages = np.cumsum(xs) / np.arange(1.0, n + 1.0)
-    rhs = evaluate(expr, prefix_averages)
-    lhs = math.fsum(evaluate(expr, xs[: k + 1]) for k in range(n)) / n
-    return rhs - lhs
+    return float(_prefix_average_margins(expr, as_samples(x)))
 
 
 def check_dominated_kedlaya(expr: MeanExpr, x) -> float:
@@ -196,8 +200,7 @@ def check_dominated_kedlaya(expr: MeanExpr, x) -> float:
     n = xs.size
     s = float(xs.sum())
     rhs = n * evaluate(expr, s / np.arange(1.0, n + 1.0))
-    lhs = math.fsum(evaluate(expr, xs[: k + 1]) for k in range(n))
-    return rhs - lhs
+    return rhs - math.fsum(prefix_means(expr, xs))
 
 
 def kedlaya_margins(
@@ -214,12 +217,14 @@ def kedlaya_margins(
     """
     rng = np.random.default_rng(seed)
     lo, hi = dims
-    margins = np.empty(samples)
-    for s in range(samples):
+    vectors = []
+    for _ in range(samples):
         dim = int(rng.integers(lo, hi + 1))
-        margins[s] = check_kedlaya_inequality(
-            expr, sample_vector(rng, dim, entry_range)
-        )
+        vectors.append(sample_vector(rng, dim, entry_range))
+    margins = np.empty(samples)
+    for dim in sorted({v.size for v in vectors}):
+        idx = [i for i, v in enumerate(vectors) if v.size == dim]
+        margins[idx] = _prefix_average_margins(expr, np.stack([vectors[i] for i in idx]))
     return margins
 
 
@@ -237,7 +242,6 @@ def matrix_mixing_margin(expr: MeanExpr, x, matrix: KedlayaMatrix | None = None)
         raise ValueError(f"matrix is for n={mat.n}, sample has length {xs.size}")
     substituted = xs[mat.entries - 1]
     size = factorial(mat.n)
-    column_means = [evaluate(expr, substituted[:, c]) for c in range(size)]
-    lhs = math.fsum(column_means) / size
+    lhs = math.fsum(evaluate_batch(expr, substituted.T)) / size
     rhs = evaluate(expr, substituted.mean(axis=1))
     return rhs - lhs

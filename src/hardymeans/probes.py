@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeanExpr, evaluate
+from .core import MeanExpr, evaluate_batch
 
 __all__ = [
     "PROPERTY_NAMES",
@@ -99,27 +99,20 @@ def sample_vector(rng: np.random.Generator, dim: int, entry_range) -> np.ndarray
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
 
 
-class _Tracker:
-    """Keeps the worst (largest-margin) counterexample per property."""
-
-    def __init__(self, tolerance: float):
-        self.tolerance = tolerance
-        self.worst: dict[str, Counterexample] = {}
-
-    def observe(self, name, margin, vectors, observed):
-        if margin <= self.tolerance:
-            return
-        prev = self.worst.get(name)
-        if prev is None or margin > prev.margin:
-            self.worst[name] = Counterexample(
-                vectors=tuple(tuple(float(v) for v in vec) for vec in vectors),
-                observed=tuple(float(o) for o in observed),
-                margin=float(margin),
-            )
+def _rel(diff: np.ndarray, *scales: np.ndarray) -> np.ndarray:
+    floor = np.full_like(diff, 1e-300)
+    return diff / np.maximum.reduce([floor, *map(np.abs, scales)])
 
 
-def _rel(diff: float, *scales: float) -> float:
-    return diff / max(1e-300, *map(abs, scales))
+def _evaluate_all(expr: MeanExpr, vectors: list[np.ndarray]) -> np.ndarray:
+    """The mean of every vector, with one reduce-kernel call per length."""
+    by_length: dict[int, list[int]] = {}
+    for i, v in enumerate(vectors):
+        by_length.setdefault(v.size, []).append(i)
+    out = np.empty(len(vectors))
+    for idx in by_length.values():
+        out[idx] = evaluate_batch(expr, np.stack([vectors[i] for i in idx]))
+    return out
 
 
 def probe_properties(expr: MeanExpr, cfg: ProbeConfig = ProbeConfig()) -> PropertyReport:
@@ -131,86 +124,108 @@ def probe_properties(expr: MeanExpr, cfg: ProbeConfig = ProbeConfig()) -> Proper
     non-constant vector, repetition invariance by blockwise m-fold
     repetition for m in {2, 3}, and increasingness by a +10% bump of a
     random coordinate.
+
+    Every sample vector is drawn first; the means are then computed in
+    batches of equal length.  Each property's counterexample is the
+    sample with the largest margin, the earliest drawn among ties.
     """
     rng = np.random.default_rng(cfg.seed)
-    tracker = _Tracker(cfg.tolerance)
     lo_dim, hi_dim = cfg.dims
-
+    draws = []  # per sample: x, x permuted, x bumped, y
+    scales, x_min, x_max = [], [], []
+    vectors = []  # per sample, in this order: the eight means unpacked
+    # below, then x with its minimum appended when x is not constant
     for _ in range(cfg.samples):
         n = int(rng.integers(lo_dim, hi_dim + 1))
         x = sample_vector(rng, n, cfg.entry_range)
-        mx = evaluate(expr, x)
-        x_min, x_max = float(x.min()), float(x.max())
-
-        # mean-value bounds
-        margin = _rel(max(x_min - mx, mx - x_max), x_max)
-        tracker.observe("mean_value", margin, [x], [mx])
-
-        # symmetry
-        perm = rng.permutation(n)
-        mp = evaluate(expr, x[perm])
-        tracker.observe(
-            "symmetry", _rel(abs(mx - mp), mx, mp), [x, x[perm]], [mx, mp]
-        )
-
-        # repetition invariance, blockwise
-        for m in (2, 3):
-            mr = evaluate(expr, np.repeat(x, m))
-            tracker.observe(
-                "repetition_invariance", _rel(abs(mx - mr), mx, mr), [x], [mx, mr]
-            )
-
+        xp = x[rng.permutation(n)]
         # homogeneity, with the scale factor confined to two octaves so
         # the scaled vector stays within an evaluable range
         t = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-        mh = evaluate(expr, t * x)
-        tracker.observe(
-            "homogeneity", _rel(abs(mh - t * mx), t * mx, mh), [x], [mx, mh, t]
-        )
-
         # increasing under a +10% coordinate bump
         bumped = x.copy()
         bumped[int(rng.integers(n))] *= 1.1
-        mb = evaluate(expr, bumped)
-        tracker.observe("increasing", _rel(mx - mb, mx, mb), [x, bumped], [mx, mb])
-
         # Jensen concavity / convexity on an equidimensional pair
         y = sample_vector(rng, n, cfg.entry_range)
-        my = evaluate(expr, y)
-        mmid = evaluate(expr, 0.5 * (x + y))
-        chord = 0.5 * (mx + my)
-        tracker.observe(
-            "jensen_concavity",
+        draws.append((x, xp, bumped, y))
+        scales.append(t)
+        x_min.append(x.min())
+        x_max.append(x.max())
+        vectors += [x, xp, x.repeat(2), x.repeat(3), t * x, bumped, y, 0.5 * (x + y)]
+        if x_max[-1] > x_min[-1]:
+            vectors.append(np.append(x, x_min[-1]))
+    values = _evaluate_all(expr, vectors)
+
+    x_min, x_max, t = np.array(x_min), np.array(x_max), np.array(scales)
+    sizes = np.where(x_max > x_min, 9, 8)
+    starts = np.cumsum(sizes) - sizes
+    mx, mp, mr2, mr3, mh, mb, my, mmid = (values[starts + j] for j in range(8))
+    spread = np.flatnonzero(sizes == 9)
+    ma = values[starts[spread] + 8]
+    chord = 0.5 * (mx + my)
+    repetition = np.stack([_rel(abs(mx - mr2), mx, mr2), _rel(abs(mx - mr3), mx, mr3)], axis=1)
+
+    # property -> (margins in observation order, counterexample at index j)
+    observations = {
+        "mean_value": (
+            _rel(np.maximum(x_min - mx, mx - x_max), x_max),
+            lambda j: ([draws[j][0]], [mx[j]]),
+        ),
+        "symmetry": (
+            _rel(abs(mx - mp), mx, mp),
+            lambda j: (draws[j][:2], [mx[j], mp[j]]),
+        ),
+        "repetition_invariance": (
+            repetition.ravel(),
+            lambda j: ([draws[j // 2][0]], [mx[j // 2], (mr2, mr3)[j % 2][j // 2]]),
+        ),
+        "homogeneity": (
+            _rel(abs(mh - t * mx), t * mx, mh),
+            lambda j: ([draws[j][0]], [mx[j], mh[j], t[j]]),
+        ),
+        "increasing": (
+            _rel(mx - mb, mx, mb),
+            lambda j: ([draws[j][0], draws[j][2]], [mx[j], mb[j]]),
+        ),
+        "jensen_concavity": (
             _rel(chord - mmid, mx, my, mmid),
-            [x, y],
-            [mx, my, mmid],
-        )
-        tracker.observe(
-            "jensen_convexity",
+            lambda j: ([draws[j][0], draws[j][3]], [mx[j], my[j], mmid[j]]),
+        ),
+        "jensen_convexity": (
             _rel(mmid - chord, mx, my, mmid),
-            [x, y],
-            [mx, my, mmid],
-        )
-
-        if n >= 2 and x_max > x_min:
-            # min-diminishing: appending the minimum must strictly decrease
-            ma = evaluate(expr, np.append(x, x_min))
-            tracker.observe(
-                "min_diminishing", _rel(ma - mx, mx, ma), [x], [mx, ma]
-            )
-            # strictness: separation from each bound, relative to that
-            # bound, must exceed tolerance (means hugging one bound on
-            # wide-spread inputs are still strict)
-            separation = min((mx - x_min) / x_min, (x_max - mx) / x_max)
-            tracker.observe(
-                "strictness", 2.0 * cfg.tolerance - separation, [x], [mx]
-            )
-
-    verdicts = {
-        name: Verdict(
-            holds_on_samples=name not in tracker.worst,
-            counterexample=tracker.worst.get(name),
-        )
-        for name in PROPERTY_NAMES
+            lambda j: ([draws[j][0], draws[j][3]], [mx[j], my[j], mmid[j]]),
+        ),
+        # min-diminishing: appending the minimum must strictly decrease
+        "min_diminishing": (
+            _rel(ma - mx[spread], mx[spread], ma),
+            lambda j: ([draws[spread[j]][0]], [mx[spread[j]], ma[j]]),
+        ),
+        # strictness: separation from each bound, relative to that bound,
+        # must exceed tolerance (means hugging one bound on wide-spread
+        # inputs are still strict)
+        "strictness": (
+            2.0 * cfg.tolerance
+            - np.minimum(
+                (mx[spread] - x_min[spread]) / x_min[spread],
+                (x_max[spread] - mx[spread]) / x_max[spread],
+            ),
+            lambda j: ([draws[spread[j]][0]], [mx[spread[j]]]),
+        ),
     }
+    verdicts = {}
+    for name in PROPERTY_NAMES:
+        margins, witness = observations[name]
+        j = int(np.argmax(margins)) if margins.size else 0
+        if margins.size and margins[j] > cfg.tolerance:
+            vecs, observed = witness(j)
+            verdicts[name] = Verdict(
+                holds_on_samples=False,
+                counterexample=Counterexample(
+                    vectors=tuple(tuple(float(v) for v in vec) for vec in vecs),
+                    observed=tuple(float(o) for o in observed),
+                    margin=float(margins[j]),
+                ),
+            )
+        else:
+            verdicts[name] = Verdict(holds_on_samples=True)
     return PropertyReport(expr=expr, config=cfg, verdicts=verdicts)

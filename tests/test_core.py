@@ -159,7 +159,94 @@ class TestEvaluate:
             )
 
 
+class TestEvaluateBatch:
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_rows_match_evaluate_bit_for_bit(self, name, rng):
+        expr = ZOO[name]
+        for n in (1, 2, 5, 17):
+            stack = log_uniform(rng, 6 * n, 1e-2, 1e2).reshape(6, n)
+            batch = hm.evaluate_batch(expr, stack)
+            assert batch.shape == (6,)
+            assert list(batch) == [hm.evaluate(expr, row) for row in stack]
+
+    def test_leading_axes_are_kept(self, rng):
+        stack = log_uniform(rng, 24).reshape(2, 3, 4)
+        out = hm.evaluate_batch(hm.Gini(0.5, -1.0), stack)
+        assert out.shape == (2, 3)
+        assert out[1, 2] == hm.evaluate(hm.Gini(0.5, -1.0), stack[1, 2])
+
+    def test_rejects_invalid_rows(self):
+        with pytest.raises(ValueError):
+            hm.evaluate_batch(hm.Power(0.0), [[1.0, 2.0], [1.0, -2.0]])
+        with pytest.raises(ValueError):
+            hm.evaluate_batch(hm.Power(0.0), np.ones((3, 0)))
+
+
+def _reference_probe(expr, cfg):
+    """The probe gate as a scalar loop: one evaluate per vector, margins
+    observed in draw order, the first largest margin kept."""
+
+    def rel(diff, *scales):
+        return diff / max(1e-300, *map(abs, scales))
+
+    worst = {}
+
+    def observe(name, margin, vectors, observed):
+        if margin > cfg.tolerance and (name not in worst or margin > worst[name][0]):
+            worst[name] = (
+                margin,
+                tuple(tuple(float(v) for v in vec) for vec in vectors),
+                tuple(float(o) for o in observed),
+            )
+
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.samples):
+        n = int(rng.integers(cfg.dims[0], cfg.dims[1] + 1))
+        x = hm.probes.sample_vector(rng, n, cfg.entry_range)
+        mx = hm.evaluate(expr, x)
+        x_min, x_max = float(x.min()), float(x.max())
+        observe("mean_value", rel(max(x_min - mx, mx - x_max), x_max), [x], [mx])
+        perm = rng.permutation(n)
+        mp = hm.evaluate(expr, x[perm])
+        observe("symmetry", rel(abs(mx - mp), mx, mp), [x, x[perm]], [mx, mp])
+        for m in (2, 3):
+            mr = hm.evaluate(expr, np.repeat(x, m))
+            observe("repetition_invariance", rel(abs(mx - mr), mx, mr), [x], [mx, mr])
+        t = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+        mh = hm.evaluate(expr, t * x)
+        observe("homogeneity", rel(abs(mh - t * mx), t * mx, mh), [x], [mx, mh, t])
+        bumped = x.copy()
+        bumped[int(rng.integers(n))] *= 1.1
+        mb = hm.evaluate(expr, bumped)
+        observe("increasing", rel(mx - mb, mx, mb), [x, bumped], [mx, mb])
+        y = hm.probes.sample_vector(rng, n, cfg.entry_range)
+        my = hm.evaluate(expr, y)
+        mmid = hm.evaluate(expr, 0.5 * (x + y))
+        chord = 0.5 * (mx + my)
+        observe("jensen_concavity", rel(chord - mmid, mx, my, mmid), [x, y], [mx, my, mmid])
+        observe("jensen_convexity", rel(mmid - chord, mx, my, mmid), [x, y], [mx, my, mmid])
+        if n >= 2 and x_max > x_min:
+            ma = hm.evaluate(expr, np.append(x, x_min))
+            observe("min_diminishing", rel(ma - mx, mx, ma), [x], [mx, ma])
+            separation = min((mx - x_min) / x_min, (x_max - mx) / x_max)
+            observe("strictness", 2.0 * cfg.tolerance - separation, [x], [mx])
+    return worst
+
+
 class TestProbes:
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_batched_gate_matches_scalar_loop(self, name):
+        for seed in (0, 11):
+            cfg = hm.ProbeConfig(samples=40, seed=seed)
+            report = hm.probe_properties(ZOO[name], cfg)
+            reference = _reference_probe(ZOO[name], cfg)
+            for prop in hm.probes.PROPERTY_NAMES:
+                verdict = report.verdicts[prop]
+                assert verdict.holds_on_samples == (prop not in reference), (prop, seed)
+                if prop in reference:
+                    ce = verdict.counterexample
+                    assert (ce.margin, ce.vectors, ce.observed) == reference[prop], (prop, seed)
+
     def test_deterministic_given_seed(self):
         cfg = hm.ProbeConfig(samples=60, seed=7)
         first = hm.probe_properties(hm.Gini(2, 1), cfg)

@@ -139,6 +139,15 @@ class TestBajraktarevic:
                 c, rel=1e-13
             )
 
+    @pytest.mark.parametrize(
+        "x", [[0.1, 10.0], [2.0, 3.0, 5.0, 7.0], [1e-200, 3.0, 1e200]]
+    )
+    def test_bisection_reaches_full_precision(self, x):
+        # f/g = y, so the root is the arithmetic mean itself
+        value = hm.bajraktarevic_mean(hm.IDENTITY, hm.power_generator(0.0), x)
+        exact = math.fsum(x) / len(x)
+        assert abs(value - exact) <= 2 * np.spacing(exact)
+
     def test_constant_ratio_raises(self):
         # f/g == 1 on the whole bracket: monotonicity contract broken
         with pytest.raises(hm.BracketError):
@@ -165,9 +174,11 @@ class TestDeviationMean:
         dev = hm.PairDeviation(f, g)
         for _ in range(25):
             x = log_uniform(rng, int(rng.integers(1, 9)))
-            assert hm.deviation_mean(dev, x) == pytest.approx(
-                hm.bajraktarevic_mean(f, g, x), rel=1e-10
-            )
+            y = hm.deviation_mean(dev, x)
+            assert y == pytest.approx(hm.bajraktarevic_mean(f, g, x), rel=1e-10)
+            # y is a root of the summed deviation, to a few ulps of its terms
+            scale = np.abs(f(x)).sum() + g(x).sum() * abs(float(f(y) / g(y)))
+            assert abs(dev(x, y).sum()) <= 16 * np.finfo(float).eps * scale
 
     def test_sign_flipped_pair_realizes_decreasing_ratio(self, rng):
         # -x**1 over x**2 has an increasing ratio, so the deviation is valid

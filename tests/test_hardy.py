@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,18 +96,39 @@ class TestClosedFormRegistry:
         assert hm.published_tolerance(hm.Gauss((hm.Power(-1), hm.Power(0)))) == 0.005
 
 
+# means whose running power sums overflow on x = 1/k, so that the
+# prefix kernels switch to log-domain accumulation part way along
+OVERFLOWING = {
+    "power(-300)": hm.Power(-300.0),
+    "gini(-300,-301)": hm.Gini(-300.0, -301.0),
+    "gini(-300,-300)": hm.Gini(-300.0, -300.0),
+}
+PREFIX_CASES = {
+    **ZOO,
+    **OVERFLOWING,
+    "bajrak(exp,pow:0)": hm.Bajraktarevic(hm.EXP, hm.power_generator(0.0)),
+}
+
+
 class TestPrefixMeans:
-    @pytest.mark.parametrize(
-        "name",
-        ["power(0)", "power(0.5)", "power(-1)", "gini(0.5,-1)", "quasi(pow:0.5)",
-         "dev(arith)", "min", "max"],
-    )
+    @pytest.mark.parametrize("name", list(PREFIX_CASES))
     def test_matches_direct_evaluation(self, name, rng):
-        expr = ZOO[name]
-        x = log_uniform(rng, 40, 1e-2, 1e2)
+        expr = PREFIX_CASES[name]
+        if name in OVERFLOWING:
+            x = 1.0 / np.arange(1.0, 41.0)
+        else:
+            x = log_uniform(rng, 40, 1e-2, 1e2)
         fast = hm.prefix_means(expr, x)
         direct = np.array([hm.evaluate(expr, x[:k]) for k in range(1, 41)])
-        assert np.allclose(fast, direct, rtol=1e-12)
+        np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=0)
+
+    def test_stacks_run_row_by_row(self, rng):
+        stack = log_uniform(rng, 3 * 25, 1e-2, 1e2).reshape(3, 25)
+        for name in ("gini(0.5,-1)", "dev(pair:pow:2,pow:1)", "gauss(power(-1),power(0))"):
+            out = hm.prefix_means(ZOO[name], stack)
+            assert out.shape == (3, 25)
+            for row, values in zip(stack, out):
+                np.testing.assert_array_equal(values, hm.prefix_means(ZOO[name], row))
 
     def test_subset_of_lengths(self, rng):
         x = log_uniform(rng, 30)
@@ -171,6 +196,22 @@ class TestHardyConstant:
     def test_certification_note_for_clean_means(self):
         est = hm.hardy_constant(hm.Power(0))
         assert any("certified-from-below" in note for note in est.notes)
+
+    @pytest.mark.parametrize("drop,certified", [(1e-6, False), (1e-14, True)])
+    def test_pn_decrease_above_rounding_withholds_certification(
+        self, drop, certified, monkeypatch
+    ):
+        from hardymeans import hardy
+
+        def audited(expr, n_max):
+            values = np.linspace(1.0, 2.0, n_max)
+            values[n_max // 2] = values[n_max // 2 + 1] + drop
+            return hardy.PnSequence(expr, n_max, values, max_decrease=drop)
+
+        monkeypatch.setattr(hardy, "pn_sequence", audited)
+        est = hm.hardy_constant(hm.Power(0), hm.HardyConfig(n_max=100))
+        assert any("certified-from-below" in note for note in est.notes) == certified
+        assert any("p_n decreased" in note for note in est.notes) != certified
 
     def test_gini_constants(self):
         for p, q in ((0.5, -1.0), (0.0, -1.0), (-1.0, -2.0)):
@@ -361,3 +402,15 @@ class TestPartialCheck:
     def test_reference_must_be_positive(self):
         with pytest.raises(ValueError):
             hm.hardy_partial_check(hm.Power(0), [1.0], 0.0)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the start-up time; only hardy-seq needs it
+    src = Path(hm.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, hardymeans.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
