@@ -97,7 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq = sub.add_parser("hardy-seq", help="lower-bound the n-term constant")
     p_seq.add_argument("mean")
     p_seq.add_argument("--n", type=int, required=True)
-    p_seq.add_argument("--restarts", type=int, default=12)
+    p_seq.add_argument(
+        "--restarts",
+        type=int,
+        default=12,
+        help="number of starts; the four fixed starts always run, and seeded "
+        "random starts are added up to this count (default 12)",
+    )
     p_seq.add_argument("--seed", type=int, default=0)
     p_seq.add_argument("--budget", type=int, default=2000)
 

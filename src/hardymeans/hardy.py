@@ -23,6 +23,7 @@ sequences.  The tools here:
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -37,11 +38,13 @@ from .core import (
     MeanExpr,
     Power,
     QuasiArithmetic,
+    as_sample_rows,
     as_samples,
     lower_deviation,
     prefix_means,
 )
 from .gauss import GaussConfig, gauss_product
+from .neldermead import minimize_lockstep
 from .probes import ProbeConfig, probe_properties
 
 __all__ = [
@@ -465,14 +468,31 @@ def liminf_ratio(expr: MeanExpr, sequence: str, n_max: int) -> LiminfEstimate:
 # n-term ratio maximization
 
 
-def hardy_ratio(expr: MeanExpr, x) -> float:
-    """(M(x_1) + M(x_1,x_2) + ... + M(x_1,...,x_n)) / (x_1 + ... + x_n)."""
-    xs = as_samples(x)
-    return math.fsum(prefix_means(expr, xs)) / math.fsum(xs)
+def hardy_ratio(expr: MeanExpr, x) -> float | np.ndarray:
+    """(M(x_1) + M(x_1,x_2) + ... + M(x_1,...,x_n)) / (x_1 + ... + x_n).
+
+    Both sums are exactly rounded (``math.fsum``).  On a stack of
+    equal-length vectors it returns one ratio per row, equal bit for bit
+    to the call on that row alone.
+    """
+    xs = as_sample_rows(x)
+    means = prefix_means(expr, xs)
+    if xs.ndim == 1:
+        return math.fsum(means) / math.fsum(xs)
+    n = xs.shape[-1]
+    num = np.array(list(map(math.fsum, means.reshape(-1, n).tolist())))
+    den = np.array(list(map(math.fsum, xs.reshape(-1, n).tolist())))
+    return (num / den).reshape(xs.shape[:-1])
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Multi-start settings of :func:`hardy_sequence_bound`.
+
+    The four fixed starts and every extra start always run; ``restarts``
+    only adds seeded random starts until that many are reached.
+    """
+
     restarts: int = 12
     seed: int = 0
     budget: int = 2000  # objective evaluations per restart
@@ -511,7 +531,32 @@ def _search_starts(n: int, cfg: SearchConfig, rng: np.random.Generator) -> list[
         starts.append(arr - arr.max())
     while len(starts) < cfg.restarts:
         starts.append(rng.normal(0.0, 4.0, size=n))
-    return starts[: max(cfg.restarts, len(starts))]
+    return starts
+
+
+def _softmax_points(z: np.ndarray) -> np.ndarray:
+    """Simplex point of every row of z, floored so coordinates can decay
+    to ~1e-300 but never to 0."""
+    w = np.exp(z - z.max(axis=-1, keepdims=True))
+    return np.maximum(w / w.sum(axis=-1, keepdims=True), 1e-300)
+
+
+def _negated_ratios(expr: MeanExpr, z: np.ndarray) -> np.ndarray:
+    """Search objective on a stack of parameter rows: minus the n-term
+    ratio at each softmax point.  A row whose ratio raises OverflowError
+    or MeanComputationError scores +inf.  Rows are independent, so after
+    a stack fails each of its rows is re-scored alone."""
+    points = _softmax_points(z)
+    try:
+        return -hardy_ratio(expr, points)
+    except (OverflowError, MeanComputationError):
+        out = np.empty(len(points))
+        for i, point in enumerate(points):
+            try:
+                out[i] = -hardy_ratio(expr, point)
+            except (OverflowError, MeanComputationError):
+                out[i] = math.inf
+        return out
 
 
 def hardy_sequence_bound(
@@ -522,12 +567,11 @@ def hardy_sequence_bound(
     The ratio is scale invariant whenever the mean is homogeneous, so
     the search runs on softmax-parametrized simplex points; boundary
     suprema are reachable because the parametrization lets coordinates
-    decay to ~1e-300.  The result is a lower estimate of the n-term
-    constant, achieved by the reported vector.
+    decay to ~1e-300.  The restarts run in lockstep (see
+    :func:`~hardymeans.neldermead.minimize_lockstep`), each exactly as
+    SciPy's adaptive Nelder-Mead would run it.  The result is a lower
+    estimate of the n-term constant, achieved by the reported vector.
     """
-    # imported here: scipy.optimize is most of the package's import time
-    from scipy import optimize
-
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
@@ -539,39 +583,19 @@ def hardy_sequence_bound(
             restarts=0,
             trace=(),
         )
-    rng = np.random.default_rng(cfg.seed)
-
-    def to_point(z: np.ndarray) -> np.ndarray:
-        w = np.exp(z - z.max())
-        return np.maximum(w / w.sum(), 1e-300)
-
-    def negated(z: np.ndarray) -> float:
-        try:
-            return -hardy_ratio(expr, to_point(z))
-        except (OverflowError, MeanComputationError):
-            return math.inf
-
+    starts = _search_starts(n, cfg, np.random.default_rng(cfg.seed))
+    results = minimize_lockstep(
+        lambda z: _negated_ratios(expr, z), starts, cfg.budget, xatol=1e-12, fatol=1e-14
+    )
     best_value = -math.inf
     best_x: np.ndarray | None = None
     trace: list[float] = []
-    for z0 in _search_starts(n, cfg, rng):
-        res = optimize.minimize(
-            negated,
-            z0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": cfg.budget,
-                "maxiter": cfg.budget,
-                "xatol": 1e-12,
-                "fatol": 1e-14,
-                "adaptive": True,
-            },
-        )
-        value = -res.fun if math.isfinite(res.fun) else -math.inf
+    for x, fun, _ in results:
+        value = -fun if math.isfinite(fun) else -math.inf
         trace.append(value)
         if value > best_value:  # ties keep the earliest restart
             best_value = value
-            best_x = to_point(res.x)
+            best_x = _softmax_points(x)
     if best_x is None:
         raise MeanComputationError("search budget exhausted with no feasible evaluation")
     maximizer = tuple(float(v) for v in best_x)
@@ -584,13 +608,26 @@ def hardy_sequence_bound(
     )
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+# rows of one stacked hardy_ratio call in simplex_grid_bound
+_GRID_CHUNK = 1 << 15
+
+
+def _composition_chunks(total: int, parts: int):
+    """The compositions of ``total`` into ``parts`` nonnegative parts, in
+    lexicographic order, as integer arrays of at most _GRID_CHUNK rows.
+
+    Stars and bars: a composition's bar positions are a (parts-1)-subset
+    of range(total + parts - 1), and itertools enumerates the subsets in
+    the compositions' lexicographic order.
+    """
+    slots = total + parts - 1
+    subsets = itertools.combinations(range(slots), parts - 1)
+    while chunk := list(itertools.islice(subsets, _GRID_CHUNK)):
+        bars = np.array(chunk, dtype=int).reshape(len(chunk), parts - 1)
+        edges = np.column_stack(
+            [np.full(len(chunk), -1), bars, np.full(len(chunk), slots)]
+        )
+        yield np.diff(edges, axis=1) - 1
 
 
 def simplex_grid_bound(
@@ -600,13 +637,19 @@ def simplex_grid_bound(
     grid {k/denominator}; zero coordinates are replaced by ``floor`` to
     probe boundary limits (the supremum may sit on the boundary, e.g.
     the arithmetic mean at n = 2).  Intended as an oracle for small n.
+    The grid is scored in stacks of a bounded number of rows.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     best = -math.inf
-    for comp in _compositions(denominator, n):
-        x = np.maximum(np.array(comp, dtype=float) / denominator, floor)
-        best = max(best, hardy_ratio(expr, x))
+    for comps in _composition_chunks(denominator, n):
+        x = np.maximum(comps / denominator, floor)
+        try:
+            ratios = hardy_ratio(expr, x)
+        except (OverflowError, ValueError, MeanComputationError):
+            # re-score one by one, so the first failing point raises
+            ratios = [hardy_ratio(expr, row) for row in x]
+        best = max(best, float(np.max(ratios)))
     return best
 
 
@@ -627,5 +670,5 @@ def hardy_partial_check(expr: MeanExpr, x, reference: float) -> PartialCheck:
     constant."""
     if not reference > 0.0:
         raise ValueError("reference constant must be positive")
-    ratio = hardy_ratio(expr, x)
+    ratio = hardy_ratio(expr, as_samples(x))
     return PartialCheck(ratio=ratio, reference=reference, strictly_below=ratio < reference)

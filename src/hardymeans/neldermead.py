@@ -1,0 +1,169 @@
+"""Nelder-Mead minimization of many starts in lockstep.
+
+Each start runs as its own coroutine that yields the points it needs
+scored; :func:`minimize_lockstep` gathers the pending points of every
+live start into one stack per round, so a vectorized objective pays its
+per-call cost once per round instead of once per point.  Each start
+follows exactly the path it would follow alone.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["nelder_mead", "minimize_lockstep"]
+
+
+class _BudgetSpent(Exception):
+    """A Nelder-Mead lane asked for an evaluation past its budget."""
+
+
+def nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
+    """Nelder-Mead (1965) with the adaptive parameters of Gao & Han
+    (2012, Comput. Optim. Appl. 51:259-277), as a coroutine.
+
+    A step-for-step port of SciPy's Nelder-Mead minimizer with
+    ``adaptive=True``, ``maxiter = maxfev`` and no bounds or callback,
+    so it reproduces SciPy's x, fun and nfev bit for bit.  It yields
+    each batch of points it needs scored (the initial simplex, a
+    reflection, an expansion or contraction, the shrunk vertices) as a
+    (k, N) array, is sent their k values, and returns (x, fun, nfev).
+    As in SciPy, every evaluation past ``maxfev`` is refused, which
+    abandons the iteration in progress.
+    """
+    N = len(x0)
+    dim = float(N)
+    rho = 1
+    chi = 1 + 2 / dim
+    psi = 0.75 - 1 / (2 * dim)
+    sigma = 1 - 1 / dim
+    nonzdelt = 0.05
+    zdelt = 0.00025
+
+    sim = np.empty((N + 1, N), dtype=float)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    fcalls = 0
+
+    def func(points: np.ndarray, out: np.ndarray):
+        # as if scored one at a time: every point past maxfev is refused
+        nonlocal fcalls
+        take = min(len(points), maxfev - fcalls)
+        if take > 0:
+            out[:take] = yield points[:take]
+            fcalls += take
+        if take < len(points):
+            raise _BudgetSpent
+
+    def one(point: np.ndarray):
+        value = np.empty(1)
+        yield from func(point[None], value)
+        return value[0]
+
+    try:
+        yield from func(sim, fsim)
+    except _BudgetSpent:
+        pass
+    finally:
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    # sorted a second time, as in SciPy: argsort is not stable, so the
+    # second pass may reorder tied vertices
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+    while fcalls < maxfev and iterations < maxfev:
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf: not converged
+                converged = (
+                    np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+                )
+            if converged:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = yield from one(xr)
+            doshrink = 0
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = yield from one(xe)
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+            elif fxr < fsim[-2]:
+                sim[-1] = xr
+                fsim[-1] = fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = yield from one(xc)
+                    if fxc <= fxr:
+                        sim[-1] = xc
+                        fsim[-1] = fxc
+                    else:
+                        doshrink = 1
+                else:
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = yield from one(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1] = xcc
+                        fsim[-1] = fxcc
+                    else:
+                        doshrink = 1
+                if doshrink:
+                    # each vertex moves just before it is scored, so the
+                    # one refused for lack of budget has moved, unscored
+                    m = min(N, maxfev - fcalls + 1)
+                    sim[1 : m + 1] = sim[0] + sigma * (sim[1 : m + 1] - sim[0])
+                    yield from func(sim[1 : m + 1], fsim[1:])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), fcalls
+
+
+def minimize_lockstep(score, starts, maxfev: int, xatol: float, fatol: float) -> list:
+    """Run one :func:`nelder_mead` lane per start, in lockstep.
+
+    Each round gathers every live lane's pending points into one (rows,
+    N) stack and scores it with one ``score`` call, which must return
+    one value per row.  Returns each lane's (x, fun, nfev), in start
+    order; every lane follows exactly the path it would follow alone.
+    """
+    lanes = [nelder_mead(np.asarray(z0, dtype=float), maxfev, xatol, fatol) for z0 in starts]
+    results: list = [None] * len(lanes)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(i: int, values) -> None:
+        try:
+            pending[i] = lanes[i].send(values)
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i in range(len(lanes)):
+        advance(i, None)
+    while pending:
+        asked = list(pending.items())
+        pending.clear()
+        values = score(np.concatenate([points for _, points in asked]))
+        stop = 0
+        for i, points in asked:
+            advance(i, values[stop : stop + len(points)])
+            stop += len(points)
+    return results

@@ -414,3 +414,20 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_hardy_seq_loads_no_scipy():
+    # the search runs its own Nelder-Mead; scipy is only a test dependency
+    src = Path(hm.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys\n"
+        "from hardymeans.cli import run_command\n"
+        "assert run_command(['hardy-seq', 'power(0)', '--n', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"

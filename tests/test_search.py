@@ -1,0 +1,220 @@
+"""The n-term search and its grid oracle against one-point-at-a-time
+references: the stacked ratio against per-row calls, the lockstep
+Nelder-Mead against scipy.optimize.minimize, and the chunked grid
+against a per-composition loop.  All comparisons are exact."""
+import math
+
+import numpy as np
+import pytest
+
+import hardymeans as hm
+from hardymeans import hardy
+from hardymeans.neldermead import minimize_lockstep
+from conftest import ZOO, log_uniform
+
+NAMES = sorted(ZOO)
+QUASI_POW_M2 = hm.QuasiArithmetic(hm.power_generator(-2))
+
+
+def compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def grid_loop(expr, n, denominator, floor=1e-12):
+    best = -math.inf
+    for comp in compositions(denominator, n):
+        x = np.maximum(np.array(comp, dtype=float) / denominator, floor)
+        best = max(best, hm.hardy_ratio(expr, x))
+    return best
+
+
+def to_point(z):
+    w = np.exp(z - z.max())
+    return np.maximum(w / w.sum(), 1e-300)
+
+
+def scipy_sequence_bound(expr, n, cfg):
+    """The search with one scipy.optimize.minimize call per start and one
+    objective call per point."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def negated(z):
+        try:
+            return -hm.hardy_ratio(expr, to_point(z))
+        except (OverflowError, hm.MeanComputationError):
+            return math.inf
+
+    best_value, best_x, trace = -math.inf, None, []
+    for z0 in hardy._search_starts(n, cfg, np.random.default_rng(cfg.seed)):
+        res = optimize.minimize(
+            negated,
+            z0,
+            method="Nelder-Mead",
+            options={
+                "maxfev": cfg.budget,
+                "maxiter": cfg.budget,
+                "xatol": 1e-12,
+                "fatol": 1e-14,
+                "adaptive": True,
+            },
+        )
+        value = -res.fun if math.isfinite(res.fun) else -math.inf
+        trace.append(value)
+        if value > best_value:
+            best_value, best_x = value, to_point(res.x)
+    maximizer = tuple(float(v) for v in best_x)
+    return hm.hardy_ratio(expr, maximizer), maximizer, tuple(trace), len(trace)
+
+
+class TestStackedRatio:
+    @pytest.mark.parametrize("name", NAMES)
+    def test_rows_match_single_calls(self, name, rng):
+        expr = ZOO[name]
+        for n in (1, 2, 3, 5, 8):
+            # moderate rows, and softmax points as the search makes them,
+            # with coordinates decaying towards the 1e-300 floor
+            for x in (
+                log_uniform(rng, 6 * n).reshape(6, n),
+                hardy._softmax_points(rng.normal(0.0, 60.0, size=(6, n))),
+            ):
+                stacked = hm.hardy_ratio(expr, x)
+                assert stacked.shape == (6,)
+                for row, value in zip(x, stacked):
+                    assert value == hm.hardy_ratio(expr, row), (name, row)
+
+    def test_leading_axes(self, rng):
+        x = log_uniform(rng, 24).reshape(2, 3, 4)
+        stacked = hm.hardy_ratio(hm.Power(0.5), x)
+        assert stacked.shape == (2, 3)
+        assert stacked[1, 2] == hm.hardy_ratio(hm.Power(0.5), x[1, 2])
+
+    def test_failing_row_scores_inf_alone(self):
+        z = np.array([[0.0, -1.0, -2.0], [0.0, -800.0, 0.0], [0.0, 0.5, -0.5]])
+        points = hardy._softmax_points(z)
+        assert points[1, 1] == 1e-300
+        with pytest.raises(OverflowError):
+            hm.hardy_ratio(QUASI_POW_M2, points)
+        with pytest.raises(OverflowError):
+            hm.hardy_ratio(QUASI_POW_M2, points[1])
+        values = hardy._negated_ratios(QUASI_POW_M2, z)
+        assert values[1] == math.inf
+        assert values[0] == -hm.hardy_ratio(QUASI_POW_M2, points[0])
+        assert values[2] == -hm.hardy_ratio(QUASI_POW_M2, points[2])
+
+
+def rosenbrock(z):
+    return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2))
+
+
+def walled(z):
+    # +inf outside a box, so some vertices score inf
+    return math.inf if z.max() > 0.5 else rosenbrock(z)
+
+
+def terraced(z):
+    # piecewise constant, so the simplex meets many ties
+    return float(np.floor(4.0 * rosenbrock(z)))
+
+
+class TestNelderMeadPort:
+    @pytest.mark.parametrize("maxfev", [10, 25, 200, 2000])
+    @pytest.mark.parametrize("fn", [rosenbrock, walled, terraced], ids=lambda f: f.__name__)
+    def test_matches_scipy(self, fn, maxfev):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(maxfev)
+        for dim in (2, 3, 5, 12):
+            starts = [np.zeros(dim), -np.arange(dim, dtype=float)]
+            starts += [rng.normal(0.0, 1.0, size=dim) for _ in range(3)]
+            results = minimize_lockstep(
+                lambda stack: np.array([fn(row) for row in stack]),
+                starts,
+                maxfev,
+                xatol=1e-12,
+                fatol=1e-14,
+            )
+            for z0, (x, fun, nfev) in zip(starts, results):
+                res = optimize.minimize(
+                    fn,
+                    z0,
+                    method="Nelder-Mead",
+                    options={
+                        "maxfev": maxfev,
+                        "maxiter": maxfev,
+                        "xatol": 1e-12,
+                        "fatol": 1e-14,
+                        "adaptive": True,
+                    },
+                )
+                assert np.array_equal(x, res.x), (dim, z0)
+                assert fun == res.fun and nfev == res.nfev, (dim, z0)
+
+
+class TestSequenceBoundMatchesScipy:
+    @pytest.mark.parametrize("name", NAMES)
+    def test_same_result(self, name):
+        expr = ZOO[name]
+        for n in (2, 3, 4):
+            for cfg in (
+                hm.SearchConfig(restarts=6, seed=n),
+                hm.SearchConfig(restarts=6, seed=n, budget=10),
+                hm.SearchConfig(restarts=6, seed=n, budget=25),
+            ):
+                bound = hm.hardy_sequence_bound(expr, n, cfg)
+                found = (bound.estimate, bound.maximizer, bound.trace, bound.restarts)
+                assert found == scipy_sequence_bound(expr, n, cfg), (n, cfg)
+
+    def test_failing_points_score_inf(self):
+        # starts at coordinates whose -2 powers overflow
+        for n in (2, 3):
+            cfg = hm.SearchConfig(
+                restarts=6, seed=n, budget=200, extra_starts=((1.0,) + (1e-200,) * (n - 1),)
+            )
+            bound = hm.hardy_sequence_bound(QUASI_POW_M2, n, cfg)
+            found = (bound.estimate, bound.maximizer, bound.trace, bound.restarts)
+            assert found == scipy_sequence_bound(QUASI_POW_M2, n, cfg)
+            assert -math.inf in bound.trace
+
+    def test_fixed_and_extra_starts_always_run(self):
+        bound = hm.hardy_sequence_bound(hm.Power(0), 2, hm.SearchConfig(restarts=1))
+        assert bound.restarts == len(bound.trace) == 4
+        extra = ((0.5, 0.5), (0.9, 0.1))
+        cfg = hm.SearchConfig(restarts=1, extra_starts=extra)
+        assert hm.hardy_sequence_bound(hm.Power(0), 2, cfg).restarts == 6
+
+
+class TestSimplexGrid:
+    @pytest.mark.parametrize("name", NAMES)
+    def test_matches_per_composition_loop(self, name, monkeypatch):
+        expr = ZOO[name]
+        for n in (1, 2, 3):
+            for denominator in (8, 30):
+                assert hm.simplex_grid_bound(expr, n, denominator) == grid_loop(
+                    expr, n, denominator
+                ), (n, denominator)
+        # 45 compositions in chunks of 7 rows
+        monkeypatch.setattr(hardy, "_GRID_CHUNK", 7)
+        assert hm.simplex_grid_bound(expr, 3, 8) == grid_loop(expr, 3, 8)
+
+    def test_grid_larger_than_one_chunk(self):
+        assert math.comb(300 + 2, 2) > hardy._GRID_CHUNK
+        assert hm.simplex_grid_bound(hm.Power(0), 3, 300) == grid_loop(hm.Power(0), 3, 300)
+
+    def test_compositions_in_lexicographic_order(self, monkeypatch):
+        monkeypatch.setattr(hardy, "_GRID_CHUNK", 4)
+        for total, parts in ((5, 1), (5, 3), (0, 2), (4, 4)):
+            chunks = list(hardy._composition_chunks(total, parts))
+            assert all(len(c) <= 4 for c in chunks)
+            rows = [tuple(int(v) for v in row) for c in chunks for row in c]
+            assert rows == list(compositions(total, parts))
+
+    def test_failing_point_raises_as_in_loop(self):
+        with pytest.raises(OverflowError) as stacked:
+            hm.simplex_grid_bound(QUASI_POW_M2, 3, 8, floor=1e-200)
+        with pytest.raises(OverflowError) as looped:
+            grid_loop(QUASI_POW_M2, 3, 8, floor=1e-200)
+        assert str(stacked.value) == str(looped.value)
