@@ -371,9 +371,6 @@ def mean_kernel(expr: MeanExpr, xs: np.ndarray, running: bool = False) -> np.nda
     the result has the input's shape and holds the mean of every prefix
     of every row.
     """
-    # local imports: families and gauss both import this module
-    from . import families, gauss
-
     if isinstance(expr, Power):
         return families.power_kernel(expr.p, xs, running)
     if isinstance(expr, QuasiArithmetic):
@@ -428,3 +425,7 @@ def prefix_means(expr: MeanExpr, x, ns=None) -> np.ndarray:
     if ns is None:
         return out
     return out[..., np.asarray(list(ns), dtype=int) - 1]
+
+
+# bound once, last: families and gauss import the names defined above
+from . import families, gauss  # noqa: E402

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MeanExpr, NonConvergenceError, as_samples, mean_kernel
+from .core import Gauss, MeanExpr, NonConvergenceError, as_samples, mean_kernel
 
 __all__ = ["GaussConfig", "gauss_kernel", "gauss_step", "gauss_product"]
 
@@ -36,27 +36,20 @@ class GaussConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def _check_means(means: Sequence[MeanExpr]) -> tuple:
-    means = tuple(means)
-    if len(means) < 2:
-        raise ValueError("a Gaussian product needs at least two means")
-    return means
-
-
 def _step(means: tuple, w: np.ndarray, running: bool = False) -> np.ndarray:
     """Every child's kernel on w, stacked along a new last axis."""
     return np.stack([mean_kernel(m, w, running) for m in means], axis=-1)
 
 
 def gauss_kernel(
-    means: Sequence[MeanExpr],
+    means: tuple,
     xs: np.ndarray,
     running: bool = False,
     cfg: GaussConfig = GaussConfig(),
 ) -> np.ndarray:
-    """Gaussian product of every row (or every prefix) of a validated
-    sample array; see :func:`gauss_product` for the stopping rule."""
-    means = _check_means(means)
+    """Gaussian product, by a Gauss node's children, of every row (or
+    every prefix) of a validated sample array; see :func:`gauss_product`
+    for the stopping rule."""
     if running:
         lo, hi = np.minimum.accumulate(xs, axis=-1), np.maximum.accumulate(xs, axis=-1)
     else:
@@ -88,7 +81,7 @@ def gauss_kernel(
 
 def gauss_step(means: Sequence[MeanExpr], v) -> np.ndarray:
     """One simultaneous step: component i is means[i] evaluated on v."""
-    return _step(_check_means(means), as_samples(v))
+    return _step(Gauss(means).children, as_samples(v))
 
 
 def gauss_product(
@@ -101,4 +94,4 @@ def gauss_product(
     Raises NonConvergenceError (with the final gap) after
     cfg.max_iterations.
     """
-    return float(gauss_kernel(means, as_samples(v), cfg=cfg))
+    return float(gauss_kernel(Gauss(means).children, as_samples(v), cfg=cfg))

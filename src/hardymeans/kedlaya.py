@@ -17,7 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from .core import MeanExpr, as_samples, evaluate, evaluate_batch, prefix_means
-from .probes import sample_vector
+from .probes import map_by_length, sample_vector
 
 __all__ = [
     "MAX_COEFFICIENT_N",
@@ -221,11 +221,7 @@ def kedlaya_margins(
     for _ in range(samples):
         dim = int(rng.integers(lo, hi + 1))
         vectors.append(sample_vector(rng, dim, entry_range))
-    margins = np.empty(samples)
-    for dim in sorted({v.size for v in vectors}):
-        idx = [i for i, v in enumerate(vectors) if v.size == dim]
-        margins[idx] = _prefix_average_margins(expr, np.stack([vectors[i] for i in idx]))
-    return margins
+    return map_by_length(lambda xs: _prefix_average_margins(expr, xs), vectors)
 
 
 def matrix_mixing_margin(expr: MeanExpr, x, matrix: KedlayaMatrix | None = None) -> float:

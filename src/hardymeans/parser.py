@@ -8,6 +8,11 @@
     devspec := "arith" | "pair:" gen "," gen
     num     := decimal literal with optional sign and exponent
 
+The tables ``MEANS``, ``ALIASES`` and ``GENERATORS`` are the single
+source of this grammar: the parser reads each head's argument slots
+from them and the printer writes the same slots back.  Only ``gauss``
+(any number of children) and the deviation spec keep rules of their own.
+
 Whitespace between tokens is ignored.  ``parse_mean_expr`` after
 ``format_mean_expr`` is the identity on every expressible tree;
 expressions outside the grammar (min, max, sign-flipped power
@@ -17,27 +22,42 @@ Positions in diagnostics are 1-based character offsets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import (
+    ARITH,
     ARITHMETIC_DEVIATION,
+    GEOM,
+    HARM,
     Bajraktarevic,
     Deviation,
-    ArithmeticDeviation,
-    PairDeviation,
-    EXP,
     Gauss,
     Generator,
     Gini,
-    IDENTITY,
-    LOG,
     MeanExpr,
+    PairDeviation,
     Power,
     QuasiArithmetic,
-    power_generator,
 )
 
 __all__ = ["ParseError", "parse_mean_expr", "format_mean_expr"]
+
+# head -> (node class, argument slots in the node's field order); a slot
+# is a number ("num"), a generator ("gen") or a deviation spec ("dev")
+MEANS = {
+    "power": (Power, ("num",)),
+    "gini": (Gini, ("num", "num")),
+    "quasi": (QuasiArithmetic, ("gen",)),
+    "bajrak": (Bajraktarevic, ("gen", "gen")),
+    "dev": (Deviation, ("dev",)),
+}
+# names that parse to a fixed mean; the printer writes the head form
+ALIASES = {"arith": ARITH, "geom": GEOM, "harm": HARM}
+# generator spelling -> Generator kind; a trailing ':' takes a number
+GENERATORS = {"id": "identity", "log": "log", "exp": "exp", "pow:": "pow"}
+
+_MEAN_NAMES = tuple(repr(name) for name in (*MEANS, "gauss", *ALIASES))
+_GENERATOR_NAMES = tuple(repr(name) for name in GENERATORS)
 
 
 class ParseError(ValueError):
@@ -53,7 +73,8 @@ class ParseError(ValueError):
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_]+)"
-    r"|(?P<punct>[(),:]))"
+    r"|(?P<punct>[(),:])"
+    r"|(?P<bad>\S))"
 )
 
 
@@ -66,26 +87,23 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", bad_at)
-        for kind in ("num", "name", "punct"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append(_Token(kind, value, match.start(kind) + 1))
-                break
-        pos = match.end()
+    for match in _TOKEN.finditer(text):
+        kind, position = match.lastgroup, match.start(match.lastgroup) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r}", position)
+        tokens.append(_Token(kind, match[kind], position))
     tokens.append(_Token("end", "", len(text) + 1))
     return tokens
 
 
+def _unexpected(token: _Token, expected: tuple[str, ...]) -> ParseError:
+    found = repr(token.text) if token.kind != "end" else "end of input"
+    return ParseError(f"found {found}", token.position, expected)
+
+
 class _Parser:
+    """Recursive descent; methods ``num``, ``gen`` and ``dev`` read those slots."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
@@ -93,136 +111,80 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
+    def take(self, kind: str, expected: tuple[str, ...]) -> _Token:
+        token = self.peek()
+        if token.kind != kind:
+            raise _unexpected(token, expected)
         self.index += 1
         return token
 
-    def expect_punct(self, text: str) -> _Token:
-        token = self.peek()
-        if token.kind == "punct" and token.text == text:
-            return self.advance()
-        found = repr(token.text) if token.kind != "end" else "end of input"
-        raise ParseError(f"found {found}", token.position, expected=(repr(text),))
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is the name or punctuation ``text``."""
+        if self.peek().text != text:
+            return False
+        self.index += 1
+        return True
 
-    def number(self) -> float:
-        token = self.peek()
-        if token.kind != "num":
-            found = repr(token.text) if token.kind != "end" else "end of input"
-            raise ParseError(f"found {found}", token.position, expected=("number",))
-        self.advance()
-        return float(token.text)
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            raise _unexpected(self.peek(), (repr(text),))
 
-    def generator(self) -> Generator:
-        token = self.peek()
-        if token.kind == "name":
-            if token.text == "id":
-                self.advance()
-                return IDENTITY
-            if token.text == "log":
-                self.advance()
-                return LOG
-            if token.text == "exp":
-                self.advance()
-                return EXP
-            if token.text == "pow":
-                self.advance()
-                self.expect_punct(":")
-                return power_generator(self.number())
+    def num(self) -> float:
+        return float(self.take("num", ("number",)).text)
+
+    def gen(self) -> Generator:
+        token = self.take("name", ("generator",))
+        if token.text in GENERATORS:
+            return Generator(GENERATORS[token.text])
+        kind = GENERATORS.get(token.text + ":")
+        if kind is None:
             raise ParseError(
-                f"unknown generator {token.text!r}",
-                token.position,
-                expected=("'id'", "'log'", "'exp'", "'pow:'"),
+                f"unknown generator {token.text!r}", token.position, _GENERATOR_NAMES
             )
-        found = repr(token.text) if token.kind != "end" else "end of input"
-        raise ParseError(f"found {found}", token.position, expected=("generator",))
+        self.expect(":")
+        return Generator(kind, self.num())
 
-    def devspec(self):
-        token = self.peek()
-        if token.kind == "name" and token.text == "arith":
-            self.advance()
+    def dev(self):
+        if self.accept("arith"):
             return ARITHMETIC_DEVIATION
-        if token.kind == "name" and token.text == "pair":
-            self.advance()
-            self.expect_punct(":")
-            f = self.generator()
-            self.expect_punct(",")
-            g = self.generator()
-            return PairDeviation(f, g)
-        found = repr(token.text) if token.kind != "end" else "end of input"
-        raise ParseError(
-            f"found {found}", token.position, expected=("'arith'", "'pair:'")
-        )
+        if not self.accept("pair"):
+            raise _unexpected(self.peek(), ("'arith'", "'pair:'"))
+        self.expect(":")
+        f = self.gen()
+        self.expect(",")
+        return PairDeviation(f, self.gen())
+
+    def gauss(self) -> Gauss:
+        self.expect("(")
+        children = [self.mean()]
+        while self.accept(","):
+            children.append(self.mean())
+        if len(children) < 2:
+            raise ParseError(
+                "'gauss' needs at least two means", self.peek().position, ("','",)
+            )
+        self.expect(")")
+        return Gauss(tuple(children))
 
     def mean(self) -> MeanExpr:
-        token = self.peek()
-        if token.kind != "name":
-            found = repr(token.text) if token.kind != "end" else "end of input"
-            raise ParseError(f"found {found}", token.position, expected=("mean",))
-        name = token.text
-        self.advance()
-        if name == "arith":
-            return Power(1.0)
-        if name == "geom":
-            return Power(0.0)
-        if name == "harm":
-            return Power(-1.0)
-        if name == "power":
-            self.expect_punct("(")
-            p = self.number()
-            self.expect_punct(")")
-            return Power(p)
-        if name == "gini":
-            self.expect_punct("(")
-            p = self.number()
-            self.expect_punct(",")
-            q = self.number()
-            self.expect_punct(")")
-            return Gini(p, q)
-        if name == "quasi":
-            self.expect_punct("(")
-            gen = self.generator()
-            self.expect_punct(")")
-            return QuasiArithmetic(gen)
-        if name == "bajrak":
-            self.expect_punct("(")
-            f = self.generator()
-            self.expect_punct(",")
-            g = self.generator()
-            self.expect_punct(")")
-            return Bajraktarevic(f, g)
-        if name == "dev":
-            self.expect_punct("(")
-            dev = self.devspec()
-            self.expect_punct(")")
-            return Deviation(dev)
-        if name == "gauss":
-            self.expect_punct("(")
-            children = [self.mean()]
-            while True:
-                token = self.peek()
-                if token.kind == "punct" and token.text == ",":
-                    self.advance()
-                    children.append(self.mean())
-                    continue
-                break
-            closing = self.peek()
-            if len(children) < 2:
-                raise ParseError(
-                    "'gauss' needs at least two means",
-                    closing.position,
-                    expected=("','",),
-                )
-            self.expect_punct(")")
-            return Gauss(tuple(children))
-        raise ParseError(
-            f"unknown mean {name!r}",
-            token.position,
-            expected=(
-                "'power'", "'gini'", "'quasi'", "'bajrak'",
-                "'dev'", "'gauss'", "'arith'", "'geom'", "'harm'",
-            ),
-        )
+        token = self.take("name", ("mean",))
+        if token.text in ALIASES:
+            return ALIASES[token.text]
+        if token.text == "gauss":
+            return self.gauss()
+        if token.text not in MEANS:
+            raise ParseError(
+                f"unknown mean {token.text!r}", token.position, _MEAN_NAMES
+            )
+        node, slots = MEANS[token.text]
+        self.expect("(")
+        args = []
+        for i, slot in enumerate(slots):
+            if i:
+                self.expect(",")
+            args.append(getattr(self, slot)())
+        self.expect(")")
+        return node(*args)
 
 
 def parse_mean_expr(text: str) -> MeanExpr:
@@ -245,34 +207,30 @@ def _format_number(value: float) -> str:
 
 
 def _format_generator(gen: Generator) -> str:
-    if gen.kind == "identity":
-        return "id"
-    if gen.kind in ("log", "exp"):
-        return gen.kind
-    if gen.kind == "pow":
-        return f"pow:{_format_number(gen.p)}"
+    for spelling, kind in GENERATORS.items():
+        if kind == gen.kind:
+            return spelling + (_format_number(gen.p) if spelling.endswith(":") else "")
     raise ValueError(f"generator {gen.describe()} has no textual form")
+
+
+def _format_devspec(dev) -> str:
+    if dev == ARITHMETIC_DEVIATION:
+        return "arith"
+    if isinstance(dev, PairDeviation):
+        return f"pair:{_format_generator(dev.f)},{_format_generator(dev.g)}"
+    raise ValueError(f"deviation {dev!r} has no textual form")
+
+
+_FORMAT_SLOT = {"num": _format_number, "gen": _format_generator, "dev": _format_devspec}
+_HEADS = {node: (head, slots) for head, (node, slots) in MEANS.items()}
 
 
 def format_mean_expr(expr: MeanExpr) -> str:
     """Print an expression tree in the textual grammar."""
-    if isinstance(expr, Power):
-        return f"power({_format_number(expr.p)})"
-    if isinstance(expr, Gini):
-        return f"gini({_format_number(expr.p)},{_format_number(expr.q)})"
-    if isinstance(expr, QuasiArithmetic):
-        return f"quasi({_format_generator(expr.gen)})"
-    if isinstance(expr, Bajraktarevic):
-        return f"bajrak({_format_generator(expr.f)},{_format_generator(expr.g)})"
-    if isinstance(expr, Deviation):
-        if isinstance(expr.dev, ArithmeticDeviation):
-            return "dev(arith)"
-        if isinstance(expr.dev, PairDeviation):
-            return (
-                f"dev(pair:{_format_generator(expr.dev.f)},"
-                f"{_format_generator(expr.dev.g)})"
-            )
-        raise ValueError(f"deviation {expr.dev!r} has no textual form")
     if isinstance(expr, Gauss):
         return "gauss(" + ",".join(format_mean_expr(c) for c in expr.children) + ")"
-    raise ValueError(f"{expr!r} has no textual form in the grammar")
+    if type(expr) not in _HEADS:
+        raise ValueError(f"{expr!r} has no textual form in the grammar")
+    head, slots = _HEADS[type(expr)]
+    args = (getattr(expr, field.name) for field in fields(expr))
+    return f"{head}(" + ",".join(_FORMAT_SLOT[s](a) for s, a in zip(slots, args)) + ")"

@@ -28,6 +28,7 @@ __all__ = [
     "PropertyReport",
     "probe_properties",
     "sample_vector",
+    "map_by_length",
 ]
 
 PROPERTY_NAMES = (
@@ -104,14 +105,15 @@ def _rel(diff: np.ndarray, *scales: np.ndarray) -> np.ndarray:
     return diff / np.maximum.reduce([floor, *map(np.abs, scales)])
 
 
-def _evaluate_all(expr: MeanExpr, vectors: list[np.ndarray]) -> np.ndarray:
-    """The mean of every vector, with one reduce-kernel call per length."""
+def map_by_length(fn, vectors: list[np.ndarray]) -> np.ndarray:
+    """One value per vector of a ragged list, in the list's order, with
+    one call of ``fn`` on the stack of each length's vectors."""
     by_length: dict[int, list[int]] = {}
     for i, v in enumerate(vectors):
         by_length.setdefault(v.size, []).append(i)
     out = np.empty(len(vectors))
     for idx in by_length.values():
-        out[idx] = evaluate_batch(expr, np.stack([vectors[i] for i in idx]))
+        out[idx] = fn(np.stack([vectors[i] for i in idx]))
     return out
 
 
@@ -154,7 +156,7 @@ def probe_properties(expr: MeanExpr, cfg: ProbeConfig = ProbeConfig()) -> Proper
         vectors += [x, xp, x.repeat(2), x.repeat(3), t * x, bumped, y, 0.5 * (x + y)]
         if x_max[-1] > x_min[-1]:
             vectors.append(np.append(x, x_min[-1]))
-    values = _evaluate_all(expr, vectors)
+    values = map_by_length(lambda xs: evaluate_batch(expr, xs), vectors)
 
     x_min, x_max, t = np.array(x_min), np.array(x_max), np.array(scales)
     sizes = np.where(x_max > x_min, 9, 8)

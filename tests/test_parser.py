@@ -86,6 +86,104 @@ class TestParseErrors:
         assert "')'" in info.value.expected
 
 
+MEAN_HEADS = (
+    "'power'", "'gini'", "'quasi'", "'bajrak'", "'dev'", "'gauss'",
+    "'arith'", "'geom'", "'harm'",
+)
+GENERATOR_NAMES = ("'id'", "'log'", "'exp'", "'pow:'")
+
+# (text, message, 1-based position, expected tokens) for malformed input
+DIAGNOSTICS = [
+    ('', 'found end of input', 1, ('mean',)),
+    ('   ', 'found end of input', 4, ('mean',)),
+    ('median(1)', "unknown mean 'median'", 1, MEAN_HEADS),
+    ('Power(0)', "unknown mean 'Power'", 1, MEAN_HEADS),
+    ('1.5', "found '1.5'", 1, ('mean',)),
+    ('(', "found '('", 1, ('mean',)),
+    (':', "found ':'", 1, ('mean',)),
+    ('id', "unknown mean 'id'", 1, MEAN_HEADS),
+    ('pow:1', "unknown mean 'pow'", 1, MEAN_HEADS),
+    ('power', 'found end of input', 6, ("'('",)),
+    ('power(', 'found end of input', 7, ('number',)),
+    ('power()', "found ')'", 7, ('number',)),
+    ('power(0', 'found end of input', 8, ("')'",)),
+    ('power(0,1)', "found ','", 8, ("')'",)),
+    ('power(x)', "found 'x'", 7, ('number',)),
+    ('power(1e)', "found 'e'", 8, ("')'",)),
+    ('power(--1)', "unexpected character '-'", 7, ()),
+    ('  power( x )', "found 'x'", 10, ('number',)),
+    ('gini', 'found end of input', 5, ("'('",)),
+    ('gini(0.5)', "found ')'", 9, ("','",)),
+    ('gini(0.5,)', "found ')'", 10, ('number',)),
+    ('gini(,1)', "found ','", 6, ('number',)),
+    ('gini(1,2,3)', "found ','", 9, ("')'",)),
+    ('gini(1;2)', "unexpected character ';'", 7, ()),
+    ('quasi()', "found ')'", 7, ('generator',)),
+    ('quasi(tanh)', "unknown generator 'tanh'", 7, GENERATOR_NAMES),
+    ('quasi(pow)', "found ')'", 10, ("':'",)),
+    ('quasi(pow:)', "found ')'", 11, ('number',)),
+    ('quasi(pow:x)', "found 'x'", 11, ('number',)),
+    ('quasi(log', 'found end of input', 10, ("')'",)),
+    ('quasi(1)', "found '1'", 7, ('generator',)),
+    ('quasi(id,id)', "found ','", 9, ("')'",)),
+    ('quasi(exp:1)', "found ':'", 10, ("')'",)),
+    ('quasi(id', 'found end of input', 9, ("')'",)),
+    ('quasi', 'found end of input', 6, ("'('",)),
+    ('quasi(ID)', "unknown generator 'ID'", 7, GENERATOR_NAMES),
+    ('bajrak(log)', "found ')'", 11, ("','",)),
+    ('bajrak(log,)', "found ')'", 12, ('generator',)),
+    ('bajrak(pow:2 pow:1)', "found 'pow'", 14, ("','",)),
+    ('bajrak(log,sqrt)', "unknown generator 'sqrt'", 12, GENERATOR_NAMES),
+    ('bajrak(pow:2,pow:1', 'found end of input', 19, ("')'",)),
+    ('bajrak(,log)', "found ','", 8, ('generator',)),
+    ('dev', 'found end of input', 4, ("'('",)),
+    ('dev()', "found ')'", 5, ("'arith'", "'pair:'")),
+    ('dev(geom)', "found 'geom'", 5, ("'arith'", "'pair:'")),
+    ('dev(pair)', "found ')'", 9, ("':'",)),
+    ('dev(pair:log)', "found ')'", 13, ("','",)),
+    ('dev(pair:log,)', "found ')'", 14, ('generator',)),
+    ('dev(pair:log,pow:1', 'found end of input', 19, ("')'",)),
+    ('dev(arith,1)', "found ','", 10, ("')'",)),
+    ('dev(pair:foo,id)', "unknown generator 'foo'", 10, GENERATOR_NAMES),
+    ('dev(1)', "found '1'", 5, ("'arith'", "'pair:'")),
+    ('dev(arith', 'found end of input', 10, ("')'",)),
+    ('dev(pair,log,id)', "found ','", 9, ("':'",)),
+    ('gauss', 'found end of input', 6, ("'('",)),
+    ('gauss(', 'found end of input', 7, ('mean',)),
+    ('gauss(power(0))', "'gauss' needs at least two means", 15, ("','",)),
+    ('gauss(power(0)', "'gauss' needs at least two means", 15, ("','",)),
+    ('gauss()', "found ')'", 7, ('mean',)),
+    ('gauss(power(0),)', "found ')'", 16, ('mean',)),
+    ('gauss(power(0),power(1)', 'found end of input', 24, ("')'",)),
+    ('gauss(power(0) power(1))', "'gauss' needs at least two means", 16, ("','",)),
+    ('gauss(power(0),power(1) power(2))', "found 'power'", 25, ("')'",)),
+    ('gauss(harm,geom,median)', "unknown mean 'median'", 17, MEAN_HEADS),
+    ('gauss(gauss(power(0)),harm)', "'gauss' needs at least two means", 21, ("','",)),
+    ('power(0) power(1)', "trailing input 'power'", 10, ('end',)),
+    ('arith)', "trailing input ')'", 6, ('end',)),
+    ('arith(1)', "trailing input '('", 6, ('end',)),
+    ('power(0)\n,', "trailing input ','", 10, ('end',)),
+    ('harm geom', "trailing input 'geom'", 6, ('end',)),
+    ('power(0);', "unexpected character ';'", 9, ()),
+    ('power(0)  @', "unexpected character '@'", 11, ()),
+    ('quasi(log)!', "unexpected character '!'", 11, ()),
+    ('\tpower(0)#', "unexpected character '#'", 10, ()),
+]
+
+
+class TestDiagnosticCorpus:
+    @pytest.mark.parametrize(
+        "text, message, position, expected", DIAGNOSTICS, ids=[c[0] for c in DIAGNOSTICS]
+    )
+    def test_diagnostic_is_pinned(self, text, message, position, expected):
+        with pytest.raises(ParseError) as info:
+            parse_mean_expr(text)
+        hint = f" (expected {', '.join(expected)})" if expected else ""
+        assert str(info.value) == f"{message} at offset {position}{hint}"
+        assert info.value.position == position
+        assert info.value.expected == expected
+
+
 PRINTABLE = [
     hm.Power(0.0),
     hm.Power(1.0),
