@@ -45,6 +45,7 @@ __all__ = [
     "HARM",
     "lower_deviation",
     "mean_kernel",
+    "LAST_PREFIX",
     "evaluate",
     "evaluate_batch",
     "prefix_means",
@@ -363,44 +364,66 @@ def lower_deviation(dev: DeviationSpec) -> MeanExpr:
     return Bajraktarevic(dev.f, dev.g)
 
 
-def mean_kernel(expr: MeanExpr, xs: np.ndarray, running: bool = False) -> np.ndarray:
+def mean_kernel(expr: MeanExpr, xs: np.ndarray, cols) -> np.ndarray:
     """The family kernel of ``expr`` on a validated sample array.
 
-    Works along the last axis and keeps leading batch axes.  With
-    ``running=False`` each row reduces to its mean; with ``running=True``
-    the result has the input's shape and holds the mean of every prefix
-    of every row.
+    Works along the last axis and keeps leading batch axes.  ``cols``
+    selects prefixes by index into the n prefixes (index k is
+    x[..., :k+1]); it must be a slice or an integer array, not a bare
+    integer, so the axis stays.  The result holds the mean of every
+    selected prefix of every row.
     """
     if isinstance(expr, Power):
-        return families.power_kernel(expr.p, xs, running)
+        return families.power_kernel(expr.p, xs, cols)
     if isinstance(expr, QuasiArithmetic):
-        return families.quasi_arithmetic_kernel(expr.gen, xs, running)
+        return families.quasi_arithmetic_kernel(expr.gen, xs, cols)
     if isinstance(expr, Gini):
-        return families.gini_kernel(expr.p, expr.q, xs, running)
+        return families.gini_kernel(expr.p, expr.q, xs, cols)
     if isinstance(expr, Bajraktarevic):
-        return families.bajraktarevic_kernel(expr.f, expr.g, xs, running)
+        return families.bajraktarevic_kernel(expr.f, expr.g, xs, cols)
     if isinstance(expr, Deviation):
         mean = lower_deviation(expr.dev)
         if isinstance(mean, Bajraktarevic):
-            return families.bajraktarevic_kernel(mean.f, mean.g, xs, running, deviation=True)
-        return mean_kernel(mean, xs, running)
+            return families.bajraktarevic_kernel(mean.f, mean.g, xs, cols, deviation=True)
+        return mean_kernel(mean, xs, cols)
     if isinstance(expr, Gauss):
-        return gauss.gauss_kernel(expr.children, xs, running)
+        return gauss.gauss_kernel(expr.children, xs, cols)
     if isinstance(expr, MinOf):
-        return np.minimum.accumulate(xs, axis=-1) if running else xs.min(axis=-1)
+        return np.minimum.accumulate(xs, axis=-1)[..., cols]
     if isinstance(expr, MaxOf):
-        return np.maximum.accumulate(xs, axis=-1) if running else xs.max(axis=-1)
+        return np.maximum.accumulate(xs, axis=-1)[..., cols]
     raise TypeError(f"not a mean expression: {expr!r}")
+
+
+# the selector of one mean per row: a slice, as the index -1 would make the
+# kernels' last operations scalar ones, which round differently
+LAST_PREFIX = slice(-1, None)
+
+
+def _selected_means(expr: MeanExpr, xs: np.ndarray, cols) -> np.ndarray:
+    """:func:`mean_kernel` at the prefixes ``cols``, with every one-entry
+    prefix exactly its entry: every mean of one entry is that entry, but
+    the kernels' power sums would round it."""
+    out = mean_kernel(expr, xs, cols)
+    if isinstance(cols, slice):
+        picked = range(xs.shape[-1])[cols]
+        first = [picked.index(0)] if 0 in picked else []
+    else:
+        first = np.flatnonzero(cols == 0)
+    if len(first):
+        out[..., first] = xs[..., :1]
+    return out
 
 
 def evaluate(expr: MeanExpr, x) -> float:
     """Evaluate a mean expression at a vector of positive reals.
 
-    The result lies in [min(x), max(x)].  Inner solver failures
-    (deviation roots, product iterations) raise explicit errors and are
-    never truncated to a best-effort value.
+    The result lies in [min(x), max(x)], up to a few ulps of rounding,
+    and equals the last entry of :func:`prefix_means` bit for bit.  Inner solver failures (deviation
+    roots, product iterations) raise explicit errors and are never
+    truncated to a best-effort value.
     """
-    return float(mean_kernel(expr, as_samples(x)))
+    return float(_selected_means(expr, as_samples(x), LAST_PREFIX)[0])
 
 
 def evaluate_batch(expr: MeanExpr, x) -> np.ndarray:
@@ -408,23 +431,23 @@ def evaluate_batch(expr: MeanExpr, x) -> np.ndarray:
 
     Row i of the result equals ``evaluate(expr, x[i])`` bit for bit.
     """
-    return np.asarray(mean_kernel(expr, as_sample_rows(x)), dtype=float)
+    return _selected_means(expr, as_sample_rows(x), LAST_PREFIX)[..., 0]
 
 
 def prefix_means(expr: MeanExpr, x, ns=None) -> np.ndarray:
     """M(x[..., :n]) for each n in ``ns`` (all prefixes by default).
 
     Runs the family's running-prefix kernel along the last axis of a
-    sample vector or of a stack of equal-length vectors.
+    sample vector or of a stack of equal-length vectors; each n must lie
+    in [1, len].
     """
     xs = as_sample_rows(x)
-    out = mean_kernel(expr, xs, running=True)
-    # every mean of one entry is that entry; the kernels' power sums
-    # would round it
-    out[..., 0] = xs[..., 0]
     if ns is None:
-        return out
-    return out[..., np.asarray(list(ns), dtype=int) - 1]
+        return _selected_means(expr, xs, slice(None))
+    ns = np.asarray(list(ns), dtype=int)
+    if not np.all((ns >= 1) & (ns <= xs.shape[-1])):
+        raise ValueError(f"prefix lengths must lie in [1, {xs.shape[-1]}]")
+    return _selected_means(expr, xs, ns - 1)
 
 
 # bound once, last: families and gauss import the names defined above

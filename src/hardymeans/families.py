@@ -1,20 +1,20 @@
 """The five concrete mean families, as array kernels.
 
 Every kernel works along the last axis of a validated sample array and
-accepts leading batch axes.  With ``running=False`` it reduces each row
-to its mean; this form serves :func:`~hardymeans.core.evaluate` and
-batches of equal-length vectors.  With ``running=True`` it returns the
-mean of every prefix of every row; this form serves the p_n sweep.
+accepts leading batch axes.  It computes running sums over each row and
+returns the means of the prefixes that ``cols`` selects (see
+:func:`~hardymeans.core.mean_kernel`): every prefix for the p_n sweep,
+a tail window for the y-grid, the last prefix for
+:func:`~hardymeans.core.evaluate`.  The selection comes before the
+per-prefix work, so a single mean costs no prefix solves.
 
-Reductions of power sums run in the log domain with a max shift, so
-entries spanning many orders of magnitude or large exponents do not
-overflow.  Running power sums are plain cumulative sums, which are more
-accurate than log-domain accumulation; only the prefixes whose plain sum
-leaves the normal range take ``np.logaddexp.accumulate`` instead.
+Running power sums are plain cumulative sums, which are more accurate
+than log-domain accumulation; only the prefixes whose plain sum leaves
+the normal range take ``np.logaddexp.accumulate`` instead.
 
 Implicit means (Bajraktarevic, and deviation means, which are lowered to
-it) solve (f/g)(y) = sum f / sum g for every row or prefix at once, by a
-vectorized bracketed bisection on [min, max] run until no double lies
+it) solve (f/g)(y) = sum f / sum g for every selected prefix at once, by
+a vectorized bracketed bisection on [min, max] run until no double lies
 strictly inside the bracket.  Brackets wider than an octave are halved
 in the log domain, so a root near a tiny entry costs no extra steps.
 The defining functions are only guaranteed continuous and strictly
@@ -23,19 +23,22 @@ monotone, so no derivative-based method is used.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 
 import numpy as np
 
 from .core import (
+    LAST_PREFIX,
     BracketError,
     CancellationWarning,
     Deviation,
     DeviationSpec,
     Generator,
+    Gini,
+    Power,
+    QuasiArithmetic,
     as_samples,
-    mean_kernel,
+    evaluate,
 )
 
 __all__ = [
@@ -61,23 +64,22 @@ _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 
 
-def _counts(xs: np.ndarray) -> np.ndarray:
-    """1, 2, ..., n: the prefix lengths along the last axis."""
-    return np.arange(1.0, xs.shape[-1] + 1.0)
+def _counts(xs: np.ndarray, cols) -> np.ndarray:
+    """The prefix lengths 1, 2, ..., n along the last axis, at ``cols``."""
+    return np.arange(1.0, xs.shape[-1] + 1.0)[cols]
 
 
-def _log_power_sum(logx: np.ndarray, p: float) -> np.ndarray:
-    """log(sum_i x_i**p) along the last axis, as a max-shifted log-sum-exp."""
-    a = p * logx
-    m = a.max(axis=-1, keepdims=True)
-    return m[..., 0] + np.log(np.exp(a - m).sum(axis=-1))
-
-
-def _running_power_sum(xs: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Plain running sums of x**p, and the mask of prefixes where they
-    left the normal range (overflow, or underflow to subnormal)."""
+def _running_power_sum(xs: np.ndarray, p: float, cols) -> tuple[np.ndarray, bool]:
+    """Plain running sums of x**p at the prefixes ``cols``, and whether all
+    lie in the normal range: running sums of positive terms are monotone,
+    so each row's first and last sums decide that without a mask."""
     s = (xs**p).cumsum(axis=-1)
-    return s, ~((s >= _TINY) & (s <= _HUGE))
+    return s[..., cols], bool(s[..., 0].min() >= _TINY and s[..., -1].max() <= _HUGE)
+
+
+def _abnormal(s: np.ndarray) -> np.ndarray:
+    """Mask of the sums that overflowed or underflowed to subnormal."""
+    return ~((s >= _TINY) & (s <= _HUGE))
 
 
 def _warn_near(what: str, gap: float) -> None:
@@ -89,84 +91,69 @@ def _warn_near(what: str, gap: float) -> None:
         )
 
 
-def power_kernel(p: float, xs: np.ndarray, running: bool = False) -> np.ndarray:
+def power_kernel(p: float, xs: np.ndarray, cols) -> np.ndarray:
     """((x_1**p + ... + x_n**p) / n) ** (1/p); geometric mean at p = 0."""
-    logx = np.log(xs)
+    k = _counts(xs, cols)
     if p == 0.0:
-        if running:
-            return np.exp(np.cumsum(logx, axis=-1) / _counts(xs))
-        return np.exp(logx.mean(axis=-1))
+        return np.exp(np.cumsum(np.log(xs), axis=-1)[..., cols] / k)
     _warn_near(f"power exponent p={p!r} is", abs(p))
-    if not running:
-        return np.exp((_log_power_sum(logx, p) - math.log(xs.shape[-1])) / p)
-    k = _counts(xs)
     with np.errstate(all="ignore"):
-        s, bad = _running_power_sum(xs, p)
+        s, normal = _running_power_sum(xs, p, cols)
         out = (s / k) ** (1.0 / p)
-    if bad.any():
-        log_mean = (np.logaddexp.accumulate(p * logx, axis=-1) - np.log(k)) / p
-        out = np.where(bad, np.exp(log_mean), out)
+    if not normal:
+        log_sum = np.logaddexp.accumulate(p * np.log(xs), axis=-1)[..., cols]
+        out = np.where(_abnormal(s), np.exp((log_sum - np.log(k)) / p), out)
     return out
 
 
-def quasi_arithmetic_kernel(gen: Generator, xs: np.ndarray, running: bool = False) -> np.ndarray:
+def quasi_arithmetic_kernel(gen: Generator, xs: np.ndarray, cols) -> np.ndarray:
     """Inverse of gen applied to the plain average of gen(x_i).
 
     Overflow inside the generator is reported as OverflowError, never
     silently replaced.
     """
-    if not gen.strictly_monotone:
-        raise ValueError(
-            f"generator {gen.describe()} is not strictly monotone on (0, inf)"
-        )
-    vals = gen(xs)
-    if running:
-        return gen.inverse(np.cumsum(vals, axis=-1) / _counts(xs))
-    return gen.inverse(vals.mean(axis=-1))
+    return gen.inverse(np.cumsum(gen(xs), axis=-1)[..., cols] / _counts(xs, cols))
 
 
-def gini_kernel(p: float, q: float, xs: np.ndarray, running: bool = False) -> np.ndarray:
+def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
     """(sum x**p / sum x**q) ** (1/(p-q)) for p != q.
 
     For p == q the limiting form exp(sum x**p ln x / sum x**p) is used.
     The two exponents are interchangeable; the kernel orders them, so
     swapping them gives the same result bit for bit.
     """
-    logx = np.log(xs)
     if p == q:
-        a = p * logx
-        if not running:
-            w = np.exp(a - a.max(axis=-1, keepdims=True))
-            return np.exp((w * logx).sum(axis=-1) / w.sum(axis=-1))
+        logx = np.log(xs)
         with np.errstate(all="ignore"):
-            s, bad = _running_power_sum(xs, p)
-            num = (xs**p * logx).cumsum(axis=-1)
+            s, normal = _running_power_sum(xs, p, cols)
+            num = (xs**p * logx).cumsum(axis=-1)[..., cols]
             out = np.exp(num / s)
-        bad |= ~np.isfinite(num)
-        if bad.any():
+        finite = np.isfinite(num)
+        if not (normal and finite.all()):
             # the weighted average of ln x, shifted so every term is >= 0
             # and its running sum has a logarithm
+            a = p * logx
             c = logx.min(axis=-1, keepdims=True)
             with np.errstate(divide="ignore"):
                 log_num = np.logaddexp.accumulate(a + np.log(logx - c), axis=-1)
             log_den = np.logaddexp.accumulate(a, axis=-1)
-            out = np.where(bad, np.exp(c + np.exp(log_num - log_den)), out)
+            mean_log = np.exp(log_num - log_den)[..., cols]
+            out = np.where(_abnormal(s) | ~finite, np.exp(c + mean_log), out)
         return out
     if p < q:
         p, q = q, p
     _warn_near(f"Gini exponents p={p!r}, q={q!r} are", p - q)
-    if not running:
-        return np.exp((_log_power_sum(logx, p) - _log_power_sum(logx, q)) / (p - q))
     with np.errstate(all="ignore"):
-        sp, bad_p = _running_power_sum(xs, p)
-        sq, bad_q = _running_power_sum(xs, q)
+        sp, normal_p = _running_power_sum(xs, p, cols)
+        sq, normal_q = _running_power_sum(xs, q, cols)
         out = (sp / sq) ** (1.0 / (p - q))
-    bad = bad_p | bad_q
-    if bad.any():
+    if not (normal_p and normal_q):
+        logx = np.log(xs)
         log_ratio = np.logaddexp.accumulate(p * logx, axis=-1) - np.logaddexp.accumulate(
             q * logx, axis=-1
         )
-        out = np.where(bad, np.exp(log_ratio / (p - q)), out)
+        fallback = np.exp(log_ratio[..., cols] / (p - q))
+        out = np.where(_abnormal(sp) | _abnormal(sq), fallback, out)
     return out
 
 
@@ -241,7 +228,7 @@ def bajraktarevic_kernel(
     f: Generator,
     g: Generator,
     xs: np.ndarray,
-    running: bool = False,
+    cols,
     *,
     deviation: bool = False,
 ) -> np.ndarray:
@@ -256,42 +243,36 @@ def bajraktarevic_kernel(
     if np.any(gv <= 0.0):
         raise ValueError(f"generator {g.describe()} is not positive on the sample")
     fv = f(xs)
-    if running:
-        target = np.cumsum(fv, axis=-1) / np.cumsum(gv, axis=-1)
-        lo = np.minimum.accumulate(xs, axis=-1)
-        hi = np.maximum.accumulate(xs, axis=-1)
-    else:
-        target = fv.sum(axis=-1) / gv.sum(axis=-1)
-        lo, hi = xs.min(axis=-1), xs.max(axis=-1)
+    target = np.cumsum(fv, axis=-1)[..., cols] / np.cumsum(gv, axis=-1)[..., cols]
+    lo = np.minimum.accumulate(xs, axis=-1)[..., cols]
+    hi = np.maximum.accumulate(xs, axis=-1)[..., cols]
     return _solve_ratio(f, g, target, lo, hi, deviation=deviation)
 
 
 def power_mean(p: float, x) -> float:
     """Power mean of one sample vector; see :func:`power_kernel`."""
-    return float(power_kernel(p, as_samples(x)))
+    return evaluate(Power(p), x)
 
 
 def quasi_arithmetic_mean(gen: Generator, x) -> float:
     """Quasi-arithmetic mean of one sample vector."""
-    return float(quasi_arithmetic_kernel(gen, as_samples(x)))
+    return evaluate(QuasiArithmetic(gen), x)
 
 
 def gini_mean(p: float, q: float, x) -> float:
     """Gini mean of one sample vector; see :func:`gini_kernel`."""
-    return float(gini_kernel(p, q, as_samples(x)))
+    return evaluate(Gini(p, q), x)
 
 
 def bajraktarevic_mean(f: Generator, g: Generator, x) -> float:
-    """Bajraktarevic mean of one sample vector."""
-    return float(bajraktarevic_kernel(f, g, as_samples(x)))
+    """Bajraktarevic mean of one sample vector.  Unlike its node, it checks
+    f and g on the data only: a ``log`` g passes on entries above 1, and
+    f == g raises BracketError."""
+    return float(bajraktarevic_kernel(f, g, as_samples(x), LAST_PREFIX)[0])
 
 
 def deviation_mean(dev: DeviationSpec, x) -> float:
-    """Unique root y in [min(x), max(x)] of sum_i E(x_i, y) = 0.
-
-    Computed as the family mean the deviation lowers to (see
-    :func:`~hardymeans.core.lower_deviation`); a pair deviation whose
-    f/g is not increasing has no admissible sign change and raises
-    BracketError.
-    """
-    return float(mean_kernel(Deviation(dev), as_samples(x)))
+    """Unique root y in [min(x), max(x)] of sum_i E(x_i, y) = 0, the mean
+    the deviation lowers to (:func:`~hardymeans.core.lower_deviation`); a
+    pair whose f/g is not increasing raises BracketError."""
+    return evaluate(Deviation(dev), x)

@@ -8,9 +8,9 @@ final envelope is returned.  Failure to converge is an explicit error:
 downstream estimates must never ingest an unconverged product.
 
 The kernel runs many products at once: the first step applies the
-children's kernels to every row (or every prefix) of the input, and the
-later steps iterate the matrix of k-vectors together, dropping each row
-as it converges.
+children's kernels to the selected prefixes of every row of the input,
+and the later steps iterate the matrix of k-vectors together, dropping
+each row as it converges.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Gauss, MeanExpr, NonConvergenceError, as_samples, mean_kernel
+from .core import LAST_PREFIX, Gauss, MeanExpr, NonConvergenceError, as_samples, mean_kernel
 
 __all__ = ["GaussConfig", "gauss_kernel", "gauss_step", "gauss_product"]
 
@@ -36,31 +36,26 @@ class GaussConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def _step(means: tuple, w: np.ndarray, running: bool = False) -> np.ndarray:
-    """Every child's kernel on w, stacked along a new last axis."""
-    return np.stack([mean_kernel(m, w, running) for m in means], axis=-1)
+def _step(means: tuple, w: np.ndarray, cols) -> np.ndarray:
+    """Every child's kernel on w at the prefixes cols, along a new last axis."""
+    return np.stack([mean_kernel(m, w, cols) for m in means], axis=-1)
 
 
 def gauss_kernel(
-    means: tuple,
-    xs: np.ndarray,
-    running: bool = False,
-    cfg: GaussConfig = GaussConfig(),
+    means: tuple, xs: np.ndarray, cols, cfg: GaussConfig = GaussConfig()
 ) -> np.ndarray:
-    """Gaussian product, by a Gauss node's children, of every row (or
-    every prefix) of a validated sample array; see :func:`gauss_product`
-    for the stopping rule."""
-    if running:
-        lo, hi = np.minimum.accumulate(xs, axis=-1), np.maximum.accumulate(xs, axis=-1)
-    else:
-        lo, hi = xs.min(axis=-1), xs.max(axis=-1)
+    """Gaussian product, by a Gauss node's children, of the prefixes
+    ``cols`` of every row of a validated sample array; see
+    :func:`gauss_product` for the stopping rule."""
+    lo = np.minimum.accumulate(xs, axis=-1)[..., cols]
+    hi = np.maximum.accumulate(xs, axis=-1)[..., cols]
     gap = (hi - lo) / hi
-    out = np.array(0.5 * (hi + lo))
+    out = 0.5 * (hi + lo)
     flat = out.reshape(-1)
     rows = np.flatnonzero(~(gap <= cfg.tolerance))
     if rows.size == 0:
         return out
-    w = _step(means, xs, running).reshape(-1, len(means))[rows]
+    w = _step(means, xs, cols).reshape(-1, len(means))[rows]
     for iteration in range(1, cfg.max_iterations + 1):
         hi, lo = w.max(axis=1), w.min(axis=1)
         gap = (hi - lo) / hi
@@ -71,7 +66,7 @@ def gauss_kernel(
             return out
         if iteration == cfg.max_iterations:
             break
-        w = _step(means, w)
+        w = _step(means, w, LAST_PREFIX)[:, 0]
     raise NonConvergenceError(
         "Gaussian product did not converge",
         iterations=cfg.max_iterations,
@@ -81,7 +76,7 @@ def gauss_kernel(
 
 def gauss_step(means: Sequence[MeanExpr], v) -> np.ndarray:
     """One simultaneous step: component i is means[i] evaluated on v."""
-    return _step(Gauss(means).children, as_samples(v))
+    return _step(Gauss(means).children, as_samples(v), LAST_PREFIX)[0]
 
 
 def gauss_product(
@@ -94,4 +89,4 @@ def gauss_product(
     Raises NonConvergenceError (with the final gap) after
     cfg.max_iterations.
     """
-    return float(gauss_kernel(Gauss(means).children, as_samples(v), cfg=cfg))
+    return float(gauss_kernel(Gauss(means).children, as_samples(v), LAST_PREFIX, cfg)[0])

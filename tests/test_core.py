@@ -119,6 +119,12 @@ class TestEvaluate:
             assert m <= x.max() * (1 + 1e-12)
 
     @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_one_entry_is_exact(self, name, rng):
+        # every mean of one entry is that entry; the power sums would round it
+        for c in [*log_uniform(rng, 200, 1e-6, 1e6), 0.1, 0.3, 1.0, 7.0]:
+            assert hm.evaluate(ZOO[name], [c]) == c
+
+    @pytest.mark.parametrize("name", sorted(ZOO))
     def test_reflexivity(self, name, rng):
         expr = ZOO[name]
         for c in (1e-3, 0.7, 1.0, 42.0, 1e3):
@@ -168,6 +174,7 @@ class TestEvaluateBatch:
             batch = hm.evaluate_batch(expr, stack)
             assert batch.shape == (6,)
             assert list(batch) == [hm.evaluate(expr, row) for row in stack]
+            assert list(batch) == list(hm.prefix_means(expr, stack)[:, -1])
 
     def test_leading_axes_are_kept(self, rng):
         stack = log_uniform(rng, 24).reshape(2, 3, 4)

@@ -69,6 +69,24 @@ class TestQuasiArithmetic:
             hm.quasi_arithmetic_mean(hm.EXP, [1e3, 1.0])
 
 
+class TestScalarWrappers:
+    """power_mean and gini_mean are evaluate on the family node, so they
+    validate their parameters like it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: hm.power_mean(math.nan, x),
+            lambda x: hm.power_mean(math.inf, x),
+            lambda x: hm.gini_mean(math.inf, 1.0, x),
+            lambda x: hm.gini_mean(0.5, math.nan, x),
+        ],
+    )
+    def test_invalid_parameters_raise(self, call):
+        with pytest.raises(ValueError):
+            call([1.0, 2.0])
+
+
 class TestGiniMean:
     def test_reduces_to_power_mean_at_q_zero(self, rng):
         for _ in range(30):

@@ -138,6 +138,17 @@ class TestPrefixMeans:
         for value, n in zip(out, ns):
             assert value == pytest.approx(hm.evaluate(hm.Power(0.5), x[:n]), rel=1e-12)
 
+    @pytest.mark.parametrize("ns", [[0], [-1], [6], [1, 2, 7]])
+    def test_rejects_lengths_outside_the_vector(self, ns):
+        with pytest.raises(ValueError, match=r"\[1, 5\]"):
+            hm.prefix_means(hm.Power(0.5), [1.0, 2.0, 3.0, 4.0, 5.0], ns=ns)
+
+    def test_lengths_at_both_ends(self):
+        x = [4.0, 1.0, 2.0]
+        out = hm.prefix_means(hm.Power(0.5), x, ns=[3, 1])
+        assert out[1] == 4.0
+        assert out[0] == hm.evaluate(hm.Power(0.5), x)
+
 
 class TestPnSequence:
     def test_first_term_is_one(self):
