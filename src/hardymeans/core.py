@@ -43,8 +43,8 @@ __all__ = [
     "ARITH",
     "GEOM",
     "HARM",
-    "lower_deviation",
-    "mean_kernel",
+    "ClosedForm",
+    "as_mean_expr",
     "LAST_PREFIX",
     "evaluate",
     "evaluate_batch",
@@ -113,6 +113,17 @@ def as_samples(x) -> np.ndarray:
 # generators
 
 
+# kind -> (function, inverse), each taking the kind's exponent p (None for
+# the kinds without one)
+_GENERATOR_KINDS = {
+    "identity": (lambda t, p: t + 0.0, lambda s, p: s + 0.0),
+    "log": (lambda t, p: np.log(t), lambda s, p: np.exp(s)),
+    "exp": (lambda t, p: np.exp(t), lambda s, p: np.log(s)),
+    "pow": (lambda t, p: t**p, lambda s, p: s ** (1.0 / p)),
+    "neg_pow": (lambda t, p: -(t**p), lambda s, p: (-s) ** (1.0 / p)),
+}
+
+
 @dataclass(frozen=True)
 class Generator:
     """Named function on the positive half line with a known inverse.
@@ -126,15 +137,15 @@ class Generator:
 
     The catalogue is deliberately closed: arbitrary user callables are
     not accepted, because every kind must guarantee continuity, known
-    monotonicity and an exact inverse.  Extending it means adding a
-    kind here together with its ``__call__``/``inverse`` branches.
+    monotonicity and an exact inverse.  Extending it means adding a row
+    to ``_GENERATOR_KINDS``.
     """
 
     kind: str
     p: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "log", "exp", "pow", "neg_pow"):
+        if self.kind not in _GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind in ("pow", "neg_pow"):
             if self.p is None or not math.isfinite(self.p):
@@ -152,44 +163,21 @@ class Generator:
         """The generator's values with no finiteness check, for points
         between data points where the checked call succeeded: every kind
         is monotone, so its values there are finite too."""
-        if self.kind == "identity":
-            return t + 0.0
-        if self.kind == "log":
-            return np.log(t)
-        if self.kind == "exp":
-            return np.exp(t)
-        if self.kind == "pow":
-            return t**self.p
-        return -(t**self.p)
+        return _GENERATOR_KINDS[self.kind][0](t, self.p)
 
-    def __call__(self, t):
+    def _checked(self, which: int, t, what: str) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.unchecked(t)
+            out = _GENERATOR_KINDS[self.kind][which](t, self.p)
         if not np.isfinite(out).all():
-            raise OverflowError(
-                f"generator {self.describe()} produced a non-finite value"
-            )
+            raise OverflowError(f"{what} {self.describe()} produced a non-finite value")
         return out
 
+    def __call__(self, t):
+        return self._checked(0, t, "generator")
+
     def inverse(self, s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "identity":
-                out = s + 0.0
-            elif self.kind == "log":
-                out = np.exp(s)
-            elif self.kind == "exp":
-                out = np.log(s)
-            elif self.kind == "pow":
-                out = s ** (1.0 / self.p)
-            else:
-                out = (-s) ** (1.0 / self.p)
-        if not np.isfinite(out).all():
-            raise OverflowError(
-                f"inverse of generator {self.describe()} produced a non-finite value"
-            )
-        return out
+        return self._checked(1, s, "inverse of generator")
 
     def describe(self) -> str:
         if self.kind == "identity":
@@ -223,9 +211,6 @@ class ArithmeticDeviation:
     def __call__(self, x, y: float):
         return np.asarray(x, dtype=float) - y
 
-    def describe(self) -> str:
-        return "arith"
-
 
 @dataclass(frozen=True)
 class PairDeviation:
@@ -244,9 +229,6 @@ class PairDeviation:
         x = np.asarray(x, dtype=float)
         return self.f(x) - self.g(x) * (float(self.f(y)) / float(self.g(y)))
 
-    def describe(self) -> str:
-        return f"pair:{self.f.describe()},{self.g.describe()}"
-
 
 DeviationSpec = Union[ArithmeticDeviation, PairDeviation]
 ARITHMETIC_DEVIATION = ArithmeticDeviation()
@@ -262,7 +244,51 @@ def _require_finite(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class Power:
+class ClosedForm:
+    """Registry answer: an exact constant, or an exact non-summability
+    verdict (value None, is_hardy False)."""
+
+    value: float | None
+    is_hardy: bool
+    provenance: str
+
+
+class MeanExpr:
+    """A node of a mean expression: one class per family.
+
+    Each node carries what the program knows about its family.  Its
+    ``kernel(xs, cols)`` works along the last axis of a validated sample
+    array, keeps leading batch axes, and returns the mean of every prefix
+    that ``cols`` selects (index k is x[..., :k+1]; a slice or an integer
+    array, not a bare integer, so the axis stays).  :meth:`canonical`
+    applies its exact reductions to other families; on canonical nodes,
+    :meth:`closed_form` and :meth:`tolerance` are its registry entry.
+    The defaults here: no reduction, no registry entry.
+    """
+
+    def canonical(self) -> MeanExpr:
+        """The node reduced along exact family identities."""
+        return self
+
+    def closed_form(self) -> ClosedForm | None:
+        """Exact constant or non-summability verdict, when known."""
+        return None
+
+    def tolerance(self) -> float | None:
+        """Relative convergence tolerance of the n_max = 10^4 estimate
+        against the registered constant, when known."""
+        return None
+
+
+def as_mean_expr(obj) -> MeanExpr:
+    """``obj`` itself, when it is a mean expression; else TypeError."""
+    if not isinstance(obj, MeanExpr):
+        raise TypeError(f"not a mean expression: {obj!r}")
+    return obj
+
+
+@dataclass(frozen=True)
+class Power(MeanExpr):
     """p-th power mean; geometric mean at p = 0."""
 
     p: float
@@ -270,9 +296,29 @@ class Power:
     def __post_init__(self):
         _require_finite("power exponent", self.p)
 
+    def kernel(self, xs, cols):
+        return families.power_kernel(self.p, xs, cols)
+
+    def closed_form(self):
+        """Constant (1-p)^(-1/p) for p < 0 or 0 < p < 1, e at p = 0, and
+        "not summable" for p >= 1."""
+        p = self.p
+        if p >= 1.0:
+            return ClosedForm(None, False, "power mean with p >= 1 is not summable")
+        if p == 0.0:
+            return ClosedForm(math.e, True, "geometric-mean constant e")
+        return ClosedForm((1.0 - p) ** (-1.0 / p), True, "power-mean constant (1-p)^(-1/p)")
+
+    def tolerance(self):
+        """0.5% for p <= 0, 1.5% for 0 < p < 1, where the singular endpoint
+        slows convergence like n^(p-1)."""
+        if self.p >= 1.0:
+            return None
+        return 0.005 if self.p <= 0.0 else 0.015
+
 
 @dataclass(frozen=True)
-class QuasiArithmetic:
+class QuasiArithmetic(MeanExpr):
     """Inverse of the generator applied to the generator's plain average."""
 
     gen: Generator
@@ -284,9 +330,19 @@ class QuasiArithmetic:
                 f"(got {self.gen.describe()})"
             )
 
+    def kernel(self, xs, cols):
+        return families.quasi_arithmetic_kernel(self.gen, xs, cols)
+
+    def canonical(self):
+        """The identity, log and power generators give the power means
+        p = 1, 0 and p."""
+        g = self.gen
+        exponent = {"identity": 1.0, "log": 0.0, "pow": g.p, "neg_pow": g.p}.get(g.kind)
+        return self if exponent is None else Power(exponent)
+
 
 @dataclass(frozen=True)
-class Gini:
+class Gini(MeanExpr):
     """Ratio-of-power-sums mean with exponents p and q (order irrelevant)."""
 
     p: float
@@ -296,9 +352,42 @@ class Gini:
         _require_finite("Gini exponent p", self.p)
         _require_finite("Gini exponent q", self.q)
 
+    def kernel(self, xs, cols):
+        return families.gini_kernel(self.p, self.q, xs, cols)
+
+    def canonical(self):
+        """A zero exponent gives the power mean of the other."""
+        if self.q == 0.0:
+            return Power(self.p)
+        if self.p == 0.0:
+            return Power(self.q)
+        return self
+
+    @property
+    def _summable(self) -> bool:
+        return min(self.p, self.q) <= 0.0 and max(self.p, self.q) < 1.0
+
+    def closed_form(self):
+        """The mean is summable exactly when min(p,q) <= 0 and
+        max(p,q) < 1; the constant ((1-q)/(1-p))^(1/(p-q)) is registered
+        on the region min(p,q) <= 0 <= max(p,q) < 1."""
+        p, q = self.p, self.q
+        if not self._summable:
+            why = "Gini mean is summable only when min(p,q) <= 0 and max(p,q) < 1"
+            return ClosedForm(None, False, why)
+        if max(p, q) < 0.0:
+            return None  # summable, but the constant is not registered there
+        # p == q == 0 reduces to Power(0)
+        value = ((1.0 - q) / (1.0 - p)) ** (1.0 / (p - q))
+        return ClosedForm(value, True, "Gini constant ((1-q)/(1-p))^(1/(p-q))")
+
+    def tolerance(self):
+        """As for the power mean of the larger exponent, where summable."""
+        return Power(max(self.p, self.q)).tolerance() if self._summable else None
+
 
 @dataclass(frozen=True)
-class Bajraktarevic:
+class Bajraktarevic(MeanExpr):
     """(f/g)-inverse of sum(f)/sum(g); g must be positive on the data."""
 
     f: Generator
@@ -312,87 +401,116 @@ class Bajraktarevic:
         if self.f == self.g:
             raise ValueError("f/g must be strictly monotone; f == g is constant")
 
+    def _as_quasi(self) -> QuasiArithmetic | None:
+        # with g = 1, sum f / sum g is the plain average of f
+        if self.g == _ONE and self.f.strictly_monotone:
+            return QuasiArithmetic(self.f)
+        return None
+
+    def kernel(self, xs, cols):
+        quasi = self._as_quasi()
+        if quasi is not None:
+            return quasi.kernel(xs, cols)
+        return families.bajraktarevic_kernel(self.f, self.g, xs, cols)
+
+    def canonical(self):
+        """bajrak(f, pow:0) is quasi(f); with power generators it is the
+        Gini mean of their exponents."""
+        quasi = self._as_quasi()
+        if quasi is not None:
+            return quasi.canonical()
+        if self.f.kind in ("pow", "neg_pow") and self.g.kind == "pow":
+            return Gini(self.f.p, self.g.p).canonical()
+        return self
+
 
 @dataclass(frozen=True)
-class Deviation:
-    """Root of the summed deviation equation."""
+class Deviation(MeanExpr):
+    """Root of the summed deviation equation.  The deviation must define a
+    mean (see :meth:`lowered`), which is checked when the node is built."""
 
     dev: DeviationSpec
 
+    def __post_init__(self):
+        self.lowered()
+
+    def lowered(self) -> MeanExpr:
+        """The family mean the deviation defines: the arithmetic mean for
+        x - y, the Bajraktarevic mean of (f, g) for f(x) - g(x) (f/g)(y).
+        The pair is a deviation only when f/g is increasing, which
+        :meth:`kernel` checks on the data."""
+        if self.dev == ARITHMETIC_DEVIATION:
+            return ARITH
+        return Bajraktarevic(self.dev.f, self.dev.g)
+
+    def kernel(self, xs, cols):
+        if self.dev == ARITHMETIC_DEVIATION:
+            return ARITH.kernel(xs, cols)
+        # the bisection even when g = 1: it checks that f/g increases
+        return families.bajraktarevic_kernel(
+            self.dev.f, self.dev.g, xs, cols, deviation=True
+        )
+
+    def canonical(self):
+        return self.lowered().canonical()
+
 
 @dataclass(frozen=True)
-class Gauss:
+class Gauss(MeanExpr):
     """Gaussian product: common limit of simultaneously iterated means."""
 
     children: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "children", tuple(map(as_mean_expr, self.children)))
         if len(self.children) < 2:
             raise ValueError("Gauss needs at least two child means")
 
+    def kernel(self, xs, cols):
+        return gauss.gauss_kernel(self.children, xs, cols)
+
+    def canonical(self):
+        return Gauss(tuple(c.canonical() for c in self.children))
+
+    def closed_form(self):
+        """The product of the children's constants, evaluated with the
+        product itself, when every child is registered and summable; a
+        product of power means with any exponent >= 1 is not summable."""
+        forms = [c.closed_form() for c in self.children]
+        if all(f is not None and f.is_hardy for f in forms):
+            value = gauss.gauss_product(self.children, [f.value for f in forms])
+            return ClosedForm(value, True, "product evaluated at the children's constants")
+        if all(isinstance(c, Power) for c in self.children):
+            # summable iff every exponent is < 1
+            return ClosedForm(None, False, "product of power means with max exponent >= 1")
+        return None
+
+    def tolerance(self):
+        """The worst child's, when every child has one."""
+        tols = [c.tolerance() for c in self.children]
+        return None if None in tols else max(tols)
+
 
 @dataclass(frozen=True)
-class MinOf:
+class MinOf(MeanExpr):
     """Smallest entry (a non-strict mean, useful as a probe target)."""
 
+    def kernel(self, xs, cols):
+        return np.minimum.accumulate(xs, axis=-1)[..., cols]
+
 
 @dataclass(frozen=True)
-class MaxOf:
+class MaxOf(MeanExpr):
     """Largest entry (a non-strict mean, useful as a probe target)."""
 
+    def kernel(self, xs, cols):
+        return np.maximum.accumulate(xs, axis=-1)[..., cols]
 
-MeanExpr = Union[
-    Power, QuasiArithmetic, Gini, Bajraktarevic, Deviation, Gauss, MinOf, MaxOf
-]
 
 ARITH = Power(1.0)
 GEOM = Power(0.0)
 HARM = Power(-1.0)
-
-
-def lower_deviation(dev: DeviationSpec) -> MeanExpr:
-    """The family mean a deviation defines.
-
-    The arithmetic deviation x - y gives the arithmetic mean; a pair
-    deviation f(x) - g(x) (f/g)(y) gives the Bajraktarevic mean of
-    (f, g).  The pair is a deviation only when f/g is increasing, which
-    :func:`mean_kernel` checks on the data.
-    """
-    if isinstance(dev, ArithmeticDeviation):
-        return ARITH
-    return Bajraktarevic(dev.f, dev.g)
-
-
-def mean_kernel(expr: MeanExpr, xs: np.ndarray, cols) -> np.ndarray:
-    """The family kernel of ``expr`` on a validated sample array.
-
-    Works along the last axis and keeps leading batch axes.  ``cols``
-    selects prefixes by index into the n prefixes (index k is
-    x[..., :k+1]); it must be a slice or an integer array, not a bare
-    integer, so the axis stays.  The result holds the mean of every
-    selected prefix of every row.
-    """
-    if isinstance(expr, Power):
-        return families.power_kernel(expr.p, xs, cols)
-    if isinstance(expr, QuasiArithmetic):
-        return families.quasi_arithmetic_kernel(expr.gen, xs, cols)
-    if isinstance(expr, Gini):
-        return families.gini_kernel(expr.p, expr.q, xs, cols)
-    if isinstance(expr, Bajraktarevic):
-        return families.bajraktarevic_kernel(expr.f, expr.g, xs, cols)
-    if isinstance(expr, Deviation):
-        mean = lower_deviation(expr.dev)
-        if isinstance(mean, Bajraktarevic):
-            return families.bajraktarevic_kernel(mean.f, mean.g, xs, cols, deviation=True)
-        return mean_kernel(mean, xs, cols)
-    if isinstance(expr, Gauss):
-        return gauss.gauss_kernel(expr.children, xs, cols)
-    if isinstance(expr, MinOf):
-        return np.minimum.accumulate(xs, axis=-1)[..., cols]
-    if isinstance(expr, MaxOf):
-        return np.maximum.accumulate(xs, axis=-1)[..., cols]
-    raise TypeError(f"not a mean expression: {expr!r}")
+_ONE = power_generator(0.0)
 
 
 # the selector of one mean per row: a slice, as the index -1 would make the
@@ -401,10 +519,10 @@ LAST_PREFIX = slice(-1, None)
 
 
 def _selected_means(expr: MeanExpr, xs: np.ndarray, cols) -> np.ndarray:
-    """:func:`mean_kernel` at the prefixes ``cols``, with every one-entry
+    """The kernel of ``expr`` at the prefixes ``cols``, with every one-entry
     prefix exactly its entry: every mean of one entry is that entry, but
     the kernels' power sums would round it."""
-    out = mean_kernel(expr, xs, cols)
+    out = as_mean_expr(expr).kernel(xs, cols)
     if isinstance(cols, slice):
         picked = range(xs.shape[-1])[cols]
         first = [picked.index(0)] if 0 in picked else []

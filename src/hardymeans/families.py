@@ -3,18 +3,20 @@
 Every kernel works along the last axis of a validated sample array and
 accepts leading batch axes.  It computes running sums over each row and
 returns the means of the prefixes that ``cols`` selects (see
-:func:`~hardymeans.core.mean_kernel`): every prefix for the p_n sweep,
-a tail window for the y-grid, the last prefix for
-:func:`~hardymeans.core.evaluate`.  The selection comes before the
-per-prefix work, so a single mean costs no prefix solves.
+:class:`~hardymeans.core.MeanExpr`; each family's node calls its
+kernel here): every prefix for the p_n sweep, a tail window for the
+y-grid, the last prefix for :func:`~hardymeans.core.evaluate`.  The
+selection comes before the per-prefix work, so a single mean costs no
+prefix solves.
 
 Running power sums are plain cumulative sums, which are more accurate
 than log-domain accumulation; only the prefixes whose plain sum leaves
 the normal range take ``np.logaddexp.accumulate`` instead.
 
-Implicit means (Bajraktarevic, and deviation means, which are lowered to
-it) solve (f/g)(y) = sum f / sum g for every selected prefix at once, by
-a vectorized bracketed bisection on [min, max] run until no double lies
+Implicit means (Bajraktarevic, and deviation means, which
+:meth:`~hardymeans.core.Deviation.lowered` lowers to it) solve
+(f/g)(y) = sum f / sum g for every selected prefix at once, by a
+vectorized bracketed bisection on [min, max] run until no double lies
 strictly inside the bracket.  Brackets wider than an octave are halved
 in the log domain, so a root near a tiny entry costs no extra steps.
 The defining functions are only guaranteed continuous and strictly
@@ -273,6 +275,6 @@ def bajraktarevic_mean(f: Generator, g: Generator, x) -> float:
 
 def deviation_mean(dev: DeviationSpec, x) -> float:
     """Unique root y in [min(x), max(x)] of sum_i E(x_i, y) = 0, the mean
-    the deviation lowers to (:func:`~hardymeans.core.lower_deviation`); a
+    the deviation lowers to (:meth:`~hardymeans.core.Deviation.lowered`); a
     pair whose f/g is not increasing raises BracketError."""
     return evaluate(Deviation(dev), x)

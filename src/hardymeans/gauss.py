@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LAST_PREFIX, Gauss, MeanExpr, NonConvergenceError, as_samples, mean_kernel
+from .core import LAST_PREFIX, Gauss, MeanExpr, NonConvergenceError, as_samples
 
 __all__ = ["GaussConfig", "gauss_kernel", "gauss_step", "gauss_product"]
 
@@ -38,7 +38,7 @@ class GaussConfig:
 
 def _step(means: tuple, w: np.ndarray, cols) -> np.ndarray:
     """Every child's kernel on w at the prefixes cols, along a new last axis."""
-    return np.stack([mean_kernel(m, w, cols) for m in means], axis=-1)
+    return np.stack([m.kernel(w, cols) for m in means], axis=-1)
 
 
 def gauss_kernel(

@@ -13,8 +13,8 @@ sequences.  The tools here:
   and an uncertified sup-over-grid / tail-window estimator for
   non-homogeneous means.
 * ``closed_form_hardy`` -- the registry of exactly known constants
-  (power means, two-exponent Gini region, Gaussian products of
-  registered means) and of exactly known non-summability verdicts.
+  and of exactly known non-summability verdicts, read from the node
+  classes in :mod:`hardymeans.core`.
 * ``hardy_sequence_bound`` -- multi-start derivative-free maximization
   of the n-term ratio, always reported as a lower bound, with an
   exhaustive simplex-grid oracle for small n.
@@ -30,20 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Bajraktarevic,
-    Deviation,
-    Gauss,
-    Gini,
+    ClosedForm,
     MeanComputationError,
     MeanExpr,
-    Power,
-    QuasiArithmetic,
+    as_mean_expr,
     as_sample_rows,
     as_samples,
-    lower_deviation,
     prefix_means,
 )
-from .gauss import GaussConfig, gauss_product
 from .neldermead import minimize_lockstep
 from .probes import ProbeConfig, probe_properties
 
@@ -72,131 +66,23 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# canonical reductions and the closed-form registry
+# canonical reductions and the closed-form registry: each family's entries
+# are methods of its node class in core
 
 
 def canonical(expr: MeanExpr) -> MeanExpr:
-    """Reduce an expression along exact family identities.
-
-    Quasi-arithmetic means with identity/log/power generators are power
-    means; a Gini mean with one zero exponent is a power mean; the
-    arithmetic deviation gives the arithmetic mean; a pair deviation
-    gives the corresponding two-generator mean, which for power
-    generators is a Gini mean.  Only identities that hold exactly are
-    applied.
-    """
-    if isinstance(expr, QuasiArithmetic):
-        g = expr.gen
-        if g.kind == "identity":
-            return Power(1.0)
-        if g.kind == "log":
-            return Power(0.0)
-        if g.kind in ("pow", "neg_pow"):
-            return Power(g.p)
-        return expr
-    if isinstance(expr, Gini):
-        if expr.q == 0.0:
-            return Power(expr.p)
-        if expr.p == 0.0:
-            return Power(expr.q)
-        return expr
-    if isinstance(expr, Bajraktarevic):
-        if expr.f.kind in ("pow", "neg_pow") and expr.g.kind == "pow":
-            return canonical(Gini(expr.f.p, expr.g.p))
-        return expr
-    if isinstance(expr, Deviation):
-        return canonical(lower_deviation(expr.dev))
-    if isinstance(expr, Gauss):
-        return Gauss(tuple(canonical(c) for c in expr.children))
-    return expr
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """Registry answer: an exact constant, or an exact non-summability
-    verdict (value None, is_hardy False)."""
-
-    value: float | None
-    is_hardy: bool
-    provenance: str
+    """Reduce an expression along exact family identities."""
+    return as_mean_expr(expr).canonical()
 
 
 def closed_form_hardy(expr: MeanExpr) -> ClosedForm | None:
-    """Exact constant or non-summability verdict, when known.
-
-    Power mean: constant (1-p)^(-1/p) for p < 0 or 0 < p < 1, e at
-    p = 0, and "not summable" for p >= 1.  Gini: the mean is summable
-    exactly when min(p,q) <= 0 and max(p,q) < 1; the constant
-    ((1-q)/(1-p))^(1/(p-q)) is registered on the region
-    min(p,q) <= 0 <= max(p,q) < 1.  Gaussian products: the product of
-    the children's constants, evaluated with the product itself, when
-    every child is registered and summable; a product of power means
-    with any exponent >= 1 is not summable.  Returns None when the
-    registry has nothing exact to say.
-    """
-    e = canonical(expr)
-    if isinstance(e, Power):
-        p = e.p
-        if p >= 1.0:
-            return ClosedForm(None, False, "power mean with p >= 1 is not summable")
-        if p == 0.0:
-            return ClosedForm(math.e, True, "geometric-mean constant e")
-        return ClosedForm((1.0 - p) ** (-1.0 / p), True, "power-mean constant (1-p)^(-1/p)")
-    if isinstance(e, Gini):
-        p, q = e.p, e.q
-        if min(p, q) > 0.0 or max(p, q) >= 1.0:
-            return ClosedForm(
-                None,
-                False,
-                "Gini mean is summable only when min(p,q) <= 0 and max(p,q) < 1",
-            )
-        if max(p, q) < 0.0:
-            return None  # summable, but the constant is not registered there
-        # p == q == 0 was reduced to Power(0) by canonical()
-        return ClosedForm(
-            ((1.0 - q) / (1.0 - p)) ** (1.0 / (p - q)),
-            True,
-            "Gini constant ((1-q)/(1-p))^(1/(p-q))",
-        )
-    if isinstance(e, Gauss):
-        forms = [closed_form_hardy(c) for c in e.children]
-        if all(f is not None and f.is_hardy for f in forms):
-            constants = [f.value for f in forms]
-            return ClosedForm(
-                gauss_product(e.children, constants),
-                True,
-                "product evaluated at the children's constants",
-            )
-        if all(isinstance(c, Power) for c in e.children):
-            # summable iff every exponent is < 1
-            return ClosedForm(
-                None, False, "product of power means with max exponent >= 1"
-            )
-        return None
-    return None
+    """Exact constant or non-summability verdict, when known."""
+    return canonical(expr).closed_form()
 
 
 def published_tolerance(expr: MeanExpr) -> float | None:
-    """Relative convergence tolerance of the n_max = 10^4 estimate
-    against the registered constant: 0.5% when all exponents are <= 0,
-    1.5% when the largest exponent lies in (0, 1) (the singular endpoint
-    slows convergence like n^(p-1)); products inherit the worst child."""
-    e = canonical(expr)
-    if isinstance(e, Power):
-        if e.p >= 1.0:
-            return None
-        return 0.005 if e.p <= 0.0 else 0.015
-    if isinstance(e, Gini):
-        top = max(e.p, e.q)
-        if top >= 1.0 or min(e.p, e.q) > 0.0:
-            return None
-        return 0.005 if top <= 0.0 else 0.015
-    if isinstance(e, Gauss):
-        tols = [published_tolerance(c) for c in e.children]
-        if any(t is None for t in tols):
-            return None
-        return max(tols)
-    return None
+    """Relative convergence tolerance of the n_max = 10^4 estimate."""
+    return canonical(expr).tolerance()
 
 
 # ---------------------------------------------------------------------------
@@ -322,33 +208,22 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     if form is not None:
         reference_kind = "closed-form" if form.is_hardy else "not-a-hardy-mean"
         notes.append(f"registry: {form.provenance}")
-    tolerance = published_tolerance(expr)
+    # a tolerance says how close the estimate is to the reference; with
+    # no reference it says nothing
+    tolerance = published_tolerance(expr) if reference is not None else None
 
-    if form is not None and not form.is_hardy:
-        pn = pn_sequence(expr, cfg.n_max)
-        notes.append("not a Hardy mean; no finite certified constant exists")
-        notes.append(_growth_trace(pn))
-        return HardyEstimate(
-            method="homogeneous-limit",
-            estimate=math.inf,
-            n_max=cfg.n_max,
-            reference=None,
-            reference_kind=reference_kind,
-            tolerance=None,
-            divergent=True,
-            notes=tuple(notes),
-            pn=pn,
-        )
-
-    if report.holds("homogeneity"):
+    not_hardy = form is not None and not form.is_hardy
+    if not_hardy or report.holds("homogeneity"):
         pn = pn_sequence(expr, cfg.n_max)
         exceeded = np.nonzero(pn.values > cfg.divergence_ceiling)[0]
-        if exceeded.size:
-            witness = int(exceeded[0]) + 1
-            notes.append(
-                f"p_n exceeded the divergence ceiling {cfg.divergence_ceiling:g} "
-                f"at n={witness}; non-Hardy at this scale"
-            )
+        if not_hardy or exceeded.size:
+            if not_hardy:
+                notes.append("not a Hardy mean; no finite certified constant exists")
+            else:
+                notes.append(
+                    f"p_n exceeded the divergence ceiling {cfg.divergence_ceiling:g} "
+                    f"at n={int(exceeded[0]) + 1}; non-Hardy at this scale"
+                )
             notes.append(_growth_trace(pn))
             return HardyEstimate(
                 method="homogeneous-limit",

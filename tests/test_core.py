@@ -32,6 +32,10 @@ class TestExpressionInvariants:
         with pytest.raises(ValueError):
             hm.Gauss((hm.Power(0.0),))
 
+    def test_gauss_children_must_be_means(self):
+        with pytest.raises(TypeError, match="not a mean expression"):
+            hm.Gauss(("power(0)", hm.Power(0.0)))
+
     def test_parameters_must_be_finite(self):
         with pytest.raises(ValueError):
             hm.Power(float("inf"))
@@ -51,6 +55,15 @@ class TestExpressionInvariants:
     def test_bajrak_rejects_equal_generators(self):
         with pytest.raises(ValueError):
             hm.Bajraktarevic(hm.power_generator(2), hm.power_generator(2))
+
+    def test_deviation_must_define_a_mean(self):
+        # the node builds the Bajraktarevic mean the pair lowers to
+        for build in (
+            lambda: hm.Deviation(hm.PairDeviation(hm.LOG, hm.LOG)),
+            lambda: hm.parse_mean_expr("dev(pair:log,log)"),
+        ):
+            with pytest.raises(ValueError, match="log is not positive"):
+                build()
 
     def test_aliases_are_power_means(self):
         assert hm.ARITH == hm.Power(1.0)

@@ -43,6 +43,102 @@ class TestCanonical:
         expr = hm.Gauss((hm.QuasiArithmetic(hm.LOG), hm.Gini(0.5, 0.0)))
         assert hm.canonical(expr) == hm.Gauss((hm.Power(0.0), hm.Power(0.5)))
 
+    def test_constant_denominator_gives_quasi_arithmetic(self):
+        one = hm.power_generator(0)
+        exp_mean = hm.Bajraktarevic(hm.EXP, one)
+        assert hm.canonical(exp_mean) == hm.QuasiArithmetic(hm.EXP)
+        assert hm.canonical(hm.Bajraktarevic(hm.LOG, one)) == hm.Power(0.0)
+        # the registry answers through the reduction
+        assert hm.closed_form_hardy(hm.Bajraktarevic(hm.LOG, one)).value == math.e
+        assert hm.closed_form_hardy(hm.Bajraktarevic(hm.IDENTITY, one)).is_hardy is False
+        # and the kernel is the quasi-arithmetic one
+        x = [0.5, 2.0, 3.0]
+        assert hm.evaluate(exp_mean, x) == hm.evaluate(hm.QuasiArithmetic(hm.EXP), x)
+
+    @pytest.mark.parametrize(
+        "entry", [hm.canonical, hm.closed_form_hardy, hm.published_tolerance]
+    )
+    def test_entry_points_reject_non_expressions(self, entry):
+        for bad in ("power(0)", None, 1.0):
+            with pytest.raises(TypeError):
+                entry(bad)
+
+    def test_every_reduction_is_exact(self):
+        rng = np.random.default_rng(20260)
+        compared = 0
+        for _ in range(2000):
+            expr = _random_tree(rng)
+            reduced = hm.canonical(expr)
+            for _ in range(2):
+                x = log_uniform(rng, int(rng.integers(1, 9)), 0.1, 10.0)
+                try:
+                    value = hm.evaluate(expr, x)
+                except (OverflowError, hm.MeanComputationError):
+                    continue  # not a mean on x (a decreasing pair deviation)
+                # a Gauss product stops within its tolerance, 1e-13
+                bound = 1e-13 if "Gauss" in repr(expr) else 4e-15
+                assert hm.evaluate(reduced, x) == pytest.approx(value, rel=bound, abs=0), (
+                    expr,
+                    x,
+                )
+                compared += 1
+        assert compared >= 3000
+
+
+_EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+def _random_generator(rng, kinds=("identity", "log", "exp", "pow", "neg_pow")):
+    kind = str(rng.choice(kinds))
+    return hm.Generator(kind, float(rng.choice(_EXPONENTS)) if "pow" in kind else None)
+
+
+def _random_pair(rng):
+    """Generators (f, g) of a two-generator mean, most of them reducible."""
+    while True:
+        f = _random_generator(rng)
+        roll = rng.random()
+        if roll < 0.4:
+            g = hm.power_generator(0)
+        elif roll < 0.8:
+            g = _random_generator(rng, ("pow",))
+        else:
+            g = _random_generator(rng, ("identity", "exp", "pow"))
+        try:
+            return hm.Bajraktarevic(f, g)
+        except ValueError:
+            continue
+
+
+def _random_tree(rng, depth=0):
+    """A random valid mean expression, weighted towards exact reductions.
+    Gauss children are strict means (a product of min and max never
+    converges), and a nested product has no further nesting."""
+    if depth == 0:
+        roll = int(rng.integers(0, 8))
+    else:
+        roll = int(rng.choice([0, 1, 2, 3, 4, 6, 7] if depth == 1 else [0, 1, 2, 3, 4, 6]))
+    if roll == 0:
+        return hm.Power(float(rng.choice(_EXPONENTS)))
+    if roll == 1:
+        p, q = rng.choice(_EXPONENTS, size=2)
+        return hm.Gini(float(p), float(q))
+    if roll == 2:
+        gen = _random_generator(rng)
+        return hm.QuasiArithmetic(gen) if gen.strictly_monotone else hm.Power(1.0)
+    if roll == 3:
+        return _random_pair(rng)
+    if roll == 4:
+        if rng.random() < 0.2:
+            return hm.Deviation(hm.ARITHMETIC_DEVIATION)
+        pair = _random_pair(rng)
+        return hm.Deviation(hm.PairDeviation(pair.f, pair.g))
+    if roll == 5:
+        return hm.MinOf() if rng.random() < 0.5 else hm.MaxOf()
+    if roll == 6:
+        return hm.Power(float(rng.uniform(-3.0, 3.0)))
+    return hm.Gauss(tuple(_random_tree(rng, depth + 1) for _ in range(int(rng.integers(2, 4)))))
+
 
 class TestClosedFormRegistry:
     def test_power_values(self):
@@ -223,6 +319,14 @@ class TestHardyConstant:
         est = hm.hardy_constant(hm.Power(0), hm.HardyConfig(n_max=100))
         assert any("certified-from-below" in note for note in est.notes) == certified
         assert any("p_n decreased" in note for note in est.notes) != certified
+
+    def test_no_tolerance_without_reference(self):
+        # summable, but the registry has no constant for max(p, q) < 0
+        est = hm.hardy_constant(hm.Gini(-0.2, -0.4), hm.HardyConfig(n_max=500))
+        assert est.reference is None
+        assert est.tolerance is None
+        est = hm.hardy_constant(hm.Gini(0.5, -1.0), hm.HardyConfig(n_max=500))
+        assert est.tolerance == 0.015 and est.reference is not None
 
     def test_gini_constants(self):
         for p, q in ((0.5, -1.0), (0.0, -1.0), (-1.0, -2.0)):
