@@ -15,6 +15,7 @@ payload bit for bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -197,7 +198,7 @@ def _cmd_hardy(args, argv) -> None:
     cfg = HardyConfig(
         n_max=args.nmax,
         y_grid=args.ygrid,
-        probe=ProbeConfig(samples=64, seed=args.seed, entry_range=(0.1, 10.0)),
+        probe=dataclasses.replace(HardyConfig().probe, seed=args.seed),
     )
     estimate = hardy_constant(expr, cfg)
     payload = _envelope(argv, args.seed)

@@ -27,6 +27,7 @@ __all__ = [
     "EXP",
     "power_generator",
     "neg_power_generator",
+    "ratio_direction",
     "ArithmeticDeviation",
     "PairDeviation",
     "DeviationSpec",
@@ -66,11 +67,8 @@ class NonConvergenceError(MeanComputationError):
 
 
 class BracketError(MeanComputationError):
-    """A bracketing solve found no admissible sign change.
-
-    Raised when a monotonicity or deviation contract promised by the
-    caller does not hold on the actual data.
-    """
+    """A bracketing solve cannot locate its root: the ratio it inverts
+    saturates to one value across a bracket (under- or overflow)."""
 
 
 class CancellationWarning(UserWarning):
@@ -133,7 +131,8 @@ class Generator:
     ratio would be decreasing can be rewritten with an increasing ratio,
     which the deviation-mean construction requires.  ``pow`` with p = 0
     is the constant 1: not strictly monotone, but admissible as the
-    denominator generator of a Bajraktarevic mean.
+    denominator generator of a Bajraktarevic mean.  Monotonicity is
+    decided exactly, by :func:`ratio_direction`.
 
     The catalogue is deliberately closed: arbitrary user callables are
     not accepted, because every kind must guarantee continuity, known
@@ -155,9 +154,7 @@ class Generator:
 
     @property
     def strictly_monotone(self) -> bool:
-        if self.kind in ("pow", "neg_pow"):
-            return self.p != 0.0
-        return True
+        return ratio_direction(self, _ONE) != 0
 
     def unchecked(self, t: np.ndarray) -> np.ndarray:
         """The generator's values with no finiteness check, for points
@@ -198,6 +195,36 @@ def power_generator(p: float) -> Generator:
 
 def neg_power_generator(p: float) -> Generator:
     return Generator("neg_pow", float(p))
+
+
+_ONE = power_generator(0.0)
+
+
+def _signed_power(gen: Generator) -> tuple[float, float] | None:
+    """(s, a) with gen(t) = s * t**a, when the generator is a signed power."""
+    powers = {"identity": (1.0, 1.0), "pow": (1.0, gen.p), "neg_pow": (-1.0, gen.p)}
+    return powers.get(gen.kind)
+
+
+def ratio_direction(f: Generator, g: Generator) -> int:
+    """Sign of (f/g)' on (0, inf): +1 or -1 where f/g strictly increases or
+    decreases, 0 where it is not strictly monotone.
+
+    The rule is exact, read off the derivatives; g must be positive (id,
+    exp or pow).  For a signed power f = s t**a, s t**a / t**q has the
+    sign of s(a - q), and s t**a e**-t is monotone, with direction -s,
+    only for a <= 0.  log t / t**q is monotone only at q = 0, e**t / t**q
+    only for q <= 0, and log t e**-t never.
+    """
+    fp, gp = _signed_power(f), _signed_power(g)
+    positive = g == EXP if gp is None else gp[0] > 0.0
+    if not positive:
+        raise ValueError(f"denominator {g.describe()} is not positive on all of (0, inf)")
+    if gp is None:  # g = exp
+        return -int(fp[0]) if fp is not None and fp[1] <= 0.0 else 0
+    if fp is not None:
+        return int(np.sign(fp[0] * (fp[1] - gp[1])))
+    return int(f == LOG and gp[1] == 0.0 or f == EXP and gp[1] <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +361,12 @@ class QuasiArithmetic(MeanExpr):
         return families.quasi_arithmetic_kernel(self.gen, xs, cols)
 
     def canonical(self):
-        """The identity, log and power generators give the power means
-        p = 1, 0 and p."""
-        g = self.gen
-        exponent = {"identity": 1.0, "log": 0.0, "pow": g.p, "neg_pow": g.p}.get(g.kind)
-        return self if exponent is None else Power(exponent)
+        """The log generator gives the geometric mean, a signed power
+        s t**p (id is t**1) the power mean p."""
+        if self.gen == LOG:
+            return GEOM
+        power = _signed_power(self.gen)
+        return self if power is None else Power(power[1])
 
 
 @dataclass(frozen=True)
@@ -388,39 +416,41 @@ class Gini(MeanExpr):
 
 @dataclass(frozen=True)
 class Bajraktarevic(MeanExpr):
-    """(f/g)-inverse of sum(f)/sum(g); g must be positive on the data."""
+    """(f/g)-inverse of sum(f)/sum(g): a mean exactly when g is positive
+    and f/g strictly monotone (:func:`ratio_direction`), which is checked
+    when the node is built."""
 
     f: Generator
     g: Generator
 
     def __post_init__(self):
-        if self.g.kind == "neg_pow":
-            raise ValueError("denominator generator must be positive; neg_pow is not")
-        if self.g.kind == "log":
-            raise ValueError("log is not positive on all of (0, inf)")
-        if self.f == self.g:
-            raise ValueError("f/g must be strictly monotone; f == g is constant")
+        direction = ratio_direction(self.f, self.g)
+        if direction == 0:
+            raise ValueError(
+                f"f/g must be strictly monotone; "
+                f"{self.f.describe()}/{self.g.describe()} is not"
+            )
+        object.__setattr__(self, "_direction", direction)
 
     def _as_quasi(self) -> QuasiArithmetic | None:
         # with g = 1, sum f / sum g is the plain average of f
-        if self.g == _ONE and self.f.strictly_monotone:
-            return QuasiArithmetic(self.f)
-        return None
+        return QuasiArithmetic(self.f) if self.g == _ONE else None
 
     def kernel(self, xs, cols):
         quasi = self._as_quasi()
         if quasi is not None:
             return quasi.kernel(xs, cols)
-        return families.bajraktarevic_kernel(self.f, self.g, xs, cols)
+        return families.bajraktarevic_kernel(self.f, self.g, self._direction, xs, cols)
 
     def canonical(self):
-        """bajrak(f, pow:0) is quasi(f); with power generators it is the
-        Gini mean of their exponents."""
+        """bajrak(f, pow:0) is quasi(f); with signed powers s t**a over t**q
+        it is the Gini mean G_{a,q}."""
         quasi = self._as_quasi()
         if quasi is not None:
             return quasi.canonical()
-        if self.f.kind in ("pow", "neg_pow") and self.g.kind == "pow":
-            return Gini(self.f.p, self.g.p).canonical()
+        f, g = _signed_power(self.f), _signed_power(self.g)
+        if f is not None and g is not None:
+            return Gini(f[1], g[1]).canonical()
         return self
 
 
@@ -432,27 +462,27 @@ class Deviation(MeanExpr):
     dev: DeviationSpec
 
     def __post_init__(self):
-        self.lowered()
+        lowered = ARITH
+        if self.dev != ARITHMETIC_DEVIATION:
+            lowered = Bajraktarevic(self.dev.f, self.dev.g)
+            if lowered._direction < 0:
+                raise ValueError(
+                    f"a deviation needs f/g increasing; "
+                    f"{self.dev.f.describe()}/{self.dev.g.describe()} decreases"
+                )
+        object.__setattr__(self, "_lowered", lowered)
 
     def lowered(self) -> MeanExpr:
         """The family mean the deviation defines: the arithmetic mean for
         x - y, the Bajraktarevic mean of (f, g) for f(x) - g(x) (f/g)(y).
-        The pair is a deviation only when f/g is increasing, which
-        :meth:`kernel` checks on the data."""
-        if self.dev == ARITHMETIC_DEVIATION:
-            return ARITH
-        return Bajraktarevic(self.dev.f, self.dev.g)
+        The pair is a deviation only when f/g increases."""
+        return self._lowered
 
     def kernel(self, xs, cols):
-        if self.dev == ARITHMETIC_DEVIATION:
-            return ARITH.kernel(xs, cols)
-        # the bisection even when g = 1: it checks that f/g increases
-        return families.bajraktarevic_kernel(
-            self.dev.f, self.dev.g, xs, cols, deviation=True
-        )
+        return self._lowered.kernel(xs, cols)
 
     def canonical(self):
-        return self.lowered().canonical()
+        return self._lowered.canonical()
 
 
 @dataclass(frozen=True)
@@ -510,7 +540,6 @@ class MaxOf(MeanExpr):
 ARITH = Power(1.0)
 GEOM = Power(0.0)
 HARM = Power(-1.0)
-_ONE = power_generator(0.0)
 
 
 # the selector of one mean per row: a slice, as the index -1 would make the

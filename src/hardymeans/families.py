@@ -19,8 +19,11 @@ Implicit means (Bajraktarevic, and deviation means, which
 vectorized bracketed bisection on [min, max] run until no double lies
 strictly inside the bracket.  Brackets wider than an octave are halved
 in the log domain, so a root near a tiny entry costs no extra steps.
-The defining functions are only guaranteed continuous and strictly
-monotone, so no derivative-based method is used.
+The node guarantees that f/g is strictly monotone and passes its
+direction (:func:`~hardymeans.core.ratio_direction`), so the
+bisection checks nothing on the data except that the ratio does not
+saturate.  The defining functions are only guaranteed continuous and
+strictly monotone, so no derivative-based method is used.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import warnings
 import numpy as np
 
 from .core import (
-    LAST_PREFIX,
+    Bajraktarevic,
     BracketError,
     CancellationWarning,
     Deviation,
@@ -39,7 +42,6 @@ from .core import (
     Gini,
     Power,
     QuasiArithmetic,
-    as_samples,
     evaluate,
 )
 
@@ -58,9 +60,6 @@ __all__ = [
 # exponents closer than this to a removable singularity trigger a
 # CancellationWarning; the branch itself is chosen by exact comparison
 _NEAR_SINGULAR = 1e-8
-
-# slack of the bracket test, relative to the ratio values
-_BRACKET_REL_TOL = 1e-13
 
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
@@ -168,45 +167,28 @@ def _first(at: np.ndarray, *arrays) -> list[float]:
 def _solve_ratio(
     f: Generator,
     g: Generator,
+    direction: int,
     target: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    *,
-    deviation: bool,
 ) -> np.ndarray:
-    """Root y in [lo, hi] of (f/g)(y) = target, elementwise.
+    """Root y in [lo, hi] of (f/g)(y) = target, elementwise, for an f/g
+    that strictly increases (``direction`` +1) or decreases (-1).
 
     The bisection stops when no double lies strictly between the bracket
-    ends; a bracket that cannot contain the target means the
-    monotonicity contract is broken and raises BracketError.  With
-    ``deviation`` the ratio must also be increasing, as the deviation
-    E(x, y) = f(x) - g(x) (f/g)(y) must decrease in y.
+    ends.  A ratio that rounds to one value at both ends of a bracket
+    (f or g under- or overflows there) cannot locate its root and raises
+    BracketError.
     """
     r_lo, r_hi = f(lo) / g(lo), f(hi) / g(hi)
-    split = lo < hi
-    constant = split & (r_lo == r_hi)
-    if constant.any():
-        a, b = _first(constant, lo, hi)
+    saturated = (lo < hi) & (r_lo == r_hi)
+    if saturated.any():
+        a, b, r = _first(saturated, lo, hi, r_lo)
         raise BracketError(
-            f"ratio {f.describe()}/{g.describe()} is constant on "
-            f"[{a:g}, {b:g}]; not strictly monotone"
+            f"ratio {f.describe()}/{g.describe()} saturates to {r:g} on "
+            f"[{a:g}, {b:g}]; its root cannot be located"
         )
-    increasing = r_hi > r_lo
-    if deviation and np.any(split & ~increasing):
-        a, b = _first(split & ~increasing, lo, hi)
-        raise BracketError(
-            f"summed deviation has no admissible sign change on [{a:g}, {b:g}]; "
-            "deviation contract violated"
-        )
-    low_end, high_end = np.minimum(r_lo, r_hi), np.maximum(r_lo, r_hi)
-    slack = _BRACKET_REL_TOL * np.maximum(np.maximum(abs(r_lo), abs(r_hi)), abs(target))
-    outside = split & ((target < low_end - slack) | (target > high_end + slack))
-    if outside.any():
-        t, a, b = _first(outside, target, low_end, high_end)
-        raise BracketError(
-            f"target {t:g} outside ratio range [{a:g}, {b:g}]; "
-            "monotonicity contract violated"
-        )
+    increasing = direction > 0
     a, b = lo, hi
     geometric = True
     for step in itertools.count():
@@ -227,28 +209,19 @@ def _solve_ratio(
 
 
 def bajraktarevic_kernel(
-    f: Generator,
-    g: Generator,
-    xs: np.ndarray,
-    cols,
-    *,
-    deviation: bool = False,
+    f: Generator, g: Generator, direction: int, xs: np.ndarray, cols
 ) -> np.ndarray:
-    """(f/g)-inverse of sum(f(x_i)) / sum(g(x_i)).
-
-    g must be positive on the data and f/g strictly monotone; the
-    inverse is found by bisection on [min(x), max(x)].  A bracket that
-    does not contain the target signals a violated monotonicity
-    contract and raises BracketError.
-    """
-    gv = g(xs)
-    if np.any(gv <= 0.0):
-        raise ValueError(f"generator {g.describe()} is not positive on the sample")
-    fv = f(xs)
+    """(f/g)-inverse of sum(f(x_i)) / sum(g(x_i)), for a pair that
+    :class:`~hardymeans.core.Bajraktarevic` accepts, with f/g's direction
+    (:func:`~hardymeans.core.ratio_direction`); the inverse is found by
+    bisection on [min(x), max(x)]."""
+    fv, gv = f(xs), g(xs)
+    if np.any(gv == 0.0):
+        raise BracketError(f"generator {g.describe()} underflows to 0 on the sample")
     target = np.cumsum(fv, axis=-1)[..., cols] / np.cumsum(gv, axis=-1)[..., cols]
     lo = np.minimum.accumulate(xs, axis=-1)[..., cols]
     hi = np.maximum.accumulate(xs, axis=-1)[..., cols]
-    return _solve_ratio(f, g, target, lo, hi, deviation=deviation)
+    return _solve_ratio(f, g, direction, target, lo, hi)
 
 
 def power_mean(p: float, x) -> float:
@@ -267,14 +240,12 @@ def gini_mean(p: float, q: float, x) -> float:
 
 
 def bajraktarevic_mean(f: Generator, g: Generator, x) -> float:
-    """Bajraktarevic mean of one sample vector.  Unlike its node, it checks
-    f and g on the data only: a ``log`` g passes on entries above 1, and
-    f == g raises BracketError."""
-    return float(bajraktarevic_kernel(f, g, as_samples(x), LAST_PREFIX)[0])
+    """Bajraktarevic mean of one sample vector."""
+    return evaluate(Bajraktarevic(f, g), x)
 
 
 def deviation_mean(dev: DeviationSpec, x) -> float:
     """Unique root y in [min(x), max(x)] of sum_i E(x_i, y) = 0, the mean
     the deviation lowers to (:meth:`~hardymeans.core.Deviation.lowered`); a
-    pair whose f/g is not increasing raises BracketError."""
+    pair whose f/g is not increasing raises ValueError."""
     return evaluate(Deviation(dev), x)

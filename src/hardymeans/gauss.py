@@ -61,15 +61,26 @@ def gauss_kernel(
         gap = (hi - lo) / hi
         done = gap <= cfg.tolerance
         flat[rows[done]] = 0.5 * (hi[done] + lo[done])
-        rows, w, gap = rows[~done], w[~done], gap[~done]
+        keep = ~done
+        rows, w, gap = rows[keep], w[keep], gap[keep]
         if rows.size == 0:
             return out
         if iteration == cfg.max_iterations:
             break
+        # every fourth step: envelopes of means are nested, so a row whose
+        # ends have not moved since the last check has stalled (the ends,
+        # as the gap rounds to 1 while they are orders of magnitude apart)
+        if iteration % 4 == 1:
+            lo, hi = lo[keep], hi[keep]
+            if iteration > 1:
+                at = np.searchsorted(seen[0], rows)
+                if np.any((lo <= seen[1][at]) & (hi >= seen[2][at])):
+                    break
+            seen = rows, lo, hi
         w = _step(means, w, LAST_PREFIX)[:, 0]
     raise NonConvergenceError(
         "Gaussian product did not converge",
-        iterations=cfg.max_iterations,
+        iterations=iteration,
         gap=float(np.max(gap)),
     )
 
@@ -86,7 +97,7 @@ def gauss_product(
 
     Stops when (max - min) / max of the iterate falls below
     cfg.tolerance and returns the midpoint of the final envelope.
-    Raises NonConvergenceError (with the final gap) after
-    cfg.max_iterations.
+    Raises NonConvergenceError (with the gap and the iterations run)
+    after cfg.max_iterations, or within four steps of a stall.
     """
     return float(gauss_kernel(Gauss(means).children, as_samples(v), LAST_PREFIX, cfg)[0])

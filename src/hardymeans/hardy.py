@@ -188,20 +188,17 @@ def _growth_trace(pn: PnSequence) -> str:
 def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEstimate:
     """Estimate the summability constant of a mean.
 
+    Registered non-summable means are reported divergent with a growth
+    trace, without probing, and never with a finite certified constant.
     Homogeneous means (per the seeded probe) use the monotone p_n
     truncation, a certified-from-below estimate when the symmetry,
     increasingness, concavity and repetition probes also pass and the
     computed p_n never decrease by more than rounding.
     Non-homogeneous means fall back to the uncertified grid estimator:
     the maximum over a log-spaced y-grid of the minimum over the tail
-    window [n_max/2, n_max] of (n/y) * M(y/1, ..., y/n).  Registered
-    non-summable means are reported divergent with a growth trace and
-    never with a finite certified constant.
+    window [n_max/2, n_max] of (n/y) * M(y/1, ..., y/n).
     """
     form = closed_form_hardy(expr)
-    report = probe_properties(expr, cfg.probe)
-    failed = tuple(name for name in _GATE_PROPERTIES if not report.holds(name))
-
     notes: list[str] = []
     reference = form.value if form is not None else None
     reference_kind = None
@@ -213,34 +210,23 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     tolerance = published_tolerance(expr) if reference is not None else None
 
     not_hardy = form is not None and not form.is_hardy
-    if not_hardy or report.holds("homogeneity"):
+    failed: tuple[str, ...] = ()
+    if not not_hardy:
+        report = probe_properties(expr, cfg.probe)
+        failed = tuple(name for name in _GATE_PROPERTIES if not report.holds(name))
+    if not_hardy or "homogeneity" not in failed:
         pn = pn_sequence(expr, cfg.n_max)
         exceeded = np.nonzero(pn.values > cfg.divergence_ceiling)[0]
-        if not_hardy or exceeded.size:
-            if not_hardy:
-                notes.append("not a Hardy mean; no finite certified constant exists")
-            else:
-                notes.append(
-                    f"p_n exceeded the divergence ceiling {cfg.divergence_ceiling:g} "
-                    f"at n={int(exceeded[0]) + 1}; non-Hardy at this scale"
-                )
-            notes.append(_growth_trace(pn))
-            return HardyEstimate(
-                method="homogeneous-limit",
-                estimate=math.inf,
-                n_max=cfg.n_max,
-                reference=reference,
-                reference_kind=reference_kind,
-                tolerance=None,
-                divergent=True,
-                notes=tuple(notes),
-                pn=pn,
-            )
-        if failed:
+        divergent = not_hardy or exceeded.size > 0
+        if not_hardy:
+            notes.append("not a Hardy mean; no finite certified constant exists")
+        elif exceeded.size:
             notes.append(
-                "estimate (uncertified): probes failed for "
-                + ", ".join(failed)
+                f"p_n exceeded the divergence ceiling {cfg.divergence_ceiling:g} "
+                f"at n={int(exceeded[0]) + 1}; non-Hardy at this scale"
             )
+        elif failed:
+            notes.append("estimate (uncertified): probes failed for " + ", ".join(failed))
         elif pn.max_decrease > _PN_DECREASE_TOL * pn.final:
             notes.append(
                 f"estimate (uncertified): p_n decreased by {pn.max_decrease:.3g}, "
@@ -251,14 +237,16 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
             notes.append(
                 "certified-from-below: monotone p_n truncation of the limit formula"
             )
+        if divergent:
+            notes.append(_growth_trace(pn))
         return HardyEstimate(
             method="homogeneous-limit",
-            estimate=pn.final,
+            estimate=math.inf if divergent else pn.final,
             n_max=cfg.n_max,
             reference=reference,
             reference_kind=reference_kind,
-            tolerance=tolerance,
-            divergent=False,
+            tolerance=None if divergent else tolerance,
+            divergent=divergent,
             notes=tuple(notes),
             pn=pn,
         )

@@ -43,6 +43,29 @@ class TestEval:
         assert code == 1
         assert err.startswith("E_OVERFLOW:")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "bajrak(exp,pow:1)",
+            "bajrak(log,pow:1)",
+            "bajrak(id,pow:1)",
+            "dev(pair:pow:1,pow:2)",
+        ],
+    )
+    def test_pair_that_defines_no_mean_is_usage_error(self, capsys, text):
+        # f/g is not strictly monotone (or, for a deviation, not increasing)
+        code, out, err = run(capsys, ["eval", text, "1", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("E_INVALID:")
+
+    def test_saturated_ratio_exit_code(self, capsys):
+        # x**-300 underflows to 0 on [20, 30]: the bisection has no bracket
+        code, out, err = run(capsys, ["eval", "bajrak(pow:-300,pow:1)", "20", "30"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("E_BRACKET:")
+
 
 class TestHardyCommand:
     def test_report_keys_and_values(self, capsys):
@@ -82,6 +105,17 @@ class TestHardyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["estimate"] is None
+        assert payload["divergent"] is True
+        assert payload["reference_kind"] == "not-a-hardy-mean"
+
+    @pytest.mark.parametrize(
+        "text", ["bajrak(pow:2,id)", "bajrak(id,pow:2)", "dev(pair:pow:2,id)"]
+    )
+    def test_power_pairs_reduce_to_registered_gini_means(self, capsys, text):
+        # all three are G_{2,1}, which is not a Hardy mean
+        code, out, _ = run(capsys, ["hardy", text, "--nmax", "2000"])
+        assert code == 0
+        payload = json.loads(out)
         assert payload["divergent"] is True
         assert payload["reference_kind"] == "not-a-hardy-mean"
 

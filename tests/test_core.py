@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hardymeans as hm
+from hardymeans.core import ratio_direction
 from conftest import ZOO, log_uniform
 
 
@@ -95,6 +96,39 @@ class TestGenerators:
     def test_pow_zero_is_not_strictly_monotone(self):
         assert not hm.power_generator(0.0).strictly_monotone
         assert hm.power_generator(0.5).strictly_monotone
+
+    def test_ratio_direction_against_high_precision_differences(self):
+        # the sign of every step of f/g on a log grid, in 40 digits, decides
+        # the direction: +1 or -1 when all steps agree, else 0
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        exponents = (-3.0, -1.0, -0.5, 0.0, 0.3, 0.5, 1.0, 2.0, 3.0)
+        values = {
+            hm.IDENTITY: lambda t: t,
+            hm.LOG: mp.log,
+            hm.EXP: mp.exp,
+        }
+        for a in exponents:
+            values[hm.power_generator(a)] = lambda t, a=mp.mpf(a): t**a
+            values[hm.neg_power_generator(a)] = lambda t, a=mp.mpf(a): -(t**a)
+        denominators = [hm.IDENTITY, hm.EXP] + [hm.power_generator(q) for q in exponents]
+        grid = [mp.mpf(10) ** (mp.mpf(k) / 16) for k in range(-64, 45)]  # 1e-4 .. 600
+        checked = 0
+        for g in denominators:
+            g_values = [values[g](t) for t in grid]
+            for f, fn in values.items():
+                ratio = [fn(t) / gt for t, gt in zip(grid, g_values)]
+                signs = {mp.sign(b - a) for a, b in zip(ratio, ratio[1:])}
+                expected = int(signs.pop()) if len(signs) == 1 else 0
+                assert ratio_direction(f, g) == expected, (f, g)
+                checked += 1
+        assert checked == 231
+
+    def test_ratio_direction_needs_a_positive_denominator(self):
+        for g in (hm.LOG, hm.neg_power_generator(1.0), hm.neg_power_generator(0.0)):
+            with pytest.raises(ValueError, match="not positive"):
+                ratio_direction(hm.IDENTITY, g)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans import families
+from hardymeans.core import LAST_PREFIX
 from conftest import log_uniform
 
 
@@ -161,17 +162,32 @@ class TestBajraktarevic:
         "x", [[0.1, 10.0], [2.0, 3.0, 5.0, 7.0], [1e-200, 3.0, 1e200]]
     )
     def test_bisection_reaches_full_precision(self, x):
-        # f/g = y, so the root is the arithmetic mean itself
-        value = hm.bajraktarevic_mean(hm.IDENTITY, hm.power_generator(0.0), x)
+        # f/g = y, so the root is the arithmetic mean itself; the node of
+        # this pair takes the quasi-arithmetic kernel, so call the bisection
+        xs = hm.as_samples(x)
+        value = families.bajraktarevic_kernel(
+            hm.IDENTITY, hm.power_generator(0.0), 1, xs, LAST_PREFIX
+        )[0]
         exact = math.fsum(x) / len(x)
         assert abs(value - exact) <= 2 * np.spacing(exact)
 
     def test_constant_ratio_raises(self):
-        # f/g == 1 on the whole bracket: monotonicity contract broken
-        with pytest.raises(hm.BracketError):
-            families.bajraktarevic_mean(
-                hm.power_generator(1.0), hm.power_generator(1.0), [1.0, 2.0]
-            )
+        # f/g == 1 is not strictly monotone: the node is rejected when built
+        with pytest.raises(ValueError, match="strictly monotone"):
+            hm.Bajraktarevic(hm.power_generator(1.0), hm.power_generator(1.0))
+
+    def test_saturated_ratio_raises(self):
+        # x**-300 underflows to 0 on [20, 30], so f/g is 0 at both ends and
+        # the bisection cannot locate the root (20.06)
+        expr = hm.Bajraktarevic(hm.power_generator(-300.0), hm.power_generator(1.0))
+        with pytest.raises(hm.BracketError, match="saturates"):
+            hm.evaluate(expr, [20.0, 30.0])
+
+    def test_underflowing_denominator_raises(self):
+        # x**2 underflows to 0 at 1e-200: the positive g has no usable value
+        expr = hm.Bajraktarevic(hm.power_generator(3.0), hm.power_generator(2.0))
+        with pytest.raises(hm.BracketError, match="underflows"):
+            hm.evaluate(expr, [1e-200, 1e-190])
 
 
 class TestDeviationMean:
@@ -212,10 +228,11 @@ class TestDeviationMean:
         assert hm.deviation_mean(dev, [5.0, 5.0]) == 5.0
 
     def test_increasing_deviation_contract_violation(self):
-        # x over x**2 has a decreasing ratio: E increases in y, not a deviation
+        # x over x**2 has a decreasing ratio: E increases in y, not a
+        # deviation, and the node is rejected when built
         dev = hm.PairDeviation(hm.power_generator(1), hm.power_generator(2))
-        with pytest.raises(hm.BracketError):
-            hm.deviation_mean(dev, [1.0, 4.0])
+        with pytest.raises(ValueError, match="f/g increasing"):
+            hm.Deviation(dev)
 
     def test_deviation_spec_invariants_on_samples(self, rng):
         dev = hm.PairDeviation(hm.power_generator(2), hm.power_generator(1))

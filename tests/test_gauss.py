@@ -60,6 +60,22 @@ class TestGaussProduct:
         assert info.value.iterations == 2
         assert info.value.gap > 0
 
+    def test_stalled_product_fails_early(self):
+        # max and min never move, so the gap stays 0.8 from the first step
+        expr = hm.Gauss((hm.MaxOf(), hm.MinOf(), hm.Gini(1.5, 3.0)))
+        with pytest.raises(hm.NonConvergenceError) as info:
+            hm.evaluate(expr, [1.0, 2.0, 5.0])
+        assert info.value.iterations < 10
+        assert info.value.gap == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("child", [hm.ARITH, hm.GEOM])
+    def test_first_step_onto_the_data_envelope_is_no_stall(self, child):
+        # the sum rounds away the 3e-13 step, so the child's first value is
+        # exactly min x and MaxOf's is max x; later steps still converge
+        x = [1.0] * 10_000 + [1.0 + 3e-13]
+        value = hm.evaluate(hm.Gauss((hm.MaxOf(), child)), x)
+        assert 1.0 <= value <= 1.0 + 3e-13
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             hm.GaussConfig(tolerance=0.0)

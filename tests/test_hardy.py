@@ -39,6 +39,14 @@ class TestCanonical:
         dev = hm.Deviation(hm.PairDeviation(hm.power_generator(2), hm.power_generator(1)))
         assert hm.canonical(dev) == hm.Gini(2.0, 1.0)
 
+    def test_signed_power_pairs_are_gini(self):
+        # id is pow:1, so these are Gini means as much as pow:2/pow:1 is
+        square = hm.power_generator(2)
+        assert hm.canonical(hm.Bajraktarevic(square, hm.IDENTITY)) == hm.Gini(2.0, 1.0)
+        assert hm.canonical(hm.Bajraktarevic(hm.IDENTITY, square)) == hm.Gini(1.0, 2.0)
+        dev = hm.Deviation(hm.PairDeviation(hm.neg_power_generator(1), square))
+        assert hm.canonical(dev) == hm.Gini(1.0, 2.0)
+
     def test_gauss_recurses(self):
         expr = hm.Gauss((hm.QuasiArithmetic(hm.LOG), hm.Gini(0.5, 0.0)))
         assert hm.canonical(expr) == hm.Gauss((hm.Power(0.0), hm.Power(0.5)))
@@ -74,7 +82,7 @@ class TestCanonical:
                 try:
                     value = hm.evaluate(expr, x)
                 except (OverflowError, hm.MeanComputationError):
-                    continue  # not a mean on x (a decreasing pair deviation)
+                    continue  # not evaluable on x (a generator overflows)
                 # a Gauss product stops within its tolerance, 1e-13
                 bound = 1e-13 if "Gauss" in repr(expr) else 4e-15
                 assert hm.evaluate(reduced, x) == pytest.approx(value, rel=bound, abs=0), (
@@ -93,8 +101,9 @@ def _random_generator(rng, kinds=("identity", "log", "exp", "pow", "neg_pow")):
     return hm.Generator(kind, float(rng.choice(_EXPONENTS)) if "pow" in kind else None)
 
 
-def _random_pair(rng):
-    """Generators (f, g) of a two-generator mean, most of them reducible."""
+def _random_pair(rng, node=hm.Bajraktarevic):
+    """A two-generator node ``node(f, g)``, most of them reducible; a pair
+    that defines no mean is drawn again."""
     while True:
         f = _random_generator(rng)
         roll = rng.random()
@@ -105,7 +114,7 @@ def _random_pair(rng):
         else:
             g = _random_generator(rng, ("identity", "exp", "pow"))
         try:
-            return hm.Bajraktarevic(f, g)
+            return node(f, g)
         except ValueError:
             continue
 
@@ -131,8 +140,7 @@ def _random_tree(rng, depth=0):
     if roll == 4:
         if rng.random() < 0.2:
             return hm.Deviation(hm.ARITHMETIC_DEVIATION)
-        pair = _random_pair(rng)
-        return hm.Deviation(hm.PairDeviation(pair.f, pair.g))
+        return _random_pair(rng, lambda f, g: hm.Deviation(hm.PairDeviation(f, g)))
     if roll == 5:
         return hm.MinOf() if rng.random() < 0.5 else hm.MaxOf()
     if roll == 6:
@@ -340,6 +348,24 @@ class TestHardyConstant:
             assert est.estimate == math.inf
             assert est.reference_kind == "not-a-hardy-mean"
             assert any("growth trace" in note for note in est.notes)
+
+    @pytest.mark.parametrize("expr", [hm.Power(2.0), hm.Gini(2.0, 1.0)], ids=repr)
+    def test_registry_verdict_needs_no_probe(self, expr, monkeypatch):
+        from hardymeans import hardy
+
+        def probe(expr, cfg):
+            raise AssertionError("probe_properties called")
+
+        monkeypatch.setattr(hardy, "probe_properties", probe)
+        est = hm.hardy_constant(expr, hm.HardyConfig(n_max=2000))
+        pn = hm.pn_sequence(expr, 2000)
+        assert est.notes == (
+            f"registry: {hm.closed_form_hardy(expr).provenance}",
+            "not a Hardy mean; no finite certified constant exists",
+            hardy._growth_trace(pn),
+        )
+        assert np.array_equal(est.pn.values, pn.values)
+        assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
 
     def test_divergence_ceiling_names_witness(self):
         cfg = hm.HardyConfig(n_max=2000, divergence_ceiling=100.0)

@@ -222,6 +222,16 @@ class TestRoundTrip:
                 return hm.EXP
             return hm.power_generator(round(float(rng.normal(0, 2)), 3))
 
+        def random_pair(node):
+            # a pair that defines no mean is drawn again
+            while True:
+                f = random_generator()
+                g = hm.power_generator(round(float(rng.normal(0, 2)), 3))
+                try:
+                    return node(f, g)
+                except ValueError:
+                    continue
+
         def random_expr(depth):
             kind = rng.integers(6 if depth > 0 else 5)
             if kind == 0:
@@ -237,17 +247,11 @@ class TestRoundTrip:
                     gen = hm.LOG
                 return hm.QuasiArithmetic(gen)
             if kind == 3:
-                f = random_generator()
-                g = hm.power_generator(round(float(rng.normal(0, 2)), 3))
-                if f == g:
-                    f = hm.LOG
-                return hm.Bajraktarevic(f, g)
+                return random_pair(hm.Bajraktarevic)
             if kind == 4:
                 if rng.integers(2):
                     return hm.Deviation(hm.ARITHMETIC_DEVIATION)
-                f = random_generator()
-                g = hm.power_generator(round(float(rng.normal(0, 2)), 3))
-                return hm.Deviation(hm.PairDeviation(f, g))
+                return random_pair(lambda f, g: hm.Deviation(hm.PairDeviation(f, g)))
             children = tuple(
                 random_expr(depth - 1) for _ in range(int(rng.integers(2, 5)))
             )
