@@ -431,27 +431,25 @@ class Bajraktarevic(MeanExpr):
                 f"{self.f.describe()}/{self.g.describe()} is not"
             )
         object.__setattr__(self, "_direction", direction)
-
-    def _as_quasi(self) -> QuasiArithmetic | None:
-        # with g = 1, sum f / sum g is the plain average of f
-        return QuasiArithmetic(self.f) if self.g == _ONE else None
+        # bajrak(f, pow:0) is quasi(f): with g = 1, sum f / sum g is the
+        # plain average of f.  With signed powers s t**a over t**q it is the
+        # Gini mean G_{a,q}.  Either way the reduction's kernel runs.
+        reduced = None
+        if self.g == _ONE:
+            reduced = QuasiArithmetic(self.f)
+        else:
+            f, g = _signed_power(self.f), _signed_power(self.g)
+            if f is not None and g is not None:
+                reduced = Gini(f[1], g[1]).canonical()
+        object.__setattr__(self, "_reduced", reduced)
 
     def kernel(self, xs, cols):
-        quasi = self._as_quasi()
-        if quasi is not None:
-            return quasi.kernel(xs, cols)
+        if self._reduced is not None:
+            return self._reduced.kernel(xs, cols)
         return families.bajraktarevic_kernel(self.f, self.g, self._direction, xs, cols)
 
     def canonical(self):
-        """bajrak(f, pow:0) is quasi(f); with signed powers s t**a over t**q
-        it is the Gini mean G_{a,q}."""
-        quasi = self._as_quasi()
-        if quasi is not None:
-            return quasi.canonical()
-        f, g = _signed_power(self.f), _signed_power(self.g)
-        if f is not None and g is not None:
-            return Gini(f[1], g[1]).canonical()
-        return self
+        return self if self._reduced is None else self._reduced.canonical()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from .core import MeanExpr, as_samples, evaluate, evaluate_batch, prefix_means
-from .probes import map_by_length, sample_vector
+from .probes import length_groups, sample_vector
 
 __all__ = [
     "MAX_COEFFICIENT_N",
@@ -216,12 +216,11 @@ def kedlaya_margins(
     well below the 1e-12 resolution used to call a violation.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = dims
-    vectors = []
-    for _ in range(samples):
-        dim = int(rng.integers(lo, hi + 1))
-        vectors.append(sample_vector(rng, dim, entry_range))
-    return map_by_length(lambda xs: _prefix_average_margins(expr, xs), vectors)
+    lengths = rng.integers(dims[0], dims[1] + 1, size=samples)
+    margins = np.empty(samples)
+    for d, idx in length_groups(lengths, dims):
+        margins[idx] = _prefix_average_margins(expr, sample_vector(rng, (idx.size, d), entry_range))
+    return margins
 
 
 def matrix_mixing_margin(expr: MeanExpr, x, matrix: KedlayaMatrix | None = None) -> float:

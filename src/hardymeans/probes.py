@@ -28,7 +28,7 @@ __all__ = [
     "PropertyReport",
     "probe_properties",
     "sample_vector",
-    "map_by_length",
+    "length_groups",
 ]
 
 PROPERTY_NAMES = (
@@ -93,28 +93,24 @@ class PropertyReport:
         )
 
 
-def sample_vector(rng: np.random.Generator, dim: int, entry_range) -> np.ndarray:
-    """Log-uniform positive vector; the default range spans the scales
+def sample_vector(rng: np.random.Generator, shape, entry_range) -> np.ndarray:
+    """Log-uniform positive entries; the default range spans the scales
     where concavity failures of two-exponent means show up quickly."""
     lo, hi = entry_range
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=shape))
+
+
+def length_groups(lengths: np.ndarray, dims: tuple[int, int]):
+    """(d, indices of the samples of length d) for each length in dims
+    that some sample has, in increasing d."""
+    for d in range(dims[0], dims[1] + 1):
+        if (idx := np.flatnonzero(lengths == d)).size:
+            yield d, idx
 
 
 def _rel(diff: np.ndarray, *scales: np.ndarray) -> np.ndarray:
     floor = np.full_like(diff, 1e-300)
     return diff / np.maximum.reduce([floor, *map(np.abs, scales)])
-
-
-def map_by_length(fn, vectors: list[np.ndarray]) -> np.ndarray:
-    """One value per vector of a ragged list, in the list's order, with
-    one call of ``fn`` on the stack of each length's vectors."""
-    by_length: dict[int, list[int]] = {}
-    for i, v in enumerate(vectors):
-        by_length.setdefault(v.size, []).append(i)
-    out = np.empty(len(vectors))
-    for idx in by_length.values():
-        out[idx] = fn(np.stack([vectors[i] for i in idx]))
-    return out
 
 
 def probe_properties(expr: MeanExpr, cfg: ProbeConfig = ProbeConfig()) -> PropertyReport:
@@ -127,43 +123,48 @@ def probe_properties(expr: MeanExpr, cfg: ProbeConfig = ProbeConfig()) -> Proper
     repetition for m in {2, 3}, and increasingness by a +10% bump of a
     random coordinate.
 
-    Every sample vector is drawn first; the means are then computed in
-    batches of equal length.  Each property's counterexample is the
-    sample with the largest margin, the earliest drawn among ties.
+    Samples are drawn in blocks, one RNG call per distribution: all
+    lengths, all scale factors, then for each length d with k > 0 samples
+    the (k, d) blocks of x and y, x with each row shuffled, and the bump
+    positions.  Seeded samples thus differ from the earlier per-sample
+    draw order.  The means take one batch per vector width; each
+    property's counterexample is the first sample with the largest margin.
     """
     rng = np.random.default_rng(cfg.seed)
-    lo_dim, hi_dim = cfg.dims
-    draws = []  # per sample: x, x permuted, x bumped, y
-    scales, x_min, x_max = [], [], []
-    vectors = []  # per sample, in this order: the eight means unpacked
-    # below, then x with its minimum appended when x is not constant
-    for _ in range(cfg.samples):
-        n = int(rng.integers(lo_dim, hi_dim + 1))
-        x = sample_vector(rng, n, cfg.entry_range)
-        xp = x[rng.permutation(n)]
-        # homogeneity, with the scale factor confined to two octaves so
-        # the scaled vector stays within an evaluable range
-        t = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+    n = cfg.samples
+    lengths = rng.integers(cfg.dims[0], cfg.dims[1] + 1, size=n)
+    # homogeneity, with the scale factor confined to two octaves so the
+    # scaled vector stays within an evaluable range
+    t = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=n))
+    draws = [None] * n  # per sample: x, x permuted, x bumped, y
+    x_min, x_max = np.empty(n), np.empty(n)
+    # width -> vectors and their slots in `values`: nine rows of means, one
+    # column per sample, the last for x with its minimum appended
+    by_width: dict[int, list] = {}
+    for d, idx in length_groups(lengths, cfg.dims):
+        k = idx.size
+        x = sample_vector(rng, (k, d), cfg.entry_range)
+        # Jensen concavity / convexity on an equidimensional pair
+        y = sample_vector(rng, (k, d), cfg.entry_range)
+        xp = rng.permuted(x, axis=1)
         # increasing under a +10% coordinate bump
         bumped = x.copy()
-        bumped[int(rng.integers(n))] *= 1.1
-        # Jensen concavity / convexity on an equidimensional pair
-        y = sample_vector(rng, n, cfg.entry_range)
-        draws.append((x, xp, bumped, y))
-        scales.append(t)
-        x_min.append(x.min())
-        x_max.append(x.max())
-        vectors += [x, xp, x.repeat(2), x.repeat(3), t * x, bumped, y, 0.5 * (x + y)]
-        if x_max[-1] > x_min[-1]:
-            vectors.append(np.append(x, x_min[-1]))
-    values = map_by_length(lambda xs: evaluate_batch(expr, xs), vectors)
+        bumped[np.arange(k), rng.integers(d, size=k)] *= 1.1
+        for j, drawn in zip(idx, zip(x, xp, bumped, y)):
+            draws[j] = drawn
+        x_min[idx], x_max[idx] = x.min(axis=1), x.max(axis=1)
+        derived = [x, xp, x.repeat(2, axis=1), x.repeat(3, axis=1), t[idx, None] * x]
+        derived += [bumped, y, 0.5 * (x + y), np.column_stack([x, x_min[idx]])]
+        for kind, vecs in enumerate(derived):
+            by_width.setdefault(vecs.shape[1], []).append((vecs, kind * n + idx))
+    values = np.empty(9 * n)
+    for parts in by_width.values():
+        vecs, slots = zip(*parts)
+        values[np.concatenate(slots)] = evaluate_batch(expr, np.concatenate(vecs))
 
-    x_min, x_max, t = np.array(x_min), np.array(x_max), np.array(scales)
-    sizes = np.where(x_max > x_min, 9, 8)
-    starts = np.cumsum(sizes) - sizes
-    mx, mp, mr2, mr3, mh, mb, my, mmid = (values[starts + j] for j in range(8))
-    spread = np.flatnonzero(sizes == 9)
-    ma = values[starts[spread] + 8]
+    mx, mp, mr2, mr3, mh, mb, my, mmid, ma = values.reshape(9, n)
+    spread = np.flatnonzero(x_max > x_min)
+    ma = ma[spread]
     chord = 0.5 * (mx + my)
     repetition = np.stack([_rel(abs(mx - mr2), mx, mr2), _rel(abs(mx - mr3), mx, mr3)], axis=1)
 

@@ -61,7 +61,7 @@ class TestEval:
 
     def test_saturated_ratio_exit_code(self, capsys):
         # x**-300 underflows to 0 on [20, 30]: the bisection has no bracket
-        code, out, err = run(capsys, ["eval", "bajrak(pow:-300,pow:1)", "20", "30"])
+        code, out, err = run(capsys, ["eval", "bajrak(pow:-300,exp)", "20", "30"])
         assert code == 1
         assert out == ""
         assert err.startswith("E_BRACKET:")
@@ -118,6 +118,19 @@ class TestHardyCommand:
         payload = json.loads(out)
         assert payload["divergent"] is True
         assert payload["reference_kind"] == "not-a-hardy-mean"
+
+    def test_signed_power_pair_reports_as_its_gini_mean(self, capsys):
+        # x**-300 overflows in a plain p_n sweep; the pair runs on the
+        # log-domain kernel of G_{-300,1} and reports exactly as that mean
+        code, out, _ = run(capsys, ["hardy", "bajrak(pow:-300,pow:1)"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["divergent"] is True
+        code, gini_out, _ = run(capsys, ["hardy", "gini(-300,1)"])
+        assert code == 0
+        gini = json.loads(gini_out)
+        del payload["command"], gini["command"]
+        assert payload == gini
 
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "pn.csv"

@@ -5,7 +5,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.core import ratio_direction
-from conftest import ZOO, log_uniform
+from conftest import BISECTED, MODERATE, ZOO, log_uniform
 
 
 class TestSampleValidation:
@@ -253,27 +253,39 @@ def _reference_probe(expr, cfg):
                 tuple(float(o) for o in observed),
             )
 
+    # the gate's draw order, written out: all lengths, all scale factors,
+    # then per length d with k > 0 samples the (k, d) blocks of x and y,
+    # x with each row shuffled, and the bump positions
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.samples):
-        n = int(rng.integers(cfg.dims[0], cfg.dims[1] + 1))
-        x = hm.probes.sample_vector(rng, n, cfg.entry_range)
+    lo, hi = cfg.dims
+    lengths = rng.integers(lo, hi + 1, size=cfg.samples)
+    scales = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=cfg.samples))
+    log_lo, log_hi = np.log(cfg.entry_range[0]), np.log(cfg.entry_range[1])
+    draws = {}
+    for d in range(lo, hi + 1):
+        k = int(np.count_nonzero(lengths == d))
+        if k:
+            xs = np.exp(rng.uniform(log_lo, log_hi, size=(k, d)))
+            ys = np.exp(rng.uniform(log_lo, log_hi, size=(k, d)))
+            xps = rng.permuted(xs, axis=1)
+            bumps = rng.integers(d, size=k)
+            draws[d] = iter(zip(xs, ys, xps, bumps))
+    for n, t in zip(lengths, scales):
+        x, y, xp, bump = next(draws[n])
         mx = hm.evaluate(expr, x)
         x_min, x_max = float(x.min()), float(x.max())
         observe("mean_value", rel(max(x_min - mx, mx - x_max), x_max), [x], [mx])
-        perm = rng.permutation(n)
-        mp = hm.evaluate(expr, x[perm])
-        observe("symmetry", rel(abs(mx - mp), mx, mp), [x, x[perm]], [mx, mp])
+        mp = hm.evaluate(expr, xp)
+        observe("symmetry", rel(abs(mx - mp), mx, mp), [x, xp], [mx, mp])
         for m in (2, 3):
             mr = hm.evaluate(expr, np.repeat(x, m))
             observe("repetition_invariance", rel(abs(mx - mr), mx, mr), [x], [mx, mr])
-        t = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
         mh = hm.evaluate(expr, t * x)
         observe("homogeneity", rel(abs(mh - t * mx), t * mx, mh), [x], [mx, mh, t])
         bumped = x.copy()
-        bumped[int(rng.integers(n))] *= 1.1
+        bumped[bump] *= 1.1
         mb = hm.evaluate(expr, bumped)
         observe("increasing", rel(mx - mb, mx, mb), [x, bumped], [mx, mb])
-        y = hm.probes.sample_vector(rng, n, cfg.entry_range)
         my = hm.evaluate(expr, y)
         mmid = hm.evaluate(expr, 0.5 * (x + y))
         chord = 0.5 * (mx + my)
@@ -287,19 +299,85 @@ def _reference_probe(expr, cfg):
     return worst
 
 
+def _assert_matches_reference(report, reference):
+    for prop in hm.probes.PROPERTY_NAMES:
+        verdict = report.verdicts[prop]
+        assert verdict.holds_on_samples == (prop not in reference), prop
+        if prop in reference:
+            ce = verdict.counterexample
+            assert (ce.margin, ce.vectors, ce.observed) == reference[prop], prop
+
+
+class _CountingRng:
+    """A generator whose method calls are counted."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
 class TestProbes:
-    @pytest.mark.parametrize("name", sorted(ZOO))
+    @pytest.mark.parametrize("name", sorted(ZOO) + sorted(BISECTED))
     def test_batched_gate_matches_scalar_loop(self, name):
+        expr = ZOO[name] if name in ZOO else BISECTED[name]
+        # exp overflows on the default entries
+        entries = {"entry_range": MODERATE} if name in BISECTED else {}
         for seed in (0, 11):
-            cfg = hm.ProbeConfig(samples=40, seed=seed)
-            report = hm.probe_properties(ZOO[name], cfg)
-            reference = _reference_probe(ZOO[name], cfg)
-            for prop in hm.probes.PROPERTY_NAMES:
-                verdict = report.verdicts[prop]
-                assert verdict.holds_on_samples == (prop not in reference), (prop, seed)
-                if prop in reference:
-                    ce = verdict.counterexample
-                    assert (ce.margin, ce.vectors, ce.observed) == reference[prop], (prop, seed)
+            cfg = hm.ProbeConfig(samples=40, seed=seed, **entries)
+            report = hm.probe_properties(expr, cfg)
+            _assert_matches_reference(report, _reference_probe(expr, cfg))
+
+    @pytest.mark.parametrize(
+        "samples, dims", [(64, (1, 1)), (40, (8, 8)), (1, (1, 8)), (2, (1, 8))]
+    )
+    def test_edge_configurations_match_scalar_loop(self, samples, dims):
+        for name in ("gini(2,1)", "min", "power(0.5)", "bajrak(pow:2,pow:1)"):
+            for seed in (0, 3):
+                cfg = hm.ProbeConfig(samples=samples, dims=dims, seed=seed)
+                report = hm.probe_properties(ZOO[name], cfg)
+                assert report == hm.probe_properties(ZOO[name], cfg)
+                _assert_matches_reference(report, _reference_probe(ZOO[name], cfg))
+                # the gate draws the sample lengths first
+                rng = np.random.default_rng(seed)
+                lengths = set(rng.integers(dims[0], dims[1] + 1, size=samples).tolist())
+                for verdict in report.verdicts.values():
+                    if verdict.counterexample is not None:
+                        sizes = {len(v) for v in verdict.counterexample.vectors}
+                        assert len(sizes) == 1 and sizes <= lengths
+                if dims == (1, 1):
+                    # every sample is constant: nothing to observe
+                    assert report.holds("min_diminishing") and report.holds("strictness")
+
+    def test_draws_in_blocks(self, monkeypatch):
+        # one RNG call per distribution (per length for the vectors) and
+        # one batch per vector width, whatever the sample count
+        rngs, widths = [], []
+        default_rng, evaluate_batch = np.random.default_rng, hm.probes.evaluate_batch
+
+        def counting_rng(seed):
+            rngs.append(_CountingRng(default_rng(seed)))
+            return rngs[-1]
+
+        def counting_batch(expr, xs):
+            widths.append(xs.shape[1])
+            return evaluate_batch(expr, xs)
+
+        monkeypatch.setattr(hm.probes.np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(hm.probes, "evaluate_batch", counting_batch)
+        cfg = hm.ProbeConfig(samples=64, dims=(1, 8), seed=5)
+        report = hm.probe_properties(hm.Gini(0.5, -1.0), cfg)
+        assert len(rngs) == 1 and 0 < rngs[0].calls <= 2 + 4 * 8
+        assert widths and len(widths) == len(set(widths))
+        monkeypatch.undo()
+        assert report == hm.probe_properties(hm.Gini(0.5, -1.0), cfg)
 
     def test_deterministic_given_seed(self):
         cfg = hm.ProbeConfig(samples=60, seed=7)

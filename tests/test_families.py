@@ -5,7 +5,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans import families
-from hardymeans.core import LAST_PREFIX
+from hardymeans.core import LAST_PREFIX, ratio_direction
 from conftest import log_uniform
 
 
@@ -134,13 +134,45 @@ class TestBajraktarevic:
             )
 
     def test_decreasing_ratio_pair_is_gini_too(self, rng):
-        # f/g = x**(1-2) is decreasing; the solver handles both orientations
+        # f/g = x**(1-2) is decreasing; the pair is G_{1,2} all the same
         f, g = hm.power_generator(1), hm.power_generator(2)
         for _ in range(25):
             x = log_uniform(rng, int(rng.integers(1, 9)))
             assert hm.bajraktarevic_mean(f, g, x) == pytest.approx(
                 hm.gini_mean(1.0, 2.0, x), rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "f, g, a, q",
+        [
+            (hm.power_generator(2), hm.power_generator(1), 2.0, 1.0),
+            (hm.IDENTITY, hm.power_generator(2), 1.0, 2.0),
+            (hm.power_generator(0.5), hm.power_generator(-1), 0.5, -1.0),
+            (hm.neg_power_generator(1), hm.power_generator(2), 1.0, 2.0),
+            (hm.power_generator(-300), hm.power_generator(1), -300.0, 1.0),
+        ],
+    )
+    def test_signed_power_pairs_evaluate_as_canonical_gini(self, f, g, a, q, rng):
+        gini = hm.Gini(a, q)
+        means = [hm.Bajraktarevic(f, g)]
+        if ratio_direction(f, g) > 0:
+            means.append(hm.Deviation(hm.PairDeviation(f, g)))
+        samples = [[20.0, 30.0]] + [log_uniform(rng, int(rng.integers(1, 9))) for _ in range(25)]
+        for x in samples:
+            expected = hm.evaluate(gini, x)
+            for expr in means:
+                assert abs(hm.evaluate(expr, x) - expected) <= 4 * np.spacing(expected), expr
+
+    def test_bisection_matches_gini_in_both_orientations(self, rng):
+        # power pairs run on their Gini kernel, so call the bisection itself
+        for f, g, direction, gini in (
+            (hm.power_generator(2), hm.power_generator(1), 1, hm.Gini(2.0, 1.0)),
+            (hm.power_generator(1), hm.power_generator(2), -1, hm.Gini(1.0, 2.0)),
+        ):
+            for _ in range(25):
+                xs = hm.as_samples(log_uniform(rng, int(rng.integers(1, 9))))
+                value = families.bajraktarevic_kernel(f, g, direction, xs, LAST_PREFIX)[0]
+                assert value == pytest.approx(hm.evaluate(gini, xs), rel=1e-12)
 
     def test_constant_one_denominator_is_quasi_arithmetic(self, rng):
         one = hm.power_generator(0.0)
@@ -177,17 +209,17 @@ class TestBajraktarevic:
             hm.Bajraktarevic(hm.power_generator(1.0), hm.power_generator(1.0))
 
     def test_saturated_ratio_raises(self):
-        # x**-300 underflows to 0 on [20, 30], so f/g is 0 at both ends and
-        # the bisection cannot locate the root (20.06)
-        expr = hm.Bajraktarevic(hm.power_generator(-300.0), hm.power_generator(1.0))
+        # x**-300 underflows to 0 on [20, 30], so f/g = x**-300 / e**x is 0
+        # at both ends and the bisection cannot locate the root
+        expr = hm.Bajraktarevic(hm.power_generator(-300.0), hm.EXP)
         with pytest.raises(hm.BracketError, match="saturates"):
             hm.evaluate(expr, [20.0, 30.0])
 
     def test_underflowing_denominator_raises(self):
-        # x**2 underflows to 0 at 1e-200: the positive g has no usable value
-        expr = hm.Bajraktarevic(hm.power_generator(3.0), hm.power_generator(2.0))
+        # x**-300 underflows to 0 on [20, 30]: the positive g has no usable value
+        expr = hm.Bajraktarevic(hm.EXP, hm.power_generator(-300.0))
         with pytest.raises(hm.BracketError, match="underflows"):
-            hm.evaluate(expr, [1e-200, 1e-190])
+            hm.evaluate(expr, [20.0, 30.0])
 
 
 class TestDeviationMean:

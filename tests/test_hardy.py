@@ -9,7 +9,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.hardy import default_y_grid
-from conftest import ZOO, log_uniform
+from conftest import BISECTED, ZOO, log_uniform
 
 
 def power_constant(p):
@@ -210,6 +210,7 @@ OVERFLOWING = {
 PREFIX_CASES = {
     **ZOO,
     **OVERFLOWING,
+    **BISECTED,
     "bajrak(exp,pow:0)": hm.Bajraktarevic(hm.EXP, hm.power_generator(0.0)),
 }
 

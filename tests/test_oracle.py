@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hardymeans as hm
-from conftest import ZOO, log_uniform
+from conftest import BISECTED, ZOO, log_uniform
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -102,6 +102,7 @@ ORACLE_MEANS = {
         hm.power_generator(0.5), hm.power_generator(-1.0)
     ),
     "bajrak(exp,pow:0)": hm.Bajraktarevic(hm.EXP, hm.power_generator(0.0)),
+    **BISECTED,
 }
 
 
@@ -135,6 +136,7 @@ PROPERTY_MEANS = {
     "power(-300)": hm.Power(-300.0),
     "gini(-300,-300)": hm.Gini(-300.0, -300.0),
     "bajrak(exp,pow:0)": hm.Bajraktarevic(hm.EXP, hm.power_generator(0.0)),
+    **BISECTED,
 }
 
 

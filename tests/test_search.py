@@ -10,9 +10,10 @@ import pytest
 import hardymeans as hm
 from hardymeans import hardy
 from hardymeans.neldermead import minimize_lockstep
-from conftest import ZOO, log_uniform
+from conftest import BISECTED, MODERATE, ZOO, log_uniform
 
-NAMES = sorted(ZOO)
+MEANS = {**ZOO, **BISECTED}
+NAMES = sorted(MEANS)
 QUASI_POW_M2 = hm.QuasiArithmetic(hm.power_generator(-2))
 
 
@@ -74,12 +75,12 @@ def scipy_sequence_bound(expr, n, cfg):
 class TestStackedRatio:
     @pytest.mark.parametrize("name", NAMES)
     def test_rows_match_single_calls(self, name, rng):
-        expr = ZOO[name]
+        expr = MEANS[name]
         for n in (1, 2, 3, 5, 8):
             # moderate rows, and softmax points as the search makes them,
             # with coordinates decaying towards the 1e-300 floor
             for x in (
-                log_uniform(rng, 6 * n).reshape(6, n),
+                log_uniform(rng, 6 * n, *(MODERATE if name in BISECTED else ())).reshape(6, n),
                 hardy._softmax_points(rng.normal(0.0, 60.0, size=(6, n))),
             ):
                 stacked = hm.hardy_ratio(expr, x)
@@ -157,7 +158,7 @@ class TestNelderMeadPort:
 class TestSequenceBoundMatchesScipy:
     @pytest.mark.parametrize("name", NAMES)
     def test_same_result(self, name):
-        expr = ZOO[name]
+        expr = MEANS[name]
         for n in (2, 3, 4):
             for cfg in (
                 hm.SearchConfig(restarts=6, seed=n),
@@ -190,7 +191,7 @@ class TestSequenceBoundMatchesScipy:
 class TestSimplexGrid:
     @pytest.mark.parametrize("name", NAMES)
     def test_matches_per_composition_loop(self, name, monkeypatch):
-        expr = ZOO[name]
+        expr = MEANS[name]
         for n in (1, 2, 3):
             for denominator in (8, 30):
                 assert hm.simplex_grid_bound(expr, n, denominator) == grid_loop(
