@@ -283,14 +283,15 @@ class ClosedForm:
 class MeanExpr:
     """A node of a mean expression: one class per family.
 
-    Each node carries what the program knows about its family.  Its
-    ``kernel(xs, cols)`` works along the last axis of a validated sample
-    array, keeps leading batch axes, and returns the mean of every prefix
-    that ``cols`` selects (index k is x[..., :k+1]; a slice or an integer
-    array, not a bare integer, so the axis stays).  :meth:`canonical`
-    applies its exact reductions to other families; on canonical nodes,
-    :meth:`closed_form` and :meth:`tolerance` are its registry entry.
-    The defaults here: no reduction, no registry entry.
+    Each node carries what the program knows about its family.
+    :meth:`canonical` applies its exact reductions to other families, and
+    evaluation runs the canonical node's ``kernel(xs, cols)``, so equal
+    means give equal values.  A kernel works along the last axis of a
+    validated sample array, keeps leading batch axes, and returns the mean
+    of every prefix that ``cols`` selects (index k is x[..., :k+1]; a slice
+    or an integer array, not a bare integer, so the axis stays).  On
+    canonical nodes, :meth:`closed_form` and :meth:`tolerance` are the
+    registry entry.  The defaults here: no reduction, no registry entry.
     """
 
     def canonical(self) -> MeanExpr:
@@ -433,7 +434,7 @@ class Bajraktarevic(MeanExpr):
         object.__setattr__(self, "_direction", direction)
         # bajrak(f, pow:0) is quasi(f): with g = 1, sum f / sum g is the
         # plain average of f.  With signed powers s t**a over t**q it is the
-        # Gini mean G_{a,q}.  Either way the reduction's kernel runs.
+        # Gini mean G_{a,q}.
         reduced = None
         if self.g == _ONE:
             reduced = QuasiArithmetic(self.f)
@@ -444,8 +445,6 @@ class Bajraktarevic(MeanExpr):
         object.__setattr__(self, "_reduced", reduced)
 
     def kernel(self, xs, cols):
-        if self._reduced is not None:
-            return self._reduced.kernel(xs, cols)
         return families.bajraktarevic_kernel(self.f, self.g, self._direction, xs, cols)
 
     def canonical(self):
@@ -454,8 +453,9 @@ class Bajraktarevic(MeanExpr):
 
 @dataclass(frozen=True)
 class Deviation(MeanExpr):
-    """Root of the summed deviation equation.  The deviation must define a
-    mean (see :meth:`lowered`), which is checked when the node is built."""
+    """Root of the summed deviation equation: the arithmetic mean for x - y,
+    the Bajraktarevic mean of (f, g) for f(x) - g(x) (f/g)(y).  The pair is
+    a deviation only when f/g increases, checked when the node is built."""
 
     dev: DeviationSpec
 
@@ -469,15 +469,6 @@ class Deviation(MeanExpr):
                     f"{self.dev.f.describe()}/{self.dev.g.describe()} decreases"
                 )
         object.__setattr__(self, "_lowered", lowered)
-
-    def lowered(self) -> MeanExpr:
-        """The family mean the deviation defines: the arithmetic mean for
-        x - y, the Bajraktarevic mean of (f, g) for f(x) - g(x) (f/g)(y).
-        The pair is a deviation only when f/g increases."""
-        return self._lowered
-
-    def kernel(self, xs, cols):
-        return self._lowered.kernel(xs, cols)
 
     def canonical(self):
         return self._lowered.canonical()
@@ -546,10 +537,10 @@ LAST_PREFIX = slice(-1, None)
 
 
 def _selected_means(expr: MeanExpr, xs: np.ndarray, cols) -> np.ndarray:
-    """The kernel of ``expr`` at the prefixes ``cols``, with every one-entry
-    prefix exactly its entry: every mean of one entry is that entry, but
-    the kernels' power sums would round it."""
-    out = as_mean_expr(expr).kernel(xs, cols)
+    """The kernel of ``expr``'s canonical node at the prefixes ``cols``,
+    with every one-entry prefix exactly its entry: every mean of one entry
+    is that entry, but the kernels' power sums would round it."""
+    out = as_mean_expr(expr).canonical().kernel(xs, cols)
     if isinstance(cols, slice):
         picked = range(xs.shape[-1])[cols]
         first = [picked.index(0)] if 0 in picked else []

@@ -13,9 +13,8 @@ Running power sums are plain cumulative sums, which are more accurate
 than log-domain accumulation; only the prefixes whose plain sum leaves
 the normal range take ``np.logaddexp.accumulate`` instead.
 
-Implicit means (Bajraktarevic, and deviation means, which
-:meth:`~hardymeans.core.Deviation.lowered` lowers to it) solve
-(f/g)(y) = sum f / sum g for every selected prefix at once, by a
+Implicit means (Bajraktarevic, the canonical node of most deviation
+means) solve (f/g)(y) = sum f / sum g for every selected prefix at once, by a
 vectorized bracketed bisection on [min, max] run until no double lies
 strictly inside the bracket.  Brackets wider than an octave are halved
 in the log domain, so a root near a tiny entry costs no extra steps.
@@ -108,12 +107,18 @@ def power_kernel(p: float, xs: np.ndarray, cols) -> np.ndarray:
 
 
 def quasi_arithmetic_kernel(gen: Generator, xs: np.ndarray, cols) -> np.ndarray:
-    """Inverse of gen applied to the plain average of gen(x_i).
-
-    Overflow inside the generator is reported as OverflowError, never
-    silently replaced.
-    """
-    return gen.inverse(np.cumsum(gen(xs), axis=-1)[..., cols] / _counts(xs, cols))
+    """Inverse of gen applied to the plain average of gen(x_i); for exp,
+    log1p of the average of expm1(x_i), which keeps its digits where the
+    average of exp(x_i) is near 1.  Overflow inside the generator is
+    reported as OverflowError, never silently replaced."""
+    k = _counts(xs, cols)
+    if gen.kind != "exp":
+        return gen.inverse(np.cumsum(gen(xs), axis=-1)[..., cols] / k)
+    with np.errstate(over="ignore"):
+        out = np.log1p(np.cumsum(np.expm1(xs), axis=-1)[..., cols] / k)
+    if not np.isfinite(out).all():
+        raise OverflowError(f"generator {gen.describe()} produced a non-finite value")
+    return out
 
 
 def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
@@ -245,7 +250,7 @@ def bajraktarevic_mean(f: Generator, g: Generator, x) -> float:
 
 
 def deviation_mean(dev: DeviationSpec, x) -> float:
-    """Unique root y in [min(x), max(x)] of sum_i E(x_i, y) = 0, the mean
-    the deviation lowers to (:meth:`~hardymeans.core.Deviation.lowered`); a
-    pair whose f/g is not increasing raises ValueError."""
+    """Unique root y in [min(x), max(x)] of sum_i E(x_i, y) = 0, evaluated
+    as the deviation's canonical node; a pair whose f/g is not increasing
+    raises ValueError."""
     return evaluate(Deviation(dev), x)

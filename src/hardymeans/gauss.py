@@ -44,8 +44,8 @@ def _step(means: tuple, w: np.ndarray, cols) -> np.ndarray:
 def gauss_kernel(
     means: tuple, xs: np.ndarray, cols, cfg: GaussConfig = GaussConfig()
 ) -> np.ndarray:
-    """Gaussian product, by a Gauss node's children, of the prefixes
-    ``cols`` of every row of a validated sample array; see
+    """Gaussian product, by a canonical Gauss node's children, of the
+    prefixes ``cols`` of every row of a validated sample array; see
     :func:`gauss_product` for the stopping rule."""
     lo = np.minimum.accumulate(xs, axis=-1)[..., cols]
     hi = np.maximum.accumulate(xs, axis=-1)[..., cols]
@@ -87,7 +87,7 @@ def gauss_kernel(
 
 def gauss_step(means: Sequence[MeanExpr], v) -> np.ndarray:
     """One simultaneous step: component i is means[i] evaluated on v."""
-    return _step(Gauss(means).children, as_samples(v), LAST_PREFIX)[0]
+    return _step(Gauss(means).canonical().children, as_samples(v), LAST_PREFIX)[0]
 
 
 def gauss_product(
@@ -100,4 +100,5 @@ def gauss_product(
     Raises NonConvergenceError (with the gap and the iterations run)
     after cfg.max_iterations, or within four steps of a stall.
     """
-    return float(gauss_kernel(Gauss(means).children, as_samples(v), LAST_PREFIX, cfg)[0])
+    children = Gauss(means).canonical().children
+    return float(gauss_kernel(children, as_samples(v), LAST_PREFIX, cfg)[0])

@@ -17,7 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from .core import MeanExpr, as_samples, evaluate, evaluate_batch, prefix_means
-from .probes import length_groups, sample_vector
+from .probes import ProbeConfig, length_groups, sample_vector
 
 __all__ = [
     "MAX_COEFFICIENT_N",
@@ -162,14 +162,13 @@ def kedlaya_matrix(n: int) -> KedlayaMatrix:
     size = factorial(n)
     entries = np.zeros((size, size), dtype=np.int64)
     symbols = np.arange(1, n + 1)
+    # row r of a block is its first row shifted left by r
+    cyclic = np.add.outer(np.arange(m), np.arange(m)) % m
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             counts = [table.coefficient(i, j, k) for k in range(1, n + 1)]
             first = np.repeat(symbols, counts)
-            block = np.empty((m, m), dtype=np.int64)
-            for r in range(m):
-                block[r] = np.roll(first, -r)
-            entries[(i - 1) * m : i * m, (j - 1) * m : j * m] = block
+            entries[(i - 1) * m : i * m, (j - 1) * m : j * m] = first[cyclic]
     return KedlayaMatrix(n=n, entries=entries)
 
 
@@ -213,8 +212,10 @@ def kedlaya_margins(
     """Margins of check_kedlaya_inequality on seeded log-uniform vectors.
 
     The moderate entry range keeps floating-point noise in the margins
-    well below the 1e-12 resolution used to call a violation.
+    well below the 1e-12 resolution used to call a violation.  The
+    arguments are validated as a :class:`~hardymeans.probes.ProbeConfig`.
     """
+    ProbeConfig(samples=samples, dims=dims, seed=seed, entry_range=entry_range)
     rng = np.random.default_rng(seed)
     lengths = rng.integers(dims[0], dims[1] + 1, size=samples)
     margins = np.empty(samples)

@@ -132,6 +132,18 @@ class TestHardyCommand:
         del payload["command"], gini["command"]
         assert payload == gini
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["quasi(pow:-300)", "bajrak(pow:-300,pow:0)"])
+    def test_power_forms_report_as_the_power_mean(self, capsys, text):
+        # both are power(-300), whose log-domain kernel does not overflow
+        code, out, err = run(capsys, ["hardy", text])
+        assert (code, err) == (0, "")
+        code, power_out, _ = run(capsys, ["hardy", "power(-300)"])
+        assert code == 0
+        payload, power = json.loads(out), json.loads(power_out)
+        del payload["command"], power["command"]
+        assert payload == power
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "pn.csv"
         code, _, _ = run(
@@ -221,6 +233,11 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["margin_min"] >= -1e-12
+
+    def test_kedlaya_check_without_samples_is_usage_error(self, capsys):
+        code, _, err = run(capsys, ["kedlaya", "check", "power(0)", "--samples", "0"])
+        assert code == 2
+        assert err == "E_INVALID: samples must be at least 1\n"
 
     def test_kedlaya_matrix_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["kedlaya", "matrix", "--n", "9"])

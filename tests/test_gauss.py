@@ -115,6 +115,18 @@ class TestGaussProperties:
             chord = 0.5 * (hm.gauss_product(HG, u) + hm.gauss_product(HG, w))
             assert mid >= chord - 1e-10 * max(mid, chord)
 
+    def test_children_run_their_canonical_kernels(self, rng):
+        # gini(0,-2) is power(-2), so the two products are one computation
+        for _ in range(300):
+            v = log_uniform(rng, int(rng.integers(2, 7)))
+            assert hm.gauss_product((hm.Gini(0.0, -2.0), hm.GEOM), v) == hm.gauss_product(
+                (hm.Power(-2.0), hm.GEOM), v
+            )
+            assert np.array_equal(
+                hm.gauss_step((hm.Gini(0.0, -2.0), hm.GEOM), v),
+                hm.gauss_step((hm.Power(-2.0), hm.GEOM), v),
+            )
+
     def test_envelope_is_monotone(self, rng):
         for _ in range(10):
             v = log_uniform(rng, 4, 1e-2, 1e2)

@@ -103,6 +103,15 @@ class TestMatrix:
                         list(np.bincount(block[:, r], minlength=n + 1)[1:]) == expected
                     )
 
+    @pytest.mark.parametrize("n", range(2, MAX_MATRIX_N + 1))
+    def test_block_rows_are_left_shifts_of_the_first(self, n):
+        matrix = hm.kedlaya_matrix(n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                block = matrix.block(i, j)
+                shifted = [np.roll(block[0], -r) for r in range(block.shape[0])]
+                assert np.array_equal(block, shifted)
+
     def test_first_block_row_is_ascending(self):
         matrix = hm.kedlaya_matrix(4)
         for i in range(1, 5):
@@ -141,6 +150,19 @@ class TestInequalityChecks:
             margins = hm.kedlaya_margins(expr, samples=120, seed=6)
             assert margins.min() >= -1e-12, expr
         assert checked >= 5  # the concave core of the zoo
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"samples": 0}, "samples must be at least 1"),
+            ({"entry_range": (10.0, 0.1)}, "entry_range must satisfy"),
+            ({"dims": (3, 1)}, "dims must satisfy"),
+            ({"dims": (0, 4)}, "dims must satisfy"),
+        ],
+    )
+    def test_margin_arguments_validated(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            hm.kedlaya_margins(hm.Power(0), **kwargs)
 
     def test_dominated_variant_trivial_dimension(self):
         assert hm.check_dominated_kedlaya(hm.Power(0), [1.0]) == pytest.approx(

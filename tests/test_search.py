@@ -14,7 +14,8 @@ from conftest import BISECTED, MODERATE, ZOO, log_uniform
 
 MEANS = {**ZOO, **BISECTED}
 NAMES = sorted(MEANS)
-QUASI_POW_M2 = hm.QuasiArithmetic(hm.power_generator(-2))
+# a bisected pair whose g = t**-2 overflows at entries like 1e-200 and 1e-300
+OVERFLOWING_PAIR = hm.Bajraktarevic(hm.EXP, hm.power_generator(-2))
 
 
 def compositions(total, parts):
@@ -99,13 +100,16 @@ class TestStackedRatio:
         points = hardy._softmax_points(z)
         assert points[1, 1] == 1e-300
         with pytest.raises(OverflowError):
-            hm.hardy_ratio(QUASI_POW_M2, points)
+            hm.hardy_ratio(OVERFLOWING_PAIR, points)
         with pytest.raises(OverflowError):
-            hm.hardy_ratio(QUASI_POW_M2, points[1])
-        values = hardy._negated_ratios(QUASI_POW_M2, z)
+            hm.hardy_ratio(OVERFLOWING_PAIR, points[1])
+        values = hardy._negated_ratios(OVERFLOWING_PAIR, z)
         assert values[1] == math.inf
-        assert values[0] == -hm.hardy_ratio(QUASI_POW_M2, points[0])
-        assert values[2] == -hm.hardy_ratio(QUASI_POW_M2, points[2])
+        assert values[0] == -hm.hardy_ratio(OVERFLOWING_PAIR, points[0])
+        assert values[2] == -hm.hardy_ratio(OVERFLOWING_PAIR, points[2])
+        # quasi(pow:-2) is power(-2), whose log-domain kernel does not overflow
+        quasi = hm.QuasiArithmetic(hm.power_generator(-2))
+        assert np.array_equal(hm.hardy_ratio(quasi, points), hm.hardy_ratio(hm.Power(-2), points))
 
 
 def rosenbrock(z):
@@ -175,9 +179,9 @@ class TestSequenceBoundMatchesScipy:
             cfg = hm.SearchConfig(
                 restarts=6, seed=n, budget=200, extra_starts=((1.0,) + (1e-200,) * (n - 1),)
             )
-            bound = hm.hardy_sequence_bound(QUASI_POW_M2, n, cfg)
+            bound = hm.hardy_sequence_bound(OVERFLOWING_PAIR, n, cfg)
             found = (bound.estimate, bound.maximizer, bound.trace, bound.restarts)
-            assert found == scipy_sequence_bound(QUASI_POW_M2, n, cfg)
+            assert found == scipy_sequence_bound(OVERFLOWING_PAIR, n, cfg)
             assert -math.inf in bound.trace
 
     def test_fixed_and_extra_starts_always_run(self):
@@ -215,7 +219,7 @@ class TestSimplexGrid:
 
     def test_failing_point_raises_as_in_loop(self):
         with pytest.raises(OverflowError) as stacked:
-            hm.simplex_grid_bound(QUASI_POW_M2, 3, 8, floor=1e-200)
+            hm.simplex_grid_bound(OVERFLOWING_PAIR, 3, 8, floor=1e-200)
         with pytest.raises(OverflowError) as looped:
-            grid_loop(QUASI_POW_M2, 3, 8, floor=1e-200)
+            grid_loop(OVERFLOWING_PAIR, 3, 8, floor=1e-200)
         assert str(stacked.value) == str(looped.value)
