@@ -359,7 +359,8 @@ class QuasiArithmetic(MeanExpr):
             )
 
     def kernel(self, xs, cols):
-        return families.quasi_arithmetic_kernel(self.gen, xs, cols)
+        assert self.gen == EXP, "every other generator's canonical node is a power mean"
+        return families.quasi_exp_kernel(xs, cols)
 
     def canonical(self):
         """The log generator gives the geometric mean, a signed power

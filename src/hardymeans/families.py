@@ -46,7 +46,7 @@ from .core import (
 
 __all__ = [
     "power_kernel",
-    "quasi_arithmetic_kernel",
+    "quasi_exp_kernel",
     "gini_kernel",
     "bajraktarevic_kernel",
     "power_mean",
@@ -106,18 +106,17 @@ def power_kernel(p: float, xs: np.ndarray, cols) -> np.ndarray:
     return out
 
 
-def quasi_arithmetic_kernel(gen: Generator, xs: np.ndarray, cols) -> np.ndarray:
-    """Inverse of gen applied to the plain average of gen(x_i); for exp,
-    log1p of the average of expm1(x_i), which keeps its digits where the
-    average of exp(x_i) is near 1.  Overflow inside the generator is
-    reported as OverflowError, never silently replaced."""
+def quasi_exp_kernel(xs: np.ndarray, cols) -> np.ndarray:
+    """Quasi-arithmetic mean of the exp generator, log1p of the plain
+    average of expm1(x_i), which keeps its digits where the average of
+    exp(x_i) is near 1.  It is the only quasi-arithmetic kernel: every
+    other generator's mean is a power mean (``QuasiArithmetic.canonical``).
+    Overflow is reported as OverflowError, never silently replaced."""
     k = _counts(xs, cols)
-    if gen.kind != "exp":
-        return gen.inverse(np.cumsum(gen(xs), axis=-1)[..., cols] / k)
     with np.errstate(over="ignore"):
         out = np.log1p(np.cumsum(np.expm1(xs), axis=-1)[..., cols] / k)
     if not np.isfinite(out).all():
-        raise OverflowError(f"generator {gen.describe()} produced a non-finite value")
+        raise OverflowError("quasi(exp): the average of exp(x) overflows on the sample")
     return out
 
 

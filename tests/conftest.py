@@ -42,3 +42,83 @@ MODERATE = (0.1, 10.0)
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _generator(mp, g, t):
+    if g.kind == "identity":
+        return t
+    if g.kind == "log":
+        return mp.log(t)
+    if g.kind == "exp":
+        return mp.exp(t)
+    sign = -1 if g.kind == "neg_pow" else 1
+    return sign * t ** mp.mpf(g.p)
+
+
+def _bisect(mp, h, lo, hi):
+    """The zero of h, which changes sign once on [lo, hi], by bisection
+    to the working precision."""
+    rising, width = h(hi) > h(lo), mp.mpf(10) ** (3 - mp.dps) * hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if (h(mid) < 0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def oracle_mean(expr, xs):
+    """The mean at xs, a list of mpmath numbers, to the working precision,
+    straight from the definition of the node as written and not through
+    canonical(): plain power sums, a bisection for implicit means, and the
+    iteration itself for a Gaussian product."""
+    mp = pytest.importorskip("mpmath").mp
+    gen = lambda g, t: _generator(mp, g, t)  # noqa: E731
+    n = len(xs)
+    if isinstance(expr, hm.Power):
+        if expr.p == 0:
+            return mp.exp(mp.fsum(map(mp.log, xs)) / n)
+        p = mp.mpf(expr.p)
+        return (mp.fsum(x**p for x in xs) / n) ** (1 / p)
+    if isinstance(expr, hm.Gini):
+        p, q = mp.mpf(expr.p), mp.mpf(expr.q)
+        if p == q:
+            w = [x**p for x in xs]
+            return mp.exp(mp.fsum(wi * mp.log(x) for wi, x in zip(w, xs)) / mp.fsum(w))
+        return (mp.fsum(x**p for x in xs) / mp.fsum(x**q for x in xs)) ** (1 / (p - q))
+    if isinstance(expr, hm.QuasiArithmetic):
+        s = mp.fsum(gen(expr.gen, x) for x in xs) / n
+        g = expr.gen
+        if g.kind == "identity":
+            return s
+        if g.kind == "log":
+            return mp.exp(s)
+        if g.kind == "exp":
+            return mp.log(s)
+        return (s if g.kind == "pow" else -s) ** (1 / mp.mpf(g.p))
+    if isinstance(expr, hm.Bajraktarevic):
+        f, g = expr.f, expr.g
+        target = mp.fsum(gen(f, x) for x in xs) / mp.fsum(gen(g, x) for x in xs)
+        return _bisect(mp, lambda y: gen(f, y) / gen(g, y) - target, min(xs), max(xs))
+    if isinstance(expr, hm.Deviation):
+        dev = expr.dev
+        if dev == hm.ARITHMETIC_DEVIATION:
+            return _bisect(mp, lambda y: mp.fsum(x - y for x in xs), min(xs), max(xs))
+        fx, gx = [gen(dev.f, x) for x in xs], [gen(dev.g, x) for x in xs]
+
+        def total(y):  # the sum of E(x, y) = f(x) - g(x) (f/g)(y)
+            ratio = gen(dev.f, y) / gen(dev.g, y)
+            return mp.fsum(f - g * ratio for f, g in zip(fx, gx))
+
+        return _bisect(mp, total, min(xs), max(xs))
+    if isinstance(expr, hm.Gauss):
+        w = list(xs)
+        while max(w) - min(w) > mp.mpf(10) ** (3 - mp.dps) * max(w):
+            w = [oracle_mean(child, w) for child in expr.children]
+        return (max(w) + min(w)) / 2
+    if isinstance(expr, hm.MinOf):
+        return min(xs)
+    if isinstance(expr, hm.MaxOf):
+        return max(xs)
+    raise TypeError(expr)

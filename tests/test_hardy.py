@@ -10,7 +10,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.hardy import default_y_grid
-from conftest import BISECTED, ZOO, log_uniform
+from conftest import BISECTED, ZOO, log_uniform, oracle_mean
 
 
 def power_constant(p):
@@ -73,21 +73,46 @@ class TestCanonical:
                 entry(bad)
 
     def test_every_reduction_is_exact(self):
-        rng = np.random.default_rng(20260)
         compared = 0
-        for _ in range(2000):
-            expr = _random_tree(rng)
-            reduced = hm.canonical(expr)
-            for _ in range(2):
-                x = log_uniform(rng, int(rng.integers(1, 9)), 0.1, 10.0)
-                try:
-                    value = hm.evaluate(expr, x)
-                except (OverflowError, hm.MeanComputationError):
-                    continue  # not evaluable on x (a generator overflows)
-                # evaluation runs the canonical node's kernel
-                assert hm.evaluate(reduced, x) == value, (expr, x)
-                compared += 1
+        for expr, x, value in _evaluated_trees():
+            # evaluation runs the canonical node's kernel
+            assert hm.evaluate(hm.canonical(expr), x) == value, (expr, x)
+            compared += 1
         assert compared >= 3000
+
+    def test_every_reduction_matches_oracle(self):
+        # the oracle evaluates each reducible tree as written, so a wrong
+        # reduction rule shows here (the kernels of canonical nodes have
+        # tests/test_oracle.py).  A Gauss product stops within its
+        # tolerance, 1e-13, and costs the oracle about 60 ms, so only the
+        # first 60 products are checked.
+        mp = pytest.importorskip("mpmath").mp
+        compared, products = 0, 0
+        with mp.workdps(25):
+            for expr, x, value in _evaluated_trees():
+                gauss = isinstance(expr, hm.Gauss)
+                if hm.canonical(expr) == expr or gauss and products == 60:
+                    continue
+                exact = oracle_mean(expr, [mp.mpf(float(v)) for v in x])
+                bound = 1e-13 if gauss else 4e-15
+                assert abs(value - exact) <= bound * exact, (expr, x)
+                compared, products = compared + 1, products + gauss
+        assert compared >= 1500
+
+
+def _evaluated_trees():
+    """(tree, x, evaluate(tree, x)) for 2,000 random trees on two vectors
+    each, skipping the vectors a tree cannot evaluate (a generator
+    overflows)."""
+    rng = np.random.default_rng(20260)
+    for _ in range(2000):
+        expr = _random_tree(rng)
+        for _ in range(2):
+            x = log_uniform(rng, int(rng.integers(1, 9)), 0.1, 10.0)
+            try:
+                yield expr, x, hm.evaluate(expr, x)
+            except (OverflowError, hm.MeanComputationError):
+                continue
 
 
 _EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)

@@ -1,8 +1,9 @@
 """evaluate against an independent 50-digit oracle, and the agreement of
 evaluate, evaluate_batch and prefix_means as a property test.
 
-The oracle re-derives each mean from its definition in mpmath: plain
-power sums, a 50-digit bisection for implicit means.  Its inputs are the
+The oracle (``conftest.oracle_mean``) re-derives each mean from its
+definition in mpmath: plain power sums, a 50-digit bisection for
+implicit means.  Its inputs are the
 exact binary floats the package receives, so an error measures the
 package's arithmetic and not the rounding of its inputs.
 """
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import hardymeans as hm
-from conftest import BISECTED, ZOO, log_uniform
+from conftest import BISECTED, ZOO, log_uniform, oracle_mean
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -28,57 +29,6 @@ REL_BOUND = 4e-15
 # it: it sums x**p ln x, whose terms change sign on entries in [1e-3, 1e3]
 # (4.7e-15; 7.0e-16 with pairwise sums).
 LOOSER_BOUNDS = {"gini(-0.5,-0.5)": 1e-14}
-
-
-def _gen(g, t):
-    if g.kind == "identity":
-        return t
-    if g.kind == "log":
-        return mp.log(t)
-    if g.kind == "exp":
-        return mp.exp(t)
-    sign = -1 if g.kind == "neg_pow" else 1
-    return sign * t ** mpf(g.p)
-
-
-def _oracle_mean(expr, xs):
-    """The mean at xs, to 50 digits, straight from its definition."""
-    n = len(xs)
-    if isinstance(expr, hm.Power):
-        if expr.p == 0:
-            return mp.exp(mp.fsum(map(mp.log, xs)) / n)
-        p = mpf(expr.p)
-        return (mp.fsum(x**p for x in xs) / n) ** (1 / p)
-    if isinstance(expr, hm.Gini):
-        p, q = mpf(expr.p), mpf(expr.q)
-        if p == q:
-            w = [x**p for x in xs]
-            return mp.exp(mp.fsum(wi * mp.log(x) for wi, x in zip(w, xs)) / mp.fsum(w))
-        return (mp.fsum(x**p for x in xs) / mp.fsum(x**q for x in xs)) ** (1 / (p - q))
-    if isinstance(expr, hm.QuasiArithmetic):
-        s = mp.fsum(_gen(expr.gen, x) for x in xs) / n
-        g = expr.gen
-        if g.kind == "identity":
-            return s
-        if g.kind == "log":
-            return mp.exp(s)
-        if g.kind == "exp":
-            return mp.log(s)
-        return (s if g.kind == "pow" else -s) ** (1 / mpf(g.p))
-    if isinstance(expr, hm.Bajraktarevic):
-        f, g = expr.f, expr.g
-        ratio = lambda y: _gen(f, y) / _gen(g, y)  # noqa: E731
-        target = mp.fsum(_gen(f, x) for x in xs) / mp.fsum(_gen(g, x) for x in xs)
-        lo, hi = min(xs), max(xs)
-        increasing = ratio(hi) > ratio(lo)
-        while hi - lo > mpf(10) ** (3 - DIGITS) * hi:
-            mid = (lo + hi) / 2
-            if (ratio(mid) < target) == increasing:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
-    raise TypeError(expr)
 
 
 ORACLE_MEANS = {
@@ -123,7 +73,7 @@ def test_evaluate_matches_oracle(name):
     with mp.workdps(DIGITS):
         for n in LENGTHS:
             for x in _vectors(name, n):
-                exact = _oracle_mean(expr, [mpf(float(v)) for v in x])
+                exact = oracle_mean(expr, [mpf(float(v)) for v in x])
                 value = hm.evaluate(expr, x)
                 worst = max(worst, float(abs(mpf(value) - exact) / exact))
     assert worst <= LOOSER_BOUNDS.get(name, REL_BOUND), f"{name}: relative error {worst:.3g}"
