@@ -33,6 +33,7 @@ from .core import (
     ClosedForm,
     MeanComputationError,
     MeanExpr,
+    _selected_means,
     as_mean_expr,
     as_sample_rows,
     as_samples,
@@ -339,7 +340,7 @@ def hardy_ratio(expr: MeanExpr, x) -> float | np.ndarray:
     to the call on that row alone.
     """
     xs = as_sample_rows(x)
-    means = prefix_means(expr, xs)
+    means = _selected_means(expr, xs, slice(None))  # prefix_means, validated once
     if xs.ndim == 1:
         return math.fsum(means) / math.fsum(xs)
     n = xs.shape[-1]
@@ -407,8 +408,11 @@ def _softmax_points(z: np.ndarray) -> np.ndarray:
 def _negated_ratios(expr: MeanExpr, z: np.ndarray) -> np.ndarray:
     """Search objective on a stack of parameter rows: minus the n-term
     ratio at each softmax point.  A row whose ratio raises OverflowError
-    or MeanComputationError scores +inf.  Rows are independent, so after
-    a stack fails each of its rows is re-scored alone."""
+    or MeanComputationError scores +inf.  The softmax point of a finite
+    row is a valid sample, so on finite rows the objective never raises,
+    as the search requires: it also scores candidates it then discards.
+    Rows are independent, so after a stack fails each of its rows is
+    re-scored alone."""
     points = _softmax_points(z)
     try:
         return -hardy_ratio(expr, points)

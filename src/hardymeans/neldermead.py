@@ -3,8 +3,10 @@
 Each start runs as its own coroutine that yields the points it needs
 scored; :func:`minimize_lockstep` gathers the pending points of every
 live start into one stack per round, so a vectorized objective pays its
-per-call cost once per round instead of once per point.  Each start
-follows exactly the path it would follow alone.
+per-call cost once per round instead of once per point.  An iteration
+asks for all four of its one-point candidates in one round, so a start
+needs one round per iteration (two when it shrinks) instead of two.
+Each start follows exactly the path it would follow alone.
 """
 from __future__ import annotations
 
@@ -24,11 +26,19 @@ def nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     A step-for-step port of SciPy's Nelder-Mead minimizer with
     ``adaptive=True``, ``maxiter = maxfev`` and no bounds or callback,
     so it reproduces SciPy's x, fun and nfev bit for bit.  It yields
-    each batch of points it needs scored (the initial simplex, a
-    reflection, an expansion or contraction, the shrunk vertices) as a
-    (k, N) array, is sent their k values, and returns (x, fun, nfev).
-    As in SciPy, every evaluation past ``maxfev`` is refused, which
-    abandons the iteration in progress.
+    each batch of points it needs scored as a (k, N) array, is sent
+    their k values, and returns (x, fun, nfev).  The batches are the
+    initial simplex (N + 1 rows); then, per iteration, the four
+    one-point candidates (reflection, expansion, outside and inside
+    contraction, 4 rows), and after a failed contraction the shrunk
+    vertices (at most N rows).
+
+    Only the candidates that SciPy's sequential path scores count
+    towards ``maxfev``, and as in SciPy every evaluation past ``maxfev``
+    is refused, which abandons the iteration in progress.  The objective
+    thus also scores points SciPy skips: it must be a pure function of
+    each row that returns a value (+inf for an infeasible point) and
+    never raises.
     """
     N = len(x0)
     dim = float(N)
@@ -38,6 +48,10 @@ def nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     sigma = 1 - 1 / dim
     nonzdelt = 0.05
     zdelt = 0.00025
+    # the iteration's four one-point candidates, a * xbar + b * sim[-1]:
+    # reflection, expansion, outside and inside contraction
+    along_xbar = np.array([[1 + rho], [1 + rho * chi], [1 + psi * rho], [1 - psi]])
+    along_worst = np.array([[-rho], [-rho * chi], [-psi * rho], [psi]])
 
     sim = np.empty((N + 1, N), dtype=float)
     sim[0] = x0
@@ -61,10 +75,12 @@ def nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
         if take < len(points):
             raise _BudgetSpent
 
-    def one(point: np.ndarray):
-        value = np.empty(1)
-        yield from func(point[None], value)
-        return value[0]
+    def spend() -> None:
+        # the sequential path scores one candidate: refused past maxfev
+        nonlocal fcalls
+        if fcalls == maxfev:
+            raise _BudgetSpent
+        fcalls += 1
 
     try:
         yield from func(sim, fsim)
@@ -91,12 +107,12 @@ def nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
             if converged:
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = yield from one(xr)
+            xr, xe, xc, xcc = candidates = along_xbar * xbar + along_worst * sim[-1]
+            fxr, fxe, fxc, fxcc = yield candidates
+            spend()
             doshrink = 0
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = yield from one(xe)
+                spend()
                 if fxe < fxr:
                     sim[-1] = xe
                     fsim[-1] = fxe
@@ -107,17 +123,14 @@ def nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
                 sim[-1] = xr
                 fsim[-1] = fxr
             else:
+                spend()
                 if fxr < fsim[-1]:
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = yield from one(xc)
                     if fxc <= fxr:
                         sim[-1] = xc
                         fsim[-1] = fxc
                     else:
                         doshrink = 1
                 else:
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
-                    fxcc = yield from one(xcc)
                     if fxcc < fsim[-1]:
                         sim[-1] = xcc
                         fsim[-1] = fxcc
@@ -143,8 +156,12 @@ def minimize_lockstep(score, starts, maxfev: int, xatol: float, fatol: float) ->
 
     Each round gathers every live lane's pending points into one (rows,
     N) stack and scores it with one ``score`` call, which must return
-    one value per row.  Returns each lane's (x, fun, nfev), in start
-    order; every lane follows exactly the path it would follow alone.
+    one value per row.  A lane adds N + 1 rows in its first round, then
+    4 per iteration (its candidate points) or at most N (a shrink).
+    ``score`` must be a pure per-row function that does not raise: it
+    also scores candidates a lane then discards.  Returns each lane's
+    (x, fun, nfev), in start order; every lane follows exactly the path
+    it would follow alone.
     """
     lanes = [nelder_mead(np.asarray(z0, dtype=float), maxfev, xatol, fatol) for z0 in starts]
     results: list = [None] * len(lanes)

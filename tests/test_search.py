@@ -95,6 +95,13 @@ class TestStackedRatio:
         assert stacked.shape == (2, 3)
         assert stacked[1, 2] == hm.hardy_ratio(hm.Power(0.5), x[1, 2])
 
+    @pytest.mark.parametrize(
+        "x", [[], [1.0, 0.0], [1.0, math.nan], [1.0, math.inf], [[1.0, 2.0], [1.0, -1.0]]]
+    )
+    def test_rejects_invalid_rows(self, x):
+        with pytest.raises(ValueError):
+            hm.hardy_ratio(hm.Power(0), x)
+
     def test_failing_row_scores_inf_alone(self):
         z = np.array([[0.0, -1.0, -2.0], [0.0, -800.0, 0.0], [0.0, 0.5, -0.5]])
         points = hardy._softmax_points(z)
@@ -126,37 +133,92 @@ def terraced(z):
     return float(np.floor(4.0 * rosenbrock(z)))
 
 
+def scipy_minimize(fn, z0, maxfev):
+    optimize = pytest.importorskip("scipy.optimize")
+    return optimize.minimize(
+        fn,
+        z0,
+        method="Nelder-Mead",
+        options={
+            "maxfev": maxfev,
+            "maxiter": maxfev,
+            "xatol": 1e-12,
+            "fatol": 1e-14,
+            "adaptive": True,
+        },
+    )
+
+
+def port_starts(dim, rng):
+    starts = [np.zeros(dim), -np.arange(dim, dtype=float)]
+    return starts + [rng.normal(0.0, 1.0, size=dim) for _ in range(3)]
+
+
+def row_by_row(fn, rounds=None):
+    """``fn`` as a stacked objective, recording each round's row count."""
+
+    def score(stack):
+        if rounds is not None:
+            rounds.append(len(stack))
+        return np.array([fn(row) for row in stack])
+
+    return score
+
+
+FUNCTIONS = pytest.mark.parametrize(
+    "fn", [rosenbrock, walled, terraced], ids=lambda f: f.__name__
+)
+# over the budgets 3 to 40 on dims 2 and 3, an evaluation is refused at
+# every kind of step that can refuse one: in the initial simplex, at an
+# expansion, at a contraction and part way through a shrink (an iteration,
+# and so its reflection, starts only while budget is left)
+LONG_BUDGETS = (10, 25, 200, 2000)
+
+
 class TestNelderMeadPort:
-    @pytest.mark.parametrize("maxfev", [10, 25, 200, 2000])
-    @pytest.mark.parametrize("fn", [rosenbrock, walled, terraced], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("maxfev", sorted({*range(3, 41), *LONG_BUDGETS}))
+    @FUNCTIONS
     def test_matches_scipy(self, fn, maxfev):
-        optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(maxfev)
-        for dim in (2, 3, 5, 12):
-            starts = [np.zeros(dim), -np.arange(dim, dtype=float)]
-            starts += [rng.normal(0.0, 1.0, size=dim) for _ in range(3)]
-            results = minimize_lockstep(
-                lambda stack: np.array([fn(row) for row in stack]),
-                starts,
-                maxfev,
-                xatol=1e-12,
-                fatol=1e-14,
-            )
+        for dim in (2, 3, 5, 12) if maxfev in LONG_BUDGETS else (2, 3):
+            starts = port_starts(dim, rng)
+            results = minimize_lockstep(row_by_row(fn), starts, maxfev, xatol=1e-12, fatol=1e-14)
             for z0, (x, fun, nfev) in zip(starts, results):
-                res = optimize.minimize(
-                    fn,
-                    z0,
-                    method="Nelder-Mead",
-                    options={
-                        "maxfev": maxfev,
-                        "maxiter": maxfev,
-                        "xatol": 1e-12,
-                        "fatol": 1e-14,
-                        "adaptive": True,
-                    },
-                )
+                res = scipy_minimize(fn, z0, maxfev)
                 assert np.array_equal(x, res.x), (dim, z0)
                 assert fun == res.fun and nfev == res.nfev, (dim, z0)
+
+
+class TestLockstepRounds:
+    """A lane asks for one iteration's four candidates per round, or for
+    one shrink, so it never spends a round on a single point."""
+
+    @pytest.mark.parametrize("maxfev", [17, 200])
+    @FUNCTIONS
+    def test_rows_per_round(self, fn, maxfev):
+        rng = np.random.default_rng(maxfev)
+        for dim in (2, 3, 5):
+            starts = port_starts(dim, rng)
+            alone = []
+            for z0 in starts:
+                rounds = []
+                ((_, _, nfev),) = minimize_lockstep(
+                    row_by_row(fn, rounds), [z0], maxfev, xatol=1e-12, fatol=1e-14
+                )
+                assert nfev == scipy_minimize(fn, z0, maxfev).nfev, (dim, z0)
+                assert rounds[0] == dim + 1, (dim, z0)
+                # a shrink cut short by the budget is the lane's last round
+                assert all(rows in (4, dim) for rows in rounds[1:-1]), (dim, z0)
+                assert len(rounds) == 1 or rounds[-1] == 4 or rounds[-1] <= dim, (dim, z0)
+                alone.append(rounds)
+            # in lockstep, each round stacks the rows every live lane asks
+            # for at that round when run alone
+            rounds = []
+            minimize_lockstep(row_by_row(fn, rounds), starts, maxfev, xatol=1e-12, fatol=1e-14)
+            assert rounds == [
+                sum(lane[t] for lane in alone if t < len(lane))
+                for t in range(max(map(len, alone)))
+            ], dim
 
 
 class TestSequenceBoundMatchesScipy:
