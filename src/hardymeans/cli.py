@@ -251,13 +251,7 @@ def _cmd_kedlaya(args, argv) -> None:
         audit = table.audit()
         payload = _envelope(argv, None)
         payload["n"] = args.n
-        payload["coefficients"] = [
-            [
-                [table.coefficient(i, j, k) for k in range(1, args.n + 1)]
-                for j in range(1, args.n + 1)
-            ]
-            for i in range(1, args.n + 1)
-        ]
+        payload["coefficients"] = table.coefficients.tolist()
         payload["audit"] = audit
         payload["all_pass"] = all(audit.values())
         _emit(payload)

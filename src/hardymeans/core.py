@@ -111,20 +111,20 @@ def as_samples(x) -> np.ndarray:
 # generators
 
 
-# kind -> (function, inverse), each taking the kind's exponent p (None for
-# the kinds without one)
+# kind -> function, taking the kind's exponent p (None for the kinds
+# without one)
 _GENERATOR_KINDS = {
-    "identity": (lambda t, p: t + 0.0, lambda s, p: s + 0.0),
-    "log": (lambda t, p: np.log(t), lambda s, p: np.exp(s)),
-    "exp": (lambda t, p: np.exp(t), lambda s, p: np.log(s)),
-    "pow": (lambda t, p: t**p, lambda s, p: s ** (1.0 / p)),
-    "neg_pow": (lambda t, p: -(t**p), lambda s, p: (-s) ** (1.0 / p)),
+    "identity": lambda t, p: t + 0.0,
+    "log": lambda t, p: np.log(t),
+    "exp": lambda t, p: np.exp(t),
+    "pow": lambda t, p: t**p,
+    "neg_pow": lambda t, p: -(t**p),
 }
 
 
 @dataclass(frozen=True)
 class Generator:
-    """Named function on the positive half line with a known inverse.
+    """Named continuous function on the positive half line.
 
     Kinds: ``identity``, ``log``, ``exp``, ``pow`` (x**p) and ``neg_pow``
     (-x**p).  The sign-flipped power exists so that generator pairs whose
@@ -135,9 +135,9 @@ class Generator:
     decided exactly, by :func:`ratio_direction`.
 
     The catalogue is deliberately closed: arbitrary user callables are
-    not accepted, because every kind must guarantee continuity, known
-    monotonicity and an exact inverse.  Extending it means adding a row
-    to ``_GENERATOR_KINDS``.
+    not accepted, because every kind must guarantee continuity and known
+    monotonicity.  Extending it means adding a row to
+    ``_GENERATOR_KINDS``.
     """
 
     kind: str
@@ -160,21 +160,15 @@ class Generator:
         """The generator's values with no finiteness check, for points
         between data points where the checked call succeeded: every kind
         is monotone, so its values there are finite too."""
-        return _GENERATOR_KINDS[self.kind][0](t, self.p)
-
-    def _checked(self, which: int, t, what: str) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _GENERATOR_KINDS[self.kind][which](t, self.p)
-        if not np.isfinite(out).all():
-            raise OverflowError(f"{what} {self.describe()} produced a non-finite value")
-        return out
+        return _GENERATOR_KINDS[self.kind](t, self.p)
 
     def __call__(self, t):
-        return self._checked(0, t, "generator")
-
-    def inverse(self, s):
-        return self._checked(1, s, "inverse of generator")
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.unchecked(t)
+        if not np.isfinite(out).all():
+            raise OverflowError(f"generator {self.describe()} produced a non-finite value")
+        return out
 
     def describe(self) -> str:
         if self.kind == "identity":
@@ -288,8 +282,8 @@ class MeanExpr:
     evaluation runs the canonical node's ``kernel(xs, cols)``, so equal
     means give equal values.  A kernel works along the last axis of a
     validated sample array, keeps leading batch axes, and returns the mean
-    of every prefix that ``cols`` selects (index k is x[..., :k+1]; a slice
-    or an integer array, not a bare integer, so the axis stays).  On
+    of every prefix that the slice ``cols`` selects (index k is
+    x[..., :k+1]; a slice, not an integer, so the axis stays).  On
     canonical nodes, :meth:`closed_form` and :meth:`tolerance` are the
     registry entry.  The defaults here: no reduction, no registry entry.
     """
@@ -537,18 +531,13 @@ HARM = Power(-1.0)
 LAST_PREFIX = slice(-1, None)
 
 
-def _selected_means(expr: MeanExpr, xs: np.ndarray, cols) -> np.ndarray:
+def _selected_means(expr: MeanExpr, xs: np.ndarray, cols: slice) -> np.ndarray:
     """The kernel of ``expr``'s canonical node at the prefixes ``cols``,
-    with every one-entry prefix exactly its entry: every mean of one entry
-    is that entry, but the kernels' power sums would round it."""
+    with a selected one-entry prefix exactly its entry: every mean of one
+    entry is that entry, but the kernels' power sums would round it."""
     out = as_mean_expr(expr).canonical().kernel(xs, cols)
-    if isinstance(cols, slice):
-        picked = range(xs.shape[-1])[cols]
-        first = [picked.index(0)] if 0 in picked else []
-    else:
-        first = np.flatnonzero(cols == 0)
-    if len(first):
-        out[..., first] = xs[..., :1]
+    if cols.indices(xs.shape[-1])[0] == 0:
+        out[..., :1] = xs[..., :1]
     return out
 
 
@@ -571,20 +560,17 @@ def evaluate_batch(expr: MeanExpr, x) -> np.ndarray:
     return _selected_means(expr, as_sample_rows(x), LAST_PREFIX)[..., 0]
 
 
-def prefix_means(expr: MeanExpr, x, ns=None) -> np.ndarray:
-    """M(x[..., :n]) for each n in ``ns`` (all prefixes by default).
+def prefix_means(expr: MeanExpr, x, start: int = 1) -> np.ndarray:
+    """M(x[..., :n]) for n = start, ..., len (all prefixes by default).
 
     Runs the family's running-prefix kernel along the last axis of a
-    sample vector or of a stack of equal-length vectors; each n must lie
-    in [1, len].
+    sample vector or of a stack of equal-length vectors; ``start`` must
+    lie in [1, len].
     """
     xs = as_sample_rows(x)
-    if ns is None:
-        return _selected_means(expr, xs, slice(None))
-    ns = np.asarray(list(ns), dtype=int)
-    if not np.all((ns >= 1) & (ns <= xs.shape[-1])):
-        raise ValueError(f"prefix lengths must lie in [1, {xs.shape[-1]}]")
-    return _selected_means(expr, xs, ns - 1)
+    if not 1 <= start <= xs.shape[-1]:
+        raise ValueError(f"start must lie in [1, {xs.shape[-1]}], got {start}")
+    return _selected_means(expr, xs, slice(start - 1, None))
 
 
 # bound once, last: families and gauss import the names defined above

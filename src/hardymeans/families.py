@@ -2,7 +2,7 @@
 
 Every kernel works along the last axis of a validated sample array and
 accepts leading batch axes.  It computes running sums over each row and
-returns the means of the prefixes that ``cols`` selects (see
+returns the means of the prefixes that the slice ``cols`` selects (see
 :class:`~hardymeans.core.MeanExpr`; each family's node calls its
 kernel here): every prefix for the p_n sweep, a tail window for the
 y-grid, the last prefix for :func:`~hardymeans.core.evaluate`.  The

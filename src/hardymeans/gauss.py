@@ -45,8 +45,8 @@ def gauss_kernel(
     means: tuple, xs: np.ndarray, cols, cfg: GaussConfig = GaussConfig()
 ) -> np.ndarray:
     """Gaussian product, by a canonical Gauss node's children, of the
-    prefixes ``cols`` of every row of a validated sample array; see
-    :func:`gauss_product` for the stopping rule."""
+    prefixes that the slice ``cols`` selects in every row of a validated
+    sample array; see :func:`gauss_product` for the stopping rule."""
     lo = np.minimum.accumulate(xs, axis=-1)[..., cols]
     hi = np.maximum.accumulate(xs, axis=-1)[..., cols]
     gap = (hi - lo) / hi

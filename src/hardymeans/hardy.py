@@ -255,7 +255,6 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     # non-homogeneous: sup over the y-grid of a tail-window liminf estimate
     y_grid = cfg.y_grid if cfg.y_grid is not None else default_y_grid()
     window_lo = max(1, cfg.n_max // 2)
-    ns = range(window_lo, cfg.n_max + 1)
     n_arr = np.arange(window_lo, cfg.n_max + 1, dtype=float)
     best = -math.inf
     best_y = None
@@ -263,7 +262,7 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     for y in y_grid:
         x = y / np.arange(1.0, cfg.n_max + 1.0)
         try:
-            tail = prefix_means(expr, x, ns=ns)
+            tail = prefix_means(expr, x, window_lo)
             value = float(np.min(n_arr / y * tail))
         except (OverflowError, MeanComputationError) as exc:
             skipped.append(f"y={y:g} skipped ({type(exc).__name__})")
@@ -323,7 +322,7 @@ def liminf_ratio(expr: MeanExpr, sequence: str, n_max: int) -> LiminfEstimate:
         raise ValueError(f"unknown sequence {sequence!r}; choose from {sorted(SEQUENCES)}")
     xs = SEQUENCES[sequence](np.arange(1.0, n_max + 1.0))
     lo = max(1, n_max // 2)
-    tail = prefix_means(expr, xs, ns=range(lo, n_max + 1))
+    tail = prefix_means(expr, xs, lo)
     estimate = float(np.min(tail / xs[lo - 1 :]))
     return LiminfEstimate(sequence=sequence, n_max=n_max, window=(lo, n_max), estimate=estimate)
 

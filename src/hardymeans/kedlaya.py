@@ -17,7 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from .core import MeanExpr, as_samples, evaluate, evaluate_batch, prefix_means
-from .probes import ProbeConfig, length_groups, sample_vector
+from .probes import length_groups, sample_vector
 
 __all__ = [
     "MAX_COEFFICIENT_N",
@@ -37,6 +37,8 @@ __all__ = [
 MAX_COEFFICIENT_N = 12
 # the matrix has (n!)^2 entries; 6! = 720 keeps memory modest
 MAX_MATRIX_N = 6
+MARGIN_DIMS = (1, 6)
+MARGIN_ENTRY_RANGE = (0.1, 10.0)
 
 
 def _check_n(n: int, cap: int, *, floor: int = 1) -> None:
@@ -63,53 +65,45 @@ def kedlaya_coefficient(n: int, i: int, j: int, k: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KedlayaTable:
-    """All coefficients for a fixed n, keyed by (i, j, k)."""
+    """All coefficients for a fixed n: ``coefficients[i-1, j-1, k-1]`` is
+    a_k(i, j), as an int64 array (every coefficient is at most (n-1)!)."""
 
     n: int
-    coefficients: dict
+    coefficients: np.ndarray
 
     def coefficient(self, i: int, j: int, k: int) -> int:
-        return self.coefficients[(i, j, k)]
+        if not 1 <= min(i, j, k) <= max(i, j, k) <= self.n:
+            raise ValueError(f"i, j and k must lie in [1, {self.n}]")
+        return int(self.coefficients[i - 1, j - 1, k - 1])
 
     def audit(self) -> dict[str, bool]:
         """Exact integer checks of the six structural properties."""
         n, c = self.n, self.coefficients
-        rng = range(1, n + 1)
-        return {
-            "nonnegative": all(v >= 0 for v in c.values()),
-            "integral": all(isinstance(v, int) for v in c.values()),
-            "vanishes_beyond_min": all(
-                c[(i, j, k)] == 0
-                for i in rng
-                for j in rng
-                for k in rng
-                if k > min(i, j)
-            ),
-            "symmetric": all(
-                c[(i, j, k)] == c[(j, i, k)] for i in rng for j in rng for k in rng
-            ),
-            "row_sum": all(
-                sum(c[(i, j, k)] for k in rng) == factorial(n - 1)
-                for i in rng
-                for j in rng
-            ),
-            "column_sum": all(
-                sum(c[(i, j, k)] for i in rng)
-                == (factorial(n) // j if k <= j else 0)
-                for j in rng
-                for k in rng
+        sym = np.arange(1, n + 1)
+        smaller = np.minimum.outer(sym, sym)[..., None]  # min(i, j), by (i, j)
+        checks = {
+            "nonnegative": np.all(c >= 0),
+            "integral": c.dtype == np.int64,
+            "vanishes_beyond_min": np.all(c[sym > smaller] == 0),
+            "symmetric": np.array_equal(c, c.transpose(1, 0, 2)),
+            "row_sum": np.all(c.sum(axis=2) == factorial(n - 1)),
+            # column (j, k) sums to n!/j for k <= j, else 0
+            "column_sum": np.array_equal(
+                c.sum(axis=0), np.where(sym <= sym[:, None], factorial(n) // sym[:, None], 0)
             ),
         }
+        return {name: bool(ok) for name, ok in checks.items()}
 
 
 def kedlaya_table(n: int) -> KedlayaTable:
     _check_n(n, MAX_COEFFICIENT_N)
     rng = range(1, n + 1)
-    coefficients = {
-        (i, j, k): kedlaya_coefficient(n, i, j, k) for i in rng for j in rng for k in rng
-    }
+    coefficients = np.array(
+        [[[kedlaya_coefficient(n, i, j, k) for k in rng] for j in rng] for i in rng],
+        dtype=np.int64,
+    )
     return KedlayaTable(n=n, coefficients=coefficients)
 
 
@@ -134,24 +128,18 @@ class KedlayaMatrix:
         m = self.block_size
         return self.entries[(i - 1) * m : i * m, (j - 1) * m : j * m]
 
-    def band(self, p: int) -> int:
-        """Block-row index b(p) = floor((p-1)/(n-1)!) + 1 for a 1-based p."""
-        return (p - 1) // self.block_size + 1
-
-    def expected_count(self, p: int, k: int) -> int:
-        """Occurrences of symbol k required in row (and column) p."""
-        b = self.band(p)
-        return factorial(self.n) // b if k <= b else 0
-
     def audit_occurrences(self) -> bool:
-        """Exhaustively verify row and column symbol counts."""
-        size = factorial(self.n)
-        for p in range(1, size + 1):
-            expected = [self.expected_count(p, k) for k in range(1, self.n + 1)]
-            row = np.bincount(self.entries[p - 1], minlength=self.n + 1)[1:]
-            col = np.bincount(self.entries[:, p - 1], minlength=self.n + 1)[1:]
-            if list(row) != expected or list(col) != expected:
-                return False
+        """Exhaustively verify row and column symbol counts: row and
+        column p carry symbol k n!/b times for k <= b and never for k > b,
+        where b = floor((p-1)/(n-1)!) + 1 is the block row of p."""
+        n, size = self.n, factorial(self.n)
+        band = np.arange(size) // self.block_size + 1
+        for k in range(1, n + 1):
+            expected = np.where(k <= band, size // band, 0)
+            at_k = self.entries == k
+            for axis in (1, 0):
+                if not np.array_equal(np.count_nonzero(at_k, axis=axis), expected):
+                    return False
         return True
 
 
@@ -166,8 +154,7 @@ def kedlaya_matrix(n: int) -> KedlayaMatrix:
     cyclic = np.add.outer(np.arange(m), np.arange(m)) % m
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            counts = [table.coefficient(i, j, k) for k in range(1, n + 1)]
-            first = np.repeat(symbols, counts)
+            first = np.repeat(symbols, table.coefficients[i - 1, j - 1])
             entries[(i - 1) * m : i * m, (j - 1) * m : j * m] = first[cyclic]
     return KedlayaMatrix(n=n, entries=entries)
 
@@ -202,25 +189,21 @@ def check_dominated_kedlaya(expr: MeanExpr, x) -> float:
     return rhs - math.fsum(prefix_means(expr, xs))
 
 
-def kedlaya_margins(
-    expr: MeanExpr,
-    samples: int = 500,
-    seed: int = 0,
-    dims: tuple[int, int] = (1, 6),
-    entry_range: tuple[float, float] = (0.1, 10.0),
-) -> np.ndarray:
-    """Margins of check_kedlaya_inequality on seeded log-uniform vectors.
+def kedlaya_margins(expr: MeanExpr, samples: int = 500, seed: int = 0) -> np.ndarray:
+    """Margins of check_kedlaya_inequality on seeded log-uniform vectors
+    of lengths in MARGIN_DIMS and entries in MARGIN_ENTRY_RANGE.
 
     The moderate entry range keeps floating-point noise in the margins
-    well below the 1e-12 resolution used to call a violation.  The
-    arguments are validated as a :class:`~hardymeans.probes.ProbeConfig`.
+    well below the 1e-12 resolution used to call a violation.
     """
-    ProbeConfig(samples=samples, dims=dims, seed=seed, entry_range=entry_range)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(dims[0], dims[1] + 1, size=samples)
+    lengths = rng.integers(MARGIN_DIMS[0], MARGIN_DIMS[1] + 1, size=samples)
     margins = np.empty(samples)
-    for d, idx in length_groups(lengths, dims):
-        margins[idx] = _prefix_average_margins(expr, sample_vector(rng, (idx.size, d), entry_range))
+    for d, idx in length_groups(lengths, MARGIN_DIMS):
+        x = sample_vector(rng, (idx.size, d), MARGIN_ENTRY_RANGE)
+        margins[idx] = _prefix_average_margins(expr, x)
     return margins
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.hardy import default_y_grid
-from conftest import BISECTED, ZOO, log_uniform, oracle_mean
+from conftest import BISECTED, MODERATE, ZOO, log_uniform, oracle_mean
 
 
 def power_constant(p):
@@ -237,6 +237,11 @@ PREFIX_CASES = {
 }
 
 
+def _mean_and_entry_range(name):
+    """A ZOO or BISECTED mean and the entry range it is tested on."""
+    return (BISECTED[name], MODERATE) if name in BISECTED else (ZOO[name], (1e-3, 1e3))
+
+
 class TestPrefixMeans:
     @pytest.mark.parametrize("name", list(PREFIX_CASES))
     def test_matches_direct_evaluation(self, name, rng):
@@ -257,24 +262,28 @@ class TestPrefixMeans:
             for row, values in zip(stack, out):
                 np.testing.assert_array_equal(values, hm.prefix_means(ZOO[name], row))
 
-    def test_subset_of_lengths(self, rng):
-        x = log_uniform(rng, 30)
-        ns = [3, 7, 30]
-        out = hm.prefix_means(hm.Power(0.5), x, ns=ns)
-        assert out.shape == (3,)
-        for value, n in zip(out, ns):
-            assert value == pytest.approx(hm.evaluate(hm.Power(0.5), x[:n]), rel=1e-12)
+    @pytest.mark.parametrize("name", [*ZOO, *BISECTED])
+    @pytest.mark.parametrize("shape", [(25,), (3, 25)], ids=["vector", "stack"])
+    def test_window_is_the_tail_of_all_prefixes(self, name, shape, rng):
+        expr, (lo, hi) = _mean_and_entry_range(name)
+        x = log_uniform(rng, math.prod(shape), lo, hi).reshape(shape)
+        full = hm.prefix_means(expr, x)
+        for start in (1, 2, 25 // 2, 25):
+            window = hm.prefix_means(expr, x, start)
+            assert window.shape == shape[:-1] + (26 - start,)
+            np.testing.assert_array_equal(window, full[..., start - 1 :])
 
-    @pytest.mark.parametrize("ns", [[0], [-1], [6], [1, 2, 7]])
-    def test_rejects_lengths_outside_the_vector(self, ns):
+    @pytest.mark.parametrize("name", [*ZOO, *BISECTED])
+    def test_window_ends(self, name, rng):
+        expr, (lo, hi) = _mean_and_entry_range(name)
+        x = log_uniform(rng, 9, lo, hi)
+        assert hm.prefix_means(expr, x, 9).tolist() == [hm.evaluate(expr, x)]
+        assert hm.prefix_means(expr, x, 1)[0] == x[0]
+
+    @pytest.mark.parametrize("start", [0, -1, 6])
+    def test_rejects_start_outside_the_vector(self, start):
         with pytest.raises(ValueError, match=r"\[1, 5\]"):
-            hm.prefix_means(hm.Power(0.5), [1.0, 2.0, 3.0, 4.0, 5.0], ns=ns)
-
-    def test_lengths_at_both_ends(self):
-        x = [4.0, 1.0, 2.0]
-        out = hm.prefix_means(hm.Power(0.5), x, ns=[3, 1])
-        assert out[1] == 4.0
-        assert out[0] == hm.evaluate(hm.Power(0.5), x)
+            hm.prefix_means(hm.Power(0.5), [1.0, 2.0, 3.0, 4.0, 5.0], start)
 
 
 class TestPnSequence:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from math import factorial
 
@@ -59,6 +60,24 @@ class TestCoefficients:
                     )
                     assert total == factorial(n - 1)
 
+    @pytest.mark.parametrize(
+        "key,cells,value",
+        [
+            ("nonnegative", [(1, 2, 0)], -1),
+            # a_3(2, 4) with 3 > min(2, 4), set on both sides of the diagonal
+            ("vanishes_beyond_min", [(1, 3, 2), (3, 1, 2)], 1),
+            ("symmetric", [(0, 3, 0)], 10**6),
+        ],
+    )
+    def test_audit_sees_a_corrupted_table(self, key, cells, value):
+        table = hm.kedlaya_table(5)
+        bad = table.coefficients.copy()
+        for cell in cells:
+            bad[cell] = value
+        audit = dataclasses.replace(table, coefficients=bad).audit()
+        assert not audit[key], audit
+        assert all(table.audit().values())
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             hm.kedlaya_coefficient(MAX_COEFFICIENT_N + 1, 1, 1, 1)
@@ -66,6 +85,9 @@ class TestCoefficients:
             hm.kedlaya_coefficient(4, 0, 1, 1)
         with pytest.raises(ValueError):
             hm.kedlaya_coefficient(4, 1, 5, 1)
+        for ijk in ((0, 1, 1), (1, 5, 1), (1, 1, -1)):
+            with pytest.raises(ValueError, match=r"\[1, 4\]"):
+                hm.kedlaya_table(4).coefficient(*ijk)
 
 
 class TestMatrix:
@@ -86,6 +108,15 @@ class TestMatrix:
     @pytest.mark.parametrize("n", range(2, MAX_MATRIX_N + 1))
     def test_row_and_column_occurrences(self, n):
         assert hm.kedlaya_matrix(n).audit_occurrences()
+
+    def test_occurrence_audit_sees_a_swap_within_a_row(self):
+        matrix = hm.kedlaya_matrix(4)
+        entries = matrix.entries.copy()
+        row = entries[-1]  # the last block row carries every symbol
+        a, b = 0, int(np.flatnonzero(row != row[0])[0])
+        row[[a, b]] = row[[b, a]]
+        assert not dataclasses.replace(matrix, entries=entries).audit_occurrences()
+        assert matrix.audit_occurrences()
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_block_rows_and_columns_share_multiset(self, n):
@@ -155,9 +186,6 @@ class TestInequalityChecks:
         "kwargs,message",
         [
             ({"samples": 0}, "samples must be at least 1"),
-            ({"entry_range": (10.0, 0.1)}, "entry_range must satisfy"),
-            ({"dims": (3, 1)}, "dims must satisfy"),
-            ({"dims": (0, 4)}, "dims must satisfy"),
         ],
     )
     def test_margin_arguments_validated(self, kwargs, message):
