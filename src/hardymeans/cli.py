@@ -92,7 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LO:HI:COUNT",
         help="log-spaced y grid for the non-homogeneous estimator (default 1e-3:1e3:41)",
     )
-    p_hardy.add_argument("--seed", type=int, default=0, help="probe seed")
+    p_hardy.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="probe seed; unused when the family's rules decide the gate",
+    )
     p_hardy.add_argument("--csv", default=None, metavar="PATH", help="write the p_n sweep")
 
     p_seq = sub.add_parser("hardy-seq", help="lower-bound the n-term constant")

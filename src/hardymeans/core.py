@@ -72,7 +72,7 @@ class BracketError(MeanComputationError):
 
 
 class CancellationWarning(UserWarning):
-    """Exponents within 1e-8 of a removable singularity; the exact branch
+    """Exponents within 1e-6 of a removable singularity; the exact branch
     is still used (branches are selected by exact comparison, never
     switched silently), but cancellation degrades accuracy."""
 
@@ -285,7 +285,9 @@ class MeanExpr:
     of every prefix that the slice ``cols`` selects (index k is
     x[..., :k+1]; a slice, not an integer, so the axis stays).  On
     canonical nodes, :meth:`closed_form` and :meth:`tolerance` are the
-    registry entry.  The defaults here: no reduction, no registry entry.
+    registry entry, and :meth:`known_properties` the structural facts
+    that the family decides exactly.  The defaults here: no reduction,
+    no registry entry, no known property.
     """
 
     def canonical(self) -> MeanExpr:
@@ -300,6 +302,11 @@ class MeanExpr:
         """Relative convergence tolerance of the n_max = 10^4 estimate
         against the registered constant, when known."""
         return None
+
+    def known_properties(self) -> dict[str, bool]:
+        """{property: holds} for the probe properties that are theorems
+        of the family; a property not named is unknown."""
+        return {}
 
 
 def as_mean_expr(obj) -> MeanExpr:
@@ -337,6 +344,19 @@ class Power(MeanExpr):
         if self.p >= 1.0:
             return None
         return 0.005 if self.p <= 0.0 else 0.015
+
+    def known_properties(self):
+        """Every power mean is symmetric, increasing, homogeneous and
+        repetition invariant; by Minkowski's inequality it is Jensen
+        concave exactly when p <= 1 (Hardy, Littlewood & Polya,
+        *Inequalities*)."""
+        return {
+            "symmetry": True,
+            "increasing": True,
+            "homogeneity": True,
+            "repetition_invariance": True,
+            "jensen_concavity": self.p <= 1.0,
+        }
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ __all__ = [
 
 # exponents closer than this to a removable singularity trigger a
 # CancellationWarning; the branch itself is chosen by exact comparison
-_NEAR_SINGULAR = 1e-8
+_NEAR_SINGULAR = 1e-6
 
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max

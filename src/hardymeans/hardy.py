@@ -132,7 +132,8 @@ class HardyConfig:
     n_max: int = 10_000
     y_grid: tuple[float, ...] | None = None  # grid method only; None -> default
     divergence_ceiling: float = 1e6
-    # moderate entries keep the gate evaluable for growth-limited means
+    # the gate's probe, for the properties no family rule decides;
+    # moderate entries keep it evaluable for growth-limited means
     probe: ProbeConfig = field(
         default_factory=lambda: ProbeConfig(samples=64, seed=0, entry_range=(0.1, 10.0))
     )
@@ -191,10 +192,12 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
 
     Registered non-summable means are reported divergent with a growth
     trace, without probing, and never with a finite certified constant.
-    Homogeneous means (per the seeded probe) use the monotone p_n
-    truncation, a certified-from-below estimate when the symmetry,
-    increasingness, concavity and repetition probes also pass and the
-    computed p_n never decrease by more than rounding.
+    The gate properties are taken from the family's rules
+    (``known_properties`` of the canonical node), else from the seeded
+    probe, which runs only when some rule is missing.  Homogeneous means
+    use the monotone p_n truncation, a certified-from-below estimate
+    when symmetry, increasingness, concavity and repetition invariance
+    also hold and the computed p_n never decrease by more than rounding.
     Non-homogeneous means fall back to the uncertified grid estimator:
     the maximum over a log-spaced y-grid of the minimum over the tail
     window [n_max/2, n_max] of (n/y) * M(y/1, ..., y/n).
@@ -213,8 +216,11 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     not_hardy = form is not None and not form.is_hardy
     failed: tuple[str, ...] = ()
     if not not_hardy:
-        report = probe_properties(expr, cfg.probe)
-        failed = tuple(name for name in _GATE_PROPERTIES if not report.holds(name))
+        known = canonical(expr).known_properties()
+        if not known.keys() >= set(_GATE_PROPERTIES):
+            report = probe_properties(expr, cfg.probe)
+            known = {name: report.holds(name) for name in _GATE_PROPERTIES} | known
+        failed = tuple(name for name in _GATE_PROPERTIES if not known[name])
     if not_hardy or "homogeneity" not in failed:
         pn = pn_sequence(expr, cfg.n_max)
         exceeded = np.nonzero(pn.values > cfg.divergence_ceiling)[0]

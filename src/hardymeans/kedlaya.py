@@ -107,7 +107,7 @@ def kedlaya_table(n: int) -> KedlayaTable:
     return KedlayaTable(n=n, coefficients=coefficients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KedlayaMatrix:
     """n! x n! matrix of symbols 1..n in (n-1)! x (n-1)! cyclic blocks.
 

@@ -308,6 +308,40 @@ class _CountingRng:
         return counted
 
 
+class TestFamilyRules:
+    """``known_properties`` against the probe: a rule that says a property
+    holds is never refuted, and a rule that says it fails is seen to."""
+
+    RANGES = ((0.1, 10.0), (1e-6, 1e6))
+
+    @pytest.mark.parametrize(
+        "p", [-300, -50, -2, -1, -0.5, -1e-3, -1e-6, 0, 1e-6, 1e-3, 0.25, 0.5, 0.9, 1]
+    )
+    def test_power_rules_agree_with_the_probe(self, p):
+        expr = hm.Power(float(p))
+        holds = [name for name, value in expr.known_properties().items() if value]
+        assert holds
+        for entry_range in self.RANGES:
+            for seed in range(5):
+                cfg = hm.ProbeConfig(samples=200, seed=seed, entry_range=entry_range)
+                report = hm.probe_properties(expr, cfg)
+                assert not set(report.violated()) & set(holds), (entry_range, seed)
+
+    @pytest.mark.parametrize("p", [1.5, 2, 4])
+    def test_power_concavity_fails_above_one(self, p):
+        expr = hm.Power(float(p))
+        assert expr.known_properties()["jensen_concavity"] is False
+        for entry_range in self.RANGES:
+            for seed in range(5):
+                cfg = hm.ProbeConfig(samples=200, seed=seed, entry_range=entry_range)
+                assert not hm.probe_properties(expr, cfg).holds("jensen_concavity")
+
+    def test_other_families_know_nothing(self):
+        for name, expr in ZOO.items():
+            if not isinstance(expr.canonical(), hm.Power):
+                assert expr.canonical().known_properties() == {}, name
+
+
 class TestProbes:
     @pytest.mark.parametrize("name", sorted(ZOO) + sorted(BISECTED))
     def test_batched_gate_matches_scalar_loop(self, name):

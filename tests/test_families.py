@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,15 @@ class TestPowerMean:
     def test_near_zero_exponent_warns(self):
         with pytest.warns(hm.CancellationWarning):
             hm.power_mean(1e-9, [1.0, 2.0])
+        # the band where the kernel's relative error (about 2e-16/|p|)
+        # reaches the probes' 1e-9 tolerance
+        with pytest.warns(hm.CancellationWarning):
+            hm.power_mean(3e-7, [1.0, 2.0])
+
+    def test_exponent_outside_the_band_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", hm.CancellationWarning)
+            hm.power_mean(1e-5, [1.0, 2.0])
 
 
 class TestQuasiArithmetic:
@@ -116,6 +126,8 @@ class TestGiniMean:
     def test_near_equal_exponents_warn(self):
         with pytest.warns(hm.CancellationWarning):
             hm.gini_mean(0.5 + 1e-9, 0.5, [1.0, 2.0])
+        with pytest.warns(hm.CancellationWarning):
+            hm.gini_mean(0.5 + 3e-7, 0.5, [1.0, 2.0])
 
     def test_large_entries_stay_finite(self):
         assert np.isfinite(hm.gini_mean(40.0, -40.0, [1e-200, 1e200]))

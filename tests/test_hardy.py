@@ -420,6 +420,102 @@ class TestHardyConstant:
         assert np.array_equal(est.pn.values, pn.values)
         assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "power(0.5)",
+            "power(-300)",
+            "quasi(log)",
+            "quasi(pow:-1)",
+            "gini(0,-1)",
+            "bajrak(pow:0.5,pow:0)",
+        ],
+    )
+    def test_family_rules_need_no_probe(self, text, monkeypatch):
+        from hardymeans import hardy
+
+        def probe(expr, cfg):
+            raise AssertionError("probe_properties called")
+
+        monkeypatch.setattr(hardy, "probe_properties", probe)
+        est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=2000))
+        assert est.method == "homogeneous-limit"
+        assert any("certified-from-below" in note for note in est.notes)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            ZOO["gini(0.5,-1)"],
+            ZOO["gauss(power(-1),power(0))"],
+            hm.QuasiArithmetic(hm.EXP),
+            ZOO["min"],
+        ],
+        ids=repr,
+    )
+    def test_other_families_are_probed(self, expr, monkeypatch):
+        from hardymeans import hardy
+
+        calls = []
+
+        def probe(expr, cfg):
+            calls.append(expr)
+            return hm.probe_properties(expr, cfg)
+
+        monkeypatch.setattr(hardy, "probe_properties", probe)
+        hm.hardy_constant(expr, hm.HardyConfig(n_max=500))
+        assert calls == [expr]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "power(0.5)",
+            "power(0.25)",
+            "power(0)",
+            "power(-0.5)",
+            "power(-1)",
+            "power(-2)",
+            "power(2)",
+            "gini(0,-1)",
+            "quasi(log)",
+            "quasi(pow:0.5)",
+            "quasi(pow:-1)",
+            "power(-300)",
+        ],
+    )
+    def test_rules_and_probe_give_equal_reports(self, text, monkeypatch):
+        expr = hm.parse_mean_expr(text)
+        assert isinstance(hm.canonical(expr), hm.Power)
+
+        def reports():
+            out = []
+            for seed in (0, 7):
+                probe = dataclasses.replace(hm.HardyConfig().probe, seed=seed)
+                est = hm.hardy_constant(expr, hm.HardyConfig(n_max=2000, probe=probe))
+                fields = dataclasses.asdict(est)
+                pn = fields.pop("pn")
+                out.append((fields, pn.pop("values").tobytes(), pn))
+            return out
+
+        by_rules = reports()
+        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
+        assert reports() == by_rules
+
+    @pytest.mark.parametrize("p", [3e-7, -3e-7, 1e-7])
+    def test_rules_decide_the_cancellation_band(self, p, monkeypatch):
+        # within 1e-6 of p = 0 the kernel's rounding trips the probe, which
+        # used to send these means to the grid estimator or withhold
+        # certification; the rules know the mean is homogeneous
+        cfg = hm.HardyConfig(n_max=2000)
+        with pytest.warns(hm.CancellationWarning):
+            est = hm.hardy_constant(hm.Power(p), cfg)
+        assert est.method == "homogeneous-limit"
+        assert est.estimate < est.reference
+        assert any("certified-from-below" in note for note in est.notes)
+        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
+        with pytest.warns(hm.CancellationWarning):
+            probed = hm.hardy_constant(hm.Power(p), cfg)
+        assert not any("certified-from-below" in note for note in probed.notes)
+
     def test_divergence_ceiling_names_witness(self):
         cfg = hm.HardyConfig(n_max=2000, divergence_ceiling=100.0)
         est = hm.hardy_constant(hm.MaxOf(), cfg)  # p_n = n along the harmonic vector

@@ -143,6 +143,12 @@ class TestMatrix:
                 shifted = [np.roll(block[0], -r) for r in range(block.shape[0])]
                 assert np.array_equal(block, shifted)
 
+    def test_compares_by_identity(self):
+        matrix = hm.kedlaya_matrix(3)
+        assert matrix == matrix
+        assert (matrix == hm.kedlaya_matrix(3)) is False
+        assert hash(matrix) == hash(matrix)
+
     def test_first_block_row_is_ascending(self):
         matrix = hm.kedlaya_matrix(4)
         for i in range(1, 5):
