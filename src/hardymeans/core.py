@@ -286,9 +286,12 @@ class MeanExpr:
     x[..., :k+1]; a slice, not an integer, so the axis stays).  On
     canonical nodes, :meth:`closed_form` and :meth:`tolerance` are the
     registry entry, and :meth:`known_properties` the structural facts
-    that the family decides exactly.  The defaults here: no reduction,
+    that the family decides exactly, with ``failure_reasons`` saying why
+    each property a rule denies fails.  The defaults here: no reduction,
     no registry entry, no known property.
     """
+
+    failure_reasons: dict[str, str] = {}
 
     def canonical(self) -> MeanExpr:
         """The node reduced along exact family identities."""
@@ -309,6 +312,11 @@ class MeanExpr:
         return {}
 
 
+# the gate properties other than Jensen concavity, which each family's
+# rules start from as holding
+_BASIC = ("symmetry", "increasing", "homogeneity", "repetition_invariance")
+
+
 def as_mean_expr(obj) -> MeanExpr:
     """``obj`` itself, when it is a mean expression; else TypeError."""
     if not isinstance(obj, MeanExpr):
@@ -321,6 +329,8 @@ class Power(MeanExpr):
     """p-th power mean; geometric mean at p = 0."""
 
     p: float
+
+    failure_reasons = {"jensen_concavity": "power mean with p > 1 is not Jensen concave"}
 
     def __post_init__(self):
         _require_finite("power exponent", self.p)
@@ -350,13 +360,7 @@ class Power(MeanExpr):
         repetition invariant; by Minkowski's inequality it is Jensen
         concave exactly when p <= 1 (Hardy, Littlewood & Polya,
         *Inequalities*)."""
-        return {
-            "symmetry": True,
-            "increasing": True,
-            "homogeneity": True,
-            "repetition_invariance": True,
-            "jensen_concavity": self.p <= 1.0,
-        }
+        return dict.fromkeys(_BASIC, True) | {"jensen_concavity": self.p <= 1.0}
 
 
 @dataclass(frozen=True)
@@ -364,6 +368,12 @@ class QuasiArithmetic(MeanExpr):
     """Inverse of the generator applied to the generator's plain average."""
 
     gen: Generator
+
+    failure_reasons = {
+        "homogeneity": "quasi(exp) is not homogeneous; only power and log "
+        "generators give homogeneous quasi-arithmetic means",
+        "jensen_concavity": "quasi(exp) is not Jensen concave; log-mean-exp is convex",
+    }
 
     def __post_init__(self):
         if not self.gen.strictly_monotone:
@@ -384,6 +394,16 @@ class QuasiArithmetic(MeanExpr):
         power = _signed_power(self.gen)
         return self if power is None else Power(power[1])
 
+    def known_properties(self):
+        """A quasi-arithmetic mean is symmetric, increasing and repetition
+        invariant.  Only power and log generators give homogeneous means
+        (Hardy, Littlewood & Polya, *Inequalities*, 1934), so ``exp``,
+        the one canonical generator, does not; and log-mean-exp is
+        convex: x = (eps, 2) and y = (2, eps) give about 1.43 each for
+        small eps, their midpoint about 1."""
+        assert self.gen == EXP, "every other generator's canonical node is a power mean"
+        return dict.fromkeys(_BASIC, True) | {"homogeneity": False, "jensen_concavity": False}
+
 
 @dataclass(frozen=True)
 class Gini(MeanExpr):
@@ -391,6 +411,12 @@ class Gini(MeanExpr):
 
     p: float
     q: float
+
+    failure_reasons = {
+        "increasing": "Gini mean with pq > 0 is not increasing",
+        "jensen_concavity": "Gini mean is Jensen concave only when "
+        "min(p,q) <= 0 <= max(p,q) <= 1",
+    }
 
     def __post_init__(self):
         _require_finite("Gini exponent p", self.p)
@@ -428,6 +454,18 @@ class Gini(MeanExpr):
     def tolerance(self):
         """As for the power mean of the larger exponent, where summable."""
         return Power(max(self.p, self.q)).tolerance() if self._summable else None
+
+    def known_properties(self):
+        """Every Gini mean is symmetric, homogeneous and repetition
+        invariant.  It is increasing exactly when pq <= 0, and Jensen
+        concave exactly when min(p,q) <= 0 <= max(p,q) <= 1 (Losonczi,
+        "Subadditive Mittelwerte", Arch. Math. 22 (1971); Bullen,
+        *Handbook of Means and Their Inequalities*, 2003)."""
+        p, q = self.p, self.q
+        return dict.fromkeys(_BASIC, True) | {
+            "increasing": p * q <= 0.0,
+            "jensen_concavity": min(p, q) <= 0.0 <= max(p, q) <= 1.0,
+        }
 
 
 @dataclass(frozen=True)
@@ -524,6 +562,19 @@ class Gauss(MeanExpr):
         tols = [c.tolerance() for c in self.children]
         return None if None in tols else max(tols)
 
+    def known_properties(self):
+        """M(x) = G(M_1(x), ..., M_k(x)) inherits symmetry, homogeneity,
+        increasingness and repetition invariance when every child has
+        them.  It is Jensen concave when every child is increasing and
+        concave: each iterate composes concave nondecreasing maps with
+        concave maps, and a limit of concave maps is concave.  Nothing
+        else is decided."""
+        rules = [c.known_properties() for c in self.children]
+        known = {name: True for name in _BASIC if all(r.get(name) for r in rules)}
+        if all(r.get("increasing") and r.get("jensen_concavity") for r in rules):
+            known["jensen_concavity"] = True
+        return known
+
 
 @dataclass(frozen=True)
 class MinOf(MeanExpr):
@@ -532,13 +583,27 @@ class MinOf(MeanExpr):
     def kernel(self, xs, cols):
         return np.minimum.accumulate(xs, axis=-1)[..., cols]
 
+    def known_properties(self):
+        """min is symmetric, (weakly) increasing, homogeneous, repetition
+        invariant and concave, as a minimum of linear maps."""
+        return dict.fromkeys(_BASIC, True) | {"jensen_concavity": True}
+
 
 @dataclass(frozen=True)
 class MaxOf(MeanExpr):
     """Largest entry (a non-strict mean, useful as a probe target)."""
 
+    failure_reasons = {"jensen_concavity": "max is convex, not Jensen concave"}
+
     def kernel(self, xs, cols):
         return np.maximum.accumulate(xs, axis=-1)[..., cols]
+
+    def known_properties(self):
+        """max is symmetric, (weakly) increasing, homogeneous and
+        repetition invariant; as a maximum of linear maps it is convex,
+        and not concave: x = (1, 2) and y = (2, 1) give 2, their
+        midpoint 1.5."""
+        return dict.fromkeys(_BASIC, True) | {"jensen_concavity": False}
 
 
 ARITH = Power(1.0)

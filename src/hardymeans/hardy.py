@@ -194,10 +194,13 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     trace, without probing, and never with a finite certified constant.
     The gate properties are taken from the family's rules
     (``known_properties`` of the canonical node), else from the seeded
-    probe, which runs only when some rule is missing.  Homogeneous means
-    use the monotone p_n truncation, a certified-from-below estimate
-    when symmetry, increasingness, concavity and repetition invariance
-    also hold and the computed p_n never decrease by more than rounding.
+    probe, which runs only when some rule is missing; the notes give a
+    rule's reason (``failure_reasons``) for each property it denies, and
+    the probe's failures apart.  Homogeneous means use the monotone p_n
+    truncation, a certified-from-below estimate when symmetry,
+    increasingness, concavity and repetition invariance also hold and
+    the computed p_n never decrease by more than rounding; a larger
+    decrease also drops the tolerance.
     Non-homogeneous means fall back to the uncertified grid estimator:
     the maximum over a log-spaced y-grid of the minimum over the tail
     window [n_max/2, n_max] of (n/y) * M(y/1, ..., y/n).
@@ -214,17 +217,24 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     tolerance = published_tolerance(expr) if reference is not None else None
 
     not_hardy = form is not None and not form.is_hardy
-    failed: tuple[str, ...] = ()
+    failed: list[str] = []
+    why: list[str] = []  # a rule's reason for each failure it decides, then the probes'
     if not not_hardy:
-        known = canonical(expr).known_properties()
+        node = canonical(expr)
+        known = node.known_properties()
+        failed = [name for name in _GATE_PROPERTIES if known.get(name) is False]
+        why = [f"rules: {node.failure_reasons[name]}" for name in failed]
         if not known.keys() >= set(_GATE_PROPERTIES):
             report = probe_properties(expr, cfg.probe)
-            known = {name: report.holds(name) for name in _GATE_PROPERTIES} | known
-        failed = tuple(name for name in _GATE_PROPERTIES if not known[name])
+            probed = [n for n in _GATE_PROPERTIES if n not in known and not report.holds(n)]
+            if probed:
+                why.append("probes failed for " + ", ".join(probed))
+            failed += probed
     if not_hardy or "homogeneity" not in failed:
         pn = pn_sequence(expr, cfg.n_max)
         exceeded = np.nonzero(pn.values > cfg.divergence_ceiling)[0]
         divergent = not_hardy or exceeded.size > 0
+        decreased = pn.max_decrease > _PN_DECREASE_TOL * pn.final
         if not_hardy:
             notes.append("not a Hardy mean; no finite certified constant exists")
         elif exceeded.size:
@@ -232,9 +242,9 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
                 f"p_n exceeded the divergence ceiling {cfg.divergence_ceiling:g} "
                 f"at n={int(exceeded[0]) + 1}; non-Hardy at this scale"
             )
-        elif failed:
-            notes.append("estimate (uncertified): probes failed for " + ", ".join(failed))
-        elif pn.max_decrease > _PN_DECREASE_TOL * pn.final:
+        elif why:
+            notes.append("estimate (uncertified): " + "; ".join(why))
+        elif decreased:
             notes.append(
                 f"estimate (uncertified): p_n decreased by {pn.max_decrease:.3g}, "
                 f"more than {_PN_DECREASE_TOL:g} relative; the truncation is "
@@ -252,7 +262,8 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
             n_max=cfg.n_max,
             reference=reference,
             reference_kind=reference_kind,
-            tolerance=None if divergent else tolerance,
+            # a p_n decrease above rounding leaves the tolerance unmet
+            tolerance=None if divergent or decreased else tolerance,
             divergent=divergent,
             notes=tuple(notes),
             pn=pn,
@@ -281,8 +292,7 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         )
     notes.append("estimate (uncertified): grid/tail-window approximation of a sup-liminf")
     notes.append(f"grid maximum attained at y={best_y:g}")
-    if failed:
-        notes.append("probes failed for " + ", ".join(failed))
+    notes.extend(why)
     if skipped:
         notes.append("; ".join(skipped))
     divergent = best > cfg.divergence_ceiling

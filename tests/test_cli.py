@@ -144,6 +144,18 @@ class TestHardyCommand:
         del payload["command"], power["command"]
         assert payload == power
 
+    def test_failed_pn_audit_drops_the_tolerance(self, capsys):
+        # the power kernel's rounding near p = 0 makes p_n decrease, so the
+        # published tolerance is not met
+        with pytest.warns(hm.CancellationWarning):
+            code, out, _ = run(capsys, ["hardy", "power(1e-14)"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["reference"] == pytest.approx(math.e, rel=1e-3)
+        assert payload["tolerance"] is None
+        assert any("p_n decreased" in note for note in payload["notes"])
+        assert not any("certified-from-below" in note for note in payload["notes"])
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "pn.csv"
         code, _, _ = run(

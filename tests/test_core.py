@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.core import ratio_direction
-from conftest import BISECTED, MODERATE, ZOO, log_uniform
+from conftest import BISECTED, MODERATE, ZOO, log_uniform, oracle_mean
 
 
 class TestSampleValidation:
@@ -336,10 +337,107 @@ class TestFamilyRules:
                 cfg = hm.ProbeConfig(samples=200, seed=seed, entry_range=entry_range)
                 assert not hm.probe_properties(expr, cfg).holds("jensen_concavity")
 
+    # Gini exponents on both sides of the rules' boundaries: max(p,q) = 1
+    # and just above, p = q, and both exponents negative or both positive
+    GINI = [
+        (1, -1), (1, -3), (1.05, -1), (3, -1), (0.5, -1), (0.9, -2), (0.25, -0.5),
+        (1.5, -0.5), (-0.5, -0.5), (0.5, 0.5), (-0.2, -0.4), (-1, -2), (-300, -301),
+        (2, 1),
+    ]  # fmt: skip
+
+    # 40-digit counterexamples to rules that say False: for "increasing" a
+    # vector and the same vector raised in one entry, for
+    # "jensen_concavity" two vectors whose midpoint's mean lies below
+    # the chord
+    WITNESSES = {
+        ("gini(-0.2,-0.4)", "increasing"): (("1", "0.01"), ("1.01", "0.01")),
+        ("gini(-300,-301)", "increasing"): (("1", "1.01"), ("1", "1.010001")),
+        ("gini(-0.2,-0.4)", "jensen_concavity"): (("0.01", "90.08"), ("0.03", "2.11")),
+        ("gini(-0.5,-0.5)", "jensen_concavity"): (("0.79", "0.04"), ("94.56", "0.01")),
+        ("gini(-1,-2)", "jensen_concavity"): (("70.14", "0.01"), ("0.59", "0.23")),
+        ("gini(1.5,-0.5)", "jensen_concavity"): (
+            ("39.51", "0.01", "1.27"),
+            ("0.86", "0.01", "46"),
+        ),
+    }
+
+    def _check_against_probe(self, name, expr, ranges=RANGES, seeds=range(5)):
+        """The probe refutes no True rule, and every False rule is refuted
+        by the probe or by a listed 40-digit counterexample."""
+        rules = expr.canonical().known_properties()
+        refuted = {prop for mean, prop in self.WITNESSES if mean == name}
+        for entry_range in ranges:
+            for seed in seeds:
+                cfg = hm.ProbeConfig(samples=200, seed=seed, entry_range=entry_range)
+                violated = set(hm.probe_properties(expr, cfg).violated())
+                assert not {prop for prop in violated if rules.get(prop)}, (entry_range, seed)
+                refuted |= violated
+        assert {prop for prop, holds in rules.items() if not holds} <= refuted
+
+    @pytest.mark.parametrize("p, q", GINI)
+    def test_gini_rules_agree_with_the_probe(self, p, q):
+        expr = hm.Gini(float(p), float(q))
+        rules = expr.known_properties()
+        assert rules["increasing"] == (p * q <= 0)
+        self._check_against_probe(f"gini({p:g},{q:g})", expr)
+
+    def test_quasi_exp_rules_agree_with_the_probe(self):
+        # exp overflows past 709 and the probe scales entries by up to 4,
+        # so the wide range stops at 150
+        expr = hm.QuasiArithmetic(hm.EXP)
+        assert expr.known_properties()["homogeneity"] is False
+        self._check_against_probe("quasi(exp)", expr, ranges=(MODERATE, (1e-6, 150.0)))
+
+    @pytest.mark.parametrize("name", ["min", "max"])
+    def test_min_max_rules_agree_with_the_probe(self, name):
+        self._check_against_probe(name, ZOO[name])
+
+    # the distinct strict canonical nodes of ZOO
+    GAUSS_CHILDREN = ["power(1)", "power(0)", "power(-1)", "power(0.5)", "power(2)",
+                      "gini(0.5,-1)", "gini(2,1)"]  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "pair",
+        # and min, a non-strict child
+        list(itertools.combinations(GAUSS_CHILDREN, 2)) + [("power(0)", "min")],
+        ids="-".join,
+    )
+    def test_gauss_rules_agree_with_the_probe(self, pair):
+        expr = hm.Gauss(tuple(ZOO[name] for name in pair))
+        children = [ZOO[name].canonical().known_properties() for name in pair]
+        concave = all(r["increasing"] and r["jensen_concavity"] for r in children)
+        assert expr.known_properties().get("jensen_concavity") == (True if concave else None)
+        self._check_against_probe(f"gauss({','.join(pair)})", expr, seeds=range(2))
+
+    @pytest.mark.parametrize("name, prop", sorted(WITNESSES))
+    def test_witnesses_refute_at_40_digits(self, name, prop):
+        mp = pytest.importorskip("mpmath").mp
+        expr = hm.parse_mean_expr(name)
+        assert expr.known_properties()[prop] is False
+        with mp.workdps(40):
+            x, y = ([mp.mpf(t) for t in vec] for vec in self.WITNESSES[name, prop])
+            if prop == "increasing":
+                assert all(b >= a for a, b in zip(x, y))
+                assert oracle_mean(expr, y) < oracle_mean(expr, x)
+            else:
+                mid = [(a + b) / 2 for a, b in zip(x, y)]
+                chord = (oracle_mean(expr, x) + oracle_mean(expr, y)) / 2
+                assert chord > oracle_mean(expr, mid)
+
     def test_other_families_know_nothing(self):
-        for name, expr in ZOO.items():
-            if not isinstance(expr.canonical(), hm.Power):
-                assert expr.canonical().known_properties() == {}, name
+        # Bajraktarevic pairs that bisect are the one family with no rules
+        for name, expr in BISECTED.items():
+            assert expr.canonical().known_properties() == {}, name
+
+    def test_gauss_with_a_non_increasing_child_leaves_the_gate_open(self):
+        # gini(-0.2,-0.4) is neither increasing nor concave, and no rule
+        # decides whether the product is
+        node = hm.parse_mean_expr("gauss(gini(-0.2,-0.4),power(0))").canonical()
+        assert node.known_properties() == {
+            "symmetry": True,
+            "homogeneity": True,
+            "repetition_invariance": True,
+        }
 
 
 class TestProbes:

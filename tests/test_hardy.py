@@ -442,17 +442,31 @@ class TestHardyConstant:
         assert est.method == "homogeneous-limit"
         assert any("certified-from-below" in note for note in est.notes)
 
+    # the 22 means of the benchmark's sweep catalogue
+    SWEEP = [
+        "power(0.5)", "power(0.25)", "power(0)", "power(-0.5)", "power(-1)",
+        "power(-2)", "power(2)", "gini(0.5,-1)", "gini(0.25,-0.5)", "gini(0,-1)",
+        "gini(-1,-2)", "gini(-0.5,-0.5)", "gini(2,1)", "quasi(log)",
+        "quasi(pow:0.5)", "quasi(pow:-1)", "power(-300)",
+        "gauss(power(-1),power(0))", "bajrak(pow:0.5,pow:-1)",
+        "dev(pair:pow:0.5,pow:-1)", "quasi(exp)", "bajrak(exp,pow:0)",
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("text", SWEEP)
+    def test_sweep_catalogue_needs_no_probe(self, text, monkeypatch):
+        from hardymeans import hardy
+
+        def probe(expr, cfg):
+            raise AssertionError("probe_properties called")
+
+        monkeypatch.setattr(hardy, "probe_properties", probe)
+        hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=200))
+
     @pytest.mark.parametrize(
-        "expr",
-        [
-            ZOO["gini(0.5,-1)"],
-            ZOO["gauss(power(-1),power(0))"],
-            hm.QuasiArithmetic(hm.EXP),
-            ZOO["min"],
-        ],
-        ids=repr,
+        "text", ["bajrak(exp,pow:-1)", "gauss(gini(-0.2,-0.4),power(0))"]
     )
-    def test_other_families_are_probed(self, expr, monkeypatch):
+    def test_other_families_are_probed(self, text, monkeypatch):
+        # a mean with a gate property that no rule decides
         from hardymeans import hardy
 
         calls = []
@@ -461,9 +475,20 @@ class TestHardyConstant:
             calls.append(expr)
             return hm.probe_properties(expr, cfg)
 
+        expr = hm.parse_mean_expr(text)
         monkeypatch.setattr(hardy, "probe_properties", probe)
-        hm.hardy_constant(expr, hm.HardyConfig(n_max=500))
+        # exp overflows on the default grid's largest points
+        hm.hardy_constant(expr, hm.HardyConfig(n_max=500, y_grid=(0.1, 1.0, 10.0)))
         assert calls == [expr]
+
+    def test_rules_name_their_reason(self):
+        est = hm.hardy_constant(hm.Gini(-0.2, -0.4), hm.HardyConfig(n_max=500))
+        assert est.notes == (
+            "estimate (uncertified): rules: Gini mean with pq > 0 is not increasing; "
+            "rules: Gini mean is Jensen concave only when min(p,q) <= 0 <= max(p,q) <= 1",
+        )
+        est = hm.hardy_constant(hm.Gini(-300, -301), hm.HardyConfig(n_max=500))
+        assert not any("certified-from-below" in note for note in est.notes)
 
     @pytest.mark.parametrize(
         "text",
@@ -480,11 +505,23 @@ class TestHardyConstant:
             "quasi(pow:0.5)",
             "quasi(pow:-1)",
             "power(-300)",
+            "gini(0.5,-1)",
+            "gini(0.25,-0.5)",
+            "gini(-1,-2)",
+            "gini(-0.5,-0.5)",
+            "bajrak(pow:0.5,pow:-1)",
+            "gauss(power(-1),power(0))",
+            "quasi(exp)",
+            "bajrak(exp,pow:0)",
         ],
     )
     def test_rules_and_probe_give_equal_reports(self, text, monkeypatch):
+        # every field but the notes, which name a rule's reason where the
+        # gate meets a rule that says a property fails
         expr = hm.parse_mean_expr(text)
-        assert isinstance(hm.canonical(expr), hm.Power)
+        node = hm.canonical(expr)
+        form = hm.closed_form_hardy(expr)
+        refuted = (form is None or form.is_hardy) and not all(node.known_properties().values())
 
         def reports():
             out = []
@@ -492,13 +529,19 @@ class TestHardyConstant:
                 probe = dataclasses.replace(hm.HardyConfig().probe, seed=seed)
                 est = hm.hardy_constant(expr, hm.HardyConfig(n_max=2000, probe=probe))
                 fields = dataclasses.asdict(est)
-                pn = fields.pop("pn")
-                out.append((fields, pn.pop("values").tobytes(), pn))
+                pn = fields.pop("pn") or {"values": None}  # None on the grid path
+                values = pn.pop("values")
+                out.append((fields, None if values is None else values.tobytes(), pn))
             return out
 
         by_rules = reports()
-        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
-        assert reports() == by_rules
+        monkeypatch.setattr(type(node), "known_properties", lambda self: {})
+        by_probe = reports()
+        if refuted:
+            for (fields, *_), (probed, *_) in zip(by_rules, by_probe):
+                assert any("rules: " in note for note in fields.pop("notes"))
+                assert not any("rules: " in note for note in probed.pop("notes"))
+        assert by_probe == by_rules
 
     @pytest.mark.parametrize("p", [3e-7, -3e-7, 1e-7])
     def test_rules_decide_the_cancellation_band(self, p, monkeypatch):
