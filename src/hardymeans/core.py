@@ -346,7 +346,8 @@ class Power(MeanExpr):
             return ClosedForm(None, False, "power mean with p >= 1 is not summable")
         if p == 0.0:
             return ClosedForm(math.e, True, "geometric-mean constant e")
-        return ClosedForm((1.0 - p) ** (-1.0 / p), True, "power-mean constant (1-p)^(-1/p)")
+        # log1p keeps the digits that 1 - p loses near p = 0
+        return ClosedForm(math.exp(-math.log1p(-p) / p), True, "power-mean constant (1-p)^(-1/p)")
 
     def tolerance(self):
         """0.5% for p <= 0, 1.5% for 0 < p < 1, where the singular endpoint

@@ -184,32 +184,33 @@ def _solve_ratio(
     (f or g under- or overflows there) cannot locate its root and raises
     BracketError.
     """
-    r_lo, r_hi = f(lo) / g(lo), f(hi) / g(hi)
-    saturated = (lo < hi) & (r_lo == r_hi)
-    if saturated.any():
-        a, b, r = _first(saturated, lo, hi, r_lo)
-        raise BracketError(
-            f"ratio {f.describe()}/{g.describe()} saturates to {r:g} on "
-            f"[{a:g}, {b:g}]; its root cannot be located"
-        )
-    increasing = direction > 0
-    a, b = lo, hi
-    geometric = True
-    for step in itertools.count():
-        # halve brackets geometrically while any spans more than an
-        # octave (brackets only shrink), then arithmetically
-        mid = a + 0.5 * (b - a)
-        if geometric:
-            wide = 0.5 * b > a
-            geometric = wide.any()
-            mid = np.where(wide, np.sqrt(a) * np.sqrt(b), mid)
-        # Once a bracket holds adjacent doubles, or one, its midpoint is
-        # an end and further steps keep it there; so testing for that
-        # only every fourth step costs at most three spare steps.
-        if step % 4 == 0 and not np.any((a < mid) & (mid < b)):
-            return mid
-        right = (f.unchecked(mid) / g.unchecked(mid) < target) == increasing
-        a, b = np.where(right, mid, a), np.where(right, b, mid)
+    with np.errstate(over="ignore"):  # an infinite f/g saturates and orders like a finite one
+        r_lo, r_hi = f(lo) / g(lo), f(hi) / g(hi)
+        saturated = (lo < hi) & (r_lo == r_hi)
+        if saturated.any():
+            a, b, r = _first(saturated, lo, hi, r_lo)
+            raise BracketError(
+                f"ratio {f.describe()}/{g.describe()} saturates to {r:g} on "
+                f"[{a:g}, {b:g}]; its root cannot be located"
+            )
+        increasing = direction > 0
+        a, b = lo, hi
+        geometric = True
+        for step in itertools.count():
+            # halve brackets geometrically while any spans more than an
+            # octave (brackets only shrink), then arithmetically
+            mid = a + 0.5 * (b - a)
+            if geometric:
+                wide = 0.5 * b > a
+                geometric = wide.any()
+                mid = np.where(wide, np.sqrt(a) * np.sqrt(b), mid)
+            # Once a bracket holds adjacent doubles, or one, its midpoint is
+            # an end and further steps keep it there; so testing for that
+            # only every fourth step costs at most three spare steps.
+            if step % 4 == 0 and not np.any((a < mid) & (mid < b)):
+                return mid
+            right = (f.unchecked(mid) / g.unchecked(mid) < target) == increasing
+            a, b = np.where(right, mid, a), np.where(right, b, mid)
 
 
 def bajraktarevic_kernel(

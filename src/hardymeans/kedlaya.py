@@ -17,7 +17,7 @@ from math import comb, factorial
 import numpy as np
 
 from .core import MeanExpr, as_samples, evaluate, evaluate_batch, prefix_means
-from .probes import length_groups, sample_vector
+from .probes import pad_rows, sample_block
 
 __all__ = [
     "MAX_COEFFICIENT_N",
@@ -159,13 +159,13 @@ def kedlaya_matrix(n: int) -> KedlayaMatrix:
     return KedlayaMatrix(n=n, entries=entries)
 
 
-def _prefix_average_margins(expr: MeanExpr, xs: np.ndarray) -> np.ndarray:
-    """check_kedlaya_inequality on every row of a validated (..., n) stack."""
-    n = xs.shape[-1]
-    rhs = evaluate_batch(expr, np.cumsum(xs, axis=-1) / np.arange(1.0, n + 1.0))
-    prefix = prefix_means(expr, xs).reshape(-1, n)
-    lhs = np.array([math.fsum(row) for row in prefix]).reshape(rhs.shape) / n
-    return rhs - lhs
+def _prefix_average_margins(expr: MeanExpr, xs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """check_kedlaya_inequality on the prefix of length lengths[i] of row i
+    of a validated :func:`~hardymeans.probes.pad_rows` block, in one call."""
+    averages = pad_rows(np.cumsum(xs, axis=1) / np.arange(1.0, xs.shape[1] + 1.0), lengths)
+    prefix, at_averages = np.split(prefix_means(expr, np.concatenate([xs, averages])), 2)
+    lhs = [math.fsum(row[:n]) for row, n in zip(prefix.tolist(), lengths.tolist())]
+    return at_averages[np.arange(len(xs)), lengths - 1] - np.array(lhs) / lengths
 
 
 def check_kedlaya_inequality(expr: MeanExpr, x) -> float:
@@ -175,7 +175,8 @@ def check_kedlaya_inequality(expr: MeanExpr, x) -> float:
     arithmetic average of M over the prefixes of x; nonnegative means
     the inequality holds at x.
     """
-    return float(_prefix_average_margins(expr, as_samples(x)))
+    xs = as_samples(x)
+    return float(_prefix_average_margins(expr, xs[None], np.array([xs.size]))[0])
 
 
 def check_dominated_kedlaya(expr: MeanExpr, x) -> float:
@@ -200,11 +201,8 @@ def kedlaya_margins(expr: MeanExpr, samples: int = 500, seed: int = 0) -> np.nda
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     lengths = rng.integers(MARGIN_DIMS[0], MARGIN_DIMS[1] + 1, size=samples)
-    margins = np.empty(samples)
-    for d, idx in length_groups(lengths, MARGIN_DIMS):
-        x = sample_vector(rng, (idx.size, d), MARGIN_ENTRY_RANGE)
-        margins[idx] = _prefix_average_margins(expr, x)
-    return margins
+    x = sample_block(rng, lengths, MARGIN_DIMS[1], MARGIN_ENTRY_RANGE)
+    return _prefix_average_margins(expr, x, lengths)
 
 
 def matrix_mixing_margin(expr: MeanExpr, x, matrix: KedlayaMatrix | None = None) -> float:

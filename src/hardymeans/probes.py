@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeanExpr, evaluate_batch
+from .core import MeanExpr, prefix_means
 
 __all__ = [
     "PROPERTY_NAMES",
@@ -27,8 +27,8 @@ __all__ = [
     "Verdict",
     "PropertyReport",
     "probe_properties",
-    "sample_vector",
-    "length_groups",
+    "pad_rows",
+    "sample_block",
 ]
 
 PROPERTY_NAMES = (
@@ -93,19 +93,27 @@ class PropertyReport:
         )
 
 
-def sample_vector(rng: np.random.Generator, shape, entry_range) -> np.ndarray:
-    """Log-uniform positive entries; the default range spans the scales
-    where concavity failures of two-exponent means show up quickly."""
-    lo, hi = entry_range
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=shape))
+def pad_rows(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Row i's first lengths[i] entries, then its last one repeated, so
+    that padding brings in no magnitude the prefix lacks."""
+    at = np.minimum(np.arange(rows.shape[1]), lengths[:, None] - 1)
+    return np.take_along_axis(rows, at, axis=1)
 
 
-def length_groups(lengths: np.ndarray, dims: tuple[int, int]):
-    """(d, indices of the samples of length d) for each length in dims
-    that some sample has, in increasing d."""
-    for d in range(dims[0], dims[1] + 1):
-        if (idx := np.flatnonzero(lengths == d)).size:
-            yield d, idx
+def sample_block(rng: np.random.Generator, lengths: np.ndarray, width: int, entry_range):
+    """One log-uniform sample of each length, by one RNG call: sample i
+    is the prefix of length lengths[i] of row i of a :func:`pad_rows`
+    block.  The default range spans the scales where concavity failures
+    of two-exponent means show up quickly."""
+    lo, hi = np.log(entry_range)
+    return pad_rows(np.exp(rng.uniform(lo, hi, size=(lengths.size, width))), lengths)
+
+
+def _means_at(expr: MeanExpr, block: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """M(block[i, :last[i]+1]) for every row i, read off one running-prefix
+    :func:`~hardymeans.core.prefix_means` call."""
+    start = int(last.min())
+    return prefix_means(expr, block, start + 1)[np.arange(last.size), last - start]
 
 
 def _rel(diff: np.ndarray, *scales: np.ndarray) -> np.ndarray:
@@ -123,85 +131,77 @@ def probe_properties(expr: MeanExpr, cfg: ProbeConfig = ProbeConfig()) -> Proper
     repetition for m in {2, 3}, and increasingness by a +10% bump of a
     random coordinate.
 
-    Samples are drawn in blocks, one RNG call per distribution: all
-    lengths, all scale factors, then for each length d with k > 0 samples
-    the (k, d) blocks of x and y, x with each row shuffled, and the bump
-    positions.  Seeded samples thus differ from the earlier per-sample
-    draw order.  The means take one batch per vector width; each
-    property's counterexample is the first sample with the largest margin.
+    The samples are one (samples, dims[1]) block, sample i the prefix of
+    length lengths[i] of row i (:func:`sample_block`), drawn by one RNG
+    call per distribution: lengths, scale factors, x, y, keys that
+    shuffle each prefix (inf past it) and bump positions.  Every derived
+    vector is a prefix too, so four prefix-means calls give all means:
+    x, shuffled, scaled, bumped, y and midpoint together, then the
+    appended minimum and the 2- and 3-fold repetitions.  Each property's
+    counterexample is the first sample with the largest margin.
     """
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.samples
-    lengths = rng.integers(cfg.dims[0], cfg.dims[1] + 1, size=n)
+    n, (lo, width) = cfg.samples, cfg.dims
+    lengths = rng.integers(lo, width + 1, size=n)
     # homogeneity, with the scale factor confined to two octaves so the
     # scaled vector stays within an evaluable range
     t = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=n))
-    draws = [None] * n  # per sample: x, x permuted, x bumped, y
-    x_min, x_max = np.empty(n), np.empty(n)
-    # width -> vectors and their slots in `values`: nine rows of means, one
-    # column per sample, the last for x with its minimum appended
-    by_width: dict[int, list] = {}
-    for d, idx in length_groups(lengths, cfg.dims):
-        k = idx.size
-        x = sample_vector(rng, (k, d), cfg.entry_range)
-        # Jensen concavity / convexity on an equidimensional pair
-        y = sample_vector(rng, (k, d), cfg.entry_range)
-        xp = rng.permuted(x, axis=1)
-        # increasing under a +10% coordinate bump
-        bumped = x.copy()
-        bumped[np.arange(k), rng.integers(d, size=k)] *= 1.1
-        for j, drawn in zip(idx, zip(x, xp, bumped, y)):
-            draws[j] = drawn
-        x_min[idx], x_max[idx] = x.min(axis=1), x.max(axis=1)
-        derived = [x, xp, x.repeat(2, axis=1), x.repeat(3, axis=1), t[idx, None] * x]
-        derived += [bumped, y, 0.5 * (x + y), np.column_stack([x, x_min[idx]])]
-        for kind, vecs in enumerate(derived):
-            by_width.setdefault(vecs.shape[1], []).append((vecs, kind * n + idx))
-    values = np.empty(9 * n)
-    for parts in by_width.values():
-        vecs, slots = zip(*parts)
-        values[np.concatenate(slots)] = evaluate_batch(expr, np.concatenate(vecs))
-
-    mx, mp, mr2, mr3, mh, mb, my, mmid, ma = values.reshape(9, n)
+    x = sample_block(rng, lengths, width, cfg.entry_range)
+    # Jensen concavity / convexity on an equidimensional pair
+    y = sample_block(rng, lengths, width, cfg.entry_range)
+    past = np.arange(width + 1) >= lengths[:, None]
+    keys = np.where(past[:, :-1], np.inf, rng.random((n, width)))
+    xp = pad_rows(np.take_along_axis(x, keys.argsort(axis=1), axis=1), lengths)
+    # increasing under a +10% coordinate bump
+    at = np.arange(width) == rng.integers(lengths)[:, None]
+    bumped = pad_rows(np.where(at, 1.1 * x, x), lengths)
+    x_min, x_max = x.min(axis=1), x.max(axis=1)
+    derived = np.concatenate([x, xp, t[:, None] * x, bumped, y, 0.5 * (x + y)])
+    mx, mp, mh, mb, my, mmid = _means_at(expr, derived, np.tile(lengths - 1, 6)).reshape(6, n)
+    appended = np.where(past, x_min[:, None], np.column_stack([x, x_min]))
     spread = np.flatnonzero(x_max > x_min)
-    ma = ma[spread]
+    ma = _means_at(expr, appended, lengths)[spread]
+    mr2, mr3 = (_means_at(expr, x.repeat(m, axis=1), m * lengths - 1) for m in (2, 3))
     chord = 0.5 * (mx + my)
     repetition = np.stack([_rel(abs(mx - mr2), mx, mr2), _rel(abs(mx - mr3), mx, mr3)], axis=1)
+
+    def draws(j, *blocks):  # sample j of each block
+        return [block[j, : lengths[j]] for block in blocks]
 
     # property -> (margins in observation order, counterexample at index j)
     observations = {
         "mean_value": (
             _rel(np.maximum(x_min - mx, mx - x_max), x_max),
-            lambda j: ([draws[j][0]], [mx[j]]),
+            lambda j: (draws(j, x), [mx[j]]),
         ),
         "symmetry": (
             _rel(abs(mx - mp), mx, mp),
-            lambda j: (draws[j][:2], [mx[j], mp[j]]),
+            lambda j: (draws(j, x, xp), [mx[j], mp[j]]),
         ),
         "repetition_invariance": (
             repetition.ravel(),
-            lambda j: ([draws[j // 2][0]], [mx[j // 2], (mr2, mr3)[j % 2][j // 2]]),
+            lambda j: (draws(j // 2, x), [mx[j // 2], (mr2, mr3)[j % 2][j // 2]]),
         ),
         "homogeneity": (
             _rel(abs(mh - t * mx), t * mx, mh),
-            lambda j: ([draws[j][0]], [mx[j], mh[j], t[j]]),
+            lambda j: (draws(j, x), [mx[j], mh[j], t[j]]),
         ),
         "increasing": (
             _rel(mx - mb, mx, mb),
-            lambda j: ([draws[j][0], draws[j][2]], [mx[j], mb[j]]),
+            lambda j: (draws(j, x, bumped), [mx[j], mb[j]]),
         ),
         "jensen_concavity": (
             _rel(chord - mmid, mx, my, mmid),
-            lambda j: ([draws[j][0], draws[j][3]], [mx[j], my[j], mmid[j]]),
+            lambda j: (draws(j, x, y), [mx[j], my[j], mmid[j]]),
         ),
         "jensen_convexity": (
             _rel(mmid - chord, mx, my, mmid),
-            lambda j: ([draws[j][0], draws[j][3]], [mx[j], my[j], mmid[j]]),
+            lambda j: (draws(j, x, y), [mx[j], my[j], mmid[j]]),
         ),
         # min-diminishing: appending the minimum must strictly decrease
         "min_diminishing": (
             _rel(ma - mx[spread], mx[spread], ma),
-            lambda j: ([draws[spread[j]][0]], [mx[spread[j]], ma[j]]),
+            lambda j: (draws(spread[j], x), [mx[spread[j]], ma[j]]),
         ),
         # strictness: separation from each bound, relative to that bound,
         # must exceed tolerance (means hugging one bound on wide-spread
@@ -212,7 +212,7 @@ def probe_properties(expr: MeanExpr, cfg: ProbeConfig = ProbeConfig()) -> Proper
                 (mx[spread] - x_min[spread]) / x_min[spread],
                 (x_max[spread] - mx[spread]) / x_max[spread],
             ),
-            lambda j: ([draws[spread[j]][0]], [mx[spread[j]]]),
+            lambda j: (draws(spread[j], x), [mx[spread[j]]]),
         ),
     }
     verdicts = {}

@@ -39,6 +39,22 @@ BISECTED = {
 MODERATE = (0.1, 10.0)
 
 
+class CountingRng:
+    """A generator whose method calls are counted."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -6,7 +6,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.core import ratio_direction
-from conftest import BISECTED, MODERATE, ZOO, log_uniform, oracle_mean
+from conftest import BISECTED, MODERATE, ZOO, CountingRng, log_uniform, oracle_mean
 
 
 class TestSampleValidation:
@@ -239,24 +239,21 @@ def _reference_probe(expr, cfg):
             )
 
     # the gate's draw order, written out: all lengths, all scale factors,
-    # then per length d with k > 0 samples the (k, d) blocks of x and y,
-    # x with each row shuffled, and the bump positions
+    # the (samples, dims[1]) blocks of x and y, whose row i holds sample i
+    # in its first lengths[i] entries, the shuffle keys of those entries
+    # and one bump position per sample
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.dims
     lengths = rng.integers(lo, hi + 1, size=cfg.samples)
     scales = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=cfg.samples))
     log_lo, log_hi = np.log(cfg.entry_range[0]), np.log(cfg.entry_range[1])
-    draws = {}
-    for d in range(lo, hi + 1):
-        k = int(np.count_nonzero(lengths == d))
-        if k:
-            xs = np.exp(rng.uniform(log_lo, log_hi, size=(k, d)))
-            ys = np.exp(rng.uniform(log_lo, log_hi, size=(k, d)))
-            xps = rng.permuted(xs, axis=1)
-            bumps = rng.integers(d, size=k)
-            draws[d] = iter(zip(xs, ys, xps, bumps))
-    for n, t in zip(lengths, scales):
-        x, y, xp, bump = next(draws[n])
+    xs = np.exp(rng.uniform(log_lo, log_hi, size=(cfg.samples, hi)))
+    ys = np.exp(rng.uniform(log_lo, log_hi, size=(cfg.samples, hi)))
+    keys = rng.random((cfg.samples, hi))
+    bumps = rng.integers(lengths)
+    for n, t, x, y, key, bump in zip(lengths, scales, xs, ys, keys, bumps):
+        x, y, key = x[:n], y[:n], key[:n]
+        xp = x[np.argsort(key)]
         mx = hm.evaluate(expr, x)
         x_min, x_max = float(x.min()), float(x.max())
         observe("mean_value", rel(max(x_min - mx, mx - x_max), x_max), [x], [mx])
@@ -291,22 +288,6 @@ def _assert_matches_reference(report, reference):
         if prop in reference:
             ce = verdict.counterexample
             assert (ce.margin, ce.vectors, ce.observed) == reference[prop], prop
-
-
-class _CountingRng:
-    """A generator whose method calls are counted."""
-
-    def __init__(self, rng):
-        self._rng, self.calls = rng, 0
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return method(*args, **kwargs)
-
-        return counted
 
 
 class TestFamilyRules:
@@ -473,27 +454,30 @@ class TestProbes:
                     assert report.holds("min_diminishing") and report.holds("strictness")
 
     def test_draws_in_blocks(self, monkeypatch):
-        # one RNG call per distribution (per length for the vectors) and
-        # one batch per vector width, whatever the sample count
-        rngs, widths = [], []
-        default_rng, evaluate_batch = np.random.default_rng, hm.probes.evaluate_batch
+        # one RNG call per distribution and at most four kernel calls,
+        # whatever the sample count and the vector lengths
+        rngs, kernels = [], []
+        default_rng, kernel = np.random.default_rng, hm.Gini.kernel
 
         def counting_rng(seed):
-            rngs.append(_CountingRng(default_rng(seed)))
+            rngs.append(CountingRng(default_rng(seed)))
             return rngs[-1]
 
-        def counting_batch(expr, xs):
-            widths.append(xs.shape[1])
-            return evaluate_batch(expr, xs)
+        def counting_kernel(node, xs, cols):
+            kernels.append(xs.shape)
+            return kernel(node, xs, cols)
 
-        monkeypatch.setattr(hm.probes.np.random, "default_rng", counting_rng)
-        monkeypatch.setattr(hm.probes, "evaluate_batch", counting_batch)
-        cfg = hm.ProbeConfig(samples=64, dims=(1, 8), seed=5)
-        report = hm.probe_properties(hm.Gini(0.5, -1.0), cfg)
-        assert len(rngs) == 1 and 0 < rngs[0].calls <= 2 + 4 * 8
-        assert widths and len(widths) == len(set(widths))
-        monkeypatch.undo()
-        assert report == hm.probe_properties(hm.Gini(0.5, -1.0), cfg)
+        expr = hm.Gini(0.5, -1.0)
+        for samples, dims in [(1, (1, 1)), (64, (1, 8)), (200, (3, 12))]:
+            cfg = hm.ProbeConfig(samples=samples, dims=dims, seed=5)
+            with monkeypatch.context() as patch:
+                patch.setattr(hm.probes.np.random, "default_rng", counting_rng)
+                patch.setattr(hm.Gini, "kernel", counting_kernel)
+                report = hm.probe_properties(expr, cfg)
+            assert len(rngs) == 1 and rngs.pop().calls == 6
+            assert 0 < len(kernels) <= 4
+            kernels.clear()
+            assert report == hm.probe_properties(expr, cfg)
 
     def test_deterministic_given_seed(self):
         cfg = hm.ProbeConfig(samples=60, seed=7)

@@ -227,6 +227,17 @@ class TestBajraktarevic:
         with pytest.raises(hm.BracketError, match="saturates"):
             hm.evaluate(expr, [20.0, 30.0])
 
+    def test_overflowing_ratio_saturates_without_a_warning(self):
+        # e**y * y overflows to inf at both ends of [705, 706]: the bracket
+        # saturates as one of finite ratios would, and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hm.BracketError, match="saturates to inf"):
+                families._solve_ratio(
+                    hm.EXP, hm.power_generator(-1.0), 1, np.array([1e300]),
+                    np.array([705.0]), np.array([706.0]),
+                )  # fmt: skip
+
     def test_underflowing_denominator_raises(self):
         # x**-300 underflows to 0 on [20, 30]: the positive g has no usable value
         expr = hm.Bajraktarevic(hm.EXP, hm.power_generator(-300.0))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,18 @@ class TestClosedFormRegistry:
         assert hm.closed_form_hardy(hm.Power(0)).value == pytest.approx(math.e)
         assert hm.closed_form_hardy(hm.Power(-1)).value == pytest.approx(2.0)
         assert hm.closed_form_hardy(hm.Power(0.5)).value == pytest.approx(4.0)
+
+    @pytest.mark.parametrize(
+        "p", [-300, -2, -1, -0.5, -1e-8, -1e-14, 1e-14, 1e-12, 1e-8, 0.1, 0.25, 0.5, 0.9, 0.999]
+    )
+    def test_power_constants_match_mpmath(self, p):
+        # (1-p)^(-1/p) at 40 digits; near p = 0 the constant tends to e,
+        # where 1 - p in doubles would lose the digits of p
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            exact = (1 - mp.mpf(p)) ** (-1 / mp.mpf(p))
+        value = hm.closed_form_hardy(hm.Power(float(p))).value
+        assert abs(value - exact) <= 4 * np.spacing(float(exact))
 
     def test_power_not_hardy_at_and_above_one(self):
         for p in (1.0, 1.5, 3.0):
@@ -477,9 +490,20 @@ class TestHardyConstant:
 
         expr = hm.parse_mean_expr(text)
         monkeypatch.setattr(hardy, "probe_properties", probe)
-        # exp overflows on the default grid's largest points
-        hm.hardy_constant(expr, hm.HardyConfig(n_max=500, y_grid=(0.1, 1.0, 10.0)))
+        hm.hardy_constant(expr, hm.HardyConfig(n_max=500))
         assert calls == [expr]
+
+    def test_overflowing_ratio_on_the_default_grid_raises_no_warning(self):
+        # e**y * y passes the double range near the default grid's largest
+        # points, where the bisection meets infinite ratios; at y = 1000
+        # exp itself overflows and the point is skipped
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = hm.hardy_constant(
+                hm.parse_mean_expr("bajrak(exp,pow:-1)"), hm.HardyConfig(n_max=300)
+            )
+        assert est.y_grid == default_y_grid()
+        assert "y=1000 skipped (OverflowError)" in est.notes
 
     def test_rules_name_their_reason(self):
         est = hm.hardy_constant(hm.Gini(-0.2, -0.4), hm.HardyConfig(n_max=500))

@@ -7,7 +7,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.kedlaya import MAX_COEFFICIENT_N, MAX_MATRIX_N
-from conftest import ZOO, log_uniform
+from conftest import BISECTED, ZOO, CountingRng, log_uniform
 
 
 def coefficient_oracle(n, i, j, k):
@@ -187,6 +187,50 @@ class TestInequalityChecks:
             margins = hm.kedlaya_margins(expr, samples=120, seed=6)
             assert margins.min() >= -1e-12, expr
         assert checked >= 5  # the concave core of the zoo
+
+    @pytest.mark.parametrize("name", sorted(ZOO) + sorted(BISECTED))
+    def test_margins_match_scalar_checks(self, name):
+        expr = ZOO[name] if name in ZOO else BISECTED[name]
+        for samples, seed in ((1, 0), (200, 3)):
+            # the draw order, written out: all lengths, then a block of
+            # entries whose row i holds sample i in its first lengths[i]
+            rng = np.random.default_rng(seed)
+            lo, hi = hm.kedlaya.MARGIN_DIMS
+            lengths = rng.integers(lo, hi + 1, size=samples)
+            log_lo, log_hi = np.log(hm.kedlaya.MARGIN_ENTRY_RANGE)
+            rows = np.exp(rng.uniform(log_lo, log_hi, size=(samples, hi)))
+            margins = hm.kedlaya_margins(expr, samples=samples, seed=seed)
+            expected = []
+            for row, n in zip(rows, lengths):
+                v = row[:n]
+                margin = hm.check_kedlaya_inequality(expr, v)
+                # the check's definition, with one evaluate per vector
+                averages = np.cumsum(v) / np.arange(1.0, n + 1.0)
+                prefixes = [hm.evaluate(expr, v[:k]) for k in range(1, n + 1)]
+                assert margin == hm.evaluate(expr, averages) - math.fsum(prefixes) / n
+                expected.append(margin)
+            assert margins.tolist() == expected
+
+    def test_margins_draw_and_evaluate_in_blocks(self, monkeypatch):
+        rngs, kernels = [], []
+        default_rng, kernel = np.random.default_rng, hm.Gini.kernel
+
+        def counting_rng(seed):
+            rngs.append(CountingRng(default_rng(seed)))
+            return rngs[-1]
+
+        def counting_kernel(node, xs, cols):
+            kernels.append(xs.shape)
+            return kernel(node, xs, cols)
+
+        monkeypatch.setattr(hm.kedlaya.np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(hm.Gini, "kernel", counting_kernel)
+        for samples in (1, 200, 1000):
+            hm.kedlaya_margins(hm.Gini(0.5, -1.0), samples=samples, seed=4)
+            assert len(rngs) == 1 and rngs.pop().calls == 2
+            # the vectors and their prefix averages, stacked
+            assert kernels == [(2 * samples, hm.kedlaya.MARGIN_DIMS[1])]
+            kernels.clear()
 
     @pytest.mark.parametrize(
         "kwargs,message",
