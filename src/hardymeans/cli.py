@@ -8,14 +8,15 @@ codes: 0 success, 1 computation error, 2 usage error (including parse
 errors in the mean text).  Errors are written to stderr prefixed with a
 stable error-code string.
 
-Every randomized subcommand takes a seed (defaulting to 0) and echoes
-it in the report, so re-running the echoed command reproduces the
-payload bit for bit.
+Every randomized subcommand (probe, hardy-seq, kedlaya check) takes a
+seed (defaulting to 0) and echoes it in the report, so re-running the
+echoed command reproduces the payload bit for bit.  The other
+subcommands, hardy included, depend on no seed and echo ``seed: null``;
+hardy still accepts ``--seed`` and ignores it.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="probe seed; unused when the family's rules decide the gate",
+        help="ignored: the family rules decide the gate, and no probe runs",
     )
     p_hardy.add_argument("--csv", default=None, metavar="PATH", help="write the p_n sweep")
 
@@ -200,13 +201,8 @@ def _write_pn_csv(path: str, pn) -> None:
 
 def _cmd_hardy(args, argv) -> None:
     expr = parse_mean_expr(args.mean)
-    cfg = HardyConfig(
-        n_max=args.nmax,
-        y_grid=args.ygrid,
-        probe=dataclasses.replace(HardyConfig().probe, seed=args.seed),
-    )
-    estimate = hardy_constant(expr, cfg)
-    payload = _envelope(argv, args.seed)
+    estimate = hardy_constant(expr, HardyConfig(n_max=args.nmax, y_grid=args.ygrid))
+    payload = _envelope(argv, None)
     payload["method"] = estimate.method
     payload["estimate"] = _finite_or_none(estimate.estimate)
     payload["reference"] = estimate.reference

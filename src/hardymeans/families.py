@@ -219,11 +219,17 @@ def bajraktarevic_kernel(
     """(f/g)-inverse of sum(f(x_i)) / sum(g(x_i)), for a pair that
     :class:`~hardymeans.core.Bajraktarevic` accepts, with f/g's direction
     (:func:`~hardymeans.core.ratio_direction`); the inverse is found by
-    bisection on [min(x), max(x)]."""
+    bisection on [min(x), max(x)].  A target sum(f)/sum(g) that overflows
+    has no root to find and raises BracketError."""
     fv, gv = f(xs), g(xs)
     if np.any(gv == 0.0):
         raise BracketError(f"generator {g.describe()} underflows to 0 on the sample")
-    target = np.cumsum(fv, axis=-1)[..., cols] / np.cumsum(gv, axis=-1)[..., cols]
+    with np.errstate(over="ignore"):
+        target = np.cumsum(fv, axis=-1)[..., cols] / np.cumsum(gv, axis=-1)[..., cols]
+    if not np.all(np.isfinite(target)):
+        raise BracketError(
+            f"ratio {f.describe()}/{g.describe()} of the sums overflows on the sample"
+        )
     lo = np.minimum.accumulate(xs, axis=-1)[..., cols]
     hi = np.maximum.accumulate(xs, axis=-1)[..., cols]
     return _solve_ratio(f, g, direction, target, lo, hi)

@@ -10,8 +10,8 @@ sequences.  The tools here:
   limit is the constant itself, so a finite truncation is certified
   from below.
 * ``hardy_constant`` -- dispatches between the homogeneous p_n limit
-  and an uncertified sup-over-grid / tail-window estimator for
-  non-homogeneous means.
+  and an uncertified sup-over-grid / tail-window estimator for every
+  mean that no rule makes homogeneous.
 * ``closed_form_hardy`` -- the registry of exactly known constants
   and of exactly known non-summability verdicts, read from the node
   classes in :mod:`hardymeans.core`.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .core import (
     prefix_means,
 )
 from .neldermead import minimize_lockstep
-from .probes import ProbeConfig, probe_properties
 
 __all__ = [
     "canonical",
@@ -131,20 +130,17 @@ def default_y_grid() -> tuple[float, ...]:
 class HardyConfig:
     n_max: int = 10_000
     y_grid: tuple[float, ...] | None = None  # grid method only; None -> default
-    divergence_ceiling: float = 1e6
-    # the gate's probe, for the properties no family rule decides;
-    # moderate entries keep it evaluable for growth-limited means
-    probe: ProbeConfig = field(
-        default_factory=lambda: ProbeConfig(samples=64, seed=0, entry_range=(0.1, 10.0))
-    )
+    # ignored: the family rules alone decide the gate, and no probe runs;
+    # accepted so that callers that still pass a ProbeConfig keep working
+    probe: object = None
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if not self.divergence_ceiling > 0:
-            raise ValueError("divergence_ceiling must be positive")
 
 
+# an estimate or a p_n above this reports the mean divergent
+_DIVERGENCE_CEILING = 1e6
 # a p_n decrease larger than this, relative to p_{n_max}, is above
 # rounding level and withholds certification
 _PN_DECREASE_TOL = 1e-12
@@ -191,19 +187,20 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     """Estimate the summability constant of a mean.
 
     Registered non-summable means are reported divergent with a growth
-    trace, without probing, and never with a finite certified constant.
-    The gate properties are taken from the family's rules
-    (``known_properties`` of the canonical node), else from the seeded
-    probe, which runs only when some rule is missing; the notes give a
-    rule's reason (``failure_reasons``) for each property it denies, and
-    the probe's failures apart.  Homogeneous means use the monotone p_n
-    truncation, a certified-from-below estimate when symmetry,
-    increasingness, concavity and repetition invariance also hold and
-    the computed p_n never decrease by more than rounding; a larger
-    decrease also drops the tolerance.
-    Non-homogeneous means fall back to the uncertified grid estimator:
-    the maximum over a log-spaced y-grid of the minimum over the tail
-    window [n_max/2, n_max] of (n/y) * M(y/1, ..., y/n).
+    trace, and never with a finite certified constant.  The gate
+    properties are taken from the family's rules alone
+    (``known_properties`` of the canonical node); nothing is sampled, so
+    the report depends on no seed.  The notes give a rule's reason
+    (``failure_reasons``) for each property it denies, and name the
+    properties no rule decides; either withholds certification.  Means
+    that a rule makes homogeneous use the monotone p_n truncation, a
+    certified-from-below estimate when symmetry, increasingness,
+    concavity and repetition invariance also hold by rule and the
+    computed p_n never decrease by more than rounding; a larger decrease
+    also drops the tolerance.
+    Every other mean takes the uncertified grid estimator: the maximum
+    over a log-spaced y-grid of the minimum over the tail window
+    [n_max/2, n_max] of (n/y) * M(y/1, ..., y/n).
     """
     form = closed_form_hardy(expr)
     notes: list[str] = []
@@ -217,29 +214,25 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     tolerance = published_tolerance(expr) if reference is not None else None
 
     not_hardy = form is not None and not form.is_hardy
-    failed: list[str] = []
-    why: list[str] = []  # a rule's reason for each failure it decides, then the probes'
-    if not not_hardy:
-        node = canonical(expr)
-        known = node.known_properties()
-        failed = [name for name in _GATE_PROPERTIES if known.get(name) is False]
-        why = [f"rules: {node.failure_reasons[name]}" for name in failed]
-        if not known.keys() >= set(_GATE_PROPERTIES):
-            report = probe_properties(expr, cfg.probe)
-            probed = [n for n in _GATE_PROPERTIES if n not in known and not report.holds(n)]
-            if probed:
-                why.append("probes failed for " + ", ".join(probed))
-            failed += probed
-    if not_hardy or "homogeneity" not in failed:
+    node = canonical(expr)
+    known = node.known_properties()
+    # why certification is withheld: a rule's reason for each property it
+    # denies, then the properties no rule decides
+    failed = [name for name in _GATE_PROPERTIES if known.get(name) is False]
+    why = [f"rules: {node.failure_reasons[name]}" for name in failed]
+    undecided = [name for name in _GATE_PROPERTIES if name not in known]
+    if undecided:
+        why.append("no rule decides " + ", ".join(undecided))
+    if not_hardy or known.get("homogeneity"):
         pn = pn_sequence(expr, cfg.n_max)
-        exceeded = np.nonzero(pn.values > cfg.divergence_ceiling)[0]
+        exceeded = np.nonzero(pn.values > _DIVERGENCE_CEILING)[0]
         divergent = not_hardy or exceeded.size > 0
         decreased = pn.max_decrease > _PN_DECREASE_TOL * pn.final
         if not_hardy:
             notes.append("not a Hardy mean; no finite certified constant exists")
         elif exceeded.size:
             notes.append(
-                f"p_n exceeded the divergence ceiling {cfg.divergence_ceiling:g} "
+                f"p_n exceeded the divergence ceiling {_DIVERGENCE_CEILING:g} "
                 f"at n={int(exceeded[0]) + 1}; non-Hardy at this scale"
             )
         elif why:
@@ -295,7 +288,7 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     notes.extend(why)
     if skipped:
         notes.append("; ".join(skipped))
-    divergent = best > cfg.divergence_ceiling
+    divergent = best > _DIVERGENCE_CEILING
     return HardyEstimate(
         method="sup-liminf-grid",
         estimate=math.inf if divergent else best,

@@ -59,6 +59,13 @@ class TestEval:
         assert out == ""
         assert err.startswith("E_INVALID:")
 
+    def test_overflowing_target_exit_code(self, capsys):
+        # sum(e**x) / sum(1/x) overflows: the mean's root cannot be represented
+        code, out, err = run(capsys, ["eval", "bajrak(exp,pow:-1)", "700", "706"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("E_BRACKET:")
+
     def test_saturated_ratio_exit_code(self, capsys):
         # x**-300 underflows to 0 on [20, 30]: the bisection has no bracket
         code, out, err = run(capsys, ["eval", "bajrak(pow:-300,exp)", "20", "30"])
@@ -181,6 +188,20 @@ class TestHardyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["method"] == "sup-liminf-grid"
+
+    @pytest.mark.parametrize(
+        "text", ["gauss(gini(-0.2,-0.4),power(0))", "bajrak(exp,pow:-1)"]
+    )
+    def test_seed_is_ignored(self, capsys, text):
+        payloads = []
+        for seed in ("1", "2"):
+            code, out, _ = run(capsys, ["hardy", text, "--nmax", "500", "--seed", seed])
+            assert code == 0
+            payload = json.loads(out)
+            assert payload.pop("command")[-1] == seed
+            assert payload["seed"] is None
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
     def test_bad_ygrid_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["hardy", "power(0)", "--ygrid", "oops"])

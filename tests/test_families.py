@@ -238,6 +238,16 @@ class TestBajraktarevic:
                     np.array([705.0]), np.array([706.0]),
                 )  # fmt: skip
 
+    def test_overflowing_target_raises(self):
+        # sum(e**x) / sum(1/x) passes the double range on [700, 706], so the
+        # root of y * e**y = target cannot be represented; the true mean is
+        # 705.306, and a bisection on the infinite target would end at 703.227
+        expr = hm.parse_mean_expr("bajrak(exp,pow:-1)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hm.BracketError, match="overflows"):
+                hm.evaluate(expr, [700.0, 706.0])
+
     def test_underflowing_denominator_raises(self):
         # x**-300 underflows to 0 on [20, 30]: the positive g has no usable value
         expr = hm.Bajraktarevic(hm.EXP, hm.power_generator(-300.0))

@@ -416,13 +416,9 @@ class TestHardyConstant:
             assert any("growth trace" in note for note in est.notes)
 
     @pytest.mark.parametrize("expr", [hm.Power(2.0), hm.Gini(2.0, 1.0)], ids=repr)
-    def test_registry_verdict_needs_no_probe(self, expr, monkeypatch):
+    def test_registry_verdict_needs_no_probe(self, expr):
         from hardymeans import hardy
 
-        def probe(expr, cfg):
-            raise AssertionError("probe_properties called")
-
-        monkeypatch.setattr(hardy, "probe_properties", probe)
         est = hm.hardy_constant(expr, hm.HardyConfig(n_max=2000))
         pn = hm.pn_sequence(expr, 2000)
         assert est.notes == (
@@ -444,13 +440,7 @@ class TestHardyConstant:
             "bajrak(pow:0.5,pow:0)",
         ],
     )
-    def test_family_rules_need_no_probe(self, text, monkeypatch):
-        from hardymeans import hardy
-
-        def probe(expr, cfg):
-            raise AssertionError("probe_properties called")
-
-        monkeypatch.setattr(hardy, "probe_properties", probe)
+    def test_family_rules_need_no_probe(self, text):
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=2000))
         assert est.method == "homogeneous-limit"
         assert any("certified-from-below" in note for note in est.notes)
@@ -466,32 +456,52 @@ class TestHardyConstant:
     ]  # fmt: skip
 
     @pytest.mark.parametrize("text", SWEEP)
-    def test_sweep_catalogue_needs_no_probe(self, text, monkeypatch):
+    def test_sweep_catalogue_needs_no_probe(self, text):
         from hardymeans import hardy
 
-        def probe(expr, cfg):
-            raise AssertionError("probe_properties called")
+        # the rules decide every gate property, or the registry decides
+        # that the mean is not a Hardy mean
+        expr = hm.parse_mean_expr(text)
+        form = hm.closed_form_hardy(expr)
+        known = hm.canonical(expr).known_properties()
+        assert known.keys() >= set(hardy._GATE_PROPERTIES) or not form.is_hardy
+        est = hm.hardy_constant(expr, hm.HardyConfig(n_max=200))
+        assert not any("no rule decides" in note for note in est.notes)
 
-        monkeypatch.setattr(hardy, "probe_properties", probe)
-        hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=200))
+    def test_undecided_gauss_product_is_not_certified(self):
+        # the gini child is neither increasing nor concave, so no rule
+        # decides either property of the product
+        expr = hm.parse_mean_expr("gauss(gini(-0.2,-0.4),power(0))")
+        est = hm.hardy_constant(expr, hm.HardyConfig(n_max=500))
+        assert est.method == "homogeneous-limit"
+        assert est.notes == (
+            "estimate (uncertified): no rule decides increasing, jensen_concavity",
+        )
+
+    def test_undecided_homogeneity_takes_the_grid(self):
+        est = hm.hardy_constant(
+            hm.parse_mean_expr("bajrak(exp,pow:-1)"), hm.HardyConfig(n_max=500)
+        )
+        assert est.method == "sup-liminf-grid"
+        assert (
+            "no rule decides homogeneity, symmetry, increasing, jensen_concavity, "
+            "repetition_invariance"
+        ) in est.notes
 
     @pytest.mark.parametrize(
         "text", ["bajrak(exp,pow:-1)", "gauss(gini(-0.2,-0.4),power(0))"]
     )
-    def test_other_families_are_probed(self, text, monkeypatch):
-        # a mean with a gate property that no rule decides
-        from hardymeans import hardy
+    def test_reports_depend_on_no_probe_seed(self, text):
+        def report(seed):
+            probe = hm.ProbeConfig(samples=64, seed=seed, entry_range=(0.1, 10.0))
+            est = hm.hardy_constant(
+                hm.parse_mean_expr(text), hm.HardyConfig(n_max=500, probe=probe)
+            )
+            fields = dataclasses.asdict(est)
+            pn = fields.pop("pn")
+            return fields, None if pn is None else pn["values"].tobytes()
 
-        calls = []
-
-        def probe(expr, cfg):
-            calls.append(expr)
-            return hm.probe_properties(expr, cfg)
-
-        expr = hm.parse_mean_expr(text)
-        monkeypatch.setattr(hardy, "probe_properties", probe)
-        hm.hardy_constant(expr, hm.HardyConfig(n_max=500))
-        assert calls == [expr]
+        assert report(0) == report(7)
 
     def test_overflowing_ratio_on_the_default_grid_raises_no_warning(self):
         # e**y * y passes the double range near the default grid's largest
@@ -539,39 +549,28 @@ class TestHardyConstant:
             "bajrak(exp,pow:0)",
         ],
     )
-    def test_rules_and_probe_give_equal_reports(self, text, monkeypatch):
-        # every field but the notes, which name a rule's reason where the
-        # gate meets a rule that says a property fails
+    def test_rules_and_probe_give_equal_reports(self, text):
+        # the gate reads two things from the rules: homogeneity, which picks
+        # the path, and whether any property fails, which withholds
+        # certification; a 64-sample probe at two seeds agrees on both, and
+        # refutes no property a rule says holds
+        from hardymeans import hardy
+
         expr = hm.parse_mean_expr(text)
-        node = hm.canonical(expr)
-        form = hm.closed_form_hardy(expr)
-        refuted = (form is None or form.is_hardy) and not all(node.known_properties().values())
-
-        def reports():
-            out = []
-            for seed in (0, 7):
-                probe = dataclasses.replace(hm.HardyConfig().probe, seed=seed)
-                est = hm.hardy_constant(expr, hm.HardyConfig(n_max=2000, probe=probe))
-                fields = dataclasses.asdict(est)
-                pn = fields.pop("pn") or {"values": None}  # None on the grid path
-                values = pn.pop("values")
-                out.append((fields, None if values is None else values.tobytes(), pn))
-            return out
-
-        by_rules = reports()
-        monkeypatch.setattr(type(node), "known_properties", lambda self: {})
-        by_probe = reports()
-        if refuted:
-            for (fields, *_), (probed, *_) in zip(by_rules, by_probe):
-                assert any("rules: " in note for note in fields.pop("notes"))
-                assert not any("rules: " in note for note in probed.pop("notes"))
-        assert by_probe == by_rules
+        known = hm.canonical(expr).known_properties()
+        for seed in (0, 7):
+            cfg = hm.ProbeConfig(samples=64, seed=seed, entry_range=(0.1, 10.0))
+            report = hm.probe_properties(expr, cfg)
+            refuted = [name for name in hardy._GATE_PROPERTIES if not report.holds(name)]
+            assert not [name for name in refuted if known[name]]
+            assert report.holds("homogeneity") == known["homogeneity"]
+            assert bool(refuted) == (False in known.values())
 
     @pytest.mark.parametrize("p", [3e-7, -3e-7, 1e-7])
     def test_rules_decide_the_cancellation_band(self, p, monkeypatch):
-        # within 1e-6 of p = 0 the kernel's rounding trips the probe, which
-        # used to send these means to the grid estimator or withhold
-        # certification; the rules know the mean is homogeneous
+        # within 1e-6 of p = 0 the kernel's rounding trips a sampling probe;
+        # the rules know the mean is homogeneous, and without them nothing
+        # decides the gate
         cfg = hm.HardyConfig(n_max=2000)
         with pytest.warns(hm.CancellationWarning):
             est = hm.hardy_constant(hm.Power(p), cfg)
@@ -580,14 +579,18 @@ class TestHardyConstant:
         assert any("certified-from-below" in note for note in est.notes)
         monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
         with pytest.warns(hm.CancellationWarning):
-            probed = hm.hardy_constant(hm.Power(p), cfg)
-        assert not any("certified-from-below" in note for note in probed.notes)
+            undecided = hm.hardy_constant(hm.Power(p), cfg)
+        assert undecided.method == "sup-liminf-grid"
+        assert (
+            "no rule decides homogeneity, symmetry, increasing, jensen_concavity, "
+            "repetition_invariance"
+        ) in undecided.notes
 
     def test_divergence_ceiling_names_witness(self):
-        cfg = hm.HardyConfig(n_max=2000, divergence_ceiling=100.0)
-        est = hm.hardy_constant(hm.MaxOf(), cfg)  # p_n = n along the harmonic vector
+        # p_n = n along the harmonic vector, past the ceiling 1e6 at n = 10^6 + 1
+        est = hm.hardy_constant(hm.MaxOf(), hm.HardyConfig(n_max=1_000_001))
         assert est.divergent
-        assert any("n=101" in note for note in est.notes)
+        assert any("n=1000001" in note for note in est.notes)
 
     def test_uncertified_annotation_when_probes_fail(self):
         # max is homogeneous but not Jensen concave

@@ -4,10 +4,13 @@
 ``TRACED`` table.  A renamed or deleted function would break only
 ``perfbench/run.py --trace 1``; these tests read that table from the
 tracer's source (without importing or changing it) and check that every
-name in it still resolves.
+name in it still resolves.  They also run each workload's task list once
+through ``perfbench/workloads.py``.
 """
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,25 @@ def test_traced_table_is_nonempty():
 def test_traced_function_resolves(module, name):
     fn = getattr(importlib.import_module(f"hardymeans.{module}"), name, None)
     assert callable(fn), f"perfbench traces hardymeans.{module}.{name}, which is gone"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["sweep", "fuzz", "cli"])
+def test_workload_tasks_pass_their_checks(workloads, workload):
+    # every task the benchmark times, run once in this process, so that an
+    # input the benchmark passes and the package no longer accepts fails
+    # here; the mpmath oracles are left to the benchmark
+    tasks = workloads.build(workload, seed=0, in_process=True)
+    assert tasks
+    for task in tasks:
+        assert task.check(task.run()) is None, task.id
