@@ -5,18 +5,21 @@ Subcommands: eval, probe, hardy, hardy-seq, liminf, kedlaya
 the hardy subcommand can additionally write the p_n sweep as CSV
 (columns ``n,p_n``, 15 significant digits, LF line endings).  Exit
 codes: 0 success, 1 computation error, 2 usage error (including parse
-errors in the mean text).  Errors are written to stderr prefixed with a
-stable error-code string.
+errors in the mean text); errors go to stderr behind a stable prefix,
+taken with the exit code from the one table ``_ERRORS``.
 
-Every randomized subcommand (probe, hardy-seq, kedlaya check) takes a
-seed (defaulting to 0) and echoes it in the report, so re-running the
-echoed command reproduces the payload bit for bit.  The other
-subcommands, hardy included, depend on no seed and echo ``seed: null``;
-hardy still accepts ``--seed`` and ignores it.
+Each handler returns only its report's own fields; ``run_command``
+leads every report with the envelope ``command``, ``version`` and
+``seed``, where seed is the subcommand's ``--seed`` or null if it has
+none.  So the randomized subcommands (probe, hardy-seq, kedlaya check)
+echo their seed (default 0), and re-running the echoed command
+reproduces the payload bit for bit; hardy takes ``--seed`` under
+another name, ignores it and echoes ``seed: null``.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,6 +35,7 @@ from .core import (
 )
 from .gauss import GaussConfig, gauss_product
 from .hardy import (
+    SEQUENCES,
     HardyConfig,
     SearchConfig,
     hardy_constant,
@@ -95,6 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_hardy.add_argument(
         "--seed",
+        dest="ignored_seed",
+        metavar="SEED",
         type=int,
         default=0,
         help="ignored: the family rules decide the gate, and no probe runs",
@@ -116,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_liminf = sub.add_parser("liminf", help="tail-window ratio along a named sequence")
     p_liminf.add_argument("mean")
-    p_liminf.add_argument("--seq", choices=("harmonic", "constant", "sqrt"), required=True)
+    p_liminf.add_argument("--seq", choices=tuple(SEQUENCES), required=True)
     p_liminf.add_argument("--nmax", type=int, default=10_000)
 
     p_ked = sub.add_parser("kedlaya", help="prefix-mixing combinatorics and checks")
@@ -141,55 +147,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
 def _finite_or_none(value: float | None) -> float | None:
     if value is None or not math.isfinite(value):
         return None
     return float(value)
 
 
-def _envelope(argv: list[str], seed: int | None) -> dict:
-    return {"command": list(argv), "version": __version__, "seed": seed}
+def _cmd_eval(args) -> dict:
+    return {"value": evaluate(parse_mean_expr(args.mean), args.xs)}
 
 
-def _counterexample_payload(counterexample) -> dict | None:
-    if counterexample is None:
-        return None
-    return {
-        "vectors": [list(v) for v in counterexample.vectors],
-        "observed": list(counterexample.observed),
-        "margin": counterexample.margin,
-    }
-
-
-def _cmd_eval(args, argv) -> None:
-    expr = parse_mean_expr(args.mean)
-    payload = _envelope(argv, None)
-    payload["value"] = evaluate(expr, args.xs)
-    _emit(payload)
-
-
-def _cmd_probe(args, argv) -> None:
+def _cmd_probe(args) -> dict:
     expr = parse_mean_expr(args.mean)
     cfg = ProbeConfig(samples=args.samples, seed=args.seed, tolerance=args.tolerance)
     report = probe_properties(expr, cfg)
-    payload = _envelope(argv, args.seed)
-    payload["samples"] = cfg.samples
-    payload["tolerance"] = cfg.tolerance
-    payload["verdicts"] = {
-        name: {
-            "holds_on_samples": verdict.holds_on_samples,
-            "counterexample": _counterexample_payload(verdict.counterexample),
-        }
-        for name, verdict in report.verdicts.items()
+    return {
+        "samples": cfg.samples,
+        "tolerance": cfg.tolerance,
+        "verdicts": {
+            name: dataclasses.asdict(verdict) for name, verdict in report.verdicts.items()
+        },
+        "notes": [
+            "sampling probe: 'holds_on_samples' means no violation found at the tolerance"
+        ],
     }
-    payload["notes"] = [
-        "sampling probe: 'holds_on_samples' means no violation found at the tolerance"
-    ]
-    _emit(payload)
 
 
 def _write_pn_csv(path: str, pn) -> None:
@@ -199,91 +180,87 @@ def _write_pn_csv(path: str, pn) -> None:
             handle.write(f"{n},{value:.15g}\n")
 
 
-def _cmd_hardy(args, argv) -> None:
+def _cmd_hardy(args) -> dict:
     expr = parse_mean_expr(args.mean)
     estimate = hardy_constant(expr, HardyConfig(n_max=args.nmax, y_grid=args.ygrid))
-    payload = _envelope(argv, None)
-    payload["method"] = estimate.method
-    payload["estimate"] = _finite_or_none(estimate.estimate)
-    payload["reference"] = estimate.reference
-    payload["reference_kind"] = estimate.reference_kind
-    payload["tolerance"] = estimate.tolerance
-    payload["nmax"] = estimate.n_max
-    payload["divergent"] = estimate.divergent
-    payload["max_pn_decrease"] = estimate.pn.max_decrease if estimate.pn else None
-    payload["notes"] = list(estimate.notes)
+    notes = list(estimate.notes)
     if args.csv is not None:
         if estimate.pn is None:
-            payload["notes"].append("no p_n sweep on the grid path; CSV not written")
+            notes.append("no p_n sweep on the grid path; CSV not written")
         else:
             _write_pn_csv(args.csv, estimate.pn)
-    _emit(payload)
+    return {
+        "method": estimate.method,
+        "estimate": _finite_or_none(estimate.estimate),
+        "reference": estimate.reference,
+        "reference_kind": estimate.reference_kind,
+        "tolerance": estimate.tolerance,
+        "nmax": estimate.n_max,
+        "divergent": estimate.divergent,
+        "max_pn_decrease": estimate.pn.max_decrease if estimate.pn else None,
+        "notes": notes,
+    }
 
 
-def _cmd_hardy_seq(args, argv) -> None:
+def _cmd_hardy_seq(args) -> dict:
     expr = parse_mean_expr(args.mean)
     cfg = SearchConfig(restarts=args.restarts, seed=args.seed, budget=args.budget)
     bound = hardy_sequence_bound(expr, args.n, cfg)
-    payload = _envelope(argv, args.seed)
-    payload["n"] = bound.n
-    payload["estimate"] = bound.estimate
-    payload["maximizer"] = list(bound.maximizer)
-    payload["restarts"] = bound.restarts
-    payload["trace"] = [_finite_or_none(v) for v in bound.trace]
-    payload["notes"] = ["lower bound: the n-term constant is at least this large"]
-    _emit(payload)
+    return {
+        "n": bound.n,
+        "estimate": bound.estimate,
+        "maximizer": list(bound.maximizer),
+        "restarts": bound.restarts,
+        "trace": [_finite_or_none(v) for v in bound.trace],
+        "notes": ["lower bound: the n-term constant is at least this large"],
+    }
 
 
-def _cmd_liminf(args, argv) -> None:
-    expr = parse_mean_expr(args.mean)
-    result = liminf_ratio(expr, args.seq, args.nmax)
-    payload = _envelope(argv, None)
-    payload["sequence"] = result.sequence
-    payload["nmax"] = result.n_max
-    payload["window"] = list(result.window)
-    payload["estimate"] = result.estimate
-    payload["notes"] = ["tail-window minimum; lower-bounds the summability constant"]
-    _emit(payload)
+def _cmd_liminf(args) -> dict:
+    result = liminf_ratio(parse_mean_expr(args.mean), args.seq, args.nmax)
+    return {
+        "sequence": result.sequence,
+        "nmax": result.n_max,
+        "window": list(result.window),
+        "estimate": result.estimate,
+        "notes": ["tail-window minimum; lower-bounds the summability constant"],
+    }
 
 
-def _cmd_kedlaya(args, argv) -> None:
+def _cmd_kedlaya(args) -> dict:
     if args.kedlaya_command == "coeffs":
         table = kedlaya_table(args.n)
         audit = table.audit()
-        payload = _envelope(argv, None)
-        payload["n"] = args.n
-        payload["coefficients"] = table.coefficients.tolist()
-        payload["audit"] = audit
-        payload["all_pass"] = all(audit.values())
-        _emit(payload)
-    elif args.kedlaya_command == "matrix":
+        return {
+            "n": args.n,
+            "coefficients": table.coefficients.tolist(),
+            "audit": audit,
+            "all_pass": all(audit.values()),
+        }
+    if args.kedlaya_command == "matrix":
         matrix = kedlaya_matrix(args.n)
-        payload = _envelope(argv, None)
-        payload["n"] = args.n
-        payload["matrix"] = matrix.entries.tolist()
-        payload["occurrences_pass"] = matrix.audit_occurrences()
-        _emit(payload)
-    else:
-        expr = parse_mean_expr(args.mean)
-        margins = kedlaya_margins(expr, samples=args.samples, seed=args.seed)
-        payload = _envelope(argv, args.seed)
-        payload["samples"] = args.samples
-        payload["margin_min"] = float(margins.min())
-        payload["margin_max"] = float(margins.max())
-        payload["margin_mean"] = float(margins.mean())
-        payload["notes"] = ["nonnegative margins mean the prefix-average inequality held"]
-        _emit(payload)
+        return {
+            "n": args.n,
+            "matrix": matrix.entries.tolist(),
+            "occurrences_pass": matrix.audit_occurrences(),
+        }
+    expr = parse_mean_expr(args.mean)
+    margins = kedlaya_margins(expr, samples=args.samples, seed=args.seed)
+    return {
+        "samples": args.samples,
+        "margin_min": float(margins.min()),
+        "margin_max": float(margins.max()),
+        "margin_mean": float(margins.mean()),
+        "notes": ["nonnegative margins mean the prefix-average inequality held"],
+    }
 
 
-def _cmd_gauss(args, argv) -> None:
+def _cmd_gauss(args) -> dict:
     means = tuple(parse_mean_expr(text) for text in args.means)
     if len(means) < 2:
         raise ParseError("'gauss' needs at least two means", 1, expected=("mean",))
     cfg = GaussConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
-    payload = _envelope(argv, None)
-    payload["value"] = gauss_product(means, args.at, cfg)
-    payload["tolerance"] = cfg.tolerance
-    _emit(payload)
+    return {"value": gauss_product(means, args.at, cfg), "tolerance": cfg.tolerance}
 
 
 _HANDLERS = {
@@ -296,6 +273,17 @@ _HANDLERS = {
     "gauss": _cmd_gauss,
 }
 
+# (error class, stderr prefix, exit code), tried in order, so every
+# subclass comes before its base class
+_ERRORS = (
+    (ParseError, "E_PARSE", 2),
+    (ValueError, "E_INVALID", 2),
+    (OverflowError, "E_OVERFLOW", 1),
+    (NonConvergenceError, "E_NONCONVERGENCE", 1),
+    (BracketError, "E_BRACKET", 1),
+    (MeanComputationError, "E_COMPUTE", 1),
+)
+
 
 def run_command(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit code."""
@@ -306,25 +294,14 @@ def run_command(argv: list[str]) -> int:
         code = exit_request.code
         return int(code) if code is not None else 0
     try:
-        _HANDLERS[args.command](args, argv)
-    except ParseError as exc:
-        sys.stderr.write(f"E_PARSE: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"E_INVALID: {exc}\n")
-        return 2
-    except OverflowError as exc:
-        sys.stderr.write(f"E_OVERFLOW: {exc}\n")
-        return 1
-    except NonConvergenceError as exc:
-        sys.stderr.write(f"E_NONCONVERGENCE: {exc}\n")
-        return 1
-    except BracketError as exc:
-        sys.stderr.write(f"E_BRACKET: {exc}\n")
-        return 1
-    except MeanComputationError as exc:
-        sys.stderr.write(f"E_COMPUTE: {exc}\n")
-        return 1
+        fields = _HANDLERS[args.command](args)
+    except tuple(error for error, _, _ in _ERRORS) as exc:
+        prefix, code = next((p, c) for error, p, c in _ERRORS if isinstance(exc, error))
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
+    seed = getattr(args, "seed", None)
+    payload = {"command": list(argv), "version": __version__, "seed": seed, **fields}
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 

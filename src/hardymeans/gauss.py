@@ -68,15 +68,16 @@ def gauss_kernel(
         if iteration == cfg.max_iterations:
             break
         # every fourth step: envelopes of means are nested, so a row whose
-        # ends have not moved since the last check has stalled (the ends,
-        # as the gap rounds to 1 while they are orders of magnitude apart)
+        # log-envelope width has shrunk by less than a relative 2^-20 since
+        # the last check has stalled (the log width, as the gap rounds to 1
+        # while the ends are orders of magnitude apart)
         if iteration % 4 == 1:
-            lo, hi = lo[keep], hi[keep]
+            width = np.log(hi[keep] / lo[keep])
             if iteration > 1:
-                at = np.searchsorted(seen[0], rows)
-                if np.any((lo <= seen[1][at]) & (hi >= seen[2][at])):
+                at = np.searchsorted(seen_rows, rows)
+                if np.any(width >= seen_width[at] * (1.0 - 2.0**-20)):
                     break
-            seen = rows, lo, hi
+            seen_rows, seen_width = rows, width
         w = _step(means, w, LAST_PREFIX)[:, 0]
     raise NonConvergenceError(
         "Gaussian product did not converge",
@@ -98,7 +99,10 @@ def gauss_product(
     Stops when (max - min) / max of the iterate falls below
     cfg.tolerance and returns the midpoint of the final envelope.
     Raises NonConvergenceError (with the gap and the iterations run)
-    after cfg.max_iterations, or within four steps of a stall.
+    after cfg.max_iterations, or on a stall: every fourth step, from the
+    fifth on, it checks each row's log-envelope width log(max / min) and
+    stops when some row's width has shrunk by less than a relative 2^-20
+    since the last check.
     """
     children = Gauss(means).canonical().children
     return float(gauss_kernel(children, as_samples(v), LAST_PREFIX, cfg)[0])

@@ -207,6 +207,16 @@ class TestHardyCommand:
         code, _, _ = run(capsys, ["hardy", "power(0)", "--ygrid", "oops"])
         assert code == 2
 
+    def test_no_evaluable_grid_point_is_computation_error(self, capsys):
+        # the sweep x_k = y / k starts at y, and exp(y) overflows for y >= 1000
+        code, out, err = run(
+            capsys,
+            ["hardy", "quasi(exp)", "--nmax", "100", "--ygrid", "1000:2000:3"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "E_COMPUTE: no y-grid point was evaluable; widen or shift the grid\n"
+
 
 class TestOtherCommands:
     def test_probe_reports_verdicts(self, capsys):
@@ -297,6 +307,38 @@ class TestOtherCommands:
         )
         assert code == 1
         assert err.startswith("E_NONCONVERGENCE:")
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [
+            (["eval", "power(0)", "2", "8"], None),
+            (["probe", "power(0.5)", "--samples", "20"], 0),
+            (["hardy", "power(-1)", "--nmax", "300", "--seed", "5"], None),
+            (["hardy-seq", "power(0)", "--n", "2", "--restarts", "4", "--seed", "5"], 5),
+            (["liminf", "power(0)", "--seq", "constant", "--nmax", "100"], None),
+            (["kedlaya", "coeffs", "--n", "3"], None),
+            (["kedlaya", "matrix", "--n", "2"], None),
+            (["kedlaya", "check", "power(0)", "--samples", "20", "--seed", "5"], 5),
+            (["gauss", "arith", "geom", "--at", "1", "2"], None),
+        ],
+    )
+    def test_every_report_leads_with_the_envelope(self, capsys, argv, seed):
+        # only the randomized subcommands echo a seed
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload)[:3] == ["command", "version", "seed"]
+        assert payload["command"] == argv
+        assert payload["version"] == hm.__version__
+        assert payload["seed"] == seed
+
+    def test_hardy_help_still_names_the_seed_flag(self, capsys):
+        code, out, _ = run(capsys, ["hardy", "--help"])
+        assert code == 0
+        assert "[--seed SEED]" in out
+        assert "--seed SEED " in out
 
 
 class TestReportRoundTrip:

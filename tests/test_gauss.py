@@ -68,6 +68,16 @@ class TestGaussProduct:
         assert info.value.iterations < 10
         assert info.value.gap == pytest.approx(0.8)
 
+    def test_nested_product_with_creeping_ends_fails_early(self):
+        # the inner product tends to the max but returns the midpoint of its
+        # final envelope, so the outer top end drops a few ulps every step
+        # while the gap stays 0.8
+        inner = hm.Gauss((hm.MaxOf(), hm.Gini(0.0, 3.0)))
+        expr = hm.Gauss((inner, hm.MinOf()))
+        with pytest.raises(hm.NonConvergenceError) as info:
+            hm.evaluate(expr, [1.0, 2.0, 5.0])
+        assert info.value.iterations <= 9
+
     @pytest.mark.parametrize("child", [hm.ARITH, hm.GEOM])
     def test_first_step_onto_the_data_envelope_is_no_stall(self, child):
         # the sum rounds away the 3e-13 step, so the child's first value is
