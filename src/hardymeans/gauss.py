@@ -70,9 +70,14 @@ def gauss_kernel(
         # every fourth step: envelopes of means are nested, so a row whose
         # log-envelope width has shrunk by less than a relative 2^-20 since
         # the last check has stalled (the log width, as the gap rounds to 1
-        # while the ends are orders of magnitude apart)
+        # while the ends are orders of magnitude apart; log(max) - log(min)
+        # where max / min overflows)
         if iteration % 4 == 1:
-            width = np.log(hi[keep] / lo[keep])
+            hi, lo = hi[keep], lo[keep]
+            with np.errstate(over="ignore"):
+                width = np.log(hi / lo)
+            wide = np.isinf(width)
+            width[wide] = np.log(hi[wide]) - np.log(lo[wide])
             if iteration > 1:
                 at = np.searchsorted(seen_rows, rows)
                 if np.any(width >= seen_width[at] * (1.0 - 2.0**-20)):

@@ -78,6 +78,12 @@ class TestGaussProduct:
             hm.evaluate(expr, [1.0, 2.0, 5.0])
         assert info.value.iterations <= 9
 
+    def test_ends_too_far_apart_for_their_ratio_are_no_stall(self):
+        # after the first step max / min is about 1e399, past the float
+        # range; the log width still shrinks by about log 4 a step
+        value = hm.gauss_product((hm.ARITH, hm.HARM), [1e-200, 1e200])
+        assert value == pytest.approx(1.0)
+
     @pytest.mark.parametrize("child", [hm.ARITH, hm.GEOM])
     def test_first_step_onto_the_data_envelope_is_no_stall(self, child):
         # the sum rounds away the 3e-13 step, so the child's first value is
