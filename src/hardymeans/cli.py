@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_ygrid,
         default=None,
         metavar="LO:HI:COUNT",
-        help="log-spaced y grid for the non-homogeneous estimator (default 1e-3:1e3:41)",
+        help="log-spaced y grid of a mean that no rule makes homogeneous (default 1e-3:1e3:41)",
     )
     p_hardy.add_argument(
         "--seed",

@@ -15,6 +15,7 @@ each row as it converges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +58,8 @@ def gauss_kernel(
         return out
     w = _step(means, xs, cols).reshape(-1, len(means))[rows]
     for iteration in range(1, cfg.max_iterations + 1):
-        hi, lo = w.max(axis=1), w.min(axis=1)
+        # elementwise over the k columns; a short-axis reduction runs row by row
+        hi, lo = reduce(np.maximum, w.T), reduce(np.minimum, w.T)
         gap = (hi - lo) / hi
         done = gap <= cfg.tolerance
         flat[rows[done]] = 0.5 * (hi[done] + lo[done])

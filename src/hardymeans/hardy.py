@@ -9,9 +9,9 @@ sequences.  The tools here:
   symmetric, increasing, Jensen concave and repetition invariant; its
   limit is the constant itself, so a finite truncation is certified
   from below.
-* ``hardy_constant`` -- dispatches between the homogeneous p_n limit
-  and an uncertified sup-over-grid / tail-window estimator for every
-  mean that no rule makes homogeneous.
+* ``hardy_constant`` -- one sup-over-y estimator, whose one-point case
+  y = 1 is the p_n sweep of a mean that a rule makes homogeneous; any
+  other mean takes an uncertified y-grid.
 * ``closed_form_hardy`` -- the registry of exactly known constants
   and of exactly known non-summability verdicts, read from the node
   classes in :mod:`hardymeans.core`.
@@ -99,21 +99,26 @@ class PnSequence:
     values: np.ndarray
     max_decrease: float
 
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
+
+def _tail(expr: MeanExpr, y: float, n_max: int, start: int) -> np.ndarray:
+    """v_n(y) = (n/y) * M(y/1, ..., y/n) for n = start, ..., n_max; v_n(1) is p_n."""
+    n = np.arange(1.0, n_max + 1.0)
+    tail = prefix_means(expr, y / n, start)
+    tail *= n[start - 1 :]
+    tail /= y
+    return tail
+
+
+def _max_decrease(values: np.ndarray) -> float:
+    """Largest drop between consecutive values; 0 when none drops."""
+    return float(max(0.0, np.max(values[:-1] - values[1:], initial=0.0)))
 
 
 def pn_sequence(expr: MeanExpr, n_max: int) -> PnSequence:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    x = 1.0 / np.arange(1.0, n_max + 1.0)
-    values = np.arange(1.0, n_max + 1.0) * prefix_means(expr, x)
-    if n_max > 1:
-        max_decrease = float(max(0.0, np.max(values[:-1] - values[1:])))
-    else:
-        max_decrease = 0.0
-    return PnSequence(expr=expr, n_max=n_max, values=values, max_decrease=max_decrease)
+    values = _tail(expr, 1.0, n_max, 1)
+    return PnSequence(expr=expr, n_max=n_max, values=values, max_decrease=_max_decrease(values))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +163,10 @@ _GATE_PROPERTIES = (
 class HardyEstimate:
     """Estimate of the summability constant with its provenance.
 
-    ``estimate`` is math.inf when the mean is reported non-summable;
-    ``reference`` carries the registry constant when one exists, and
-    ``reference_kind`` is "closed-form", "not-a-hardy-mean" or None.
+    ``estimate`` is math.inf when the mean is reported non-summable or,
+    not divergent and with no tolerance, when a grid-edge maximum leaves
+    it inconclusive; ``reference`` carries the registry constant when one
+    exists, and ``reference_kind`` is "closed-form", "not-a-hardy-mean" or None.
     """
 
     method: str  # "homogeneous-limit" | "sup-liminf-grid"
@@ -186,21 +192,22 @@ def _growth_trace(pn: PnSequence) -> str:
 def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEstimate:
     """Estimate the summability constant of a mean.
 
-    Registered non-summable means are reported divergent with a growth
-    trace, and never with a finite certified constant.  The gate
-    properties are taken from the family's rules alone
-    (``known_properties`` of the canonical node); nothing is sampled, so
-    the report depends on no seed.  The notes give a rule's reason
-    (``failure_reasons``) for each property it denies, and name the
-    properties no rule decides; either withholds certification.  Means
-    that a rule makes homogeneous use the monotone p_n truncation, a
-    certified-from-below estimate when symmetry, increasingness,
-    concavity and repetition invariance also hold by rule and the
-    computed p_n never decrease by more than rounding; a larger decrease
-    also drops the tolerance.
-    Every other mean takes the uncertified grid estimator: the maximum
-    over a log-spaced y-grid of the minimum over the tail window
-    [n_max/2, n_max] of (n/y) * M(y/1, ..., y/n).
+    The constant is a sup over y of a liminf in n of the tail
+    v_n(y) = (n/y) * M(y/1, ..., y/n).  The estimate is the largest
+    v_{n_max}(y) over the y points that evaluate, one prefix sweep each;
+    a decrease of the winning tail above rounding withholds certification
+    and drops the tolerance.  v_n(y) = p_n for a homogeneous mean, so a
+    mean that a rule makes homogeneous, or that the registry makes
+    non-summable (reported divergent), takes y = 1 alone and its whole
+    p_n sweep (``pn``).  Any other mean takes ``cfg.y_grid`` (default
+    :func:`default_y_grid`), on several points with tails from n_max // 2,
+    and is inconclusive (estimate math.inf, not divergent) when its
+    maximum sits at the first or last evaluable point and beats every
+    interior point by more than rounding.  The gate properties come from
+    the family's rules alone (``known_properties``), so the report
+    depends on no seed; the notes give a rule's reason for each property
+    it denies and name those no rule decides, either of which withholds
+    certification.  Tails past the divergence ceiling report divergence.
     """
     form = closed_form_hardy(expr)
     notes: list[str] = []
@@ -223,82 +230,72 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     undecided = [name for name in _GATE_PROPERTIES if name not in known]
     if undecided:
         why.append("no rule decides " + ", ".join(undecided))
-    if not_hardy or known.get("homogeneity"):
-        pn = pn_sequence(expr, cfg.n_max)
-        exceeded = np.nonzero(pn.values > _DIVERGENCE_CEILING)[0]
-        divergent = not_hardy or exceeded.size > 0
-        decreased = pn.max_decrease > _PN_DECREASE_TOL * pn.final
-        if not_hardy:
-            notes.append("not a Hardy mean; no finite certified constant exists")
-        elif exceeded.size:
-            notes.append(
-                f"p_n exceeded the divergence ceiling {_DIVERGENCE_CEILING:g} "
-                f"at n={int(exceeded[0]) + 1}; non-Hardy at this scale"
-            )
-        elif why:
-            notes.append("estimate (uncertified): " + "; ".join(why))
-        elif decreased:
-            notes.append(
-                f"estimate (uncertified): p_n decreased by {pn.max_decrease:.3g}, "
-                f"more than {_PN_DECREASE_TOL:g} relative; the truncation is "
-                "not monotone"
-            )
-        else:
-            notes.append(
-                "certified-from-below: monotone p_n truncation of the limit formula"
-            )
-        if divergent:
-            notes.append(_growth_trace(pn))
-        return HardyEstimate(
-            method="homogeneous-limit",
-            estimate=math.inf if divergent else pn.final,
-            n_max=cfg.n_max,
-            reference=reference,
-            reference_kind=reference_kind,
-            # a p_n decrease above rounding leaves the tolerance unmet
-            tolerance=None if divergent or decreased else tolerance,
-            divergent=divergent,
-            notes=tuple(notes),
-            pn=pn,
-        )
-
-    # non-homogeneous: sup over the y-grid of a tail-window liminf estimate
-    y_grid = cfg.y_grid if cfg.y_grid is not None else default_y_grid()
-    window_lo = max(1, cfg.n_max // 2)
-    n_arr = np.arange(window_lo, cfg.n_max + 1, dtype=float)
-    best = -math.inf
-    best_y = None
+    homogeneous = not_hardy or known.get("homogeneity")
+    y_grid = None if homogeneous else tuple(default_y_grid() if cfg.y_grid is None else cfg.y_grid)
+    points = (1.0,) if y_grid is None else y_grid
+    on_grid = len(points) > 1
+    start = max(1, cfg.n_max // 2) if on_grid else 1
+    lasts: list[float] = []  # v_{n_max}(y) at each evaluable point, in grid order
     skipped: list[str] = []
-    for y in y_grid:
-        x = y / np.arange(1.0, cfg.n_max + 1.0)
+    best = best_y = None
+    for y in points:
         try:
-            tail = prefix_means(expr, x, window_lo)
-            value = float(np.min(n_arr / y * tail))
+            tail = _tail(expr, y, cfg.n_max, start)
         except (OverflowError, MeanComputationError) as exc:
             skipped.append(f"y={y:g} skipped ({type(exc).__name__})")
             continue
-        if value > best:
-            best, best_y = value, y
-    if best_y is None:
-        raise MeanComputationError(
-            "no y-grid point was evaluable; widen or shift the grid"
+        lasts.append(float(tail[-1]))
+        if best is None or tail[-1] > best[-1]:
+            best, best_y = tail, y
+    if best is None:
+        raise MeanComputationError("no y-grid point was evaluable; widen or shift the grid")
+    final = float(best[-1])
+    max_decrease = _max_decrease(best)
+    pn = PnSequence(expr, cfg.n_max, best, max_decrease) if start == 1 else None
+    exceeded = np.nonzero(best > _DIVERGENCE_CEILING)[0]
+    divergent = not_hardy or exceeded.size > 0
+    decreased = max_decrease > _PN_DECREASE_TOL * final
+    # the winner beats every interior point only when it sits at an end
+    edge = on_grid and final - max(lasts[1:-1], default=-math.inf) > _PN_DECREASE_TOL * final
+    if not_hardy:
+        notes.append("not a Hardy mean; no finite certified constant exists")
+    elif exceeded.size:
+        notes.append(
+            f"p_n exceeded the divergence ceiling {_DIVERGENCE_CEILING:g} "
+            f"at n={start + int(exceeded[0])}; non-Hardy at this scale"
         )
-    notes.append("estimate (uncertified): grid/tail-window approximation of a sup-liminf")
-    notes.append(f"grid maximum attained at y={best_y:g}")
-    notes.extend(why)
+    elif edge:
+        notes.append(f"estimate (uncertified): inconclusive, maximum at grid edge y={best_y:g}")
+    elif on_grid:
+        notes.append("estimate (uncertified): grid approximation of a sup-liminf")
+    elif why:
+        notes.append("estimate (uncertified): " + "; ".join(why))
+    elif decreased:
+        notes.append(
+            f"estimate (uncertified): p_n decreased by {max_decrease:.3g}, more than "
+            f"{_PN_DECREASE_TOL:g} relative; the truncation is not monotone"
+        )
+    else:
+        notes.append("certified-from-below: monotone p_n truncation of the limit formula")
+    if on_grid:
+        notes.append(f"grid maximum attained at y={best_y:g}")
+        notes.extend(why)
     if skipped:
         notes.append("; ".join(skipped))
-    divergent = best > _DIVERGENCE_CEILING
+    if divergent and pn is not None:
+        notes.append(_growth_trace(pn))
     return HardyEstimate(
-        method="sup-liminf-grid",
-        estimate=math.inf if divergent else best,
+        method="homogeneous-limit" if y_grid is None else "sup-liminf-grid",
+        estimate=math.inf if divergent or edge else final,
         n_max=cfg.n_max,
         reference=reference,
         reference_kind=reference_kind,
-        tolerance=tolerance,
+        # a decrease above rounding leaves the tolerance unmet
+        tolerance=None if divergent or decreased or edge else tolerance,
         divergent=divergent,
         notes=tuple(notes),
-        y_grid=tuple(y_grid),
+        y_grid=y_grid,
+        pn=pn,
     )
 
 

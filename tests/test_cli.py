@@ -217,6 +217,27 @@ class TestHardyCommand:
         assert out == ""
         assert err == "E_COMPUTE: no y-grid point was evaluable; widen or shift the grid\n"
 
+    def test_grid_edge_maximum_reports_no_estimate(self, capsys, tmp_path):
+        argv = ["hardy", "quasi(exp)", "--nmax", "2000"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["estimate"], payload["divergent"], payload["tolerance"]) == (
+            None,
+            False,
+            None,
+        )
+        edge = "estimate (uncertified): inconclusive, maximum at grid edge y=707.946"
+        assert edge in payload["notes"]
+        path = tmp_path / "pn.csv"
+        code, out, _ = run(capsys, [*argv, "--csv", str(path)])
+        assert code == 0
+        assert json.loads(out)["notes"] == [
+            *payload["notes"],
+            "no p_n sweep on the grid path; CSV not written",
+        ]
+        assert not path.exists()
+
 
 class TestOtherCommands:
     def test_probe_reports_verdicts(self, capsys):

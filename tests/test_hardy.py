@@ -384,12 +384,13 @@ class TestHardyConstant:
     ):
         from hardymeans import hardy
 
-        def audited(expr, n_max):
-            values = np.linspace(1.0, 2.0, n_max)
-            values[n_max // 2] = values[n_max // 2 + 1] + drop
-            return hardy.PnSequence(expr, n_max, values, max_decrease=drop)
+        # prefix means whose p_n = n * M rise from 1 to 2 with one drop
+        def swept(expr, x, start=1):
+            values = np.linspace(1.0, 2.0, x.size)
+            values[x.size // 2] = values[x.size // 2 + 1] + drop
+            return (values / np.arange(1.0, x.size + 1.0))[start - 1 :]
 
-        monkeypatch.setattr(hardy, "pn_sequence", audited)
+        monkeypatch.setattr(hardy, "prefix_means", swept)
         est = hm.hardy_constant(hm.Power(0), hm.HardyConfig(n_max=100))
         assert any("certified-from-below" in note for note in est.notes) == certified
         assert any("p_n decreased" in note for note in est.notes) != certified
@@ -607,6 +608,38 @@ class TestHardyConstant:
         assert est.estimate >= 1.0
         assert any("uncertified" in note for note in est.notes)
         assert any("skipped" in note for note in est.notes)  # overflowing grid points
+
+    @pytest.mark.parametrize(
+        "text,n_max",
+        [("quasi(exp)", 2000), ("bajrak(exp,pow:0)", 32), ("bajrak(exp,pow:-1)", 300)],
+    )
+    def test_maximum_at_grid_edge_is_inconclusive(self, text, n_max):
+        # the values still rise at y = 707.9, the last point below the
+        # overflow at y = 1000
+        est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
+        assert (est.estimate, est.divergent, est.tolerance) == (math.inf, False, None)
+        assert est.notes[0] == (
+            "estimate (uncertified): inconclusive, maximum at grid edge y=707.946"
+        )
+
+    def test_homogeneous_mean_on_the_grid_has_no_edge_maximum(self, monkeypatch):
+        # the kernel's rounding near p = 0 spreads the grid's values, which
+        # do not depend on y, by about 1e-8 relative
+        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
+        with pytest.warns(hm.CancellationWarning):
+            est = hm.hardy_constant(hm.Power(3e-7), hm.HardyConfig(n_max=2000))
+        assert est.method == "sup-liminf-grid"
+        assert math.isfinite(est.estimate)
+        assert not any("grid edge" in note for note in est.notes)
+
+    def test_one_point_grid_is_the_homogeneous_path(self, monkeypatch):
+        ruled = hm.hardy_constant(hm.Power(0.5))
+        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
+        forced = hm.hardy_constant(hm.Power(0.5), hm.HardyConfig(y_grid=(1.0,)))
+        assert forced.method == "sup-liminf-grid"
+        assert forced.estimate == ruled.estimate
+        assert forced.pn.values.tobytes() == ruled.pn.values.tobytes()
+        assert forced.pn.max_decrease == ruled.pn.max_decrease
 
     def test_estimate_at_least_one(self):
         for name in ("power(0)", "gini(0.5,-1)", "min"):
