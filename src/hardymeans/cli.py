@@ -59,12 +59,12 @@ def _positive_float(text: str) -> float:
 def _parse_ygrid(spec: str) -> tuple[float, ...]:
     try:
         lo_text, hi_text, count_text = spec.split(":")
-        lo, hi, count = float(lo_text), float(hi_text), int(count_text)
+        lo, hi, count = _positive_float(lo_text), _positive_float(hi_text), int(count_text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{spec!r} is not of the form LO:HI:COUNT"
         ) from None
-    if not (0.0 < lo < hi) or count < 1:
+    if not lo < hi or count < 1:
         raise argparse.ArgumentTypeError(f"{spec!r} must satisfy 0 < LO < HI, COUNT >= 1")
     return tuple(float(v) for v in np.geomspace(lo, hi, count))
 

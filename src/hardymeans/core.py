@@ -336,7 +336,7 @@ class Power(MeanExpr):
         _require_finite("power exponent", self.p)
 
     def kernel(self, xs, cols):
-        return families.power_kernel(self.p, xs, cols)
+        return families.gini_kernel(self.p, 0.0, xs, cols)
 
     def closed_form(self):
         """Constant (1-p)^(-1/p) for p < 0 or 0 < p < 1, e at p = 0, and
@@ -424,7 +424,7 @@ class Gini(MeanExpr):
         _require_finite("Gini exponent q", self.q)
 
     def kernel(self, xs, cols):
-        return families.gini_kernel(self.p, self.q, xs, cols)
+        return families.gini_kernel(max(self.p, self.q), min(self.p, self.q), xs, cols)
 
     def canonical(self):
         """A zero exponent gives the power mean of the other."""

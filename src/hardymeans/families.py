@@ -9,9 +9,11 @@ y-grid, the last prefix for :func:`~hardymeans.core.evaluate`.  The
 selection comes before the per-prefix work, so a single mean costs no
 prefix solves.
 
-Running power sums are plain cumulative sums, which are more accurate
-than log-domain accumulation; only the prefixes whose plain sum leaves
-the normal range take ``np.logaddexp.accumulate`` instead.
+One kernel, :func:`gini_kernel`, sums the powers of the Gini, power
+(q = 0) and geometric (p = q = 0) means, taking p and q in the caller's
+order.  Running power sums are plain cumulative sums, more accurate than
+log-domain accumulation; only the prefixes whose plain sum leaves the
+normal range take ``np.logaddexp.accumulate`` instead.
 
 Implicit means (Bajraktarevic, the canonical node of most deviation
 means) solve (f/g)(y) = sum f / sum g for every selected prefix at once, by a
@@ -45,7 +47,6 @@ from .core import (
 )
 
 __all__ = [
-    "power_kernel",
     "quasi_exp_kernel",
     "gini_kernel",
     "bajraktarevic_kernel",
@@ -72,9 +73,20 @@ def _counts(xs: np.ndarray, cols) -> np.ndarray:
 def _running_power_sum(xs: np.ndarray, p: float, cols) -> tuple[np.ndarray, bool]:
     """Plain running sums of x**p at the prefixes ``cols``, and whether all
     lie in the normal range: running sums of positive terms are monotone,
-    so each row's first and last sums decide that without a mask."""
+    so each row's first and last sums decide that without a mask.  At
+    p = 0 they are the exact prefix counts."""
+    if p == 0.0:
+        return _counts(xs, cols), True
     s = (xs**p).cumsum(axis=-1)
     return s[..., cols], bool(s[..., 0].min() >= _TINY and s[..., -1].max() <= _HUGE)
+
+
+def _log_power_sum(logx: np.ndarray, p: float, cols) -> np.ndarray:
+    """Running logs of the sums of x**p at the prefixes ``cols``, from
+    ln x; at p = 0 the logs of the exact prefix counts."""
+    if p == 0.0:
+        return np.log(_counts(logx, cols))
+    return np.logaddexp.accumulate(p * logx, axis=-1)[..., cols]
 
 
 def _abnormal(s: np.ndarray) -> np.ndarray:
@@ -82,28 +94,14 @@ def _abnormal(s: np.ndarray) -> np.ndarray:
     return ~((s >= _TINY) & (s <= _HUGE))
 
 
-def _warn_near(what: str, gap: float) -> None:
-    if gap < _NEAR_SINGULAR:
+def _warn_near(p: float, q: float) -> None:
+    if abs(p - q) < _NEAR_SINGULAR:
         warnings.warn(
-            f"{what} within {_NEAR_SINGULAR:g}; cancellation degrades accuracy",
+            f"exponents p={p!r} and q={q!r} are within {_NEAR_SINGULAR:g}; "
+            "cancellation degrades accuracy",
             CancellationWarning,
             stacklevel=4,
         )
-
-
-def power_kernel(p: float, xs: np.ndarray, cols) -> np.ndarray:
-    """((x_1**p + ... + x_n**p) / n) ** (1/p); geometric mean at p = 0."""
-    k = _counts(xs, cols)
-    if p == 0.0:
-        return np.exp(np.cumsum(np.log(xs), axis=-1)[..., cols] / k)
-    _warn_near(f"power exponent p={p!r} is", abs(p))
-    with np.errstate(all="ignore"):
-        s, normal = _running_power_sum(xs, p, cols)
-        out = (s / k) ** (1.0 / p)
-    if not normal:
-        log_sum = np.logaddexp.accumulate(p * np.log(xs), axis=-1)[..., cols]
-        out = np.where(_abnormal(s), np.exp((log_sum - np.log(k)) / p), out)
-    return out
 
 
 def quasi_exp_kernel(xs: np.ndarray, cols) -> np.ndarray:
@@ -121,44 +119,35 @@ def quasi_exp_kernel(xs: np.ndarray, cols) -> np.ndarray:
 
 
 def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
-    """(sum x**p / sum x**q) ** (1/(p-q)) for p != q.
-
-    For p == q the limiting form exp(sum x**p ln x / sum x**p) is used.
-    The two exponents are interchangeable; the kernel orders them, so
-    swapping them gives the same result bit for bit.
-    """
+    """(sum x**p / sum x**q) ** (1/(p-q)), p and q in the caller's order;
+    for p == q the limiting form exp(sum x**p ln x / sum x**p).  At q = 0
+    it is the power mean p, and at p = q = 0 the geometric mean, whose
+    power sums are the exact prefix counts."""
     if p == q:
         logx = np.log(xs)
         with np.errstate(all="ignore"):
             s, normal = _running_power_sum(xs, p, cols)
-            num = (xs**p * logx).cumsum(axis=-1)[..., cols]
+            num = (logx if p == 0.0 else xs**p * logx).cumsum(axis=-1)[..., cols]
             out = np.exp(num / s)
         finite = np.isfinite(num)
         if not (normal and finite.all()):
             # the weighted average of ln x, shifted so every term is >= 0
             # and its running sum has a logarithm
-            a = p * logx
             c = logx.min(axis=-1, keepdims=True)
             with np.errstate(divide="ignore"):
-                log_num = np.logaddexp.accumulate(a + np.log(logx - c), axis=-1)
-            log_den = np.logaddexp.accumulate(a, axis=-1)
-            mean_log = np.exp(log_num - log_den)[..., cols]
+                log_num = np.logaddexp.accumulate(p * logx + np.log(logx - c), axis=-1)
+            mean_log = np.exp(log_num[..., cols] - _log_power_sum(logx, p, cols))
             out = np.where(_abnormal(s) | ~finite, np.exp(c + mean_log), out)
         return out
-    if p < q:
-        p, q = q, p
-    _warn_near(f"Gini exponents p={p!r}, q={q!r} are", p - q)
+    _warn_near(p, q)
     with np.errstate(all="ignore"):
         sp, normal_p = _running_power_sum(xs, p, cols)
         sq, normal_q = _running_power_sum(xs, q, cols)
         out = (sp / sq) ** (1.0 / (p - q))
     if not (normal_p and normal_q):
         logx = np.log(xs)
-        log_ratio = np.logaddexp.accumulate(p * logx, axis=-1) - np.logaddexp.accumulate(
-            q * logx, axis=-1
-        )
-        fallback = np.exp(log_ratio[..., cols] / (p - q))
-        out = np.where(_abnormal(sp) | _abnormal(sq), fallback, out)
+        log_ratio = _log_power_sum(logx, p, cols) - _log_power_sum(logx, q, cols)
+        out = np.where(_abnormal(sp) | _abnormal(sq), np.exp(log_ratio / (p - q)), out)
     return out
 
 
@@ -236,7 +225,7 @@ def bajraktarevic_kernel(
 
 
 def power_mean(p: float, x) -> float:
-    """Power mean of one sample vector; see :func:`power_kernel`."""
+    """Power mean of one sample vector; see :func:`gini_kernel` at q = 0."""
     return evaluate(Power(p), x)
 
 

@@ -142,6 +142,10 @@ class HardyConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
+        if self.y_grid is not None and (
+            len(self.y_grid) == 0 or not all(math.isfinite(y) and y > 0.0 for y in self.y_grid)
+        ):
+            raise ValueError("y_grid must be a nonempty sequence of finite positive points")
 
 
 # an estimate or a p_n above this reports the mean divergent
@@ -251,7 +255,8 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         raise MeanComputationError("no y-grid point was evaluable; widen or shift the grid")
     final = float(best[-1])
     max_decrease = _max_decrease(best)
-    pn = PnSequence(expr, cfg.n_max, best, max_decrease) if start == 1 else None
+    is_pn = start == 1 and best_y == 1.0  # only v_n(1) over every prefix is p_n
+    pn = PnSequence(expr, cfg.n_max, best, max_decrease) if is_pn else None
     exceeded = np.nonzero(best > _DIVERGENCE_CEILING)[0]
     divergent = not_hardy or exceeded.size > 0
     decreased = max_decrease > _PN_DECREASE_TOL * final
@@ -513,6 +518,8 @@ def simplex_grid_bound(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if denominator < 1:
+        raise ValueError("denominator must be at least 1")
     best = -math.inf
     for comps in _composition_chunks(denominator, n):
         x = np.maximum(comps / denominator, floor)

@@ -207,6 +207,33 @@ class TestHardyCommand:
         code, _, _ = run(capsys, ["hardy", "power(0)", "--ygrid", "oops"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["1:inf:3", "1:1e400:2"])
+    def test_non_finite_ygrid_end_is_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, ["hardy", "quasi(exp)", "--ygrid", spec])
+        assert (code, out) == (2, "")
+        assert "argument --ygrid" in err
+        assert "is not a positive finite number" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # several grid points with every prefix in the tail: the maximum
+            # sits at y = 707.946, whose tail is v_n(y), not p_n
+            ["quasi(exp)", "--nmax", "3"],
+            # a one-point grid away from y = 1
+            ["quasi(exp)", "--nmax", "50", "--ygrid", "0.5:2:1"],
+        ],
+    )
+    def test_grid_tail_away_from_one_is_not_reported_as_pn(self, capsys, tmp_path, argv):
+        path = tmp_path / "pn.csv"
+        code, out, _ = run(capsys, ["hardy", *argv, "--csv", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "sup-liminf-grid"
+        assert payload["max_pn_decrease"] is None
+        assert payload["notes"][-1] == "no p_n sweep on the grid path; CSV not written"
+        assert not path.exists()
+
     def test_no_evaluable_grid_point_is_computation_error(self, capsys):
         # the sweep x_k = y / k starts at y, and exp(y) overflows for y >= 1000
         code, out, err = run(

@@ -632,6 +632,11 @@ class TestHardyConstant:
         assert math.isfinite(est.estimate)
         assert not any("grid edge" in note for note in est.notes)
 
+    @pytest.mark.parametrize("grid", [(), (0.0,), (1.0, math.inf), (1.0, math.nan), (-1.0,)])
+    def test_bad_y_grid_is_rejected_when_built(self, grid):
+        with pytest.raises(ValueError, match="y_grid must be a nonempty"):
+            hm.HardyConfig(y_grid=grid)
+
     def test_one_point_grid_is_the_homogeneous_path(self, monkeypatch):
         ruled = hm.hardy_constant(hm.Power(0.5))
         monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})

@@ -279,6 +279,11 @@ class TestSimplexGrid:
             rows = [tuple(int(v) for v in row) for c in chunks for row in c]
             assert rows == list(compositions(total, parts))
 
+    @pytest.mark.parametrize("denominator", [0, -1])
+    def test_denominator_below_one_is_rejected(self, denominator):
+        with pytest.raises(ValueError, match="denominator must be at least 1"):
+            hm.simplex_grid_bound(hm.Power(0), 3, denominator)
+
     def test_failing_point_raises_as_in_loop(self):
         with pytest.raises(OverflowError) as stacked:
             hm.simplex_grid_bound(OVERFLOWING_PAIR, 3, 8, floor=1e-200)
