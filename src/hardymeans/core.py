@@ -285,10 +285,11 @@ class MeanExpr:
     of every prefix that the slice ``cols`` selects (index k is
     x[..., :k+1]; a slice, not an integer, so the axis stays).  On
     canonical nodes, :meth:`closed_form` and :meth:`tolerance` are the
-    registry entry, and :meth:`known_properties` the structural facts
+    registry entry, :meth:`known_properties` the structural facts
     that the family decides exactly, with ``failure_reasons`` saying why
-    each property a rule denies fails.  The defaults here: no reduction,
-    no registry entry, no known property.
+    each property a rule denies fails, and :meth:`above_arithmetic` the
+    comparison with the arithmetic mean.  The defaults here: no
+    reduction, no registry entry, no known property, no comparison.
     """
 
     failure_reasons: dict[str, str] = {}
@@ -310,6 +311,12 @@ class MeanExpr:
         """{property: holds} for the probe properties that are theorems
         of the family; a property not named is unknown."""
         return {}
+
+    def above_arithmetic(self) -> str | None:
+        """Why M >= A (the arithmetic mean) at every sample, when a
+        theorem of the family says so; None when no rule decides it.
+        Such a mean is not a Hardy mean, because A is not one."""
+        return None
 
 
 # the gate properties other than Jensen concavity, which each family's
@@ -363,6 +370,10 @@ class Power(MeanExpr):
         *Inequalities*)."""
         return dict.fromkeys(_BASIC, True) | {"jensen_concavity": self.p <= 1.0}
 
+    def above_arithmetic(self):
+        """M_p >= M_1 = A for p >= 1 (the power-mean inequality)."""
+        return "power mean with p >= 1 is >= the arithmetic mean" if self.p >= 1.0 else None
+
 
 @dataclass(frozen=True)
 class QuasiArithmetic(MeanExpr):
@@ -404,6 +415,13 @@ class QuasiArithmetic(MeanExpr):
         small eps, their midpoint about 1."""
         assert self.gen == EXP, "every other generator's canonical node is a power mean"
         return dict.fromkeys(_BASIC, True) | {"homogeneity": False, "jensen_concavity": False}
+
+    def above_arithmetic(self):
+        """exp is convex and increasing, so Jensen's inequality gives
+        log(mean of e**x) >= mean of x (Mikusinski's comparison, Studia
+        Math. 10, 1948)."""
+        assert self.gen == EXP, "every other generator's canonical node is a power mean"
+        return "quasi(exp) is >= the arithmetic mean: exp is convex and increasing (Jensen)"
 
 
 @dataclass(frozen=True)
@@ -468,6 +486,13 @@ class Gini(MeanExpr):
             "jensen_concavity": min(p, q) <= 0.0 <= max(p, q) <= 1.0,
         }
 
+    def above_arithmetic(self):
+        """G(p,q) increases in each exponent and G(1,0) = A, so
+        G(p,q) >= A when min(p,q) >= 0 and max(p,q) >= 1."""
+        if min(self.p, self.q) >= 0.0 and max(self.p, self.q) >= 1.0:
+            return "Gini mean with min(p,q) >= 0 and max(p,q) >= 1 is >= G(1,0) = A"
+        return None
+
 
 @dataclass(frozen=True)
 class Bajraktarevic(MeanExpr):
@@ -500,6 +525,13 @@ class Bajraktarevic(MeanExpr):
 
     def kernel(self, xs, cols):
         return families.bajraktarevic_kernel(self.f, self.g, self._direction, xs, cols)
+
+    def known_properties(self):
+        """sum f(x_i) / sum g(x_i) does not depend on the order of the
+        entries, and repeating every entry k times multiplies both sums
+        by k, so every pair gives a symmetric, repetition invariant mean.
+        Nothing else is decided."""
+        return {"symmetry": True, "repetition_invariance": True}
 
     def canonical(self):
         return self if self._reduced is None else self._reduced.canonical()
@@ -576,6 +608,13 @@ class Gauss(MeanExpr):
             known["jensen_concavity"] = True
         return known
 
+    def above_arithmetic(self):
+        """The product lies in the envelope of its children's values, so
+        it is >= A when every child is."""
+        if all(c.above_arithmetic() for c in self.children):
+            return "Gauss product of means >= the arithmetic mean lies in their envelope"
+        return None
+
 
 @dataclass(frozen=True)
 class MinOf(MeanExpr):
@@ -605,6 +644,9 @@ class MaxOf(MeanExpr):
         and not concave: x = (1, 2) and y = (2, 1) give 2, their
         midpoint 1.5."""
         return dict.fromkeys(_BASIC, True) | {"jensen_concavity": False}
+
+    def above_arithmetic(self):
+        return "max is >= every mean, the arithmetic mean included"
 
 
 ARITH = Power(1.0)

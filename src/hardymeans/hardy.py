@@ -10,8 +10,9 @@ sequences.  The tools here:
   limit is the constant itself, so a finite truncation is certified
   from below.
 * ``hardy_constant`` -- one sup-over-y estimator, whose one-point case
-  y = 1 is the p_n sweep of a mean that a rule makes homogeneous; any
-  other mean takes an uncertified y-grid.
+  y = 1 is the p_n sweep of a mean that a rule makes homogeneous, or
+  that the registry or the rule M >= A makes non-Hardy; any other mean
+  takes an uncertified y-grid.
 * ``closed_form_hardy`` -- the registry of exactly known constants
   and of exactly known non-summability verdicts, read from the node
   classes in :mod:`hardymeans.core`.
@@ -150,8 +151,9 @@ class HardyConfig:
 
 # an estimate or a p_n above this reports the mean divergent
 _DIVERGENCE_CEILING = 1e6
-# a p_n decrease larger than this, relative to p_{n_max}, is above
-# rounding level and withholds certification
+# a difference larger than this, relative to the estimate, is above
+# rounding level: a p_n decrease, an edge maximum's lead over the
+# interior, or an estimate's excess over its registered constant
 _PN_DECREASE_TOL = 1e-12
 
 _GATE_PROPERTIES = (
@@ -200,10 +202,16 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     v_n(y) = (n/y) * M(y/1, ..., y/n).  The estimate is the largest
     v_{n_max}(y) over the y points that evaluate, one prefix sweep each;
     a decrease of the winning tail above rounding withholds certification
-    and drops the tolerance.  v_n(y) = p_n for a homogeneous mean, so a
-    mean that a rule makes homogeneous, or that the registry makes
-    non-summable (reported divergent), takes y = 1 alone and its whole
-    p_n sweep (``pn``).  Any other mean takes ``cfg.y_grid`` (default
+    and drops the tolerance, and so does a winning tail above the
+    registered constant by more than rounding.  v_n(y) = p_n for a
+    homogeneous mean, so a mean that a rule makes homogeneous takes
+    y = 1 alone and its whole p_n sweep (``pn``).  So does a mean that
+    is not a Hardy mean, by the registry or, where the registry is
+    silent, because a rule puts it above the arithmetic mean
+    (``above_arithmetic``): it is reported divergent, ``cfg.y_grid`` is
+    ignored, and unless a rule makes it homogeneous its method is
+    ``sup-liminf-grid`` on the one-point grid (1,).  Any other mean
+    takes ``cfg.y_grid`` (default
     :func:`default_y_grid`), on several points with tails from n_max // 2,
     and is inconclusive (estimate math.inf, not divergent) when its
     maximum sits at the first or last evaluable point and beats every
@@ -213,19 +221,22 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     it denies and name those no rule decides, either of which withholds
     certification.  Tails past the divergence ceiling report divergence.
     """
-    form = closed_form_hardy(expr)
+    node = canonical(expr)
+    form, source = closed_form_hardy(expr), "registry"
+    if form is None and (reason := node.above_arithmetic()) is not None:
+        # A is not a Hardy mean, so no mean >= A is one
+        form, source = ClosedForm(None, False, reason), "rules"
     notes: list[str] = []
     reference = form.value if form is not None else None
     reference_kind = None
     if form is not None:
         reference_kind = "closed-form" if form.is_hardy else "not-a-hardy-mean"
-        notes.append(f"registry: {form.provenance}")
+        notes.append(f"{source}: {form.provenance}")
     # a tolerance says how close the estimate is to the reference; with
     # no reference it says nothing
     tolerance = published_tolerance(expr) if reference is not None else None
 
     not_hardy = form is not None and not form.is_hardy
-    node = canonical(expr)
     known = node.known_properties()
     # why certification is withheld: a rule's reason for each property it
     # denies, then the properties no rule decides
@@ -234,8 +245,14 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     undecided = [name for name in _GATE_PROPERTIES if name not in known]
     if undecided:
         why.append("no rule decides " + ", ".join(undecided))
-    homogeneous = not_hardy or known.get("homogeneity")
-    y_grid = None if homogeneous else tuple(default_y_grid() if cfg.y_grid is None else cfg.y_grid)
+    # a non-Hardy mean needs only its p_n, the tail at y = 1, which is
+    # the homogeneous limit only when a rule makes the mean homogeneous
+    if known.get("homogeneity"):
+        y_grid = None
+    elif not_hardy:
+        y_grid = (1.0,)
+    else:
+        y_grid = tuple(default_y_grid() if cfg.y_grid is None else cfg.y_grid)
     points = (1.0,) if y_grid is None else y_grid
     on_grid = len(points) > 1
     start = max(1, cfg.n_max // 2) if on_grid else 1
@@ -260,6 +277,8 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     exceeded = np.nonzero(best > _DIVERGENCE_CEILING)[0]
     divergent = not_hardy or exceeded.size > 0
     decreased = max_decrease > _PN_DECREASE_TOL * final
+    # a lower bound above the registered constant has lost its digits
+    overshoot = reference is not None and final > reference * (1.0 + _PN_DECREASE_TOL)
     # the winner beats every interior point only when it sits at an end
     edge = on_grid and final - max(lasts[1:-1], default=-math.inf) > _PN_DECREASE_TOL * final
     if not_hardy:
@@ -280,6 +299,11 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
             f"estimate (uncertified): p_n decreased by {max_decrease:.3g}, more than "
             f"{_PN_DECREASE_TOL:g} relative; the truncation is not monotone"
         )
+    elif overshoot:
+        notes.append(
+            f"estimate (uncertified): {final:.6g} exceeds the registered constant "
+            f"{reference:.6g} by more than rounding, so it is no lower bound"
+        )
     else:
         notes.append("certified-from-below: monotone p_n truncation of the limit formula")
     if on_grid:
@@ -295,8 +319,8 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         n_max=cfg.n_max,
         reference=reference,
         reference_kind=reference_kind,
-        # a decrease above rounding leaves the tolerance unmet
-        tolerance=None if divergent or decreased or edge else tolerance,
+        # a decrease or an overshoot above rounding leaves the tolerance unmet
+        tolerance=None if divergent or decreased or edge or overshoot else tolerance,
         divergent=divergent,
         notes=tuple(notes),
         y_grid=y_grid,

@@ -163,6 +163,21 @@ class TestHardyCommand:
         assert any("p_n decreased" in note for note in payload["notes"])
         assert not any("certified-from-below" in note for note in payload["notes"])
 
+    def test_lower_bound_above_the_reference_is_not_certified(self, capsys):
+        # every x**p rounds to 1 at p = 1e-300, so the kernel computes the
+        # maximum and p_n = n: far above e, yet it never decreases
+        with pytest.warns(hm.CancellationWarning):
+            code, out, _ = run(capsys, ["hardy", "power(1e-300)", "--nmax", "200"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["estimate"], payload["reference"]) == (200.0, math.e)
+        assert (payload["tolerance"], payload["max_pn_decrease"]) == (None, 0.0)
+        assert payload["notes"] == [
+            "registry: power-mean constant (1-p)^(-1/p)",
+            "estimate (uncertified): 200 exceeds the registered constant 2.71828 "
+            "by more than rounding, so it is no lower bound",
+        ]
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "pn.csv"
         code, _, _ = run(
@@ -183,11 +198,42 @@ class TestHardyCommand:
     def test_ygrid_flag(self, capsys):
         code, out, _ = run(
             capsys,
-            ["hardy", "quasi(exp)", "--nmax", "500", "--ygrid", "0.01:10:5"],
+            ["hardy", "bajrak(exp,pow:-1)", "--nmax", "300", "--ygrid", "0.01:10:5"],
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["method"] == "sup-liminf-grid"
+        # the default grid's maximum sits at y = 707.946
+        assert "grid maximum attained at y=10" in payload["notes"]
+
+    @pytest.mark.parametrize("text", ["quasi(exp)", "bajrak(exp,pow:0)"])
+    def test_mean_above_the_arithmetic_mean_is_divergent(self, capsys, tmp_path, text):
+        # quasi(exp) >= A by Jensen's inequality, so one p_n sweep at y = 1
+        # reports it, and --ygrid is ignored
+        path = tmp_path / "pn.csv"
+        code, out, _ = run(capsys, ["hardy", text, "--nmax", "200", "--csv", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "sup-liminf-grid"
+        assert (payload["estimate"], payload["divergent"], payload["tolerance"]) == (
+            None,
+            True,
+            None,
+        )
+        assert (payload["reference"], payload["reference_kind"]) == (None, "not-a-hardy-mean")
+        assert payload["notes"][:2] == [
+            "rules: quasi(exp) is >= the arithmetic mean: exp is convex and increasing (Jensen)",
+            "not a Hardy mean; no finite certified constant exists",
+        ]
+        assert payload["notes"][2].startswith("growth trace: ")
+        assert payload["max_pn_decrease"] == 0.0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "n,p_n" and len(lines) == 201
+        code, out, _ = run(capsys, ["hardy", text, "--nmax", "200", "--ygrid", "2:5:3"])
+        assert code == 0
+        gridded = json.loads(out)
+        del payload["command"], gridded["command"]
+        assert gridded == payload
 
     @pytest.mark.parametrize(
         "text", ["gauss(gini(-0.2,-0.4),power(0))", "bajrak(exp,pow:-1)"]
@@ -218,10 +264,10 @@ class TestHardyCommand:
         "argv",
         [
             # several grid points with every prefix in the tail: the maximum
-            # sits at y = 707.946, whose tail is v_n(y), not p_n
-            ["quasi(exp)", "--nmax", "3"],
+            # sits at y = 501.187, whose tail is v_n(y), not p_n
+            ["bajrak(exp,pow:-1)", "--nmax", "3"],
             # a one-point grid away from y = 1
-            ["quasi(exp)", "--nmax", "50", "--ygrid", "0.5:2:1"],
+            ["bajrak(exp,pow:-1)", "--nmax", "50", "--ygrid", "0.5:2:1"],
         ],
     )
     def test_grid_tail_away_from_one_is_not_reported_as_pn(self, capsys, tmp_path, argv):
@@ -238,14 +284,14 @@ class TestHardyCommand:
         # the sweep x_k = y / k starts at y, and exp(y) overflows for y >= 1000
         code, out, err = run(
             capsys,
-            ["hardy", "quasi(exp)", "--nmax", "100", "--ygrid", "1000:2000:3"],
+            ["hardy", "bajrak(exp,pow:-1)", "--nmax", "100", "--ygrid", "1000:2000:3"],
         )
         assert code == 1
         assert out == ""
         assert err == "E_COMPUTE: no y-grid point was evaluable; widen or shift the grid\n"
 
     def test_grid_edge_maximum_reports_no_estimate(self, capsys, tmp_path):
-        argv = ["hardy", "quasi(exp)", "--nmax", "2000"]
+        argv = ["hardy", "bajrak(exp,pow:-1)", "--nmax", "300"]
         code, out, _ = run(capsys, argv)
         assert code == 0
         payload = json.loads(out)

@@ -405,10 +405,53 @@ class TestFamilyRules:
                 chord = (oracle_mean(expr, x) + oracle_mean(expr, y)) / 2
                 assert chord > oracle_mean(expr, mid)
 
-    def test_other_families_know_nothing(self):
-        # Bajraktarevic pairs that bisect are the one family with no rules
+    def test_bajraktarevic_rules_agree_with_the_probe(self):
+        # pairs that bisect decide symmetry and repetition invariance only;
+        # exp overflows past 709, so the wide range stops at 150
         for name, expr in BISECTED.items():
-            assert expr.canonical().known_properties() == {}, name
+            assert expr.canonical().known_properties() == {
+                "symmetry": True,
+                "repetition_invariance": True,
+            }, name
+            self._check_against_probe(name, expr, ranges=(MODERATE, (1e-6, 150.0)))
+
+    # means that a rule puts above the arithmetic mean A: each family's case
+    ABOVE_ARITHMETIC = {
+        **{name: hm.parse_mean_expr(name) for name in (
+            "power(1)", "power(1.5)", "power(4)", "gini(1,0)", "gini(2,1)", "gini(0,3)",
+            "gini(1.5,1.5)", "gini(1,0.5)", "quasi(exp)", "bajrak(exp,pow:0)",
+            "gauss(power(2),quasi(exp))", "gauss(gini(2,1),power(1),quasi(exp))",
+        )},
+        "max": hm.MaxOf(),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("name", list(ABOVE_ARITHMETIC))
+    def test_above_arithmetic_rules_hold_at_40_digits(self, name, rng):
+        mp = pytest.importorskip("mpmath").mp
+        expr = self.ABOVE_ARITHMETIC[name]
+        assert expr.canonical().above_arithmetic()
+        with mp.workdps(40):
+            for entry_range in self.RANGES:
+                for _ in range(100):
+                    x = log_uniform(rng, int(rng.integers(1, 9)), *entry_range)
+                    xs = [mp.mpf(float(v)) for v in x]
+                    arith = mp.fsum(xs) / len(xs)
+                    assert oracle_mean(expr, xs) >= arith * (1 - mp.mpf(10) ** -35), x
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            *map(hm.parse_mean_expr, (
+                "power(0.999)", "gini(1,-0.01)", "gini(0.9,0.5)", "gini(-1,3)",
+                "bajrak(exp,pow:-1)", "bajrak(pow:-1,exp)", "gauss(power(2),power(0))",
+            )),
+            hm.MinOf(),
+            hm.Gauss((hm.QuasiArithmetic(hm.EXP), hm.MinOf())),
+        ],
+        ids=repr,
+    )  # fmt: skip
+    def test_no_rule_puts_other_means_above_arithmetic(self, expr):
+        assert expr.canonical().above_arithmetic() is None
 
     def test_gauss_with_a_non_increasing_child_leaves_the_gate_open(self):
         # gini(-0.2,-0.4) is neither increasing nor concave, and no rule

@@ -416,7 +416,11 @@ class TestHardyConstant:
             assert est.reference_kind == "not-a-hardy-mean"
             assert any("growth trace" in note for note in est.notes)
 
-    @pytest.mark.parametrize("expr", [hm.Power(2.0), hm.Gini(2.0, 1.0)], ids=repr)
+    # each is also >= A by a rule; the registry's verdict and wording win
+    @pytest.mark.parametrize(
+        "expr", [hm.Power(2.0), hm.Gini(2.0, 1.0), hm.Gauss((hm.Power(2.0), hm.Power(3.0)))],
+        ids=repr,
+    )
     def test_registry_verdict_needs_no_probe(self, expr):
         from hardymeans import hardy
 
@@ -484,10 +488,8 @@ class TestHardyConstant:
             hm.parse_mean_expr("bajrak(exp,pow:-1)"), hm.HardyConfig(n_max=500)
         )
         assert est.method == "sup-liminf-grid"
-        assert (
-            "no rule decides homogeneity, symmetry, increasing, jensen_concavity, "
-            "repetition_invariance"
-        ) in est.notes
+        # every pair is symmetric and repetition invariant
+        assert "no rule decides homogeneity, increasing, jensen_concavity" in est.notes
 
     @pytest.mark.parametrize(
         "text", ["bajrak(exp,pow:-1)", "gauss(gini(-0.2,-0.4),power(0))"]
@@ -587,19 +589,25 @@ class TestHardyConstant:
             "repetition_invariance"
         ) in undecided.notes
 
-    def test_divergence_ceiling_names_witness(self):
-        # p_n = n along the harmonic vector, past the ceiling 1e6 at n = 10^6 + 1
+    def test_divergence_ceiling_names_witness(self, monkeypatch):
+        # p_n = n along the harmonic vector, past the ceiling 1e6 at n = 10^6 + 1;
+        # with max >= A switched off, only the ceiling finds the divergence
+        monkeypatch.setattr(hm.MaxOf, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.MaxOf(), hm.HardyConfig(n_max=1_000_001))
         assert est.divergent
         assert any("n=1000001" in note for note in est.notes)
 
-    def test_uncertified_annotation_when_probes_fail(self):
-        # max is homogeneous but not Jensen concave
+    def test_uncertified_annotation_when_probes_fail(self, monkeypatch):
+        # max is homogeneous but not Jensen concave; with max >= A switched
+        # off, that failed rule alone withholds certification
+        monkeypatch.setattr(hm.MaxOf, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.MaxOf(), hm.HardyConfig(n_max=500))
         assert not est.divergent
         assert any("uncertified" in note for note in est.notes)
 
-    def test_grid_method_for_non_homogeneous(self):
+    def test_grid_method_for_non_homogeneous(self, monkeypatch):
+        # with quasi(exp) >= A switched off, nothing decides it non-Hardy
+        monkeypatch.setattr(hm.QuasiArithmetic, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(
             hm.QuasiArithmetic(hm.EXP), hm.HardyConfig(n_max=2000)
         )
@@ -613,14 +621,89 @@ class TestHardyConstant:
         "text,n_max",
         [("quasi(exp)", 2000), ("bajrak(exp,pow:0)", 32), ("bajrak(exp,pow:-1)", 300)],
     )
-    def test_maximum_at_grid_edge_is_inconclusive(self, text, n_max):
+    def test_maximum_at_grid_edge_is_inconclusive(self, text, n_max, monkeypatch):
         # the values still rise at y = 707.9, the last point below the
-        # overflow at y = 1000
+        # overflow at y = 1000; quasi(exp) >= A is switched off, so that
+        # the grid alone reports the exp means
+        monkeypatch.setattr(hm.QuasiArithmetic, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
         assert (est.estimate, est.divergent, est.tolerance) == (math.inf, False, None)
         assert est.notes[0] == (
             "estimate (uncertified): inconclusive, maximum at grid edge y=707.946"
         )
+
+    # means that a rule puts above the arithmetic mean and the registry
+    # does not decide; max is the one a rule also makes homogeneous
+    ABOVE_ARITHMETIC = {
+        "quasi(exp)": hm.QuasiArithmetic(hm.EXP),
+        "bajrak(exp,pow:0)": hm.Bajraktarevic(hm.EXP, hm.power_generator(0.0)),
+        "gauss(power(2),quasi(exp))": hm.Gauss((hm.Power(2.0), hm.QuasiArithmetic(hm.EXP))),
+        "max": hm.MaxOf(),
+    }
+
+    @pytest.mark.parametrize("name", list(ABOVE_ARITHMETIC))
+    def test_mean_above_the_arithmetic_mean_is_divergent(self, name):
+        from hardymeans import hardy
+
+        expr = self.ABOVE_ARITHMETIC[name]
+        est = hm.hardy_constant(expr, hm.HardyConfig(n_max=300))
+        pn = hm.pn_sequence(expr, 300)
+        assert hm.closed_form_hardy(expr) is None
+        assert est.notes == (
+            f"rules: {hm.canonical(expr).above_arithmetic()}",
+            "not a Hardy mean; no finite certified constant exists",
+            hardy._growth_trace(pn),
+        )
+        assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
+        assert (est.reference, est.reference_kind) == (None, "not-a-hardy-mean")
+        assert est.pn.values.tobytes() == pn.values.tobytes()
+        # only a mean that a rule makes homogeneous reads its p_n as the
+        # homogeneous limit
+        if name == "max":
+            assert (est.method, est.y_grid) == ("homogeneous-limit", None)
+        else:
+            assert (est.method, est.y_grid) == ("sup-liminf-grid", (1.0,))
+
+    @pytest.mark.parametrize("y_grid", [None, (0.5, 2.0, 8.0)])
+    def test_mean_above_the_arithmetic_mean_takes_one_sweep(self, y_grid, monkeypatch):
+        # one tail at y = 1 over every prefix, not one per grid point;
+        # the y-grid, given or default, is ignored
+        from hardymeans import hardy
+
+        calls, tail = [], hardy._tail
+
+        def counted(expr, y, n_max, start):
+            calls.append((y, start))
+            return tail(expr, y, n_max, start)
+
+        monkeypatch.setattr(hardy, "_tail", counted)
+        cfg = hm.HardyConfig(n_max=10_000, y_grid=y_grid)
+        assert hm.hardy_constant(hm.QuasiArithmetic(hm.EXP), cfg).divergent
+        assert calls == [(1.0, 1)]
+        # the grid the rule skips: one tail per point, from n_max // 2
+        calls.clear()
+        monkeypatch.setattr(hm.QuasiArithmetic, "above_arithmetic", lambda self: None)
+        hm.hardy_constant(hm.QuasiArithmetic(hm.EXP), cfg)
+        grid = default_y_grid() if y_grid is None else y_grid
+        assert calls == [(y, 5000) for y in grid]
+
+    @pytest.mark.parametrize("overshoot,certified", [(1e-6, False), (1e-14, True)])
+    def test_lower_bound_above_the_reference_is_not_certified(
+        self, overshoot, certified, monkeypatch
+    ):
+        from hardymeans import hardy
+
+        # prefix means whose p_n = n * M rise from 1 to e * (1 + overshoot)
+        def swept(expr, x, start=1):
+            values = np.linspace(1.0, math.e * (1.0 + overshoot), x.size)
+            return (values / np.arange(1.0, x.size + 1.0))[start - 1 :]
+
+        monkeypatch.setattr(hardy, "prefix_means", swept)
+        est = hm.hardy_constant(hm.Power(0), hm.HardyConfig(n_max=100))
+        assert any("certified-from-below" in note for note in est.notes) == certified
+        assert (est.tolerance == 0.005) == certified
+        exceeds = f"estimate (uncertified): {est.estimate:.6g} exceeds the registered constant"
+        assert any(note.startswith(exceeds) for note in est.notes) != certified
 
     def test_homogeneous_mean_on_the_grid_has_no_edge_maximum(self, monkeypatch):
         # the kernel's rounding near p = 0 spreads the grid's values, which
