@@ -8,7 +8,6 @@ from .core import (
     ARITHMETIC_DEVIATION,
     ArithmeticDeviation,
     Bajraktarevic,
-    BracketError,
     CancellationWarning,
     Deviation,
     DeviationSpec,
@@ -31,7 +30,6 @@ from .core import (
     as_samples,
     evaluate,
     evaluate_batch,
-    neg_power_generator,
     power_generator,
 )
 from .families import (
@@ -48,13 +46,11 @@ from .hardy import (
     HardyEstimate,
     HardySeqBound,
     LiminfEstimate,
-    PartialCheck,
     PnSequence,
     SearchConfig,
     canonical,
     closed_form_hardy,
     hardy_constant,
-    hardy_partial_check,
     hardy_ratio,
     hardy_sequence_bound,
     liminf_ratio,
@@ -66,7 +62,6 @@ from .hardy import (
 from .kedlaya import (
     KedlayaMatrix,
     KedlayaTable,
-    check_dominated_kedlaya,
     check_kedlaya_inequality,
     kedlaya_coefficient,
     kedlaya_margins,

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    BracketError,
     MeanComputationError,
     NonConvergenceError,
     evaluate,
@@ -280,7 +279,6 @@ _ERRORS = (
     (ValueError, "E_INVALID", 2),
     (OverflowError, "E_OVERFLOW", 1),
     (NonConvergenceError, "E_NONCONVERGENCE", 1),
-    (BracketError, "E_BRACKET", 1),
     (MeanComputationError, "E_COMPUTE", 1),
 )
 

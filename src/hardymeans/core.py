@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "MeanComputationError",
     "NonConvergenceError",
-    "BracketError",
     "CancellationWarning",
     "as_samples",
     "as_sample_rows",
@@ -26,7 +25,6 @@ __all__ = [
     "LOG",
     "EXP",
     "power_generator",
-    "neg_power_generator",
     "ratio_direction",
     "ArithmeticDeviation",
     "PairDeviation",
@@ -64,11 +62,6 @@ class NonConvergenceError(MeanComputationError):
         super().__init__(f"{message} (iterations={iterations}, gap={gap:.3e})")
         self.iterations = iterations
         self.gap = gap
-
-
-class BracketError(MeanComputationError):
-    """A bracketing solve cannot locate its root: the ratio it inverts
-    saturates to one value across a bracket (under- or overflow)."""
 
 
 class CancellationWarning(UserWarning):
@@ -118,7 +111,6 @@ _GENERATOR_KINDS = {
     "log": lambda t, p: np.log(t),
     "exp": lambda t, p: np.exp(t),
     "pow": lambda t, p: t**p,
-    "neg_pow": lambda t, p: -(t**p),
 }
 
 
@@ -126,18 +118,17 @@ _GENERATOR_KINDS = {
 class Generator:
     """Named continuous function on the positive half line.
 
-    Kinds: ``identity``, ``log``, ``exp``, ``pow`` (x**p) and ``neg_pow``
-    (-x**p).  The sign-flipped power exists so that generator pairs whose
-    ratio would be decreasing can be rewritten with an increasing ratio,
-    which the deviation-mean construction requires.  ``pow`` with p = 0
-    is the constant 1: not strictly monotone, but admissible as the
-    denominator generator of a Bajraktarevic mean.  Monotonicity is
+    Kinds: ``identity``, ``log``, ``exp`` and ``pow`` (x**p).  ``pow``
+    with p = 0 is the constant 1: not strictly monotone, but admissible as
+    the denominator generator of a Bajraktarevic mean.  Monotonicity is
     decided exactly, by :func:`ratio_direction`.
 
     The catalogue is deliberately closed: arbitrary user callables are
     not accepted, because every kind must guarantee continuity and known
-    monotonicity.  Extending it means adding a row to
-    ``_GENERATOR_KINDS``.
+    monotonicity.  A new kind needs a row in ``_GENERATOR_KINDS`` and
+    also a kernel of its own: the one implicit-mean kernel solves the
+    (exp, pow) pair in closed form, and every other pair reduces to an
+    explicit family.
     """
 
     kind: str
@@ -146,7 +137,7 @@ class Generator:
     def __post_init__(self):
         if self.kind not in _GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind in ("pow", "neg_pow"):
+        if self.kind == "pow":
             if self.p is None or not math.isfinite(self.p):
                 raise ValueError(f"{self.kind!r} generator needs a finite exponent")
         elif self.p is not None:
@@ -156,16 +147,10 @@ class Generator:
     def strictly_monotone(self) -> bool:
         return ratio_direction(self, _ONE) != 0
 
-    def unchecked(self, t: np.ndarray) -> np.ndarray:
-        """The generator's values with no finiteness check, for points
-        between data points where the checked call succeeded: every kind
-        is monotone, so its values there are finite too."""
-        return _GENERATOR_KINDS[self.kind](t, self.p)
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.unchecked(t)
+            out = _GENERATOR_KINDS[self.kind](t, self.p)
         if not np.isfinite(out).all():
             raise OverflowError(f"generator {self.describe()} produced a non-finite value")
         return out
@@ -173,8 +158,8 @@ class Generator:
     def describe(self) -> str:
         if self.kind == "identity":
             return "id"
-        if self.kind in ("pow", "neg_pow"):
-            return f"{self.kind}:{self.p:g}"
+        if self.kind == "pow":
+            return f"pow:{self.p:g}"
         return self.kind
 
 
@@ -187,38 +172,32 @@ def power_generator(p: float) -> Generator:
     return Generator("pow", float(p))
 
 
-def neg_power_generator(p: float) -> Generator:
-    return Generator("neg_pow", float(p))
-
-
 _ONE = power_generator(0.0)
 
 
-def _signed_power(gen: Generator) -> tuple[float, float] | None:
-    """(s, a) with gen(t) = s * t**a, when the generator is a signed power."""
-    powers = {"identity": (1.0, 1.0), "pow": (1.0, gen.p), "neg_pow": (-1.0, gen.p)}
-    return powers.get(gen.kind)
+def _power_exponent(gen: Generator) -> float | None:
+    """a with gen(t) = t**a, when the generator is a power (id is t**1)."""
+    return {"identity": 1.0, "pow": gen.p}.get(gen.kind)
 
 
 def ratio_direction(f: Generator, g: Generator) -> int:
     """Sign of (f/g)' on (0, inf): +1 or -1 where f/g strictly increases or
     decreases, 0 where it is not strictly monotone.
 
-    The rule is exact, read off the derivatives; g must be positive (id,
-    exp or pow).  For a signed power f = s t**a, s t**a / t**q has the
-    sign of s(a - q), and s t**a e**-t is monotone, with direction -s,
-    only for a <= 0.  log t / t**q is monotone only at q = 0, e**t / t**q
-    only for q <= 0, and log t e**-t never.
+    The rule is exact, read off the derivatives; g must be positive
+    (every kind but log).  t**a / t**q has the sign of a - q, and
+    t**a e**-t is monotone, and then decreasing, only for a <= 0.
+    log t / t**q is monotone only at q = 0, e**t / t**q only for q <= 0,
+    and log t e**-t never.
     """
-    fp, gp = _signed_power(f), _signed_power(g)
-    positive = g == EXP if gp is None else gp[0] > 0.0
-    if not positive:
+    if g == LOG:
         raise ValueError(f"denominator {g.describe()} is not positive on all of (0, inf)")
-    if gp is None:  # g = exp
-        return -int(fp[0]) if fp is not None and fp[1] <= 0.0 else 0
-    if fp is not None:
-        return int(np.sign(fp[0] * (fp[1] - gp[1])))
-    return int(f == LOG and gp[1] == 0.0 or f == EXP and gp[1] <= 0.0)
+    a, q = _power_exponent(f), _power_exponent(g)
+    if q is None:  # g = exp
+        return -1 if a is not None and a <= 0.0 else 0
+    if a is not None:
+        return int(np.sign(a - q))
+    return int(f == LOG and q == 0.0 or f == EXP and q <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +218,7 @@ class PairDeviation:
 
     Requires g positive and f/g strictly increasing on the positive
     half line; then y -> E(x, y) is strictly decreasing, as a deviation
-    must be.  Decreasing ratios can be fixed up by negating f (see
-    :func:`neg_power_generator`).
+    must be.
     """
 
     f: Generator
@@ -286,13 +264,10 @@ class MeanExpr:
     x[..., :k+1]; a slice, not an integer, so the axis stays).  On
     canonical nodes, :meth:`closed_form` and :meth:`tolerance` are the
     registry entry, :meth:`known_properties` the structural facts
-    that the family decides exactly, with ``failure_reasons`` saying why
-    each property a rule denies fails, and :meth:`above_arithmetic` the
+    that the family decides exactly, and :meth:`above_arithmetic` the
     comparison with the arithmetic mean.  The defaults here: no
     reduction, no registry entry, no known property, no comparison.
     """
-
-    failure_reasons: dict[str, str] = {}
 
     def canonical(self) -> MeanExpr:
         """The node reduced along exact family identities."""
@@ -307,9 +282,10 @@ class MeanExpr:
         against the registered constant, when known."""
         return None
 
-    def known_properties(self) -> dict[str, bool]:
-        """{property: holds} for the probe properties that are theorems
-        of the family; a property not named is unknown."""
+    def known_properties(self) -> dict[str, bool | str]:
+        """{property: True, or the reason it fails} for the probe
+        properties that a theorem of the family decides; a property not
+        named is unknown.  A reason is truthy, so test ``is True``."""
         return {}
 
     def above_arithmetic(self) -> str | None:
@@ -324,6 +300,11 @@ class MeanExpr:
 _BASIC = ("symmetry", "increasing", "homogeneity", "repetition_invariance")
 
 
+def _holds(holds: bool, reason: str) -> bool | str:
+    """A rule's entry in ``known_properties``: True, or why it fails."""
+    return True if holds else reason
+
+
 def as_mean_expr(obj) -> MeanExpr:
     """``obj`` itself, when it is a mean expression; else TypeError."""
     if not isinstance(obj, MeanExpr):
@@ -336,8 +317,6 @@ class Power(MeanExpr):
     """p-th power mean; geometric mean at p = 0."""
 
     p: float
-
-    failure_reasons = {"jensen_concavity": "power mean with p > 1 is not Jensen concave"}
 
     def __post_init__(self):
         _require_finite("power exponent", self.p)
@@ -368,7 +347,8 @@ class Power(MeanExpr):
         repetition invariant; by Minkowski's inequality it is Jensen
         concave exactly when p <= 1 (Hardy, Littlewood & Polya,
         *Inequalities*)."""
-        return dict.fromkeys(_BASIC, True) | {"jensen_concavity": self.p <= 1.0}
+        concave = _holds(self.p <= 1.0, "power mean with p > 1 is not Jensen concave")
+        return dict.fromkeys(_BASIC, True) | {"jensen_concavity": concave}
 
     def above_arithmetic(self):
         """M_p >= M_1 = A for p >= 1 (the power-mean inequality)."""
@@ -380,12 +360,6 @@ class QuasiArithmetic(MeanExpr):
     """Inverse of the generator applied to the generator's plain average."""
 
     gen: Generator
-
-    failure_reasons = {
-        "homogeneity": "quasi(exp) is not homogeneous; only power and log "
-        "generators give homogeneous quasi-arithmetic means",
-        "jensen_concavity": "quasi(exp) is not Jensen concave; log-mean-exp is convex",
-    }
 
     def __post_init__(self):
         if not self.gen.strictly_monotone:
@@ -399,12 +373,12 @@ class QuasiArithmetic(MeanExpr):
         return families.quasi_exp_kernel(xs, cols)
 
     def canonical(self):
-        """The log generator gives the geometric mean, a signed power
-        s t**p (id is t**1) the power mean p."""
+        """The log generator gives the geometric mean, a power t**p (id is
+        t**1) the power mean p."""
         if self.gen == LOG:
             return GEOM
-        power = _signed_power(self.gen)
-        return self if power is None else Power(power[1])
+        a = _power_exponent(self.gen)
+        return self if a is None else Power(a)
 
     def known_properties(self):
         """A quasi-arithmetic mean is symmetric, increasing and repetition
@@ -414,7 +388,11 @@ class QuasiArithmetic(MeanExpr):
         convex: x = (eps, 2) and y = (2, eps) give about 1.43 each for
         small eps, their midpoint about 1."""
         assert self.gen == EXP, "every other generator's canonical node is a power mean"
-        return dict.fromkeys(_BASIC, True) | {"homogeneity": False, "jensen_concavity": False}
+        return dict.fromkeys(_BASIC, True) | {
+            "homogeneity": "quasi(exp) is not homogeneous; only power and log "
+            "generators give homogeneous quasi-arithmetic means",
+            "jensen_concavity": "quasi(exp) is not Jensen concave; log-mean-exp is convex",
+        }
 
     def above_arithmetic(self):
         """exp is convex and increasing, so Jensen's inequality gives
@@ -430,12 +408,6 @@ class Gini(MeanExpr):
 
     p: float
     q: float
-
-    failure_reasons = {
-        "increasing": "Gini mean with pq > 0 is not increasing",
-        "jensen_concavity": "Gini mean is Jensen concave only when "
-        "min(p,q) <= 0 <= max(p,q) <= 1",
-    }
 
     def __post_init__(self):
         _require_finite("Gini exponent p", self.p)
@@ -482,8 +454,11 @@ class Gini(MeanExpr):
         *Handbook of Means and Their Inequalities*, 2003)."""
         p, q = self.p, self.q
         return dict.fromkeys(_BASIC, True) | {
-            "increasing": p * q <= 0.0,
-            "jensen_concavity": min(p, q) <= 0.0 <= max(p, q) <= 1.0,
+            "increasing": _holds(p * q <= 0.0, "Gini mean with pq > 0 is not increasing"),
+            "jensen_concavity": _holds(
+                min(p, q) <= 0.0 <= max(p, q) <= 1.0,
+                "Gini mean is Jensen concave only when min(p,q) <= 0 <= max(p,q) <= 1",
+            ),
         }
 
     def above_arithmetic(self):
@@ -498,33 +473,38 @@ class Gini(MeanExpr):
 class Bajraktarevic(MeanExpr):
     """(f/g)-inverse of sum(f)/sum(g): a mean exactly when g is positive
     and f/g strictly monotone (:func:`ratio_direction`), which is checked
-    when the node is built."""
+    when the node is built.  The fields keep the pair as spelled; the
+    canonical node puts it in normal form."""
 
     f: Generator
     g: Generator
 
     def __post_init__(self):
-        direction = ratio_direction(self.f, self.g)
-        if direction == 0:
+        if ratio_direction(self.f, self.g) == 0:
             raise ValueError(
                 f"f/g must be strictly monotone; "
                 f"{self.f.describe()}/{self.g.describe()} is not"
             )
-        object.__setattr__(self, "_direction", direction)
-        # bajrak(f, pow:0) is quasi(f): with g = 1, sum f / sum g is the
-        # plain average of f.  With signed powers s t**a over t**q it is the
-        # Gini mean G_{a,q}.
+        # The normal form: bajrak(f, g) = bajrak(g, f), since
+        # (f/g)^-1(sum f / sum g) = (g/f)^-1(sum g / sum f), so a pair over
+        # exp puts exp first; its partner is then a power t**a, a <= 0,
+        # which is positive.  bajrak(f, pow:0) is quasi(f): with g = 1,
+        # sum f / sum g is the plain average of f.  A power t**a over t**q
+        # gives the Gini mean G_{a,q}.  Only exp over t**q, q < 0, is left.
+        f, g = (EXP, self.f) if self.g == EXP else (self.f, self.g)
+        a, q = _power_exponent(f), _power_exponent(g)
         reduced = None
-        if self.g == _ONE:
-            reduced = QuasiArithmetic(self.f)
-        else:
-            f, g = _signed_power(self.f), _signed_power(self.g)
-            if f is not None and g is not None:
-                reduced = Gini(f[1], g[1]).canonical()
+        if g == _ONE:
+            reduced = QuasiArithmetic(f)
+        elif a is not None and q is not None:
+            reduced = Gini(a, q).canonical()
+        elif f != self.f:
+            reduced = Bajraktarevic(f, g)
         object.__setattr__(self, "_reduced", reduced)
 
     def kernel(self, xs, cols):
-        return families.bajraktarevic_kernel(self.f, self.g, self._direction, xs, cols)
+        assert self.f == EXP and self.g.p < 0.0, "every other pair reduces to another family"
+        return families.bajraktarevic_kernel(-self.g.p, xs, cols)
 
     def known_properties(self):
         """sum f(x_i) / sum g(x_i) does not depend on the order of the
@@ -549,7 +529,7 @@ class Deviation(MeanExpr):
         lowered = ARITH
         if self.dev != ARITHMETIC_DEVIATION:
             lowered = Bajraktarevic(self.dev.f, self.dev.g)
-            if lowered._direction < 0:
+            if ratio_direction(self.dev.f, self.dev.g) < 0:
                 raise ValueError(
                     f"a deviation needs f/g increasing; "
                     f"{self.dev.f.describe()}/{self.dev.g.describe()} decreases"
@@ -603,8 +583,8 @@ class Gauss(MeanExpr):
         concave maps, and a limit of concave maps is concave.  Nothing
         else is decided."""
         rules = [c.known_properties() for c in self.children]
-        known = {name: True for name in _BASIC if all(r.get(name) for r in rules)}
-        if all(r.get("increasing") and r.get("jensen_concavity") for r in rules):
+        known = {name: True for name in _BASIC if all(r.get(name) is True for r in rules)}
+        if all(r.get("increasing") is True and r.get("jensen_concavity") is True for r in rules):
             known["jensen_concavity"] = True
         return known
 
@@ -633,8 +613,6 @@ class MinOf(MeanExpr):
 class MaxOf(MeanExpr):
     """Largest entry (a non-strict mean, useful as a probe target)."""
 
-    failure_reasons = {"jensen_concavity": "max is convex, not Jensen concave"}
-
     def kernel(self, xs, cols):
         return np.maximum.accumulate(xs, axis=-1)[..., cols]
 
@@ -643,7 +621,9 @@ class MaxOf(MeanExpr):
         repetition invariant; as a maximum of linear maps it is convex,
         and not concave: x = (1, 2) and y = (2, 1) give 2, their
         midpoint 1.5."""
-        return dict.fromkeys(_BASIC, True) | {"jensen_concavity": False}
+        return dict.fromkeys(_BASIC, True) | {
+            "jensen_concavity": "max is convex, not Jensen concave"
+        }
 
     def above_arithmetic(self):
         return "max is >= every mean, the arithmetic mean included"

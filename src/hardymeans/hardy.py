@@ -61,8 +61,6 @@ __all__ = [
     "HardySeqBound",
     "hardy_sequence_bound",
     "simplex_grid_bound",
-    "PartialCheck",
-    "hardy_partial_check",
 ]
 
 
@@ -203,9 +201,10 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     v_{n_max}(y) over the y points that evaluate, one prefix sweep each;
     a decrease of the winning tail above rounding withholds certification
     and drops the tolerance, and so does a winning tail above the
-    registered constant by more than rounding.  v_n(y) = p_n for a
-    homogeneous mean, so a mean that a rule makes homogeneous takes
-    y = 1 alone and its whole p_n sweep (``pn``).  So does a mean that
+    registered constant by more than rounding; a winning tail farther
+    from that constant than the tolerance drops the tolerance, with a
+    note.  v_n(y) = p_n for a homogeneous mean, so a mean that a rule
+    makes homogeneous takes y = 1 alone and its whole p_n sweep (``pn``).  So does a mean that
     is not a Hardy mean, by the registry or, where the registry is
     silent, because a rule puts it above the arithmetic mean
     (``above_arithmetic``): it is reported divergent, ``cfg.y_grid`` is
@@ -240,14 +239,14 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     known = node.known_properties()
     # why certification is withheld: a rule's reason for each property it
     # denies, then the properties no rule decides
-    failed = [name for name in _GATE_PROPERTIES if known.get(name) is False]
-    why = [f"rules: {node.failure_reasons[name]}" for name in failed]
+    denied = [name for name in _GATE_PROPERTIES if known.get(name, True) is not True]
+    why = [f"rules: {known[name]}" for name in denied]
     undecided = [name for name in _GATE_PROPERTIES if name not in known]
     if undecided:
         why.append("no rule decides " + ", ".join(undecided))
     # a non-Hardy mean needs only its p_n, the tail at y = 1, which is
     # the homogeneous limit only when a rule makes the mean homogeneous
-    if known.get("homogeneity"):
+    if known.get("homogeneity") is True:
         y_grid = None
     elif not_hardy:
         y_grid = (1.0,)
@@ -313,14 +312,23 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         notes.append("; ".join(skipped))
     if divergent and pn is not None:
         notes.append(_growth_trace(pn))
+    # an echoed tolerance is met: a decrease or an overshoot above rounding
+    # leaves it unmet, and so does a gap to the reference above it
+    if divergent or decreased or edge or overshoot:
+        tolerance = None
+    elif tolerance is not None and abs(final - reference) > tolerance * reference:
+        notes.append(
+            f"tolerance {tolerance:g} unmet: the estimate is "
+            f"{abs(final - reference) / reference:.3g} relative from the registered constant"
+        )
+        tolerance = None
     return HardyEstimate(
         method="homogeneous-limit" if y_grid is None else "sup-liminf-grid",
         estimate=math.inf if divergent or edge else final,
         n_max=cfg.n_max,
         reference=reference,
         reference_kind=reference_kind,
-        # a decrease or an overshoot above rounding leaves the tolerance unmet
-        tolerance=None if divergent or decreased or edge or overshoot else tolerance,
+        tolerance=tolerance,
         divergent=divergent,
         notes=tuple(notes),
         y_grid=y_grid,
@@ -554,24 +562,3 @@ def simplex_grid_bound(
             ratios = [hardy_ratio(expr, row) for row in x]
         best = max(best, float(np.max(ratios)))
     return best
-
-
-# ---------------------------------------------------------------------------
-# truncated partial-sum check
-
-
-@dataclass(frozen=True)
-class PartialCheck:
-    ratio: float
-    reference: float
-    strictly_below: bool
-
-
-def hardy_partial_check(expr: MeanExpr, x, reference: float) -> PartialCheck:
-    """Ratio of summed prefix means to the summed entries of a truncated
-    summable sequence, and whether it stays strictly below a reference
-    constant."""
-    if not reference > 0.0:
-        raise ValueError("reference constant must be positive")
-    ratio = hardy_ratio(expr, as_samples(x))
-    return PartialCheck(ratio=ratio, reference=reference, strictly_below=ratio < reference)

@@ -28,7 +28,6 @@ __all__ = [
     "KedlayaMatrix",
     "kedlaya_matrix",
     "check_kedlaya_inequality",
-    "check_dominated_kedlaya",
     "kedlaya_margins",
     "matrix_mixing_margin",
 ]
@@ -177,17 +176,6 @@ def check_kedlaya_inequality(expr: MeanExpr, x) -> float:
     """
     xs = as_samples(x)
     return float(_prefix_average_margins(expr, xs[None], np.array([xs.size]))[0])
-
-
-def check_dominated_kedlaya(expr: MeanExpr, x) -> float:
-    """Signed margin of the dominated variant for increasing means:
-    n * M(s, s/2, ..., s/n) with s = sum(x), minus the sum of M over
-    prefixes of x."""
-    xs = as_samples(x)
-    n = xs.size
-    s = float(xs.sum())
-    rhs = n * evaluate(expr, s / np.arange(1.0, n + 1.0))
-    return rhs - math.fsum(prefix_means(expr, xs))
 
 
 def kedlaya_margins(expr: MeanExpr, samples: int = 500, seed: int = 0) -> np.ndarray:

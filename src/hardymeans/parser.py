@@ -15,8 +15,7 @@ from them and the printer writes the same slots back.  Only ``gauss``
 
 Whitespace between tokens is ignored.  ``parse_mean_expr`` after
 ``format_mean_expr`` is the identity on every expressible tree;
-expressions outside the grammar (min, max, sign-flipped power
-generators) have no textual form and the printer rejects them.
+expressions outside the grammar (min, max) have no textual form and the printer rejects them.
 Positions in diagnostics are 1-based character offsets.
 """
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.cli import run_command
+from conftest import lambert_w_mean
 
 
 def run(capsys, argv):
@@ -50,6 +51,8 @@ class TestEval:
             "bajrak(log,pow:1)",
             "bajrak(id,pow:1)",
             "dev(pair:pow:1,pow:2)",
+            # one mean with bajrak(exp,pow:-1), but its ratio as spelled decreases
+            "dev(pair:pow:-1,exp)",
         ],
     )
     def test_pair_that_defines_no_mean_is_usage_error(self, capsys, text):
@@ -59,19 +62,22 @@ class TestEval:
         assert out == ""
         assert err.startswith("E_INVALID:")
 
+    @staticmethod
+    def _assert_lambert_w(capsys, text, c, x):
+        code, out, err = run(capsys, ["eval", text, *map(str, x)])
+        assert (code, err) == (0, "")
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            exact = lambert_w_mean(c, [mp.mpf(v) for v in x])
+            assert abs(json.loads(out)["value"] - exact) <= 4e-15 * exact
+
     def test_overflowing_target_exit_code(self, capsys):
-        # sum(e**x) / sum(1/x) overflows: the mean's root cannot be represented
-        code, out, err = run(capsys, ["eval", "bajrak(exp,pow:-1)", "700", "706"])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("E_BRACKET:")
+        # sum(e**x) / sum(1/x) overflows; the closed form takes its log
+        self._assert_lambert_w(capsys, "bajrak(exp,pow:-1)", 1, [700, 706])
 
     def test_saturated_ratio_exit_code(self, capsys):
-        # x**-300 underflows to 0 on [20, 30]: the bisection has no bracket
-        code, out, err = run(capsys, ["eval", "bajrak(pow:-300,exp)", "20", "30"])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("E_BRACKET:")
+        # x**-300 underflows to 0 on [20, 30]; the sums take logs
+        self._assert_lambert_w(capsys, "bajrak(pow:-300,exp)", 300, [20, 30])
 
 
 class TestHardyCommand:
@@ -125,6 +131,15 @@ class TestHardyCommand:
         payload = json.loads(out)
         assert payload["divergent"] is True
         assert payload["reference_kind"] == "not-a-hardy-mean"
+
+    def test_swapped_exp_pair_prints_the_bytes_of_quasi_exp(self, capsys):
+        # bajrak(pow:0,exp) = bajrak(exp,pow:0) = quasi(exp): one report
+        outs = []
+        for text in ("bajrak(pow:0,exp)", "quasi(exp)"):
+            code, out, _ = run(capsys, ["hardy", text])
+            assert code == 0
+            outs.append(out.replace(json.dumps(text), "", 1))
+        assert outs[0] == outs[1]
 
     def test_signed_power_pair_reports_as_its_gini_mean(self, capsys):
         # x**-300 overflows in a plain p_n sweep; the pair runs on the

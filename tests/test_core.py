@@ -6,7 +6,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.core import ratio_direction
-from conftest import BISECTED, MODERATE, ZOO, CountingRng, log_uniform, oracle_mean
+from conftest import IMPLICIT, MODERATE, ZOO, CountingRng, log_uniform, oracle_mean
 
 
 class TestSampleValidation:
@@ -49,8 +49,6 @@ class TestExpressionInvariants:
             hm.QuasiArithmetic(hm.power_generator(0.0))
 
     def test_bajrak_rejects_nonpositive_denominator(self):
-        with pytest.raises(ValueError):
-            hm.Bajraktarevic(hm.power_generator(1), hm.neg_power_generator(1))
         with pytest.raises(ValueError):
             hm.Bajraktarevic(hm.power_generator(1), hm.LOG)
 
@@ -96,7 +94,6 @@ class TestGenerators:
         }
         for a in exponents:
             values[hm.power_generator(a)] = lambda t, a=mp.mpf(a): t**a
-            values[hm.neg_power_generator(a)] = lambda t, a=mp.mpf(a): -(t**a)
         denominators = [hm.IDENTITY, hm.EXP] + [hm.power_generator(q) for q in exponents]
         grid = [mp.mpf(10) ** (mp.mpf(k) / 16) for k in range(-64, 45)]  # 1e-4 .. 600
         checked = 0
@@ -108,12 +105,11 @@ class TestGenerators:
                 expected = int(signs.pop()) if len(signs) == 1 else 0
                 assert ratio_direction(f, g) == expected, (f, g)
                 checked += 1
-        assert checked == 231
+        assert checked == 132
 
     def test_ratio_direction_needs_a_positive_denominator(self):
-        for g in (hm.LOG, hm.neg_power_generator(1.0), hm.neg_power_generator(0.0)):
-            with pytest.raises(ValueError, match="not positive"):
-                ratio_direction(hm.IDENTITY, g)
+        with pytest.raises(ValueError, match="not positive"):
+            ratio_direction(hm.IDENTITY, hm.LOG)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -301,7 +297,7 @@ class TestFamilyRules:
     )
     def test_power_rules_agree_with_the_probe(self, p):
         expr = hm.Power(float(p))
-        holds = [name for name, value in expr.known_properties().items() if value]
+        holds = [name for name, value in expr.known_properties().items() if value is True]
         assert holds
         for entry_range in self.RANGES:
             for seed in range(5):
@@ -312,7 +308,7 @@ class TestFamilyRules:
     @pytest.mark.parametrize("p", [1.5, 2, 4])
     def test_power_concavity_fails_above_one(self, p):
         expr = hm.Power(float(p))
-        assert expr.known_properties()["jensen_concavity"] is False
+        assert expr.known_properties()["jensen_concavity"] is not True
         for entry_range in self.RANGES:
             for seed in range(5):
                 cfg = hm.ProbeConfig(samples=200, seed=seed, entry_range=entry_range)
@@ -351,22 +347,23 @@ class TestFamilyRules:
             for seed in seeds:
                 cfg = hm.ProbeConfig(samples=200, seed=seed, entry_range=entry_range)
                 violated = set(hm.probe_properties(expr, cfg).violated())
-                assert not {prop for prop in violated if rules.get(prop)}, (entry_range, seed)
+                contradicted = {prop for prop in violated if rules.get(prop) is True}
+                assert not contradicted, (entry_range, seed)
                 refuted |= violated
-        assert {prop for prop, holds in rules.items() if not holds} <= refuted
+        assert {prop for prop, holds in rules.items() if holds is not True} <= refuted
 
     @pytest.mark.parametrize("p, q", GINI)
     def test_gini_rules_agree_with_the_probe(self, p, q):
         expr = hm.Gini(float(p), float(q))
         rules = expr.known_properties()
-        assert rules["increasing"] == (p * q <= 0)
+        assert (rules["increasing"] is True) == (p * q <= 0)
         self._check_against_probe(f"gini({p:g},{q:g})", expr)
 
     def test_quasi_exp_rules_agree_with_the_probe(self):
         # exp overflows past 709 and the probe scales entries by up to 4,
         # so the wide range stops at 150
         expr = hm.QuasiArithmetic(hm.EXP)
-        assert expr.known_properties()["homogeneity"] is False
+        assert expr.known_properties()["homogeneity"] is not True
         self._check_against_probe("quasi(exp)", expr, ranges=(MODERATE, (1e-6, 150.0)))
 
     @pytest.mark.parametrize("name", ["min", "max"])
@@ -386,7 +383,7 @@ class TestFamilyRules:
     def test_gauss_rules_agree_with_the_probe(self, pair):
         expr = hm.Gauss(tuple(ZOO[name] for name in pair))
         children = [ZOO[name].canonical().known_properties() for name in pair]
-        concave = all(r["increasing"] and r["jensen_concavity"] for r in children)
+        concave = all(r["increasing"] is True and r["jensen_concavity"] is True for r in children)
         assert expr.known_properties().get("jensen_concavity") == (True if concave else None)
         self._check_against_probe(f"gauss({','.join(pair)})", expr, seeds=range(2))
 
@@ -394,7 +391,7 @@ class TestFamilyRules:
     def test_witnesses_refute_at_40_digits(self, name, prop):
         mp = pytest.importorskip("mpmath").mp
         expr = hm.parse_mean_expr(name)
-        assert expr.known_properties()[prop] is False
+        assert expr.known_properties()[prop] is not True
         with mp.workdps(40):
             x, y = ([mp.mpf(t) for t in vec] for vec in self.WITNESSES[name, prop])
             if prop == "increasing":
@@ -406,9 +403,9 @@ class TestFamilyRules:
                 assert chord > oracle_mean(expr, mid)
 
     def test_bajraktarevic_rules_agree_with_the_probe(self):
-        # pairs that bisect decide symmetry and repetition invariance only;
+        # pairs with no reduction decide symmetry and repetition invariance only;
         # exp overflows past 709, so the wide range stops at 150
-        for name, expr in BISECTED.items():
+        for name, expr in IMPLICIT.items():
             assert expr.canonical().known_properties() == {
                 "symmetry": True,
                 "repetition_invariance": True,
@@ -465,11 +462,11 @@ class TestFamilyRules:
 
 
 class TestProbes:
-    @pytest.mark.parametrize("name", sorted(ZOO) + sorted(BISECTED))
+    @pytest.mark.parametrize("name", sorted(ZOO) + sorted(IMPLICIT))
     def test_batched_gate_matches_scalar_loop(self, name):
-        expr = ZOO[name] if name in ZOO else BISECTED[name]
+        expr = ZOO[name] if name in ZOO else IMPLICIT[name]
         # exp overflows on the default entries
-        entries = {"entry_range": MODERATE} if name in BISECTED else {}
+        entries = {"entry_range": MODERATE} if name in IMPLICIT else {}
         for seed in (0, 11):
             cfg = hm.ProbeConfig(samples=40, seed=seed, **entries)
             report = hm.probe_properties(expr, cfg)

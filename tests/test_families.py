@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import hardymeans as hm
-from hardymeans import families
-from hardymeans.core import LAST_PREFIX, ratio_direction
-from conftest import log_uniform
+from hardymeans.core import ratio_direction
+from conftest import lambert_w_mean, log_uniform
 
 
 class TestPowerMean:
@@ -160,7 +159,7 @@ class TestBajraktarevic:
             (hm.power_generator(2), hm.power_generator(1), 2.0, 1.0),
             (hm.IDENTITY, hm.power_generator(2), 1.0, 2.0),
             (hm.power_generator(0.5), hm.power_generator(-1), 0.5, -1.0),
-            (hm.neg_power_generator(1), hm.power_generator(2), 1.0, 2.0),
+            (hm.power_generator(1), hm.power_generator(2), 1.0, 2.0),
             (hm.power_generator(-300), hm.power_generator(1), -300.0, 1.0),
         ],
     )
@@ -174,17 +173,6 @@ class TestBajraktarevic:
             expected = hm.evaluate(gini, x)
             for expr in means:
                 assert abs(hm.evaluate(expr, x) - expected) <= 4 * np.spacing(expected), expr
-
-    def test_bisection_matches_gini_in_both_orientations(self, rng):
-        # power pairs run on their Gini kernel, so call the bisection itself
-        for f, g, direction, gini in (
-            (hm.power_generator(2), hm.power_generator(1), 1, hm.Gini(2.0, 1.0)),
-            (hm.power_generator(1), hm.power_generator(2), -1, hm.Gini(1.0, 2.0)),
-        ):
-            for _ in range(25):
-                xs = hm.as_samples(log_uniform(rng, int(rng.integers(1, 9))))
-                value = families.bajraktarevic_kernel(f, g, direction, xs, LAST_PREFIX)[0]
-                assert value == pytest.approx(hm.evaluate(gini, xs), rel=1e-12)
 
     def test_constant_one_denominator_is_quasi_arithmetic(self, rng):
         one = hm.power_generator(0.0)
@@ -202,57 +190,62 @@ class TestBajraktarevic:
                 c, rel=1e-13
             )
 
-    @pytest.mark.parametrize(
-        "x", [[0.1, 10.0], [2.0, 3.0, 5.0, 7.0], [1e-200, 3.0, 1e200]]
-    )
-    def test_bisection_reaches_full_precision(self, x):
-        # f/g = y, so the root is the arithmetic mean itself; the node of
-        # this pair takes the quasi-arithmetic kernel, so call the bisection
-        xs = hm.as_samples(x)
-        value = families.bajraktarevic_kernel(
-            hm.IDENTITY, hm.power_generator(0.0), 1, xs, LAST_PREFIX
-        )[0]
-        exact = math.fsum(x) / len(x)
-        assert abs(value - exact) <= 2 * np.spacing(exact)
-
     def test_constant_ratio_raises(self):
         # f/g == 1 is not strictly monotone: the node is rejected when built
         with pytest.raises(ValueError, match="strictly monotone"):
             hm.Bajraktarevic(hm.power_generator(1.0), hm.power_generator(1.0))
 
-    def test_saturated_ratio_raises(self):
+    # Inputs where a term or a sum of the pair leaves the double range; the
+    # closed form evaluates each to the 40-digit Lambert W value.
+
+    def test_saturated_ratio_evaluates(self):
         # x**-300 underflows to 0 on [20, 30], so f/g = x**-300 / e**x is 0
-        # at both ends and the bisection cannot locate the root
-        expr = hm.Bajraktarevic(hm.power_generator(-300.0), hm.EXP)
-        with pytest.raises(hm.BracketError, match="saturates"):
-            hm.evaluate(expr, [20.0, 30.0])
+        # there; the swap gives exp over x**-300, whose sums take logs
+        _assert_lambert_w(hm.Bajraktarevic(hm.power_generator(-300.0), hm.EXP), [20.0, 30.0])
 
-    def test_overflowing_ratio_saturates_without_a_warning(self):
-        # e**y * y overflows to inf at both ends of [705, 706]: the bracket
-        # saturates as one of finite ratios would, and no warning is raised
+    def test_overflowing_ratio_evaluates_without_a_warning(self):
+        # e**y * y overflows to inf on all of [705, 706]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(hm.BracketError, match="saturates to inf"):
-                families._solve_ratio(
-                    hm.EXP, hm.power_generator(-1.0), 1, np.array([1e300]),
-                    np.array([705.0]), np.array([706.0]),
-                )  # fmt: skip
+            _assert_lambert_w(hm.parse_mean_expr("bajrak(exp,pow:-1)"), [705.0, 706.0])
 
-    def test_overflowing_target_raises(self):
-        # sum(e**x) / sum(1/x) passes the double range on [700, 706], so the
-        # root of y * e**y = target cannot be represented; the true mean is
-        # 705.306, and a bisection on the infinite target would end at 703.227
-        expr = hm.parse_mean_expr("bajrak(exp,pow:-1)")
+    def test_overflowing_target_evaluates(self):
+        # sum(e**x) / sum(1/x) passes the double range on [700, 706]; the
+        # mean is 705.306
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(hm.BracketError, match="overflows"):
-                hm.evaluate(expr, [700.0, 706.0])
+            _assert_lambert_w(hm.parse_mean_expr("bajrak(exp,pow:-1)"), [700.0, 706.0])
 
-    def test_underflowing_denominator_raises(self):
-        # x**-300 underflows to 0 on [20, 30]: the positive g has no usable value
-        expr = hm.Bajraktarevic(hm.EXP, hm.power_generator(-300.0))
-        with pytest.raises(hm.BracketError, match="underflows"):
-            hm.evaluate(expr, [20.0, 30.0])
+    def test_underflowing_denominator_evaluates(self):
+        # x**-300 underflows to 0 on [20, 30]
+        _assert_lambert_w(hm.Bajraktarevic(hm.EXP, hm.power_generator(-300.0)), [20.0, 30.0])
+
+    def test_equal_entries_give_that_entry(self):
+        # the closed form rounds T, which moves y by about 1/(y + c) ulps;
+        # the kernel keeps each prefix mean in [min, max]
+        for c, v in ((0.01, 0.00885), (0.01, 700.0), (1.0, 1e-3), (1.0, 25.0), (300.0, 0.5)):
+            expr = hm.Bajraktarevic(hm.EXP, hm.power_generator(-c))
+            assert (hm.prefix_means(expr, [v] * 5) == v).all(), (c, v)
+
+    def test_subnormal_exponent_gives_the_quasi_exp_limit(self):
+        # ln T / c overflows; c ln y is then far below an ulp of y
+        x = [1.0, 2.0, 700.0, 1e-3]
+        quasi = hm.prefix_means(hm.QuasiArithmetic(hm.EXP), x)
+        for c in (1e-306, 5e-324):
+            means = hm.prefix_means(hm.Bajraktarevic(hm.EXP, hm.power_generator(-c)), x)
+            assert np.allclose(means, quasi, rtol=4e-16, atol=0), c
+
+    def test_overflowing_term_raises(self):
+        # e**x itself overflows: the checked generator call raises
+        with pytest.raises(OverflowError):
+            hm.evaluate(hm.parse_mean_expr("bajrak(exp,pow:-1)"), [1.0, 710.0])
+
+
+def _assert_lambert_w(expr, x):
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        exact = lambert_w_mean(-expr.canonical().g.p, [mp.mpf(v) for v in x])
+        assert abs(hm.evaluate(expr, x) - exact) <= 4e-15 * exact
 
 
 class TestDeviationMean:
@@ -278,15 +271,6 @@ class TestDeviationMean:
             # y is a root of the summed deviation, to a few ulps of its terms
             scale = np.abs(f(x)).sum() + g(x).sum() * abs(float(f(y) / g(y)))
             assert abs(dev(x, y).sum()) <= 16 * np.finfo(float).eps * scale
-
-    def test_sign_flipped_pair_realizes_decreasing_ratio(self, rng):
-        # -x**1 over x**2 has an increasing ratio, so the deviation is valid
-        dev = hm.PairDeviation(hm.neg_power_generator(1), hm.power_generator(2))
-        for _ in range(20):
-            x = log_uniform(rng, int(rng.integers(1, 7)))
-            assert hm.deviation_mean(dev, x) == pytest.approx(
-                hm.gini_mean(1.0, 2.0, x), rel=1e-10
-            )
 
     def test_reflexivity_forced_by_zero_deviation(self):
         dev = hm.PairDeviation(hm.power_generator(2), hm.power_generator(1))

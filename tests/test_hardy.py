@@ -11,7 +11,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.hardy import default_y_grid
-from conftest import BISECTED, MODERATE, ZOO, log_uniform, oracle_mean
+from conftest import IMPLICIT, MODERATE, ZOO, log_uniform, oracle_mean
 
 
 def power_constant(p):
@@ -46,12 +46,20 @@ class TestCanonical:
         square = hm.power_generator(2)
         assert hm.canonical(hm.Bajraktarevic(square, hm.IDENTITY)) == hm.Gini(2.0, 1.0)
         assert hm.canonical(hm.Bajraktarevic(hm.IDENTITY, square)) == hm.Gini(1.0, 2.0)
-        dev = hm.Deviation(hm.PairDeviation(hm.neg_power_generator(1), square))
-        assert hm.canonical(dev) == hm.Gini(1.0, 2.0)
+        dev = hm.Deviation(hm.PairDeviation(square, hm.IDENTITY))
+        assert hm.canonical(dev) == hm.Gini(2.0, 1.0)
 
     def test_gauss_recurses(self):
         expr = hm.Gauss((hm.QuasiArithmetic(hm.LOG), hm.Gini(0.5, 0.0)))
         assert hm.canonical(expr) == hm.Gauss((hm.Power(0.0), hm.Power(0.5)))
+
+    def test_swapped_exp_pairs_share_one_node(self):
+        # bajrak(f, g) = bajrak(g, f): the normal form puts exp first
+        swapped, normal = map(hm.parse_mean_expr, ("bajrak(pow:-1,exp)", "bajrak(exp,pow:-1)"))
+        assert swapped != normal
+        assert hm.canonical(swapped) == hm.canonical(normal) == normal
+        one_over_exp = hm.parse_mean_expr("bajrak(pow:0,exp)")
+        assert hm.canonical(one_over_exp) == hm.QuasiArithmetic(hm.EXP)
 
     def test_constant_denominator_gives_quasi_arithmetic(self):
         one = hm.power_generator(0)
@@ -102,11 +110,11 @@ class TestCanonical:
 
 
 def _evaluated_trees():
-    """(tree, x, evaluate(tree, x)) for 2,000 random trees on two vectors
+    """(tree, x, evaluate(tree, x)) for 2,200 random trees on two vectors
     each, skipping the vectors a tree cannot evaluate (a generator
     overflows)."""
     rng = np.random.default_rng(20260)
-    for _ in range(2000):
+    for _ in range(2200):
         expr = _random_tree(rng)
         for _ in range(2):
             x = log_uniform(rng, int(rng.integers(1, 9)), 0.1, 10.0)
@@ -119,9 +127,9 @@ def _evaluated_trees():
 _EXPONENTS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 
 
-def _random_generator(rng, kinds=("identity", "log", "exp", "pow", "neg_pow")):
+def _random_generator(rng, kinds=("identity", "log", "exp", "pow")):
     kind = str(rng.choice(kinds))
-    return hm.Generator(kind, float(rng.choice(_EXPONENTS)) if "pow" in kind else None)
+    return hm.Generator(kind, float(rng.choice(_EXPONENTS)) if kind == "pow" else None)
 
 
 def _random_pair(rng, node=hm.Bajraktarevic):
@@ -245,14 +253,14 @@ OVERFLOWING = {
 PREFIX_CASES = {
     **ZOO,
     **OVERFLOWING,
-    **BISECTED,
+    **IMPLICIT,
     "bajrak(exp,pow:0)": hm.Bajraktarevic(hm.EXP, hm.power_generator(0.0)),
 }
 
 
 def _mean_and_entry_range(name):
-    """A ZOO or BISECTED mean and the entry range it is tested on."""
-    return (BISECTED[name], MODERATE) if name in BISECTED else (ZOO[name], (1e-3, 1e3))
+    """A ZOO or IMPLICIT mean and the entry range it is tested on."""
+    return (IMPLICIT[name], MODERATE) if name in IMPLICIT else (ZOO[name], (1e-3, 1e3))
 
 
 class TestPrefixMeans:
@@ -275,7 +283,7 @@ class TestPrefixMeans:
             for row, values in zip(stack, out):
                 np.testing.assert_array_equal(values, hm.prefix_means(ZOO[name], row))
 
-    @pytest.mark.parametrize("name", [*ZOO, *BISECTED])
+    @pytest.mark.parametrize("name", [*ZOO, *IMPLICIT])
     @pytest.mark.parametrize("shape", [(25,), (3, 25)], ids=["vector", "stack"])
     def test_window_is_the_tail_of_all_prefixes(self, name, shape, rng):
         expr, (lo, hi) = _mean_and_entry_range(name)
@@ -286,7 +294,7 @@ class TestPrefixMeans:
             assert window.shape == shape[:-1] + (26 - start,)
             np.testing.assert_array_equal(window, full[..., start - 1 :])
 
-    @pytest.mark.parametrize("name", [*ZOO, *BISECTED])
+    @pytest.mark.parametrize("name", [*ZOO, *IMPLICIT])
     def test_window_ends(self, name, rng):
         expr, (lo, hi) = _mean_and_entry_range(name)
         x = log_uniform(rng, 9, lo, hi)
@@ -400,8 +408,34 @@ class TestHardyConstant:
         est = hm.hardy_constant(hm.Gini(-0.2, -0.4), hm.HardyConfig(n_max=500))
         assert est.reference is None
         assert est.tolerance is None
-        est = hm.hardy_constant(hm.Gini(0.5, -1.0), hm.HardyConfig(n_max=500))
+        # 0.49% off at n_max 10^4 meets the 1.5% tolerance, 2.3% off at
+        # 500 does not, so only the first echoes it
+        est = hm.hardy_constant(hm.Gini(0.5, -1.0))
         assert est.tolerance == 0.015 and est.reference is not None
+        est = hm.hardy_constant(hm.Gini(0.5, -1.0), hm.HardyConfig(n_max=500))
+        assert est.tolerance is None and est.reference is not None
+        assert any(note.startswith("tolerance 0.015 unmet") for note in est.notes)
+
+    @pytest.mark.parametrize(
+        "text, n_max",
+        [
+            *((f"power({p:g})", 10_000) for p in (0.6, 0.7, 0.8, 0.9, 0.95, 0.99)),
+            ("gini(0.8,-0.5)", 10_000),
+            # the implicit means of the sweep catalogue, at its n_max
+            ("bajrak(pow:0.5,pow:-1)", 300),
+            ("dev(pair:pow:0.5,pow:-1)", 150),
+        ],
+    )
+    def test_unmet_tolerance_is_dropped(self, text, n_max):
+        expr = hm.parse_mean_expr(text)
+        est = hm.hardy_constant(expr, hm.HardyConfig(n_max=n_max))
+        gap = abs(est.estimate - est.reference) / est.reference
+        assert gap > hm.published_tolerance(expr) == 0.015
+        assert est.tolerance is None
+        assert (
+            f"tolerance 0.015 unmet: the estimate is {gap:.3g} relative "
+            "from the registered constant"
+        ) in est.notes
 
     def test_gini_constants(self):
         for p, q in ((0.5, -1.0), (0.0, -1.0), (-1.0, -2.0)):
@@ -565,9 +599,9 @@ class TestHardyConstant:
             cfg = hm.ProbeConfig(samples=64, seed=seed, entry_range=(0.1, 10.0))
             report = hm.probe_properties(expr, cfg)
             refuted = [name for name in hardy._GATE_PROPERTIES if not report.holds(name)]
-            assert not [name for name in refuted if known[name]]
-            assert report.holds("homogeneity") == known["homogeneity"]
-            assert bool(refuted) == (False in known.values())
+            assert not [name for name in refuted if known[name] is True]
+            assert report.holds("homogeneity") == (known["homogeneity"] is True)
+            assert bool(refuted) == any(value is not True for value in known.values())
 
     @pytest.mark.parametrize("p", [3e-7, -3e-7, 1e-7])
     def test_rules_decide_the_cancellation_band(self, p, monkeypatch):
@@ -865,24 +899,19 @@ class TestOrderingChain:
 
 
 class TestPartialCheck:
+    """The n-term ratio of a truncated summable sequence stays below the
+    constant."""
+
     def test_geometric_tail_stays_below_constant(self):
         x = [2.0 ** (-k) for k in range(1, 21)]
-        check = hm.hardy_partial_check(hm.Power(0), x, math.e)
-        assert check.strictly_below and check.ratio < math.e
+        assert hm.hardy_ratio(hm.Power(0), x) < math.e
 
     def test_inverse_squares_stay_below_four(self):
         x = [1.0 / k**2 for k in range(1, 51)]
-        check = hm.hardy_partial_check(hm.Power(0.5), x, 4.0)
-        assert check.strictly_below and check.ratio < 4.0
+        assert hm.hardy_ratio(hm.Power(0.5), x) < 4.0
 
     def test_single_entry_ratio_is_one(self):
-        check = hm.hardy_partial_check(hm.Gini(0.5, -1), [0.3], 2.0)
-        assert check.ratio == pytest.approx(1.0, rel=1e-12)
-        assert check.strictly_below
-
-    def test_reference_must_be_positive(self):
-        with pytest.raises(ValueError):
-            hm.hardy_partial_check(hm.Power(0), [1.0], 0.0)
+        assert hm.hardy_ratio(hm.Gini(0.5, -1), [0.3]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -895,6 +924,23 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_runs_on_numpy_alone():
+    # the closed-form kernel needs no scipy.special; scipy and mpmath are
+    # test dependencies only
+    src = Path(hm.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, hardymeans.cli\n"
+        "assert hardymeans.cli.run_command(['eval', 'bajrak(exp,pow:-1)', '1', '2']) == 0\n"
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_hardy_seq_loads_no_scipy():

@@ -7,7 +7,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.kedlaya import MAX_COEFFICIENT_N, MAX_MATRIX_N
-from conftest import BISECTED, ZOO, CountingRng, log_uniform
+from conftest import IMPLICIT, ZOO, CountingRng, log_uniform
 
 
 def coefficient_oracle(n, i, j, k):
@@ -188,9 +188,9 @@ class TestInequalityChecks:
             assert margins.min() >= -1e-12, expr
         assert checked >= 5  # the concave core of the zoo
 
-    @pytest.mark.parametrize("name", sorted(ZOO) + sorted(BISECTED))
+    @pytest.mark.parametrize("name", sorted(ZOO) + sorted(IMPLICIT))
     def test_margins_match_scalar_checks(self, name):
-        expr = ZOO[name] if name in ZOO else BISECTED[name]
+        expr = ZOO[name] if name in ZOO else IMPLICIT[name]
         for samples, seed in ((1, 0), (200, 3)):
             # the draw order, written out: all lengths, then a block of
             # entries whose row i holds sample i in its first lengths[i]
@@ -241,22 +241,6 @@ class TestInequalityChecks:
     def test_margin_arguments_validated(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             hm.kedlaya_margins(hm.Power(0), **kwargs)
-
-    def test_dominated_variant_trivial_dimension(self):
-        assert hm.check_dominated_kedlaya(hm.Power(0), [1.0]) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_dominated_variant_by_hand(self):
-        # 2 * A(2, 1) - (1 + 1) = 1
-        assert hm.check_dominated_kedlaya(hm.Power(1), [1.0, 1.0]) == pytest.approx(
-            1.0, rel=1e-12
-        )
-
-    def test_dominated_variant_concave_increasing(self, rng):
-        for _ in range(200):
-            x = log_uniform(rng, int(rng.integers(1, 7)), 0.1, 10.0)
-            assert hm.check_dominated_kedlaya(hm.Power(0.5), x) >= -1e-12
 
     def test_non_concave_mean_genuinely_violates(self):
         # both exponents negative: not Jensen concave, and the

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import hardymeans as hm
-from conftest import BISECTED, ZOO, log_uniform, oracle_mean
+from hardymeans import families
+from conftest import IMPLICIT, ZOO, lambert_w_mean, log_uniform, oracle_mean
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -52,7 +53,7 @@ ORACLE_MEANS = {
         hm.power_generator(0.5), hm.power_generator(-1.0)
     ),
     "bajrak(exp,pow:0)": hm.Bajraktarevic(hm.EXP, hm.power_generator(0.0)),
-    **BISECTED,
+    **IMPLICIT,
 }
 
 
@@ -103,6 +104,30 @@ def test_log_domain_fallback_matches_oracle(name):
     assert worst <= REL_BOUND, f"{name}: relative error {worst:.3g}"
 
 
+# The Bajraktarevic kernel of exp over x**-c against its closed form
+# c W(T**(1/c) / c), T = sum e**x / sum x**-c, on every prefix.  A relative
+# rounding d of T moves the mean by d / (y + c) relative, so the bound
+# scales with 1 + 1/(y + c).  Entries run up to 1, 30 or 700, and down to
+# where x**-c stays below 1e300; on [20, 700] the sums of x**-300
+# underflow, so they take logs.  The largest error seen, in units of
+# eps (1 + 1/(y + c)), is 2.0 on plain sums (2.9e-15 at c = 0.01) and 2.8
+# on logs, whose rounding the last Newton step cannot remove.
+@pytest.mark.parametrize("c", [0.01, 0.5, 1.0, 3.0, 50.0, 300.0])
+def test_closed_form_kernel_matches_lambert_w(c):
+    rng = np.random.default_rng(int(100 * c))
+    lo = max(1e-3, 10.0 ** (-300.0 / c))
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for entry_range in ((lo, 1.0), (lo, 30.0), (lo, 700.0), (20.0, 700.0)):
+            x = log_uniform(rng, 40, *entry_range)
+            values = families.bajraktarevic_kernel(c, x, slice(None))
+            xs = [mpf(float(v)) for v in x]
+            for k, value in enumerate(values, start=1):
+                exact = lambert_w_mean(c, xs[:k])
+                bound = 4 * eps * (1 + 1 / (exact + c))
+                assert abs(mpf(value) - exact) <= bound * exact, (c, k)
+
+
 # ---------------------------------------------------------------------------
 # evaluate, evaluate_batch and prefix_means are one kernel
 
@@ -112,7 +137,7 @@ PROPERTY_MEANS = {
     "power(-300)": hm.Power(-300.0),
     "gini(-300,-300)": hm.Gini(-300.0, -300.0),
     "bajrak(exp,pow:0)": hm.Bajraktarevic(hm.EXP, hm.power_generator(0.0)),
-    **BISECTED,
+    **IMPLICIT,
 }
 
 

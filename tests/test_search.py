@@ -10,11 +10,11 @@ import pytest
 import hardymeans as hm
 from hardymeans import hardy
 from hardymeans.neldermead import minimize_lockstep
-from conftest import BISECTED, MODERATE, ZOO, log_uniform
+from conftest import IMPLICIT, MODERATE, ZOO, log_uniform
 
-MEANS = {**ZOO, **BISECTED}
+MEANS = {**ZOO, **IMPLICIT}
 NAMES = sorted(MEANS)
-# a bisected pair whose g = t**-2 overflows at entries like 1e-200 and 1e-300
+# an exp pair whose g = t**-2 overflows at entries like 1e-200 and 1e-300
 OVERFLOWING_PAIR = hm.Bajraktarevic(hm.EXP, hm.power_generator(-2))
 
 
@@ -81,7 +81,7 @@ class TestStackedRatio:
             # moderate rows, and softmax points as the search makes them,
             # with coordinates decaying towards the 1e-300 floor
             for x in (
-                log_uniform(rng, 6 * n, *(MODERATE if name in BISECTED else ())).reshape(6, n),
+                log_uniform(rng, 6 * n, *(MODERATE if name in IMPLICIT else ())).reshape(6, n),
                 hardy._softmax_points(rng.normal(0.0, 60.0, size=(6, n))),
             ):
                 stacked = hm.hardy_ratio(expr, x)
