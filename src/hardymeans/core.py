@@ -3,8 +3,8 @@
 A mean maps a nonempty tuple of positive numbers to a value between the
 smallest and largest entry.  This module defines the expression tree
 describing a mean (power, quasi-arithmetic, Gini, Bajraktarevic,
-deviation, Gaussian product, min, max), the named generator functions
-the parametric families are built from, and :func:`evaluate`.
+deviation, Gaussian product, min, max), the names of the generator
+functions the parametric families are built from, and :func:`evaluate`.
 """
 from __future__ import annotations
 
@@ -104,31 +104,25 @@ def as_samples(x) -> np.ndarray:
 # generators
 
 
-# kind -> function, taking the kind's exponent p (None for the kinds
-# without one)
-_GENERATOR_KINDS = {
-    "identity": lambda t, p: t + 0.0,
-    "log": lambda t, p: np.log(t),
-    "exp": lambda t, p: np.exp(t),
-    "pow": lambda t, p: t**p,
-}
+_GENERATOR_KINDS = ("identity", "log", "exp", "pow")
 
 
 @dataclass(frozen=True)
 class Generator:
-    """Named continuous function on the positive half line.
+    """Name of a continuous function on the positive half line, never
+    evaluated itself: a node over it reduces to a family whose kernel
+    computes the function.
 
-    Kinds: ``identity``, ``log``, ``exp`` and ``pow`` (x**p).  ``pow``
-    with p = 0 is the constant 1: not strictly monotone, but admissible as
-    the denominator generator of a Bajraktarevic mean.  Monotonicity is
-    decided exactly, by :func:`ratio_direction`.
+    Kinds: ``identity`` (t), ``log`` (ln t), ``exp`` (e**t) and ``pow``
+    (t**p).  ``pow`` with p = 0 is the constant 1: not strictly monotone,
+    but admissible as the denominator generator of a Bajraktarevic mean.
+    Monotonicity is decided exactly, by :func:`ratio_direction`.
 
-    The catalogue is deliberately closed: arbitrary user callables are
-    not accepted, because every kind must guarantee continuity and known
-    monotonicity.  A new kind needs a row in ``_GENERATOR_KINDS`` and
-    also a kernel of its own: the one implicit-mean kernel solves the
-    (exp, pow) pair in closed form, and every other pair reduces to an
-    explicit family.
+    The catalogue is deliberately closed, because every kind must
+    guarantee continuity and known monotonicity.  A new kind needs a
+    name in ``_GENERATOR_KINDS`` and a kernel of its own: the one
+    implicit-mean kernel solves the (exp, pow) pair in closed form, and
+    every other pair reduces to an explicit family.
     """
 
     kind: str
@@ -146,14 +140,6 @@ class Generator:
     @property
     def strictly_monotone(self) -> bool:
         return ratio_direction(self, _ONE) != 0
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _GENERATOR_KINDS[self.kind](t, self.p)
-        if not np.isfinite(out).all():
-            raise OverflowError(f"generator {self.describe()} produced a non-finite value")
-        return out
 
     def describe(self) -> str:
         if self.kind == "identity":
@@ -208,9 +194,6 @@ def ratio_direction(f: Generator, g: Generator) -> int:
 class ArithmeticDeviation:
     """E(x, y) = x - y."""
 
-    def __call__(self, x, y: float):
-        return np.asarray(x, dtype=float) - y
-
 
 @dataclass(frozen=True)
 class PairDeviation:
@@ -223,10 +206,6 @@ class PairDeviation:
 
     f: Generator
     g: Generator
-
-    def __call__(self, x, y: float):
-        x = np.asarray(x, dtype=float)
-        return self.f(x) - self.g(x) * (float(self.f(y)) / float(self.g(y)))
 
 
 DeviationSpec = Union[ArithmeticDeviation, PairDeviation]

@@ -11,9 +11,10 @@ prefix solves.
 
 One kernel, :func:`gini_kernel`, sums the powers of the Gini, power
 (q = 0) and geometric (p = q = 0) means, taking p and q in the caller's
-order.  Running power sums are plain cumulative sums, more accurate than
-log-domain accumulation; only the prefixes whose plain sum leaves the
-normal range take ``np.logaddexp.accumulate`` instead.
+order.  Every kernel follows one overflow rule: running sums are plain
+cumulative sums, more accurate than log-domain accumulation, and only
+the prefixes whose sum (or Gini ratio of sums) leaves the normal range
+take ``np.logaddexp.accumulate`` instead, so no kernel here raises.
 
 Implicit means (Bajraktarevic, the canonical node of most deviation
 means) solve (f/g)(y) = sum f / sum g.  In the node's normal form every
@@ -29,7 +30,6 @@ import warnings
 import numpy as np
 
 from .core import (
-    EXP,
     Bajraktarevic,
     CancellationWarning,
     Deviation,
@@ -39,7 +39,6 @@ from .core import (
     Power,
     QuasiArithmetic,
     evaluate,
-    power_generator,
 )
 
 __all__ = [
@@ -57,8 +56,8 @@ __all__ = [
 # CancellationWarning; the branch itself is chosen by exact comparison
 _NEAR_SINGULAR = 1e-6
 
-_TINY = np.finfo(float).tiny
-_HUGE = np.finfo(float).max
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 
 def _counts(xs: np.ndarray, cols) -> np.ndarray:
@@ -66,15 +65,16 @@ def _counts(xs: np.ndarray, cols) -> np.ndarray:
     return np.arange(1.0, xs.shape[-1] + 1.0)[cols]
 
 
-def _running_power_sum(xs: np.ndarray, p: float, cols) -> tuple[np.ndarray, bool]:
-    """Plain running sums of x**p at the prefixes ``cols``, and whether all
-    lie in the normal range: running sums of positive terms are monotone,
-    so each row's first and last sums decide that without a mask.  At
-    p = 0 they are the exact prefix counts."""
+def _running_power_sum(xs: np.ndarray, p: float, cols) -> tuple[np.ndarray, float, float]:
+    """Plain running sums of x**p at the prefixes ``cols``, with a lower
+    and an upper bound of them: running sums of positive terms rise along
+    each row, so each row's first and last sums give these without a
+    mask.  At p = 0 they are the exact prefix counts, at least 1."""
     if p == 0.0:
-        return _counts(xs, cols), True
-    s = (xs**p).cumsum(axis=-1)
-    return s[..., cols], bool(s[..., 0].min() >= _TINY and s[..., -1].max() <= _HUGE)
+        s = _counts(xs, cols)
+        return s, 1.0, float(s[-1])
+    s = (xs**p).cumsum(axis=-1)[..., cols]
+    return s, float(s[..., 0].min()), float(s[..., -1].max())
 
 
 def _log_power_sum(logx: np.ndarray, p: float, cols) -> np.ndarray:
@@ -105,12 +105,14 @@ def quasi_exp_kernel(xs: np.ndarray, cols) -> np.ndarray:
     average of expm1(x_i), which keeps its digits where the average of
     exp(x_i) is near 1.  It is the only quasi-arithmetic kernel: every
     other generator's mean is a power mean (``QuasiArithmetic.canonical``).
-    Overflow is reported as OverflowError, never silently replaced."""
+    Where that average overflows, the mean is its log,
+    ``logaddexp.accumulate(x) - ln k``."""
     k = _counts(xs, cols)
     with np.errstate(over="ignore"):
         out = np.log1p(np.cumsum(np.expm1(xs), axis=-1)[..., cols] / k)
     if not np.isfinite(out).all():
-        raise OverflowError("quasi(exp): the average of exp(x) overflows on the sample")
+        log_mean = np.logaddexp.accumulate(xs, axis=-1)[..., cols] - np.log(k)
+        out = np.where(np.isfinite(out), out, log_mean)
     return out
 
 
@@ -122,11 +124,11 @@ def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
     if p == q:
         logx = np.log(xs)
         with np.errstate(all="ignore"):
-            s, normal = _running_power_sum(xs, p, cols)
+            s, lo, hi = _running_power_sum(xs, p, cols)
             num = (logx if p == 0.0 else xs**p * logx).cumsum(axis=-1)[..., cols]
             out = np.exp(num / s)
         finite = np.isfinite(num)
-        if not (normal and finite.all()):
+        if not (_TINY <= lo and hi <= _HUGE and finite.all()):
             # the weighted average of ln x, shifted so every term is >= 0
             # and its running sum has a logarithm
             c = logx.min(axis=-1, keepdims=True)
@@ -137,13 +139,18 @@ def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
         return out
     _warn_near(p, q)
     with np.errstate(all="ignore"):
-        sp, normal_p = _running_power_sum(xs, p, cols)
-        sq, normal_q = _running_power_sum(xs, q, cols)
-        out = (sp / sq) ** (1.0 / (p - q))
-    if not (normal_p and normal_q):
+        sp, sp_lo, sp_hi = _running_power_sum(xs, p, cols)
+        sq, sq_lo, sq_hi = _running_power_sum(xs, q, cols)
+        ratio = sp / sq
+        out = ratio ** (1.0 / (p - q))
+    # every ratio lies in [sp_lo / sq_hi, sp_hi / sq_lo], compared below
+    # as products, since a bound may be 0 or inf
+    normal = _TINY <= sp_lo and _TINY <= sq_lo and sp_hi <= _HUGE and sq_hi <= _HUGE
+    if not (normal and sp_lo >= _TINY * sq_hi and sp_hi <= _HUGE * sq_lo):
         logx = np.log(xs)
         log_ratio = _log_power_sum(logx, p, cols) - _log_power_sum(logx, q, cols)
-        out = np.where(_abnormal(sp) | _abnormal(sq), np.exp(log_ratio / (p - q)), out)
+        logs = _abnormal(sp) | _abnormal(sq) | _abnormal(ratio)
+        out = np.where(logs, np.exp(log_ratio / (p - q)), out)
     return out
 
 
@@ -165,13 +172,13 @@ def bajraktarevic_kernel(c: float, xs: np.ndarray, cols) -> np.ndarray:
     its iterates fall monotonically to the root.  One Newton step on
     e**y y**c = T itself then removes the rounding of ln T, where that
     product is finite.  T comes from plain running sums, or from their
-    logs where a sum leaves the normal range.  The result is clipped to
-    [min, max] of each prefix.  A term e**x or x**-c that overflows raises
-    OverflowError.
+    logs where a sum leaves the normal range, which includes a sum with
+    an overflowing term.  The result is clipped to [min, max] of each
+    prefix.
     """
-    fv, gv = EXP(xs), power_generator(-c)(xs)
     with np.errstate(all="ignore"):
-        sf, sg = fv.cumsum(axis=-1)[..., cols], gv.cumsum(axis=-1)[..., cols]
+        sf = np.exp(xs).cumsum(axis=-1)[..., cols]
+        sg = (xs**-c).cumsum(axis=-1)[..., cols]
         log_t = np.log(sf) - np.log(sg)
     abnormal = _abnormal(sf) | _abnormal(sg)
     if abnormal.any():

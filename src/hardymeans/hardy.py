@@ -37,7 +37,6 @@ from .core import (
     _selected_means,
     as_mean_expr,
     as_sample_rows,
-    as_samples,
     prefix_means,
 )
 from .neldermead import minimize_lockstep
@@ -261,7 +260,9 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     for y in points:
         try:
             tail = _tail(expr, y, cfg.n_max, start)
-        except (OverflowError, MeanComputationError) as exc:
+        except MeanComputationError as exc:
+            if not on_grid:  # a one-point sweep has nothing to skip to
+                raise
             skipped.append(f"y={y:g} skipped ({type(exc).__name__})")
             continue
         lasts.append(float(tail[-1]))
@@ -395,14 +396,13 @@ def hardy_ratio(expr: MeanExpr, x) -> float | np.ndarray:
 class SearchConfig:
     """Multi-start settings of :func:`hardy_sequence_bound`.
 
-    The four fixed starts and every extra start always run; ``restarts``
-    only adds seeded random starts until that many are reached.
+    The four fixed starts always run; ``restarts`` only adds seeded
+    random starts until that many are reached.
     """
 
     restarts: int = 12
     seed: int = 0
     budget: int = 2000  # objective evaluations per restart
-    extra_starts: tuple = ()  # extra initial vectors (tuples of positives)
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -430,11 +430,6 @@ def _search_starts(n: int, cfg: SearchConfig, rng: np.random.Generator) -> list[
     head_heavy = np.full(n, -25.0)
     head_heavy[0] = 0.0
     starts.append(head_heavy)
-    for x0 in cfg.extra_starts:
-        arr = np.log(as_samples(x0))
-        if arr.size != n:
-            raise ValueError("extra start has wrong dimension")
-        starts.append(arr - arr.max())
     while len(starts) < cfg.restarts:
         starts.append(rng.normal(0.0, 4.0, size=n))
     return starts
@@ -449,8 +444,8 @@ def _softmax_points(z: np.ndarray) -> np.ndarray:
 
 def _negated_ratios(expr: MeanExpr, z: np.ndarray) -> np.ndarray:
     """Search objective on a stack of parameter rows: minus the n-term
-    ratio at each softmax point.  A row whose ratio raises OverflowError
-    or MeanComputationError scores +inf.  The softmax point of a finite
+    ratio at each softmax point.  A row whose ratio raises
+    MeanComputationError scores +inf.  The softmax point of a finite
     row is a valid sample, so on finite rows the objective never raises,
     as the search requires: it also scores candidates it then discards.
     Rows are independent, so after a stack fails each of its rows is
@@ -458,12 +453,12 @@ def _negated_ratios(expr: MeanExpr, z: np.ndarray) -> np.ndarray:
     points = _softmax_points(z)
     try:
         return -hardy_ratio(expr, points)
-    except (OverflowError, MeanComputationError):
+    except MeanComputationError:
         out = np.empty(len(points))
         for i, point in enumerate(points):
             try:
                 out[i] = -hardy_ratio(expr, point)
-            except (OverflowError, MeanComputationError):
+            except MeanComputationError:
                 out[i] = math.inf
         return out
 
@@ -517,8 +512,9 @@ def hardy_sequence_bound(
     )
 
 
-# rows of one stacked hardy_ratio call in simplex_grid_bound
-_GRID_CHUNK = 1 << 15
+# rows of one stacked hardy_ratio call in simplex_grid_bound, and the
+# entry it puts in place of a zero coordinate
+_GRID_CHUNK, _GRID_FLOOR = 1 << 15, 1e-12
 
 
 def _composition_chunks(total: int, parts: int):
@@ -539,11 +535,9 @@ def _composition_chunks(total: int, parts: int):
         yield np.diff(edges, axis=1) - 1
 
 
-def simplex_grid_bound(
-    expr: MeanExpr, n: int, denominator: int = 64, floor: float = 1e-12
-) -> float:
+def simplex_grid_bound(expr: MeanExpr, n: int, denominator: int = 64) -> float:
     """Exhaustive maximum of the n-term ratio over the closed simplex
-    grid {k/denominator}; zero coordinates are replaced by ``floor`` to
+    grid {k/denominator}; zero coordinates are replaced by 1e-12 to
     probe boundary limits (the supremum may sit on the boundary, e.g.
     the arithmetic mean at n = 2).  Intended as an oracle for small n.
     The grid is scored in stacks of a bounded number of rows.
@@ -554,10 +548,10 @@ def simplex_grid_bound(
         raise ValueError("denominator must be at least 1")
     best = -math.inf
     for comps in _composition_chunks(denominator, n):
-        x = np.maximum(comps / denominator, floor)
+        x = np.maximum(comps / denominator, _GRID_FLOOR)
         try:
             ratios = hardy_ratio(expr, x)
-        except (OverflowError, ValueError, MeanComputationError):
+        except (ValueError, MeanComputationError):
             # re-score one by one, so the first failing point raises
             ratios = [hardy_ratio(expr, row) for row in x]
         best = max(best, float(np.max(ratios)))

@@ -31,13 +31,11 @@ ZOO = {
 
 # the one pair shape with no exact reduction, exp over a negative power,
 # in both spellings; its kernel is a closed form (ZOO's pairs of powers
-# run the Gini kernel).  exp overflows past 709, so these are tested on
-# entries in MODERATE rather than ZOO's [1e-3, 1e3]
+# run the Gini kernel), which takes logs where exp overflows past 709
 IMPLICIT = {
     "bajrak(exp,pow:-1)": hm.Bajraktarevic(hm.EXP, hm.power_generator(-1)),
     "bajrak(pow:-1,exp)": hm.Bajraktarevic(hm.power_generator(-1), hm.EXP),
 }
-MODERATE = (0.1, 10.0)
 
 
 class CountingRng:

@@ -39,10 +39,26 @@ class TestEval:
         assert code == 2
 
     def test_computation_error_exit_code(self, capsys):
-        # generator overflow during evaluation
-        code, _, err = run(capsys, ["eval", "quasi(exp)", "1000"])
-        assert code == 1
-        assert err.startswith("E_OVERFLOW:")
+        # a Gaussian product whose iteration does not converge
+        argv = ["eval", "gauss(power(10000),power(-10000))", "1", "2", "3", "4"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("E_NONCONVERGENCE: Gaussian product did not converge")
+
+    def test_average_of_exp_past_the_double_range_evaluates(self, capsys):
+        # e**1000 overflows; the kernel takes the log of the mean of e**x
+        code, out, _ = run(capsys, ["eval", "quasi(exp)", "1000", "1000"])
+        assert code == 0
+        assert json.loads(out)["value"] == 1000.0
+
+    def test_exp_pair_past_the_double_range_evaluates(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run(capsys, ["eval", "bajrak(exp,pow:-1)", "1", "710"])
+        assert code == 0
+        value = json.loads(out)["value"]
+        with mpmath.mp.workdps(40):
+            exact = lambert_w_mean(1, [mpmath.mpf(1), mpmath.mpf(710)])
+            assert abs(value - exact) <= 4e-15 * exact
 
     @pytest.mark.parametrize(
         "text",
@@ -218,7 +234,7 @@ class TestHardyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["method"] == "sup-liminf-grid"
-        # the default grid's maximum sits at y = 707.946
+        # the default grid's maximum sits at its edge y = 1000
         assert "grid maximum attained at y=10" in payload["notes"]
 
     @pytest.mark.parametrize("text", ["quasi(exp)", "bajrak(exp,pow:0)"])
@@ -295,8 +311,13 @@ class TestHardyCommand:
         assert payload["notes"][-1] == "no p_n sweep on the grid path; CSV not written"
         assert not path.exists()
 
-    def test_no_evaluable_grid_point_is_computation_error(self, capsys):
-        # the sweep x_k = y / k starts at y, and exp(y) overflows for y >= 1000
+    def test_no_evaluable_grid_point_is_computation_error(self, capsys, monkeypatch):
+        from hardymeans import hardy
+
+        def failing(expr, y, n_max, start):
+            raise hm.MeanComputationError(f"no tail at y={y:g}")
+
+        monkeypatch.setattr(hardy, "_tail", failing)
         code, out, err = run(
             capsys,
             ["hardy", "bajrak(exp,pow:-1)", "--nmax", "100", "--ygrid", "1000:2000:3"],
@@ -304,6 +325,16 @@ class TestHardyCommand:
         assert code == 1
         assert out == ""
         assert err == "E_COMPUTE: no y-grid point was evaluable; widen or shift the grid\n"
+
+    def test_one_point_sweep_raises_its_own_error(self, capsys):
+        # a homogeneous mean sweeps y = 1 alone: there is no grid to skip on
+        argv = ["gauss(power(10000),power(-10000))", "--nmax", "4"]
+        code, out, err = run(capsys, ["hardy", *argv])
+        assert (code, out) == (1, "")
+        assert err == (
+            "E_NONCONVERGENCE: Gaussian product did not converge "
+            "(iterations=10000, gap=7.327e-06)\n"
+        )
 
     def test_grid_edge_maximum_reports_no_estimate(self, capsys, tmp_path):
         argv = ["hardy", "bajrak(exp,pow:-1)", "--nmax", "300"]
@@ -315,7 +346,7 @@ class TestHardyCommand:
             False,
             None,
         )
-        edge = "estimate (uncertified): inconclusive, maximum at grid edge y=707.946"
+        edge = "estimate (uncertified): inconclusive, maximum at grid edge y=1000"
         assert edge in payload["notes"]
         path = tmp_path / "pn.csv"
         code, out, _ = run(capsys, [*argv, "--csv", str(path)])
@@ -336,6 +367,19 @@ class TestOtherCommands:
         assert payload["verdicts"]["jensen_concavity"]["holds_on_samples"] is False
         counterexample = payload["verdicts"]["jensen_concavity"]["counterexample"]
         assert counterexample["margin"] > 1e-9
+
+    @pytest.mark.parametrize("text", ["quasi(exp)", "bajrak(exp,pow:0)", "bajrak(exp,pow:-1)"])
+    def test_probe_reaches_exp_means(self, capsys, text):
+        # the default samples run up to 1e3, past exp's double range
+        code, out, _ = run(capsys, ["probe", text])
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        violated = {name for name, v in verdicts.items() if not v["holds_on_samples"]}
+        if text == "quasi(exp)":
+            known = hm.QuasiArithmetic(hm.EXP).known_properties()
+            denied = {name for name, value in known.items() if value is not True}
+            assert denied == {"homogeneity", "jensen_concavity"}
+            assert denied <= violated
 
     def test_hardy_seq(self, capsys):
         code, out, _ = run(

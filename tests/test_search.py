@@ -10,12 +10,13 @@ import pytest
 import hardymeans as hm
 from hardymeans import hardy
 from hardymeans.neldermead import minimize_lockstep
-from conftest import IMPLICIT, MODERATE, ZOO, log_uniform
+from conftest import IMPLICIT, ZOO, log_uniform
 
 MEANS = {**ZOO, **IMPLICIT}
 NAMES = sorted(MEANS)
-# an exp pair whose g = t**-2 overflows at entries like 1e-200 and 1e-300
-OVERFLOWING_PAIR = hm.Bajraktarevic(hm.EXP, hm.power_generator(-2))
+# a Gaussian product that converges only on constant rows: on every
+# other row it raises NonConvergenceError
+FAILING = hm.Gauss((hm.MaxOf(), hm.MinOf()))
 
 
 def compositions(total, parts):
@@ -27,10 +28,10 @@ def compositions(total, parts):
             yield (head,) + rest
 
 
-def grid_loop(expr, n, denominator, floor=1e-12):
+def grid_loop(expr, n, denominator):
     best = -math.inf
     for comp in compositions(denominator, n):
-        x = np.maximum(np.array(comp, dtype=float) / denominator, floor)
+        x = np.maximum(np.array(comp, dtype=float) / denominator, 1e-12)
         best = max(best, hm.hardy_ratio(expr, x))
     return best
 
@@ -48,7 +49,7 @@ def scipy_sequence_bound(expr, n, cfg):
     def negated(z):
         try:
             return -hm.hardy_ratio(expr, to_point(z))
-        except (OverflowError, hm.MeanComputationError):
+        except hm.MeanComputationError:
             return math.inf
 
     best_value, best_x, trace = -math.inf, None, []
@@ -81,7 +82,7 @@ class TestStackedRatio:
             # moderate rows, and softmax points as the search makes them,
             # with coordinates decaying towards the 1e-300 floor
             for x in (
-                log_uniform(rng, 6 * n, *(MODERATE if name in IMPLICIT else ())).reshape(6, n),
+                log_uniform(rng, 6 * n).reshape(6, n),
                 hardy._softmax_points(rng.normal(0.0, 60.0, size=(6, n))),
             ):
                 stacked = hm.hardy_ratio(expr, x)
@@ -103,17 +104,21 @@ class TestStackedRatio:
             hm.hardy_ratio(hm.Power(0), x)
 
     def test_failing_row_scores_inf_alone(self):
+        z = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, -2.0], [0.5, 0.5, 0.5]])
+        points = hardy._softmax_points(z)
+        with pytest.raises(hm.NonConvergenceError):
+            hm.hardy_ratio(FAILING, points)
+        with pytest.raises(hm.NonConvergenceError):
+            hm.hardy_ratio(FAILING, points[1])
+        values = hardy._negated_ratios(FAILING, z)
+        assert values.tolist() == [-1.0, math.inf, -1.0]
+        assert values[0] == -hm.hardy_ratio(FAILING, points[0])
+        assert values[2] == -hm.hardy_ratio(FAILING, points[2])
+
+    def test_floored_coordinates_take_the_log_domain_kernel(self):
         z = np.array([[0.0, -1.0, -2.0], [0.0, -800.0, 0.0], [0.0, 0.5, -0.5]])
         points = hardy._softmax_points(z)
         assert points[1, 1] == 1e-300
-        with pytest.raises(OverflowError):
-            hm.hardy_ratio(OVERFLOWING_PAIR, points)
-        with pytest.raises(OverflowError):
-            hm.hardy_ratio(OVERFLOWING_PAIR, points[1])
-        values = hardy._negated_ratios(OVERFLOWING_PAIR, z)
-        assert values[1] == math.inf
-        assert values[0] == -hm.hardy_ratio(OVERFLOWING_PAIR, points[0])
-        assert values[2] == -hm.hardy_ratio(OVERFLOWING_PAIR, points[2])
         # quasi(pow:-2) is power(-2), whose log-domain kernel does not overflow
         quasi = hm.QuasiArithmetic(hm.power_generator(-2))
         assert np.array_equal(hm.hardy_ratio(quasi, points), hm.hardy_ratio(hm.Power(-2), points))
@@ -236,22 +241,20 @@ class TestSequenceBoundMatchesScipy:
                 assert found == scipy_sequence_bound(expr, n, cfg), (n, cfg)
 
     def test_failing_points_score_inf(self):
-        # starts at coordinates whose -2 powers overflow
+        # only the constant start converges; every point the search moves
+        # to is non-constant and fails
         for n in (2, 3):
-            cfg = hm.SearchConfig(
-                restarts=6, seed=n, budget=200, extra_starts=((1.0,) + (1e-200,) * (n - 1),)
-            )
-            bound = hm.hardy_sequence_bound(OVERFLOWING_PAIR, n, cfg)
+            cfg = hm.SearchConfig(restarts=6, seed=n, budget=200)
+            bound = hm.hardy_sequence_bound(FAILING, n, cfg)
             found = (bound.estimate, bound.maximizer, bound.trace, bound.restarts)
-            assert found == scipy_sequence_bound(OVERFLOWING_PAIR, n, cfg)
-            assert -math.inf in bound.trace
+            assert found == scipy_sequence_bound(FAILING, n, cfg)
+            assert bound.trace[1:] == (-math.inf,) * 5
+            assert bound.trace[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_fixed_and_extra_starts_always_run(self):
+        # the four fixed starts run even when restarts asks for fewer
         bound = hm.hardy_sequence_bound(hm.Power(0), 2, hm.SearchConfig(restarts=1))
         assert bound.restarts == len(bound.trace) == 4
-        extra = ((0.5, 0.5), (0.9, 0.1))
-        cfg = hm.SearchConfig(restarts=1, extra_starts=extra)
-        assert hm.hardy_sequence_bound(hm.Power(0), 2, cfg).restarts == 6
 
 
 class TestSimplexGrid:
@@ -285,8 +288,8 @@ class TestSimplexGrid:
             hm.simplex_grid_bound(hm.Power(0), 3, denominator)
 
     def test_failing_point_raises_as_in_loop(self):
-        with pytest.raises(OverflowError) as stacked:
-            hm.simplex_grid_bound(OVERFLOWING_PAIR, 3, 8, floor=1e-200)
-        with pytest.raises(OverflowError) as looped:
-            grid_loop(OVERFLOWING_PAIR, 3, 8, floor=1e-200)
+        with pytest.raises(hm.NonConvergenceError) as stacked:
+            hm.simplex_grid_bound(FAILING, 3, 8)
+        with pytest.raises(hm.NonConvergenceError) as looped:
+            grid_loop(FAILING, 3, 8)
         assert str(stacked.value) == str(looped.value)
