@@ -189,6 +189,7 @@ def _cmd_hardy(args) -> dict:
         else:
             _write_pn_csv(args.csv, estimate.pn)
     return {
+        "status": estimate.status,
         "method": estimate.method,
         "estimate": _finite_or_none(estimate.estimate),
         "reference": estimate.reference,

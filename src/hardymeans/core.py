@@ -9,6 +9,7 @@ functions the parametric families are built from, and :func:`evaluate`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -145,13 +146,20 @@ class Generator:
         if self.kind == "identity":
             return "id"
         if self.kind == "pow":
-            return f"pow:{self.p:g}"
+            return f"pow:{_format_number(self.p)}"
         return self.kind
 
 
 IDENTITY = Generator("identity")
 LOG = Generator("log")
 EXP = Generator("exp")
+
+
+def _format_number(value: float) -> str:
+    value = float(value)
+    if value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
 
 
 def power_generator(p: float) -> Generator:
@@ -216,9 +224,18 @@ ARITHMETIC_DEVIATION = ArithmeticDeviation()
 # expression tree
 
 
-def _require_finite(name: str, value: float) -> None:
+def _require_exponent(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be a finite real, got {value!r}")
+    # a subnormal p rounds every t**p to 1 and overflows 1/p
+    if 0.0 < abs(value) < sys.float_info.min:
+        raise ValueError(f"{name} {value!r} is subnormal; write 0 instead")
+
+
+def _gini_constant(p: float, q: float) -> float:
+    """((1-q)/(1-p))^(1/(p-q)), p != q; log1p keeps the digits that 1 - p
+    and 1 - q lose near 0."""
+    return math.exp((math.log1p(-q) - math.log1p(-p)) / (p - q))
 
 
 @dataclass(frozen=True)
@@ -298,7 +315,7 @@ class Power(MeanExpr):
     p: float
 
     def __post_init__(self):
-        _require_finite("power exponent", self.p)
+        _require_exponent("power exponent", self.p)
 
     def kernel(self, xs, cols):
         return families.gini_kernel(self.p, 0.0, xs, cols)
@@ -311,8 +328,7 @@ class Power(MeanExpr):
             return ClosedForm(None, False, "power mean with p >= 1 is not summable")
         if p == 0.0:
             return ClosedForm(math.e, True, "geometric-mean constant e")
-        # log1p keeps the digits that 1 - p loses near p = 0
-        return ClosedForm(math.exp(-math.log1p(-p) / p), True, "power-mean constant (1-p)^(-1/p)")
+        return ClosedForm(_gini_constant(p, 0.0), True, "power-mean constant (1-p)^(-1/p)")
 
     def tolerance(self):
         """0.5% for p <= 0, 1.5% for 0 < p < 1, where the singular endpoint
@@ -346,6 +362,7 @@ class QuasiArithmetic(MeanExpr):
                 "quasi-arithmetic generator must be strictly monotone "
                 f"(got {self.gen.describe()})"
             )
+        self.canonical()  # a power generator's exponent is checked by Power
 
     def kernel(self, xs, cols):
         assert self.gen == EXP, "every other generator's canonical node is a power mean"
@@ -389,8 +406,8 @@ class Gini(MeanExpr):
     q: float
 
     def __post_init__(self):
-        _require_finite("Gini exponent p", self.p)
-        _require_finite("Gini exponent q", self.q)
+        _require_exponent("Gini exponent p", self.p)
+        _require_exponent("Gini exponent q", self.q)
 
     def kernel(self, xs, cols):
         return families.gini_kernel(max(self.p, self.q), min(self.p, self.q), xs, cols)
@@ -418,8 +435,7 @@ class Gini(MeanExpr):
         if max(p, q) < 0.0:
             return None  # summable, but the constant is not registered there
         # p == q == 0 reduces to Power(0)
-        value = ((1.0 - q) / (1.0 - p)) ** (1.0 / (p - q))
-        return ClosedForm(value, True, "Gini constant ((1-q)/(1-p))^(1/(p-q))")
+        return ClosedForm(_gini_constant(p, q), True, "Gini constant ((1-q)/(1-p))^(1/(p-q))")
 
     def tolerance(self):
         """As for the power mean of the larger exponent, where summable."""

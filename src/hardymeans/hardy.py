@@ -9,10 +9,9 @@ sequences.  The tools here:
   symmetric, increasing, Jensen concave and repetition invariant; its
   limit is the constant itself, so a finite truncation is certified
   from below.
-* ``hardy_constant`` -- one sup-over-y estimator, whose one-point case
-  y = 1 is the p_n sweep of a mean that a rule makes homogeneous, or
-  that the registry or the rule M >= A makes non-Hardy; any other mean
-  takes an uncertified y-grid.
+* ``hardy_constant`` -- one sup-over-y estimator, the p_n sweep for
+  homogeneous and non-Hardy means, with one status that says how far
+  its estimate can be trusted.
 * ``closed_form_hardy`` -- the registry of exactly known constants
   and of exactly known non-summability verdicts, read from the node
   classes in :mod:`hardymeans.core`.
@@ -154,11 +153,7 @@ _DIVERGENCE_CEILING = 1e6
 _PN_DECREASE_TOL = 1e-12
 
 _GATE_PROPERTIES = (
-    "homogeneity",
-    "symmetry",
-    "increasing",
-    "jensen_concavity",
-    "repetition_invariance",
+    "homogeneity", "symmetry", "increasing", "jensen_concavity", "repetition_invariance"
 )
 
 
@@ -166,12 +161,15 @@ _GATE_PROPERTIES = (
 class HardyEstimate:
     """Estimate of the summability constant with its provenance.
 
-    ``estimate`` is math.inf when the mean is reported non-summable or,
-    not divergent and with no tolerance, when a grid-edge maximum leaves
-    it inconclusive; ``reference`` carries the registry constant when one
-    exists, and ``reference_kind`` is "closed-form", "not-a-hardy-mean" or None.
+    ``status`` is the claim that :func:`hardy_constant`'s table decides,
+    and the verdict fields follow from it: ``divergent`` exactly when it
+    is "divergent", ``estimate`` math.inf exactly when it is "divergent"
+    or "inconclusive", ``tolerance`` only with "certified-lower", when
+    met.  ``reference`` is the registry constant, and ``reference_kind``
+    "closed-form", "not-a-hardy-mean" or None.
     """
 
+    status: str
     method: str  # "homogeneous-limit" | "sup-liminf-grid"
     estimate: float
     n_max: int
@@ -193,31 +191,30 @@ def _growth_trace(pn: PnSequence) -> str:
 
 
 def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEstimate:
-    """Estimate the summability constant of a mean.
+    """Estimate the summability constant of a mean, and its status.
 
     The constant is a sup over y of a liminf in n of the tail
-    v_n(y) = (n/y) * M(y/1, ..., y/n).  The estimate is the largest
-    v_{n_max}(y) over the y points that evaluate, one prefix sweep each;
-    a decrease of the winning tail above rounding withholds certification
-    and drops the tolerance, and so does a winning tail above the
-    registered constant by more than rounding; a winning tail farther
-    from that constant than the tolerance drops the tolerance, with a
-    note.  v_n(y) = p_n for a homogeneous mean, so a mean that a rule
-    makes homogeneous takes y = 1 alone and its whole p_n sweep (``pn``).  So does a mean that
-    is not a Hardy mean, by the registry or, where the registry is
-    silent, because a rule puts it above the arithmetic mean
-    (``above_arithmetic``): it is reported divergent, ``cfg.y_grid`` is
-    ignored, and unless a rule makes it homogeneous its method is
-    ``sup-liminf-grid`` on the one-point grid (1,).  Any other mean
-    takes ``cfg.y_grid`` (default
-    :func:`default_y_grid`), on several points with tails from n_max // 2,
-    and is inconclusive (estimate math.inf, not divergent) when its
-    maximum sits at the first or last evaluable point and beats every
-    interior point by more than rounding.  The gate properties come from
-    the family's rules alone (``known_properties``), so the report
-    depends on no seed; the notes give a rule's reason for each property
-    it denies and name those no rule decides, either of which withholds
-    certification.  Tails past the divergence ceiling report divergence.
+    v_n(y) = (n/y) * M(y/1, ..., y/n); the estimate is the largest
+    v_{n_max}(y) over the y points that evaluate.  A mean that a rule
+    makes homogeneous has v_n(y) = p_n, so it takes y = 1 alone and its
+    whole p_n sweep (``pn``), and so does a mean that the registry or the
+    rule M >= A (``above_arithmetic``) makes non-Hardy, on the grid (1,)
+    unless a rule makes it homogeneous.  Any other mean takes
+    ``cfg.y_grid`` (default :func:`default_y_grid`), with tails from
+    n_max // 2 on several points; a point whose sweep fails is skipped.
+
+    The first row that holds gives ``status``, and its reason the first
+    verdict note, behind "estimate (uncertified): " in the middle rows;
+    rounding is 1e-12 relative to the estimate, and the gate is
+    ``known_properties``:
+
+    divergent        not a Hardy mean, or a tail past the ceiling 1e6
+    inconclusive     a grid maximum at an end, above every interior
+                     point by more than rounding
+    estimate         a grid of several points; a gate property that a
+                     rule denies or leaves undecided; a tail decrease or
+                     an excess over the registered constant above rounding
+    certified-lower  a monotone p_n truncation, a lower bound
     """
     node = canonical(expr)
     form, source = closed_form_hardy(expr), "registry"
@@ -230,9 +227,6 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     if form is not None:
         reference_kind = "closed-form" if form.is_hardy else "not-a-hardy-mean"
         notes.append(f"{source}: {form.provenance}")
-    # a tolerance says how close the estimate is to the reference; with
-    # no reference it says nothing
-    tolerance = published_tolerance(expr) if reference is not None else None
 
     not_hardy = form is not None and not form.is_hardy
     known = node.known_properties()
@@ -275,62 +269,65 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     is_pn = start == 1 and best_y == 1.0  # only v_n(1) over every prefix is p_n
     pn = PnSequence(expr, cfg.n_max, best, max_decrease) if is_pn else None
     exceeded = np.nonzero(best > _DIVERGENCE_CEILING)[0]
-    divergent = not_hardy or exceeded.size > 0
-    decreased = max_decrease > _PN_DECREASE_TOL * final
-    # a lower bound above the registered constant has lost its digits
-    overshoot = reference is not None and final > reference * (1.0 + _PN_DECREASE_TOL)
-    # the winner beats every interior point only when it sits at an end
-    edge = on_grid and final - max(lasts[1:-1], default=-math.inf) > _PN_DECREASE_TOL * final
+    # the claim: the first row that holds gives the status and its reason
     if not_hardy:
-        notes.append("not a Hardy mean; no finite certified constant exists")
+        status, reason = "divergent", "not a Hardy mean; no finite certified constant exists"
     elif exceeded.size:
-        notes.append(
+        status, reason = "divergent", (
             f"p_n exceeded the divergence ceiling {_DIVERGENCE_CEILING:g} "
             f"at n={start + int(exceeded[0])}; non-Hardy at this scale"
         )
-    elif edge:
-        notes.append(f"estimate (uncertified): inconclusive, maximum at grid edge y={best_y:g}")
+    # the winner beats every interior point only when it sits at an end
+    elif on_grid and final - max(lasts[1:-1], default=-math.inf) > _PN_DECREASE_TOL * final:
+        status, reason = "inconclusive", f"inconclusive, maximum at grid edge y={best_y:g}"
     elif on_grid:
-        notes.append("estimate (uncertified): grid approximation of a sup-liminf")
+        status, reason = "estimate", "grid approximation of a sup-liminf"
     elif why:
-        notes.append("estimate (uncertified): " + "; ".join(why))
-    elif decreased:
-        notes.append(
-            f"estimate (uncertified): p_n decreased by {max_decrease:.3g}, more than "
+        status, reason = "estimate", "; ".join(why)
+    elif max_decrease > _PN_DECREASE_TOL * final:
+        status, reason = "estimate", (
+            f"p_n decreased by {max_decrease:.3g}, more than "
             f"{_PN_DECREASE_TOL:g} relative; the truncation is not monotone"
         )
-    elif overshoot:
-        notes.append(
-            f"estimate (uncertified): {final:.6g} exceeds the registered constant "
+    # a lower bound above the registered constant has lost its digits
+    elif reference is not None and final > reference * (1.0 + _PN_DECREASE_TOL):
+        status, reason = "estimate", (
+            f"{final:.6g} exceeds the registered constant "
             f"{reference:.6g} by more than rounding, so it is no lower bound"
         )
     else:
-        notes.append("certified-from-below: monotone p_n truncation of the limit formula")
+        status = "certified-lower"
+        reason = "certified-from-below: monotone p_n truncation of the limit formula"
+    if status in ("inconclusive", "estimate"):
+        reason = "estimate (uncertified): " + reason
+    notes.append(reason)
     if on_grid:
         notes.append(f"grid maximum attained at y={best_y:g}")
         notes.extend(why)
     if skipped:
         notes.append("; ".join(skipped))
-    if divergent and pn is not None:
+    if status == "divergent" and pn is not None:
         notes.append(_growth_trace(pn))
-    # an echoed tolerance is met: a decrease or an overshoot above rounding
-    # leaves it unmet, and so does a gap to the reference above it
-    if divergent or decreased or edge or overshoot:
-        tolerance = None
-    elif tolerance is not None and abs(final - reference) > tolerance * reference:
-        notes.append(
-            f"tolerance {tolerance:g} unmet: the estimate is "
-            f"{abs(final - reference) / reference:.3g} relative from the registered constant"
-        )
-        tolerance = None
+    # a tolerance says how close a certified estimate is to the reference;
+    # with no reference, or no certificate, it says nothing
+    tolerance = None
+    if status == "certified-lower" and reference is not None:
+        tolerance = published_tolerance(expr)
+        if tolerance is not None and abs(final - reference) > tolerance * reference:
+            notes.append(
+                f"tolerance {tolerance:g} unmet: the estimate is "
+                f"{abs(final - reference) / reference:.3g} relative from the registered constant"
+            )
+            tolerance = None
     return HardyEstimate(
+        status=status,
         method="homogeneous-limit" if y_grid is None else "sup-liminf-grid",
-        estimate=math.inf if divergent or edge else final,
+        estimate=math.inf if status in ("divergent", "inconclusive") else final,
         n_max=cfg.n_max,
         reference=reference,
         reference_kind=reference_kind,
         tolerance=tolerance,
-        divergent=divergent,
+        divergent=status == "divergent",
         notes=tuple(notes),
         y_grid=y_grid,
         pn=pn,

@@ -37,6 +37,7 @@ from .core import (
     PairDeviation,
     Power,
     QuasiArithmetic,
+    _format_number,
 )
 
 __all__ = ["ParseError", "parse_mean_expr", "format_mean_expr"]
@@ -198,29 +199,13 @@ def parse_mean_expr(text: str) -> MeanExpr:
     return expr
 
 
-def _format_number(value: float) -> str:
-    value = float(value)
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
-def _format_generator(gen: Generator) -> str:
-    for spelling, kind in GENERATORS.items():
-        if kind == gen.kind:
-            return spelling + (_format_number(gen.p) if spelling.endswith(":") else "")
-    raise ValueError(f"generator {gen.describe()} has no textual form")
-
-
 def _format_devspec(dev) -> str:
     if dev == ARITHMETIC_DEVIATION:
         return "arith"
-    if isinstance(dev, PairDeviation):
-        return f"pair:{_format_generator(dev.f)},{_format_generator(dev.g)}"
-    raise ValueError(f"deviation {dev!r} has no textual form")
+    return f"pair:{dev.f.describe()},{dev.g.describe()}"
 
 
-_FORMAT_SLOT = {"num": _format_number, "gen": _format_generator, "dev": _format_devspec}
+_FORMAT_SLOT = {"num": _format_number, "gen": Generator.describe, "dev": _format_devspec}
 _HEADS = {node: (head, slots) for head, (node, slots) in MEANS.items()}
 
 

@@ -58,7 +58,7 @@ def test_criterion_3_non_hardy_detection(capsys):
         assert payload["divergent"] is True, text
         assert payload["estimate"] is None, text
         assert payload["reference_kind"] == "not-a-hardy-mean", text
-        assert not any("certified-from-below" in note for note in payload["notes"])
+        assert payload["status"] == "divergent", text
     print("ACCEPTANCE 3 PASS: non-Hardy means reported divergent")
 
 

@@ -38,6 +38,11 @@ class TestEval:
         code, _, _ = run(capsys, ["eval", "power(0)", "1", "--frobnicate"])
         assert code == 2
 
+    def test_subnormal_exponent_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["eval", "power(1e-310)", "1", "2"])
+        assert (code, out) == (2, "")
+        assert err == "E_INVALID: power exponent 1e-310 is subnormal; write 0 instead\n"
+
     def test_computation_error_exit_code(self, capsys):
         # a Gaussian product whose iteration does not converge
         argv = ["eval", "gauss(power(10000),power(-10000))", "1", "2", "3", "4"]
@@ -78,6 +83,14 @@ class TestEval:
         assert out == ""
         assert err.startswith("E_INVALID:")
 
+    def test_pair_message_names_the_exponents_as_written(self, capsys):
+        code, _, err = run(capsys, ["eval", "dev(pair:pow:0.1234561,pow:0.1234562)", "1", "2"])
+        assert code == 2
+        assert err == (
+            "E_INVALID: a deviation needs f/g increasing; "
+            "pow:0.1234561/pow:0.1234562 decreases\n"
+        )
+
     @staticmethod
     def _assert_lambert_w(capsys, text, c, x):
         code, out, err = run(capsys, ["eval", text, *map(str, x)])
@@ -105,6 +118,7 @@ class TestHardyCommand:
             "command",
             "version",
             "seed",
+            "status",
             "method",
             "estimate",
             "reference",
@@ -114,7 +128,7 @@ class TestHardyCommand:
             "notes",
         ):
             assert key in payload
-        assert payload["method"] == "homogeneous-limit"
+        assert (payload["status"], payload["method"]) == ("certified-lower", "homogeneous-limit")
         assert payload["estimate"] == pytest.approx(2.7168, rel=1e-3)
         assert payload["reference"] == pytest.approx(math.e)
         assert payload["reference_kind"] == "closed-form"
@@ -190,9 +204,8 @@ class TestHardyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["reference"] == pytest.approx(math.e, rel=1e-3)
-        assert payload["tolerance"] is None
+        assert (payload["status"], payload["tolerance"]) == ("estimate", None)
         assert any("p_n decreased" in note for note in payload["notes"])
-        assert not any("certified-from-below" in note for note in payload["notes"])
 
     def test_lower_bound_above_the_reference_is_not_certified(self, capsys):
         # every x**p rounds to 1 at p = 1e-300, so the kernel computes the
@@ -203,6 +216,7 @@ class TestHardyCommand:
         payload = json.loads(out)
         assert (payload["estimate"], payload["reference"]) == (200.0, math.e)
         assert (payload["tolerance"], payload["max_pn_decrease"]) == (None, 0.0)
+        assert payload["status"] == "estimate"
         assert payload["notes"] == [
             "registry: power-mean constant (1-p)^(-1/p)",
             "estimate (uncertified): 200 exceeds the registered constant 2.71828 "
@@ -346,8 +360,7 @@ class TestHardyCommand:
             False,
             None,
         )
-        edge = "estimate (uncertified): inconclusive, maximum at grid edge y=1000"
-        assert edge in payload["notes"]
+        assert payload["status"] == "inconclusive"
         path = tmp_path / "pn.csv"
         code, out, _ = run(capsys, [*argv, "--csv", str(path)])
         assert code == 0

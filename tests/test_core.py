@@ -44,6 +44,14 @@ class TestExpressionInvariants:
         with pytest.raises(ValueError):
             hm.Gini(1.0, float("nan"))
 
+    @pytest.mark.parametrize(
+        "text", ["power(1e-310)", "gini(1e-310,-1e-310)", "quasi(pow:1e-310)"]
+    )
+    def test_subnormal_power_sum_exponent_is_rejected_when_built(self, text):
+        # every x**p rounds to 1 there and 1/p overflows, so the mean was 1
+        with pytest.raises(ValueError, match="subnormal; write 0 instead"):
+            hm.parse_mean_expr(text)
+
     def test_quasi_rejects_constant_generator(self):
         with pytest.raises(ValueError):
             hm.QuasiArithmetic(hm.power_generator(0.0))

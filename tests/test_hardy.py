@@ -197,6 +197,24 @@ class TestClosedFormRegistry:
         value = hm.closed_form_hardy(hm.Power(float(p))).value
         assert abs(value - exact) <= 4 * np.spacing(float(exact))
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (1e-200, -1e-200), (1e-9, -1e-9), (0.3, -1e-12), (0.5, -1.0), (0.25, -0.5),
+            (0.8, -0.5), (0.999, -1e-30), (0.1, -20.0), (1e-300, -300.0), (0.0, -3.0),
+        ],
+    )  # fmt: skip
+    def test_gini_constants_match_mpmath(self, p, q):
+        # ((1-q)/(1-p))^(1/(p-q)) at 60 digits, in its log1p form so that
+        # the oracle keeps the digits of tiny exponents too; the constant
+        # tends to e as p and q tend to 0
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(60):
+            p_, q_ = mp.mpf(p), mp.mpf(q)
+            exact = mp.exp((mp.log1p(-q_) - mp.log1p(-p_)) / (p_ - q_))
+        value = hm.closed_form_hardy(hm.Gini(p, q)).value
+        assert abs(value - exact) <= 5 * np.finfo(float).eps * exact
+
     def test_power_not_hardy_at_and_above_one(self):
         for p in (1.0, 1.5, 3.0):
             form = hm.closed_form_hardy(hm.Power(p))
@@ -379,7 +397,10 @@ class TestHardyConstant:
 
     def test_certification_note_for_clean_means(self):
         est = hm.hardy_constant(hm.Power(0))
-        assert any("certified-from-below" in note for note in est.notes)
+        assert est.status == "certified-lower"
+        assert est.notes[-1] == (
+            "certified-from-below: monotone p_n truncation of the limit formula"
+        )
 
     @pytest.mark.parametrize("drop,certified", [(1e-6, False), (1e-14, True)])
     def test_pn_decrease_above_rounding_withholds_certification(
@@ -395,7 +416,7 @@ class TestHardyConstant:
 
         monkeypatch.setattr(hardy, "prefix_means", swept)
         est = hm.hardy_constant(hm.Power(0), hm.HardyConfig(n_max=100))
-        assert any("certified-from-below" in note for note in est.notes) == certified
+        assert (est.status == "certified-lower") == certified
         assert any("p_n decreased" in note for note in est.notes) != certified
 
     def test_no_tolerance_without_reference(self):
@@ -477,7 +498,7 @@ class TestHardyConstant:
     def test_family_rules_need_no_probe(self, text):
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=2000))
         assert est.method == "homogeneous-limit"
-        assert any("certified-from-below" in note for note in est.notes)
+        assert est.status == "certified-lower"
 
     # the 22 means of the benchmark's sweep catalogue
     SWEEP = [
@@ -507,7 +528,7 @@ class TestHardyConstant:
         # decides either property of the product
         expr = hm.parse_mean_expr("gauss(gini(-0.2,-0.4),power(0))")
         est = hm.hardy_constant(expr, hm.HardyConfig(n_max=500))
-        assert est.method == "homogeneous-limit"
+        assert (est.method, est.status) == ("homogeneous-limit", "estimate")
         assert est.notes == (
             "estimate (uncertified): no rule decides increasing, jensen_concavity",
         )
@@ -555,7 +576,7 @@ class TestHardyConstant:
             "rules: Gini mean is Jensen concave only when min(p,q) <= 0 <= max(p,q) <= 1",
         )
         est = hm.hardy_constant(hm.Gini(-300, -301), hm.HardyConfig(n_max=500))
-        assert not any("certified-from-below" in note for note in est.notes)
+        assert est.status == "estimate"
 
     @pytest.mark.parametrize(
         "text",
@@ -609,7 +630,7 @@ class TestHardyConstant:
             est = hm.hardy_constant(hm.Power(p), cfg)
         assert est.method == "homogeneous-limit"
         assert est.estimate < est.reference
-        assert any("certified-from-below" in note for note in est.notes)
+        assert est.status == "certified-lower"
         monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
         with pytest.warns(hm.CancellationWarning):
             undecided = hm.hardy_constant(hm.Power(p), cfg)
@@ -633,7 +654,7 @@ class TestHardyConstant:
         monkeypatch.setattr(hm.MaxOf, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.MaxOf(), hm.HardyConfig(n_max=500))
         assert not est.divergent
-        assert any("uncertified" in note for note in est.notes)
+        assert est.status == "estimate"
 
     def test_grid_method_for_non_homogeneous(self, monkeypatch):
         # with quasi(exp) >= A switched off, nothing decides it non-Hardy
@@ -644,7 +665,7 @@ class TestHardyConstant:
         assert est.method == "sup-liminf-grid"
         assert est.y_grid == default_y_grid()
         assert est.estimate >= 1.0
-        assert any("uncertified" in note for note in est.notes)
+        assert est.status == "inconclusive"
         # exp overflows at y = 1000, where the kernel takes logs
         assert not any("skipped" in note for note in est.notes)
 
@@ -659,6 +680,7 @@ class TestHardyConstant:
         monkeypatch.setattr(hm.QuasiArithmetic, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
         assert (est.estimate, est.divergent, est.tolerance) == (math.inf, False, None)
+        assert est.status == "inconclusive"
         assert est.notes[0] == (
             "estimate (uncertified): inconclusive, maximum at grid edge y=1000"
         )
@@ -731,7 +753,7 @@ class TestHardyConstant:
 
         monkeypatch.setattr(hardy, "prefix_means", swept)
         est = hm.hardy_constant(hm.Power(0), hm.HardyConfig(n_max=100))
-        assert any("certified-from-below" in note for note in est.notes) == certified
+        assert (est.status == "certified-lower") == certified
         assert (est.tolerance == 0.005) == certified
         exceeds = f"estimate (uncertified): {est.estimate:.6g} exceeds the registered constant"
         assert any(note.startswith(exceeds) for note in est.notes) != certified
@@ -764,6 +786,93 @@ class TestHardyConstant:
         for name in ("power(0)", "gini(0.5,-1)", "min"):
             est = hm.hardy_constant(ZOO[name], hm.HardyConfig(n_max=500))
             assert est.estimate >= 1.0 - 1e-12
+
+
+def _sweep_as(values):
+    """A stand-in for ``prefix_means`` whose p_n = n * M are ``values(n_max)``."""
+
+    def swept(expr, x, start=1):
+        return (values(x.size) / np.arange(1.0, x.size + 1.0))[start - 1 :]
+
+    return swept
+
+
+def _past_the_ceiling(monkeypatch):
+    from hardymeans import hardy
+
+    monkeypatch.setattr(hardy, "prefix_means", _sweep_as(lambda n: 1e5 * np.arange(1.0, n + 1)))
+
+
+def _grid_of_a_homogeneous_mean(monkeypatch):
+    # with no rule, power(0.5) takes the grid, whose tails agree up to
+    # rounding, so the maximum is interior; y = 8 fails and is skipped
+    from hardymeans import hardy
+
+    tail = hardy._tail
+
+    def failing_at_8(expr, y, n_max, start):
+        if y == 8.0:
+            raise hm.MeanComputationError("no value")
+        return tail(expr, y, n_max, start)
+
+    monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
+    monkeypatch.setattr(hardy, "_tail", failing_at_8)
+
+
+def _decreasing_pn(monkeypatch):
+    from hardymeans import hardy
+
+    def values(n):
+        v = np.linspace(1.0, 2.0, n)
+        v[n // 2] = v[n // 2 + 1] + 1e-6
+        return v
+
+    monkeypatch.setattr(hardy, "prefix_means", _sweep_as(values))
+
+
+class TestStatusTable:
+    # one case per row of hardy_constant's table, in its order: the mean,
+    # n_max, y-grid and patch that put a run in the row, then the status,
+    # whether the estimate is finite, divergent and the tolerance
+    ROWS = {
+        "registry non-Hardy": ("power(2)", 2000, None, None, ("divergent", False, True, None)),
+        "M >= A": ("quasi(exp)", 300, None, None, ("divergent", False, True, None)),
+        "ceiling": ("power(0)", 100, None, _past_the_ceiling, ("divergent", False, True, None)),
+        "grid edge": ("bajrak(exp,pow:-1)", 300, None, None, ("inconclusive", False, False, None)),
+        "grid interior": (
+            "power(0.5)", 10_000, (0.5, 1.0, 2.0, 8.0), _grid_of_a_homogeneous_mean,
+            ("estimate", True, False, None),
+        ),
+        "gate": ("gini(-1,-2)", 2000, None, None, ("estimate", True, False, None)),
+        "p_n decrease": ("power(0)", 100, None, _decreasing_pn, ("estimate", True, False, None)),
+        "overshoot": ("power(1e-20)", 300, None, None, ("estimate", True, False, None)),
+        "certified": ("power(0)", 10_000, None, None, ("certified-lower", True, False, 0.005)),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("row", list(ROWS))
+    def test_each_row_decides_the_verdict_fields(self, row, monkeypatch):
+        text, n_max, y_grid, patch, expected = self.ROWS[row]
+        if patch is not None:
+            patch(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", hm.CancellationWarning)
+            est = hm.hardy_constant(
+                hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max, y_grid=y_grid)
+            )
+        got = (est.status, math.isfinite(est.estimate), est.divergent, est.tolerance)
+        assert got == expected
+
+    def test_grid_interior_row_skips_the_failing_point(self, monkeypatch):
+        # the estimate meets the 1.5% tolerance of 4, but only a certified
+        # estimate echoes a tolerance
+        _grid_of_a_homogeneous_mean(monkeypatch)
+        cfg = hm.HardyConfig(y_grid=(0.5, 1.0, 2.0, 8.0))
+        est = hm.hardy_constant(hm.Power(0.5), cfg)
+        assert abs(est.estimate - 4.0) < 0.015 * 4.0
+        assert (est.status, est.tolerance) == ("estimate", None)
+        assert est.notes[1] == "estimate (uncertified): grid approximation of a sup-liminf"
+        assert est.notes[2] in ("grid maximum attained at y=1", "grid maximum attained at y=2")
+        assert est.notes[-1] == "y=8 skipped (MeanComputationError)"
 
 
 class TestLiminfRatio:

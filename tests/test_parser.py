@@ -199,6 +199,7 @@ PRINTABLE = [
     hm.Bajraktarevic(hm.LOG, hm.power_generator(0.0)),
     hm.Deviation(hm.ARITHMETIC_DEVIATION),
     hm.Deviation(hm.PairDeviation(hm.power_generator(2), hm.power_generator(1))),
+    hm.Deviation(hm.PairDeviation(hm.power_generator(0.1234562), hm.power_generator(0.1234561))),
     hm.Gauss((hm.Power(-1.0), hm.Power(0.0))),
     hm.Gauss((hm.Gauss((hm.Power(0.0), hm.Power(1.0))), hm.Power(-1.0), hm.Power(0.5))),
 ]
