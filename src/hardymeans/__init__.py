@@ -8,7 +8,6 @@ from .core import (
     ARITHMETIC_DEVIATION,
     ArithmeticDeviation,
     Bajraktarevic,
-    CancellationWarning,
     Deviation,
     DeviationSpec,
     EXP,

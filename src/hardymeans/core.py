@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "MeanComputationError",
     "NonConvergenceError",
-    "CancellationWarning",
     "as_samples",
     "as_sample_rows",
     "Generator",
@@ -63,12 +62,6 @@ class NonConvergenceError(MeanComputationError):
         super().__init__(f"{message} (iterations={iterations}, gap={gap:.3e})")
         self.iterations = iterations
         self.gap = gap
-
-
-class CancellationWarning(UserWarning):
-    """Exponents within 1e-6 of a removable singularity; the exact branch
-    is still used (branches are selected by exact comparison, never
-    switched silently), but cancellation degrades accuracy."""
 
 
 def as_sample_rows(x) -> np.ndarray:

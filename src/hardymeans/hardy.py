@@ -101,8 +101,8 @@ def _tail(expr: MeanExpr, y: float, n_max: int, start: int) -> np.ndarray:
     """v_n(y) = (n/y) * M(y/1, ..., y/n) for n = start, ..., n_max; v_n(1) is p_n."""
     n = np.arange(1.0, n_max + 1.0)
     tail = prefix_means(expr, y / n, start)
+    tail /= y  # first, so a huge y cannot overflow n * M; exact at y = 1
     tail *= n[start - 1 :]
-    tail /= y
     return tail
 
 
@@ -143,6 +143,9 @@ class HardyConfig:
             len(self.y_grid) == 0 or not all(math.isfinite(y) and y > 0.0 for y in self.y_grid)
         ):
             raise ValueError("y_grid must be a nonempty sequence of finite positive points")
+        for y in self.y_grid or ():  # the tail at y samples y/1, ..., y/n_max
+            if y / self.n_max == 0.0:
+                raise ValueError(f"y-grid point {y:g} / n_max={self.n_max} underflows to 0")
 
 
 # an estimate or a p_n above this reports the mean divergent
@@ -274,8 +277,9 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         status, reason = "divergent", "not a Hardy mean; no finite certified constant exists"
     elif exceeded.size:
         status, reason = "divergent", (
-            f"p_n exceeded the divergence ceiling {_DIVERGENCE_CEILING:g} "
-            f"at n={start + int(exceeded[0])}; non-Hardy at this scale"
+            f"{'p_n' if best_y == 1.0 else f'v_n(y={best_y:g})'} exceeded the divergence "
+            f"ceiling {_DIVERGENCE_CEILING:g} at n={start + int(exceeded[0])}; "
+            "non-Hardy at this scale"
         )
     # the winner beats every interior point only when it sits at an end
     elif on_grid and final - max(lasts[1:-1], default=-math.inf) > _PN_DECREASE_TOL * final:

@@ -38,6 +38,16 @@ IMPLICIT = {
 }
 
 
+def sweep_as(values):
+    """A stand-in for ``hardy.prefix_means`` whose p_n = n * M are
+    ``values(n_max)``."""
+
+    def swept(expr, x, start=1):
+        return (values(x.size) / np.arange(1.0, x.size + 1.0))[start - 1 :]
+
+    return swept
+
+
 class CountingRng:
     """A generator whose method calls are counted."""
 

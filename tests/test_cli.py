@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import hardymeans as hm
+from hardymeans import hardy
 from hardymeans.cli import run_command
-from conftest import lambert_w_mean
+from conftest import lambert_w_mean, sweep_as
 
 
 def run(capsys, argv):
@@ -23,6 +24,20 @@ class TestEval:
         assert payload["value"] == pytest.approx(4.0, rel=1e-12)
         assert payload["version"] == hm.__version__
         assert payload["command"] == ["eval", "power(0)", "2", "8"]
+
+    @pytest.mark.parametrize(
+        "text,x,value",
+        [
+            # every x**p rounds to 1 at p = 1e-20: the kernel's shifted form
+            # keeps the geometric mean's digits
+            ("power(1e-20)", ["3", "5"], math.sqrt(15.0)),
+            ("gauss(power(-1e-09),power(1e-09))", ["2", "3"], math.sqrt(6.0)),
+        ],
+    )
+    def test_near_zero_exponents_give_the_geometric_mean(self, capsys, text, x, value):
+        code, out, _ = run(capsys, ["eval", text, *x])
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(value, rel=1e-15)
 
     def test_parse_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["eval", "gini(0.5)", "1"])
@@ -196,22 +211,27 @@ class TestHardyCommand:
         del payload["command"], power["command"]
         assert payload == power
 
-    def test_failed_pn_audit_drops_the_tolerance(self, capsys):
-        # the power kernel's rounding near p = 0 makes p_n decrease, so the
-        # published tolerance is not met
-        with pytest.warns(hm.CancellationWarning):
-            code, out, _ = run(capsys, ["hardy", "power(1e-14)"])
+    def test_failed_pn_audit_drops_the_tolerance(self, capsys, monkeypatch):
+        # prefix means whose p_n = n * M rise from 1 to 2 but decrease once,
+        # so the published tolerance is not met
+        def values(n):
+            v = np.linspace(1.0, 2.0, n)
+            v[n // 2] = v[n // 2 + 1] + 1e-6
+            return v
+
+        monkeypatch.setattr(hardy, "prefix_means", sweep_as(values))
+        code, out, _ = run(capsys, ["hardy", "power(1e-14)"])
         assert code == 0
         payload = json.loads(out)
         assert payload["reference"] == pytest.approx(math.e, rel=1e-3)
         assert (payload["status"], payload["tolerance"]) == ("estimate", None)
         assert any("p_n decreased" in note for note in payload["notes"])
 
-    def test_lower_bound_above_the_reference_is_not_certified(self, capsys):
-        # every x**p rounds to 1 at p = 1e-300, so the kernel computes the
-        # maximum and p_n = n: far above e, yet it never decreases
-        with pytest.warns(hm.CancellationWarning):
-            code, out, _ = run(capsys, ["hardy", "power(1e-300)", "--nmax", "200"])
+    def test_lower_bound_above_the_reference_is_not_certified(self, capsys, monkeypatch):
+        # prefix means of 1, the maximum along 1/k, so p_n = n: far above e,
+        # yet it never decreases
+        monkeypatch.setattr(hardy, "prefix_means", sweep_as(lambda n: np.arange(1.0, n + 1.0)))
+        code, out, _ = run(capsys, ["hardy", "power(1e-300)", "--nmax", "200"])
         assert code == 0
         payload = json.loads(out)
         assert (payload["estimate"], payload["reference"]) == (200.0, math.e)
@@ -293,6 +313,23 @@ class TestHardyCommand:
             assert payload["seed"] is None
             payloads.append(payload)
         assert payloads[0] == payloads[1]
+
+    def test_product_of_near_zero_exponents_is_certified(self, capsys):
+        code, out, _ = run(capsys, ["hardy", "gauss(power(-1e-09),power(1e-09))", "--nmax", "300"])
+        assert code == 0
+        assert json.loads(out)["status"] == "certified-lower"
+
+    def test_ygrid_point_that_underflows_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["hardy", "bajrak(exp,pow:-1)", "--ygrid", "1e-320:1:3"])
+        assert (code, out) == (2, "")
+        assert err == "E_INVALID: y-grid point 9.99989e-321 / n_max=10000 underflows to 0\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_ygrid_points_evaluate(self, capsys):
+        argv = ["hardy", "bajrak(exp,pow:-1)", "--nmax", "300", "--ygrid", "1e300:1e308:3"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert not any("skipped" in note for note in json.loads(out)["notes"])
 
     def test_bad_ygrid_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["hardy", "power(0)", "--ygrid", "oops"])

@@ -6,7 +6,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.core import ratio_direction
-from conftest import lambert_w_mean, log_uniform
+from conftest import lambert_w_mean, log_uniform, oracle_mean
 
 
 class TestPowerMean:
@@ -35,19 +35,6 @@ class TestPowerMean:
         x = [1e-300, 1e300]
         assert np.isfinite(hm.power_mean(50.0, x))
         assert np.isfinite(hm.power_mean(-50.0, x))
-
-    def test_near_zero_exponent_warns(self):
-        with pytest.warns(hm.CancellationWarning):
-            hm.power_mean(1e-9, [1.0, 2.0])
-        # the band where the kernel's relative error (about 2e-16/|p|)
-        # reaches the probes' 1e-9 tolerance
-        with pytest.warns(hm.CancellationWarning):
-            hm.power_mean(3e-7, [1.0, 2.0])
-
-    def test_exponent_outside_the_band_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", hm.CancellationWarning)
-            hm.power_mean(1e-5, [1.0, 2.0])
 
 
 class TestQuasiArithmetic:
@@ -126,11 +113,23 @@ class TestGiniMean:
             assert gaps[1] <= gaps[0]
             assert gaps[0] <= 1e-3 * at_q
 
-    def test_near_equal_exponents_warn(self):
-        with pytest.warns(hm.CancellationWarning):
-            hm.gini_mean(0.5 + 1e-9, 0.5, [1.0, 2.0])
-        with pytest.warns(hm.CancellationWarning):
-            hm.gini_mean(0.5 + 3e-7, 0.5, [1.0, 2.0])
+    @pytest.mark.parametrize("row", [[1e-320, 1.0], [5e-324, 1.7e308]])
+    @pytest.mark.parametrize(
+        "expr",
+        [hm.Power(1e-9), hm.Gini(0.05, 0.0), hm.Gini(1e-9, -1e-9), hm.Gini(-300.0, -300.05)],
+    )
+    def test_shifted_form_takes_a_subnormal_minimum(self, row, expr):
+        # the shift by the row's smallest ln x never overflows; what is
+        # left is the rounding of ln x, about eps * |ln x| relative
+        mp = pytest.importorskip("mpmath").mp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = hm.prefix_means(expr, row)
+        bound = 2 * np.finfo(float).eps * sum(abs(math.log(v)) for v in row)
+        with mp.workdps(60):
+            for k, value in enumerate(values, start=1):
+                exact = oracle_mean(expr, [mp.mpf(v) for v in row[:k]])
+                assert abs(mp.mpf(value) - exact) <= bound * exact, k
 
     def test_large_entries_stay_finite(self):
         assert np.isfinite(hm.gini_mean(40.0, -40.0, [1e-200, 1e200]))

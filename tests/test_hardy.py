@@ -11,7 +11,7 @@ import pytest
 
 import hardymeans as hm
 from hardymeans.hardy import default_y_grid
-from conftest import IMPLICIT, ZOO, log_uniform, oracle_mean
+from conftest import IMPLICIT, ZOO, log_uniform, oracle_mean, sweep_as
 
 
 def power_constant(p):
@@ -622,18 +622,15 @@ class TestHardyConstant:
 
     @pytest.mark.parametrize("p", [3e-7, -3e-7, 1e-7])
     def test_rules_decide_the_cancellation_band(self, p, monkeypatch):
-        # within 1e-6 of p = 0 the kernel's rounding trips a sampling probe;
-        # the rules know the mean is homogeneous, and without them nothing
-        # decides the gate
+        # near p = 0 the rules know the mean is homogeneous, and without
+        # them nothing decides the gate
         cfg = hm.HardyConfig(n_max=2000)
-        with pytest.warns(hm.CancellationWarning):
-            est = hm.hardy_constant(hm.Power(p), cfg)
+        est = hm.hardy_constant(hm.Power(p), cfg)
         assert est.method == "homogeneous-limit"
         assert est.estimate < est.reference
         assert est.status == "certified-lower"
         monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
-        with pytest.warns(hm.CancellationWarning):
-            undecided = hm.hardy_constant(hm.Power(p), cfg)
+        undecided = hm.hardy_constant(hm.Power(p), cfg)
         assert undecided.method == "sup-liminf-grid"
         assert (
             "no rule decides homogeneity, symmetry, increasing, jensen_concavity, "
@@ -759,11 +756,9 @@ class TestHardyConstant:
         assert any(note.startswith(exceeds) for note in est.notes) != certified
 
     def test_homogeneous_mean_on_the_grid_has_no_edge_maximum(self, monkeypatch):
-        # the kernel's rounding near p = 0 spreads the grid's values, which
-        # do not depend on y, by about 1e-8 relative
+        # the grid's values do not depend on y, up to rounding
         monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
-        with pytest.warns(hm.CancellationWarning):
-            est = hm.hardy_constant(hm.Power(3e-7), hm.HardyConfig(n_max=2000))
+        est = hm.hardy_constant(hm.Power(3e-7), hm.HardyConfig(n_max=2000))
         assert est.method == "sup-liminf-grid"
         assert math.isfinite(est.estimate)
         assert not any("grid edge" in note for note in est.notes)
@@ -772,6 +767,34 @@ class TestHardyConstant:
     def test_bad_y_grid_is_rejected_when_built(self, grid):
         with pytest.raises(ValueError, match="y_grid must be a nonempty"):
             hm.HardyConfig(y_grid=grid)
+
+    def test_ygrid_point_that_underflows_is_rejected_when_built(self):
+        # 1e-320 / 10^4 is 0, which no sample may hold
+        with pytest.raises(ValueError, match=r"9\.99989e-321 / n_max=10000 underflows to 0"):
+            hm.HardyConfig(y_grid=(1e-320, 1.0))
+        assert hm.HardyConfig(n_max=1, y_grid=(5e-324,)).y_grid == (5e-324,)
+
+    def test_huge_ygrid_points_do_not_overflow(self):
+        # v_n(y) divides M by y before multiplying by n, so n * M never
+        # passes the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = hm.hardy_constant(
+                hm.parse_mean_expr("bajrak(exp,pow:-1)"),
+                hm.HardyConfig(n_max=300, y_grid=(1e300, 1e304, 1e308)),
+            )
+        assert math.isfinite(est.estimate)
+        assert not any("skipped" in note for note in est.notes)
+
+    def test_ceiling_note_names_the_grid_tail(self, monkeypatch):
+        # v_n(y) = 1e5 n / y, past the ceiling from n = 50 on at y = 0.5
+        _past_the_ceiling(monkeypatch)
+        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
+        est = hm.hardy_constant(hm.Power(0.5), hm.HardyConfig(n_max=100, y_grid=(0.5, 2.0)))
+        assert est.status == "divergent"
+        assert est.notes[1] == (
+            "v_n(y=0.5) exceeded the divergence ceiling 1e+06 at n=50; non-Hardy at this scale"
+        )
 
     def test_one_point_grid_is_the_homogeneous_path(self, monkeypatch):
         ruled = hm.hardy_constant(hm.Power(0.5))
@@ -788,19 +811,10 @@ class TestHardyConstant:
             assert est.estimate >= 1.0 - 1e-12
 
 
-def _sweep_as(values):
-    """A stand-in for ``prefix_means`` whose p_n = n * M are ``values(n_max)``."""
-
-    def swept(expr, x, start=1):
-        return (values(x.size) / np.arange(1.0, x.size + 1.0))[start - 1 :]
-
-    return swept
-
-
 def _past_the_ceiling(monkeypatch):
     from hardymeans import hardy
 
-    monkeypatch.setattr(hardy, "prefix_means", _sweep_as(lambda n: 1e5 * np.arange(1.0, n + 1)))
+    monkeypatch.setattr(hardy, "prefix_means", sweep_as(lambda n: 1e5 * np.arange(1.0, n + 1)))
 
 
 def _grid_of_a_homogeneous_mean(monkeypatch):
@@ -819,6 +833,13 @@ def _grid_of_a_homogeneous_mean(monkeypatch):
     monkeypatch.setattr(hardy, "_tail", failing_at_8)
 
 
+def _overshooting_pn(monkeypatch):
+    from hardymeans import hardy
+
+    # p_n rises to 300, far above e, and never decreases
+    monkeypatch.setattr(hardy, "prefix_means", sweep_as(lambda n: np.linspace(1.0, n, n)))
+
+
 def _decreasing_pn(monkeypatch):
     from hardymeans import hardy
 
@@ -827,7 +848,7 @@ def _decreasing_pn(monkeypatch):
         v[n // 2] = v[n // 2 + 1] + 1e-6
         return v
 
-    monkeypatch.setattr(hardy, "prefix_means", _sweep_as(values))
+    monkeypatch.setattr(hardy, "prefix_means", sweep_as(values))
 
 
 class TestStatusTable:
@@ -845,7 +866,9 @@ class TestStatusTable:
         ),
         "gate": ("gini(-1,-2)", 2000, None, None, ("estimate", True, False, None)),
         "p_n decrease": ("power(0)", 100, None, _decreasing_pn, ("estimate", True, False, None)),
-        "overshoot": ("power(1e-20)", 300, None, None, ("estimate", True, False, None)),
+        "overshoot": (
+            "power(1e-20)", 300, None, _overshooting_pn, ("estimate", True, False, None)
+        ),
         "certified": ("power(0)", 10_000, None, None, ("certified-lower", True, False, 0.005)),
     }  # fmt: skip
 
@@ -854,13 +877,13 @@ class TestStatusTable:
         text, n_max, y_grid, patch, expected = self.ROWS[row]
         if patch is not None:
             patch(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", hm.CancellationWarning)
-            est = hm.hardy_constant(
-                hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max, y_grid=y_grid)
-            )
+        est = hm.hardy_constant(
+            hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max, y_grid=y_grid)
+        )
         got = (est.status, math.isfinite(est.estimate), est.divergent, est.tolerance)
         assert got == expected
+        if row == "ceiling":  # the one-point sweep at y = 1 is p_n
+            assert est.notes[1].startswith("p_n exceeded the divergence ceiling 1e+06 at n=")
 
     def test_grid_interior_row_skips_the_failing_point(self, monkeypatch):
         # the estimate meets the 1.5% tolerance of 4, but only a certified

@@ -74,12 +74,12 @@ def _vectors(name, n, means=ORACLE_MEANS):
         yield log_uniform(rng, n, 500.0, 1e4)
 
 
-def _worst_error(name, means):
+def _worst_error(name, means, digits=DIGITS):
     """Largest relative error of ``evaluate`` against the oracle over the
     vectors of every length."""
     expr = means[name]
     worst = 0.0
-    with mp.workdps(DIGITS):
+    with mp.workdps(digits):
         for n in LENGTHS:
             for x in _vectors(name, n, means):
                 exact = oracle_mean(expr, [mpf(float(v)) for v in x])
@@ -122,6 +122,60 @@ def test_underflowing_gini_ratio_matches_oracle():
         for k, value in enumerate(hm.prefix_means(expr, x), start=1):
             exact = oracle_mean(expr, [mpf(v) for v in x[:k]])
             assert abs(mpf(value) - exact) <= eps * abs(mp.log(exact)) * exact, k
+
+
+# Exponents closer than 1/8, where the power-sum kernel takes its shifted
+# form; the ratio of power sums errs by about 2e-16/|p - q| there (7.4e-13
+# at 2**-10).  The bound is the one of the d = 0 case, gini(-0.5,-0.5);
+# gini(-300,-300.05) overflows its power sums and takes logs.
+BAND_BOUND = 1e-14
+BAND_MEANS = {
+    "power(1e-9)": hm.Power(1e-9),
+    "power(-1e-9)": hm.Power(-1e-9),
+    "power(1e-20)": hm.Power(1e-20),
+    "power(3e-7)": hm.Power(3e-7),
+    "power(-0.01)": hm.Power(-0.01),
+    "power(2**-10)": hm.Power(2.0**-10),
+    "gini(1e-9,-1e-9)": hm.Gini(1e-9, -1e-9),
+    "gini(0.5+1e-9,0.5)": hm.Gini(0.5 + 1e-9, 0.5),
+    "gini(-1,-1-2**-10)": hm.Gini(-1.0, -1.0 - 2.0**-10),
+    "gini(-300,-300.05)": hm.Gini(-300.0, -300.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAND_MEANS))
+def test_near_equal_exponents_match_oracle(name):
+    worst = _worst_error(name, BAND_MEANS)
+    assert worst <= BAND_BOUND, f"{name}: relative error {worst:.3g}"
+
+
+def test_exponents_of_1e_200_match_oracle():
+    # x**(+-1e-200) differs from 1 in the 200th digit, so the oracle needs
+    # 200 digits more than usual; at 50 it errs by O(1)
+    means = {"gini(1e-200,-1e-200)": hm.Gini(1e-200, -1e-200)}
+    worst = _worst_error("gini(1e-200,-1e-200)", means, digits=DIGITS + 210)
+    assert worst <= BAND_BOUND, f"relative error {worst:.3g}"
+
+
+EDGE_MEANS = {
+    "power(d)": lambda d: hm.Power(d),
+    "power(-d)": lambda d: hm.Power(-d),
+    "gini(0.5+d,0.5)": lambda d: hm.Gini(0.5 + d, 0.5),
+    "gini(-1,-1-d)": lambda d: hm.Gini(-1.0, -1.0 - d),
+}
+
+
+@pytest.mark.parametrize("d", [0.125 - 2.0**-40, 0.125 + 2.0**-40])
+@pytest.mark.parametrize("name", sorted(EDGE_MEANS))
+def test_branches_agree_at_the_band_edge(name, d, monkeypatch):
+    expr = EDGE_MEANS[name](d)
+    for n in LENGTHS:
+        for x in _vectors(name, n, EDGE_MEANS):
+            monkeypatch.setattr(families, "_SHIFTED_BAND", 1.0)
+            shifted = hm.evaluate(expr, x)
+            monkeypatch.setattr(families, "_SHIFTED_BAND", 0.0)
+            ratio = hm.evaluate(expr, x)
+            assert abs(shifted - ratio) <= 1e-14 * ratio, n
 
 
 # The Bajraktarevic kernel of exp over x**-c against its closed form

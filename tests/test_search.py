@@ -54,18 +54,20 @@ def scipy_sequence_bound(expr, n, cfg):
 
     best_value, best_x, trace = -math.inf, None, []
     for z0 in hardy._search_starts(n, cfg, np.random.default_rng(cfg.seed)):
-        res = optimize.minimize(
-            negated,
-            z0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": cfg.budget,
-                "maxiter": cfg.budget,
-                "xatol": 1e-12,
-                "fatol": 1e-14,
-                "adaptive": True,
-            },
-        )
+        # SciPy's stopping test meets inf - inf on +inf scores, as the port does
+        with np.errstate(invalid="ignore"):
+            res = optimize.minimize(
+                negated,
+                z0,
+                method="Nelder-Mead",
+                options={
+                    "maxfev": cfg.budget,
+                    "maxiter": cfg.budget,
+                    "xatol": 1e-12,
+                    "fatol": 1e-14,
+                    "adaptive": True,
+                },
+            )
         value = -res.fun if math.isfinite(res.fun) else -math.inf
         trace.append(value)
         if value > best_value:
@@ -140,18 +142,19 @@ def terraced(z):
 
 def scipy_minimize(fn, z0, maxfev):
     optimize = pytest.importorskip("scipy.optimize")
-    return optimize.minimize(
-        fn,
-        z0,
-        method="Nelder-Mead",
-        options={
-            "maxfev": maxfev,
-            "maxiter": maxfev,
-            "xatol": 1e-12,
-            "fatol": 1e-14,
-            "adaptive": True,
-        },
-    )
+    with np.errstate(invalid="ignore"):  # inf - inf in SciPy's stopping test
+        return optimize.minimize(
+            fn,
+            z0,
+            method="Nelder-Mead",
+            options={
+                "maxfev": maxfev,
+                "maxiter": maxfev,
+                "xatol": 1e-12,
+                "fatol": 1e-14,
+                "adaptive": True,
+            },
+        )
 
 
 def port_starts(dim, rng):
