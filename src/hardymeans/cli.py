@@ -24,8 +24,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .core import (
     MeanComputationError,
@@ -55,19 +53,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _parse_ygrid(spec: str) -> tuple[float, ...]:
-    try:
-        lo_text, hi_text, count_text = spec.split(":")
-        lo, hi, count = _positive_float(lo_text), _positive_float(hi_text), int(count_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{spec!r} is not of the form LO:HI:COUNT"
-        ) from None
-    if not lo < hi or count < 1:
-        raise argparse.ArgumentTypeError(f"{spec!r} must satisfy 0 < LO < HI, COUNT >= 1")
-    return tuple(float(v) for v in np.geomspace(lo, hi, count))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardymeans",
@@ -89,13 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hardy = sub.add_parser("hardy", help="estimate the summability constant")
     p_hardy.add_argument("mean")
     p_hardy.add_argument("--nmax", type=int, default=10_000)
-    p_hardy.add_argument(
-        "--ygrid",
-        type=_parse_ygrid,
-        default=None,
-        metavar="LO:HI:COUNT",
-        help="log-spaced y grid of a mean that no rule makes homogeneous (default 1e-3:1e3:41)",
-    )
     p_hardy.add_argument(
         "--seed",
         dest="ignored_seed",
@@ -181,11 +159,11 @@ def _write_pn_csv(path: str, pn) -> None:
 
 def _cmd_hardy(args) -> dict:
     expr = parse_mean_expr(args.mean)
-    estimate = hardy_constant(expr, HardyConfig(n_max=args.nmax, y_grid=args.ygrid))
+    estimate = hardy_constant(expr, HardyConfig(n_max=args.nmax))
     notes = list(estimate.notes)
     if args.csv is not None:
         if estimate.pn is None:
-            notes.append("no p_n sweep on the grid path; CSV not written")
+            notes.append("no p_n sweep on the scale-limit path; CSV not written")
         else:
             _write_pn_csv(args.csv, estimate.pn)
     return {

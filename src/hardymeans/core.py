@@ -253,9 +253,10 @@ class MeanExpr:
     x[..., :k+1]; a slice, not an integer, so the axis stays).  On
     canonical nodes, :meth:`closed_form` and :meth:`tolerance` are the
     registry entry, :meth:`known_properties` the structural facts
-    that the family decides exactly, and :meth:`above_arithmetic` the
-    comparison with the arithmetic mean.  The defaults here: no
-    reduction, no registry entry, no known property, no comparison.
+    that the family decides exactly, :meth:`above_arithmetic` the
+    comparison with the arithmetic mean, and :meth:`tends_to_max` its
+    limit at large scale.  The defaults here: no reduction, no registry
+    entry, no known property, no comparison, no limit.
     """
 
     def canonical(self) -> MeanExpr:
@@ -281,6 +282,14 @@ class MeanExpr:
         """Why M >= A (the arithmetic mean) at every sample, when a
         theorem of the family says so; None when no rule decides it.
         Such a mean is not a Hardy mean, because A is not one."""
+        return None
+
+    def tends_to_max(self) -> str | None:
+        """Why M(y*x)/y -> max x as y -> inf, when a theorem of the family
+        says so; None when no rule decides it.  Such a mean is not a
+        Hardy mean: on x_k = y/k each prefix mean over y tends to 1, so
+        the n-term ratio, a lower bound of C on every finite vector,
+        tends to n/H_n, and C >= n/H_n for every n."""
         return None
 
 
@@ -390,6 +399,11 @@ class QuasiArithmetic(MeanExpr):
         assert self.gen == EXP, "every other generator's canonical node is a power mean"
         return "quasi(exp) is >= the arithmetic mean: exp is convex and increasing (Jensen)"
 
+    def tends_to_max(self):
+        """log(mean of e**(y*x)) lies in [y*max x - ln n, y*max x]."""
+        assert self.gen == EXP, "every other generator's canonical node is a power mean"
+        return "quasi(exp) tends to max: M(y*x)/y -> max x as y -> inf"
+
 
 @dataclass(frozen=True)
 class Gini(MeanExpr):
@@ -498,8 +512,17 @@ class Bajraktarevic(MeanExpr):
         """sum f(x_i) / sum g(x_i) does not depend on the order of the
         entries, and repeating every entry k times multiplies both sums
         by k, so every pair gives a symmetric, repetition invariant mean.
+        It is not homogeneous, as it tends to max (:meth:`tends_to_max`).
         Nothing else is decided."""
-        return {"symmetry": True, "repetition_invariance": True}
+        return {"symmetry": True, "repetition_invariance": True, "homogeneity": self.tends_to_max()}
+
+    def tends_to_max(self):
+        """The mean m of y*x, c = -q, solves m + c ln m = ln sum e**(y x_i)
+        - ln sum (y x_i)**q.  With M = max x, u = min x and n entries, the
+        right side lies within ln n of y M + c ln(y u), and c ln m lies in
+        [c ln(y u), c ln(y M)], so 0 <= y M - m <= c ln(M/u) + ln n."""
+        assert self.f == EXP and self.g.p < 0.0, "every other pair reduces to another family"
+        return "bajrak(exp,pow:q), q < 0, tends to max: M(y*x)/y -> max x, not M(x), as y -> inf"
 
     def canonical(self):
         return self if self._reduced is None else self._reduced.canonical()
@@ -568,12 +591,15 @@ class Gauss(MeanExpr):
         increasingness and repetition invariance when every child has
         them.  It is Jensen concave when every child is increasing and
         concave: each iterate composes concave nondecreasing maps with
-        concave maps, and a limit of concave maps is concave.  Nothing
-        else is decided."""
+        concave maps, and a limit of concave maps is concave.  A product
+        that tends to max (:meth:`tends_to_max`) is not homogeneous.
+        Nothing else is decided."""
         rules = [c.known_properties() for c in self.children]
         known = {name: True for name in _BASIC if all(r.get(name) is True for r in rules)}
         if all(r.get("increasing") is True and r.get("jensen_concavity") is True for r in rules):
             known["jensen_concavity"] = True
+        if not_homogeneous := self.tends_to_max():
+            known["homogeneity"] = not_homogeneous
         return known
 
     def above_arithmetic(self):
@@ -582,6 +608,25 @@ class Gauss(MeanExpr):
         if all(c.above_arithmetic() for c in self.children):
             return "Gauss product of means >= the arithmetic mean lies in their envelope"
         return None
+
+    def tends_to_max(self):
+        """Holds when a child tends to max and no min is in the tree.  As
+        y -> inf, the children's iterates of y*x, over y, tend to those of
+        the limit system with max in place of each such child (the other
+        children are homogeneous).  There the largest entry stays max x
+        and the smallest rises to it, as no child but min stays at the
+        minimum of a non-constant vector; the product lies between them.
+        A min child stalls the rise: gauss(min, quasi(exp)) is min."""
+        if any(c.tends_to_max() for c in self.children) and not _contains_min(self):
+            return (
+                "Gauss product with a child that tends to max and no min in its tree "
+                "tends to max: M(y*x)/y -> max x, not M(x), as y -> inf"
+            )
+        return None
+
+
+def _contains_min(node: MeanExpr) -> bool:
+    return isinstance(node, MinOf) or any(map(_contains_min, getattr(node, "children", ())))
 
 
 @dataclass(frozen=True)

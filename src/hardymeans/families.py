@@ -4,10 +4,10 @@ Every kernel works along the last axis of a validated sample array and
 accepts leading batch axes.  It computes running sums over each row and
 returns the means of the prefixes that the slice ``cols`` selects (see
 :class:`~hardymeans.core.MeanExpr`; each family's node calls its
-kernel here): every prefix for the p_n sweep, a tail window for the
-y-grid, the last prefix for :func:`~hardymeans.core.evaluate`.  The
-selection comes before the per-prefix work, so a single mean costs no
-prefix solves.
+kernel here): every prefix for the p_n sweep, a tail window for
+``liminf_ratio``, the last prefix for :func:`~hardymeans.core.evaluate`.
+The selection comes before the per-prefix work, so a single mean costs
+no prefix solves.
 
 One kernel, :func:`gini_kernel`, sums the powers of the Gini, power
 (q = 0) and geometric (p = q = 0) means; exponents closer than 1/8 take

@@ -9,9 +9,9 @@ sequences.  The tools here:
   symmetric, increasing, Jensen concave and repetition invariant; its
   limit is the constant itself, so a finite truncation is certified
   from below.
-* ``hardy_constant`` -- one sup-over-y estimator, the p_n sweep for
-  homogeneous and non-Hardy means, with one status that says how far
-  its estimate can be trusted.
+* ``hardy_constant`` -- the registry and the rules first, then one p_n
+  sweep, or for a mean that tends to max at large scale one witness
+  ratio, with one status that says how far its estimate can be trusted.
 * ``closed_form_hardy`` -- the registry of exactly known constants
   and of exactly known non-summability verdicts, read from the node
   classes in :mod:`hardymeans.core`.
@@ -97,41 +97,24 @@ class PnSequence:
     max_decrease: float
 
 
-def _tail(expr: MeanExpr, y: float, n_max: int, start: int) -> np.ndarray:
-    """v_n(y) = (n/y) * M(y/1, ..., y/n) for n = start, ..., n_max; v_n(1) is p_n."""
-    n = np.arange(1.0, n_max + 1.0)
-    tail = prefix_means(expr, y / n, start)
-    tail /= y  # first, so a huge y cannot overflow n * M; exact at y = 1
-    tail *= n[start - 1 :]
-    return tail
-
-
-def _max_decrease(values: np.ndarray) -> float:
-    """Largest drop between consecutive values; 0 when none drops."""
-    return float(max(0.0, np.max(values[:-1] - values[1:], initial=0.0)))
-
-
 def pn_sequence(expr: MeanExpr, n_max: int) -> PnSequence:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    values = _tail(expr, 1.0, n_max, 1)
-    return PnSequence(expr=expr, n_max=n_max, values=values, max_decrease=_max_decrease(values))
+    n = np.arange(1.0, n_max + 1.0)
+    values = prefix_means(expr, 1.0 / n)
+    values *= n
+    # the largest drop between consecutive values; 0 when none drops
+    max_decrease = float(max(0.0, np.max(values[:-1] - values[1:], initial=0.0)))
+    return PnSequence(expr=expr, n_max=n_max, values=values, max_decrease=max_decrease)
 
 
 # ---------------------------------------------------------------------------
 # the constant estimator
 
 
-def default_y_grid() -> tuple[float, ...]:
-    """41 log-spaced points across the scale range where
-    non-homogeneous quasi-arithmetic means vary."""
-    return tuple(float(v) for v in np.geomspace(1e-3, 1e3, 41))
-
-
 @dataclass(frozen=True)
 class HardyConfig:
     n_max: int = 10_000
-    y_grid: tuple[float, ...] | None = None  # grid method only; None -> default
     # ignored: the family rules alone decide the gate, and no probe runs;
     # accepted so that callers that still pass a ProbeConfig keep working
     probe: object = None
@@ -139,21 +122,17 @@ class HardyConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.y_grid is not None and (
-            len(self.y_grid) == 0 or not all(math.isfinite(y) and y > 0.0 for y in self.y_grid)
-        ):
-            raise ValueError("y_grid must be a nonempty sequence of finite positive points")
-        for y in self.y_grid or ():  # the tail at y samples y/1, ..., y/n_max
-            if y / self.n_max == 0.0:
-                raise ValueError(f"y-grid point {y:g} / n_max={self.n_max} underflows to 0")
 
 
 # an estimate or a p_n above this reports the mean divergent
 _DIVERGENCE_CEILING = 1e6
 # a difference larger than this, relative to the estimate, is above
-# rounding level: a p_n decrease, an edge maximum's lead over the
-# interior, or an estimate's excess over its registered constant
+# rounding level: a p_n decrease, or an estimate's excess over its
+# registered constant
 _PN_DECREASE_TOL = 1e-12
+# the witness of a mean that tends to max: the n-term ratio on x_k = y/k,
+# at most 100 terms, as a Gauss product's witness at n = 10^4 takes seconds
+_WITNESS_Y, _WITNESS_N = 1e5, 100
 
 _GATE_PROPERTIES = (
     "homogeneity", "symmetry", "increasing", "jensen_concavity", "repetition_invariance"
@@ -165,15 +144,16 @@ class HardyEstimate:
     """Estimate of the summability constant with its provenance.
 
     ``status`` is the claim that :func:`hardy_constant`'s table decides,
-    and the verdict fields follow from it: ``divergent`` exactly when it
-    is "divergent", ``estimate`` math.inf exactly when it is "divergent"
-    or "inconclusive", ``tolerance`` only with "certified-lower", when
-    met.  ``reference`` is the registry constant, and ``reference_kind``
-    "closed-form", "not-a-hardy-mean" or None.
+    and the verdict fields follow from it: ``divergent`` and ``estimate``
+    math.inf exactly when it is "divergent", ``tolerance`` only with
+    "certified-lower", when met.  ``reference`` is the registry constant,
+    and ``reference_kind`` "closed-form", "not-a-hardy-mean" or None.
+    ``method`` names what ran (see :func:`hardy_constant`), and ``pn``
+    is the p_n sweep, if one ran.
     """
 
     status: str
-    method: str  # "homogeneous-limit" | "sup-liminf-grid"
+    method: str  # "homogeneous-limit" | "unit-scale-sweep" | "scale-limit"
     estimate: float
     n_max: int
     reference: float | None
@@ -181,7 +161,6 @@ class HardyEstimate:
     tolerance: float | None
     divergent: bool
     notes: tuple[str, ...]
-    y_grid: tuple[float, ...] | None = None
     pn: PnSequence | None = None
 
 
@@ -196,34 +175,35 @@ def _growth_trace(pn: PnSequence) -> str:
 def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEstimate:
     """Estimate the summability constant of a mean, and its status.
 
-    The constant is a sup over y of a liminf in n of the tail
-    v_n(y) = (n/y) * M(y/1, ..., y/n); the estimate is the largest
-    v_{n_max}(y) over the y points that evaluate.  A mean that a rule
-    makes homogeneous has v_n(y) = p_n, so it takes y = 1 alone and its
-    whole p_n sweep (``pn``), and so does a mean that the registry or the
-    rule M >= A (``above_arithmetic``) makes non-Hardy, on the grid (1,)
-    unless a rule makes it homogeneous.  Any other mean takes
-    ``cfg.y_grid`` (default :func:`default_y_grid`), with tails from
-    n_max // 2 on several points; a point whose sweep fails is skipped.
+    The registry (``closed_form``), then M >= A (``above_arithmetic``),
+    then the scale limit M(y*x)/y -> max x (``tends_to_max``) can decide
+    that a mean is not a Hardy mean.  A mean the scale rule decides runs
+    no sweep (method "scale-limit"): its report names a witness, the
+    n-term ratio on x_k = 1e5/k at n = min(n_max, 100), against its
+    limit n/H_n.  Every other mean takes one p_n sweep (``pn``), whose
+    last value is the estimate: the homogeneous limit when a rule makes
+    the mean homogeneous ("homogeneous-limit"), else a lower estimate
+    that the gate leaves uncertified ("unit-scale-sweep").
 
     The first row that holds gives ``status``, and its reason the first
-    verdict note, behind "estimate (uncertified): " in the middle rows;
+    verdict note, behind "estimate (uncertified): " in the estimate row;
     rounding is 1e-12 relative to the estimate, and the gate is
     ``known_properties``:
 
-    divergent        not a Hardy mean, or a tail past the ceiling 1e6
-    inconclusive     a grid maximum at an end, above every interior
-                     point by more than rounding
-    estimate         a grid of several points; a gate property that a
-                     rule denies or leaves undecided; a tail decrease or
-                     an excess over the registered constant above rounding
+    divergent        not a Hardy mean, or a p_n past the ceiling 1e6
+    estimate         a gate property that a rule denies or leaves
+                     undecided; a p_n decrease or an excess over the
+                     registered constant above rounding
     certified-lower  a monotone p_n truncation, a lower bound
     """
     node = canonical(expr)
     form, source = closed_form_hardy(expr), "registry"
+    scale = None
     if form is None and (reason := node.above_arithmetic()) is not None:
         # A is not a Hardy mean, so no mean >= A is one
         form, source = ClosedForm(None, False, reason), "rules"
+    elif form is None and (scale := node.tends_to_max()) is not None:
+        form, source = ClosedForm(None, False, scale), "rules"
     notes: list[str] = []
     reference = form.value if form is not None else None
     reference_kind = None
@@ -240,57 +220,26 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     undecided = [name for name in _GATE_PROPERTIES if name not in known]
     if undecided:
         why.append("no rule decides " + ", ".join(undecided))
-    # a non-Hardy mean needs only its p_n, the tail at y = 1, which is
-    # the homogeneous limit only when a rule makes the mean homogeneous
-    if known.get("homogeneity") is True:
-        y_grid = None
-    elif not_hardy:
-        y_grid = (1.0,)
+    if scale is not None:
+        method, pn, final = "scale-limit", None, math.inf
     else:
-        y_grid = tuple(default_y_grid() if cfg.y_grid is None else cfg.y_grid)
-    points = (1.0,) if y_grid is None else y_grid
-    on_grid = len(points) > 1
-    start = max(1, cfg.n_max // 2) if on_grid else 1
-    lasts: list[float] = []  # v_{n_max}(y) at each evaluable point, in grid order
-    skipped: list[str] = []
-    best = best_y = None
-    for y in points:
-        try:
-            tail = _tail(expr, y, cfg.n_max, start)
-        except MeanComputationError as exc:
-            if not on_grid:  # a one-point sweep has nothing to skip to
-                raise
-            skipped.append(f"y={y:g} skipped ({type(exc).__name__})")
-            continue
-        lasts.append(float(tail[-1]))
-        if best is None or tail[-1] > best[-1]:
-            best, best_y = tail, y
-    if best is None:
-        raise MeanComputationError("no y-grid point was evaluable; widen or shift the grid")
-    final = float(best[-1])
-    max_decrease = _max_decrease(best)
-    is_pn = start == 1 and best_y == 1.0  # only v_n(1) over every prefix is p_n
-    pn = PnSequence(expr, cfg.n_max, best, max_decrease) if is_pn else None
-    exceeded = np.nonzero(best > _DIVERGENCE_CEILING)[0]
-    # the claim: the first row that holds gives the status and its reason
+        method = "homogeneous-limit" if known.get("homogeneity") is True else "unit-scale-sweep"
+        pn = pn_sequence(expr, cfg.n_max)
+        final = float(pn.values[-1])
+    # the claim: the first row that holds gives the status and its reason;
+    # a mean with no sweep is not Hardy, so the later rows all have one
     if not_hardy:
         status, reason = "divergent", "not a Hardy mean; no finite certified constant exists"
-    elif exceeded.size:
+    elif (exceeded := np.flatnonzero(pn.values > _DIVERGENCE_CEILING)).size:
         status, reason = "divergent", (
-            f"{'p_n' if best_y == 1.0 else f'v_n(y={best_y:g})'} exceeded the divergence "
-            f"ceiling {_DIVERGENCE_CEILING:g} at n={start + int(exceeded[0])}; "
-            "non-Hardy at this scale"
+            f"p_n exceeded the divergence ceiling {_DIVERGENCE_CEILING:g} "
+            f"at n={1 + int(exceeded[0])}; non-Hardy at this scale"
         )
-    # the winner beats every interior point only when it sits at an end
-    elif on_grid and final - max(lasts[1:-1], default=-math.inf) > _PN_DECREASE_TOL * final:
-        status, reason = "inconclusive", f"inconclusive, maximum at grid edge y={best_y:g}"
-    elif on_grid:
-        status, reason = "estimate", "grid approximation of a sup-liminf"
     elif why:
         status, reason = "estimate", "; ".join(why)
-    elif max_decrease > _PN_DECREASE_TOL * final:
+    elif pn.max_decrease > _PN_DECREASE_TOL * final:
         status, reason = "estimate", (
-            f"p_n decreased by {max_decrease:.3g}, more than "
+            f"p_n decreased by {pn.max_decrease:.3g}, more than "
             f"{_PN_DECREASE_TOL:g} relative; the truncation is not monotone"
         )
     # a lower bound above the registered constant has lost its digits
@@ -302,15 +251,19 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     else:
         status = "certified-lower"
         reason = "certified-from-below: monotone p_n truncation of the limit formula"
-    if status in ("inconclusive", "estimate"):
+    if status == "estimate":
         reason = "estimate (uncertified): " + reason
     notes.append(reason)
-    if on_grid:
-        notes.append(f"grid maximum attained at y={best_y:g}")
-        notes.extend(why)
-    if skipped:
-        notes.append("; ".join(skipped))
-    if status == "divergent" and pn is not None:
+    if scale is not None:
+        n = min(cfg.n_max, _WITNESS_N)
+        k = np.arange(1.0, n + 1.0)
+        try:
+            ratio = hardy_ratio(expr, _WITNESS_Y / k)
+            witness = f"ratio {ratio:.6g}, n/H_n = {n / math.fsum(1.0 / k):.6g}"
+        except MeanComputationError as exc:
+            witness = f"not evaluated ({exc})"
+        notes.append(f"witness x_k = {_WITNESS_Y:g}/k, n={n}: {witness}")
+    elif status == "divergent":
         notes.append(_growth_trace(pn))
     # a tolerance says how close a certified estimate is to the reference;
     # with no reference, or no certificate, it says nothing
@@ -325,15 +278,14 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
             tolerance = None
     return HardyEstimate(
         status=status,
-        method="homogeneous-limit" if y_grid is None else "sup-liminf-grid",
-        estimate=math.inf if status in ("divergent", "inconclusive") else final,
+        method=method,
+        estimate=math.inf if status == "divergent" else final,
         n_max=cfg.n_max,
         reference=reference,
         reference_kind=reference_kind,
         tolerance=tolerance,
         divergent=status == "divergent",
         notes=tuple(notes),
-        y_grid=y_grid,
         pn=pn,
     )
 

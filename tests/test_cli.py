@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,19 @@ def run(capsys, argv):
     code = run_command(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    # every example command of the README, in process, in a scratch
+    # directory where the --csv example writes its file
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("hardymeans ")]
+    assert len(lines) >= 11
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, out, err = run(capsys, shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line
+        assert json.loads(out)["command"] == shlex.split(line)[1:]
 
 
 class TestEval:
@@ -260,26 +275,15 @@ class TestHardyCommand:
             assert float(value_text) == pytest.approx(expected, rel=1e-14)
             assert value_text == f"{expected:.15g}"
 
-    def test_ygrid_flag(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["hardy", "bajrak(exp,pow:-1)", "--nmax", "300", "--ygrid", "0.01:10:5"],
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["method"] == "sup-liminf-grid"
-        # the default grid's maximum sits at its edge y = 1000
-        assert "grid maximum attained at y=10" in payload["notes"]
-
     @pytest.mark.parametrize("text", ["quasi(exp)", "bajrak(exp,pow:0)"])
     def test_mean_above_the_arithmetic_mean_is_divergent(self, capsys, tmp_path, text):
         # quasi(exp) >= A by Jensen's inequality, so one p_n sweep at y = 1
-        # reports it, and --ygrid is ignored
+        # reports it
         path = tmp_path / "pn.csv"
         code, out, _ = run(capsys, ["hardy", text, "--nmax", "200", "--csv", str(path)])
         assert code == 0
         payload = json.loads(out)
-        assert payload["method"] == "sup-liminf-grid"
+        assert payload["method"] == "unit-scale-sweep"
         assert (payload["estimate"], payload["divergent"], payload["tolerance"]) == (
             None,
             True,
@@ -294,11 +298,6 @@ class TestHardyCommand:
         assert payload["max_pn_decrease"] == 0.0
         lines = path.read_text().splitlines()
         assert lines[0] == "n,p_n" and len(lines) == 201
-        code, out, _ = run(capsys, ["hardy", text, "--nmax", "200", "--ygrid", "2:5:3"])
-        assert code == 0
-        gridded = json.loads(out)
-        del payload["command"], gridded["command"]
-        assert gridded == payload
 
     @pytest.mark.parametrize(
         "text", ["gauss(gini(-0.2,-0.4),power(0))", "bajrak(exp,pow:-1)"]
@@ -319,66 +318,14 @@ class TestHardyCommand:
         assert code == 0
         assert json.loads(out)["status"] == "certified-lower"
 
-    def test_ygrid_point_that_underflows_is_usage_error(self, capsys):
-        code, out, err = run(capsys, ["hardy", "bajrak(exp,pow:-1)", "--ygrid", "1e-320:1:3"])
-        assert (code, out) == (2, "")
-        assert err == "E_INVALID: y-grid point 9.99989e-321 / n_max=10000 underflows to 0\n"
-
-    @pytest.mark.filterwarnings("error")
-    def test_huge_ygrid_points_evaluate(self, capsys):
-        argv = ["hardy", "bajrak(exp,pow:-1)", "--nmax", "300", "--ygrid", "1e300:1e308:3"]
-        code, out, err = run(capsys, argv)
-        assert (code, err) == (0, "")
-        assert not any("skipped" in note for note in json.loads(out)["notes"])
-
     def test_bad_ygrid_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, ["hardy", "power(0)", "--ygrid", "oops"])
+        # the y-grid is gone, so argparse rejects the flag
+        code, _, err = run(capsys, ["hardy", "power(0)", "--ygrid", "0.01:10:5"])
         assert code == 2
-
-    @pytest.mark.parametrize("spec", ["1:inf:3", "1:1e400:2"])
-    def test_non_finite_ygrid_end_is_usage_error(self, capsys, spec):
-        code, out, err = run(capsys, ["hardy", "quasi(exp)", "--ygrid", spec])
-        assert (code, out) == (2, "")
-        assert "argument --ygrid" in err
-        assert "is not a positive finite number" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # several grid points with every prefix in the tail: the maximum
-            # sits at y = 501.187, whose tail is v_n(y), not p_n
-            ["bajrak(exp,pow:-1)", "--nmax", "3"],
-            # a one-point grid away from y = 1
-            ["bajrak(exp,pow:-1)", "--nmax", "50", "--ygrid", "0.5:2:1"],
-        ],
-    )
-    def test_grid_tail_away_from_one_is_not_reported_as_pn(self, capsys, tmp_path, argv):
-        path = tmp_path / "pn.csv"
-        code, out, _ = run(capsys, ["hardy", *argv, "--csv", str(path)])
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["method"] == "sup-liminf-grid"
-        assert payload["max_pn_decrease"] is None
-        assert payload["notes"][-1] == "no p_n sweep on the grid path; CSV not written"
-        assert not path.exists()
-
-    def test_no_evaluable_grid_point_is_computation_error(self, capsys, monkeypatch):
-        from hardymeans import hardy
-
-        def failing(expr, y, n_max, start):
-            raise hm.MeanComputationError(f"no tail at y={y:g}")
-
-        monkeypatch.setattr(hardy, "_tail", failing)
-        code, out, err = run(
-            capsys,
-            ["hardy", "bajrak(exp,pow:-1)", "--nmax", "100", "--ygrid", "1000:2000:3"],
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "E_COMPUTE: no y-grid point was evaluable; widen or shift the grid\n"
+        assert "unrecognized arguments: --ygrid 0.01:10:5" in err
 
     def test_one_point_sweep_raises_its_own_error(self, capsys):
-        # a homogeneous mean sweeps y = 1 alone: there is no grid to skip on
+        # the one sweep of a report raises its error itself
         argv = ["gauss(power(10000),power(-10000))", "--nmax", "4"]
         code, out, err = run(capsys, ["hardy", *argv])
         assert (code, out) == (1, "")
@@ -387,23 +334,24 @@ class TestHardyCommand:
             "(iterations=10000, gap=7.327e-06)\n"
         )
 
-    def test_grid_edge_maximum_reports_no_estimate(self, capsys, tmp_path):
+    def test_scale_limit_reports_no_estimate_and_no_csv(self, capsys, tmp_path):
         argv = ["hardy", "bajrak(exp,pow:-1)", "--nmax", "300"]
         code, out, _ = run(capsys, argv)
         assert code == 0
         payload = json.loads(out)
         assert (payload["estimate"], payload["divergent"], payload["tolerance"]) == (
             None,
-            False,
+            True,
             None,
         )
-        assert payload["status"] == "inconclusive"
+        assert (payload["status"], payload["method"]) == ("divergent", "scale-limit")
+        assert payload["max_pn_decrease"] is None
         path = tmp_path / "pn.csv"
         code, out, _ = run(capsys, [*argv, "--csv", str(path)])
         assert code == 0
         assert json.loads(out)["notes"] == [
             *payload["notes"],
-            "no p_n sweep on the grid path; CSV not written",
+            "no p_n sweep on the scale-limit path; CSV not written",
         ]
         assert not path.exists()
 

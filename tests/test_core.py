@@ -413,13 +413,27 @@ class TestFamilyRules:
                 assert chord > oracle_mean(expr, mid)
 
     def test_bajraktarevic_rules_agree_with_the_probe(self):
-        # pairs with no reduction decide symmetry and repetition invariance only
+        # pairs with no reduction decide symmetry and repetition invariance,
+        # and deny homogeneity, as they tend to max
         for name, expr in IMPLICIT.items():
-            assert expr.canonical().known_properties() == {
+            node = expr.canonical()
+            assert node.known_properties() == {
                 "symmetry": True,
                 "repetition_invariance": True,
+                "homogeneity": node.tends_to_max(),
             }, name
             self._check_against_probe(name, expr)
+
+    @pytest.mark.parametrize(
+        "name", ["gauss(gini(-1,-2),quasi(exp))", "gauss(power(-5),bajrak(exp,pow:-1))"]
+    )
+    def test_gauss_scale_rules_agree_with_the_probe(self, name):
+        # a product with a child that tends to max denies homogeneity; on
+        # the wide range such products do not converge
+        expr = hm.parse_mean_expr(name)
+        node = expr.canonical()
+        assert node.known_properties()["homogeneity"] == node.tends_to_max()
+        self._check_against_probe(name, expr, ranges=self.RANGES[:1], seeds=range(2))
 
     # means that a rule puts above the arithmetic mean A: each family's case
     ABOVE_ARITHMETIC = {
@@ -443,6 +457,34 @@ class TestFamilyRules:
                     xs = [mp.mpf(float(v)) for v in x]
                     arith = mp.fsum(xs) / len(xs)
                     assert oracle_mean(expr, xs) >= arith * (1 - mp.mpf(10) ** -35), x
+
+    # means that a rule says tend to max: the exp pairs and two products
+    TENDS_TO_MAX = (
+        "bajrak(exp,pow:-0.5)", "bajrak(exp,pow:-1)", "bajrak(exp,pow:-3)", "bajrak(exp,pow:-300)",
+        "gauss(gini(-1,-2),quasi(exp))", "gauss(power(0),gauss(power(-1),quasi(exp)))",
+    )  # fmt: skip
+
+    @pytest.mark.parametrize("name", TENDS_TO_MAX)
+    def test_scale_rules_hold_at_40_digits(self, name, rng):
+        # at y = 1e5, M(y*x)/y lies below max x by at most 1e-3 relative,
+        # on vectors of one decade (the gap grows like ln(max x/min x)/y);
+        # a pair over x**-c meets its exact bound (c ln(max/min) + ln n)/y,
+        # which at c = 300 exceeds 1e-3
+        mp = pytest.importorskip("mpmath").mp
+        expr = hm.parse_mean_expr(name)
+        assert expr.canonical().tends_to_max()
+        with mp.workdps(40):
+            y = mp.mpf(10) ** 5
+            for _ in range(20):
+                xs = [mp.mpf(float(v)) for v in log_uniform(rng, int(rng.integers(1, 9)), 1, 10)]
+                top = max(xs)
+                gap = top - oracle_mean(expr, [y * t for t in xs]) / y
+                assert gap >= -top * mp.mpf(10) ** -35, xs
+                if isinstance(expr, hm.Bajraktarevic):
+                    c = -expr.g.p
+                    assert gap <= (c * mp.log(top / min(xs)) + mp.log(len(xs))) / y, xs
+                else:
+                    assert gap <= 1e-3 * top, xs
 
     @pytest.mark.parametrize(
         "expr",

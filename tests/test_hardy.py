@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import hardymeans as hm
-from hardymeans.hardy import default_y_grid
 from conftest import IMPLICIT, ZOO, log_uniform, oracle_mean, sweep_as
 
 
@@ -533,13 +532,77 @@ class TestHardyConstant:
             "estimate (uncertified): no rule decides increasing, jensen_concavity",
         )
 
-    def test_undecided_homogeneity_takes_the_grid(self):
-        est = hm.hardy_constant(
-            hm.parse_mean_expr("bajrak(exp,pow:-1)"), hm.HardyConfig(n_max=500)
+    # the exp pairs in every spelling, and products with an exp child
+    TENDS_TO_MAX = [
+        "bajrak(exp,pow:-0.5)", "bajrak(exp,pow:-1)", "bajrak(exp,pow:-3)",
+        "bajrak(exp,pow:-300)", "bajrak(pow:-1,exp)", "dev(pair:exp,pow:-1)",
+        "gauss(gini(-1,-2),quasi(exp))", "gauss(power(-5),bajrak(exp,pow:-1))",
+        "gauss(power(0),gauss(power(-1),quasi(exp)))",
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("text", TENDS_TO_MAX)
+    def test_tends_to_max(self, text):
+        # no sweep runs; the witness is the n-term ratio on x_k = 1e5/k,
+        # near its limit n/H_n, where exp overflows and the kernels take logs
+        expr = hm.parse_mean_expr(text)
+        est = hm.hardy_constant(expr)
+        assert (est.status, est.method, est.pn) == ("divergent", "scale-limit", None)
+        assert (est.estimate, est.reference, est.reference_kind) == (
+            math.inf, None, "not-a-hardy-mean"
         )
-        assert est.method == "sup-liminf-grid"
-        # every pair is symmetric and repetition invariant
-        assert "no rule decides homogeneity, increasing, jensen_concavity" in est.notes
+        assert est.notes[:2] == (
+            f"rules: {hm.canonical(expr).tends_to_max()}",
+            "not a Hardy mean; no finite certified constant exists",
+        )
+        k = np.arange(1.0, 101.0)
+        ratio, bound = hm.hardy_ratio(expr, 1e5 / k), 100 / math.fsum(1.0 / k)
+        assert ratio >= 0.9 * bound
+        assert est.notes[2] == (
+            f"witness x_k = 100000/k, n=100: ratio {ratio:.6g}, n/H_n = {bound:.6g}"
+        )
+
+    def test_overflowing_witness_raises_no_warning(self):
+        # e**x * x passes the double range at x = 1e5, where exp itself
+        # overflows: the kernel takes logs there, and the witness is evaluated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = hm.hardy_constant(
+                hm.parse_mean_expr("bajrak(exp,pow:-1)"), hm.HardyConfig(n_max=300)
+            )
+        assert est.notes[2].startswith("witness x_k = 100000/k, n=100: ratio ")
+
+    def test_witness_that_fails_is_noted(self):
+        # the product does not converge at this scale, yet the rule holds
+        est = hm.hardy_constant(hm.parse_mean_expr("gauss(quasi(exp),gini(-1,-300),quasi(id))"))
+        assert (est.status, est.method) == ("divergent", "scale-limit")
+        assert est.notes[2].startswith(
+            "witness x_k = 100000/k, n=100: not evaluated (Gaussian product did not converge"
+        )
+
+    def test_min_child_stalls_the_scale_limit(self):
+        # gauss(min, quasi(exp)) is min, with constant 1: no rule decides it,
+        # and its sweep at y = 1 is an uncertified estimate
+        expr = hm.Gauss((hm.MinOf(), hm.QuasiArithmetic(hm.EXP)))
+        assert hm.evaluate(expr, [1.0, 2.0, 3.0]) == pytest.approx(1.0, rel=1e-13)
+        assert hm.canonical(expr).tends_to_max() is None
+        est = hm.hardy_constant(expr, hm.HardyConfig(n_max=300))
+        assert (est.status, est.method, est.divergent) == ("estimate", "unit-scale-sweep", False)
+        assert est.estimate == pytest.approx(1.0, rel=1e-12)
+        assert est.notes == ("estimate (uncertified): no rule decides homogeneity, jensen_concavity",)
+
+    def test_every_random_tree_is_decided_by_a_rule(self):
+        # a tree that no rule makes homogeneous is non-Hardy by the
+        # registry, by M >= A or by its scale limit
+        rng = np.random.default_rng(20260)
+        for _ in range(2200):
+            node = hm.canonical(_random_tree(rng))
+            form = node.closed_form()
+            assert (
+                node.known_properties().get("homogeneity") is True
+                or form is not None and not form.is_hardy
+                or node.above_arithmetic()
+                or node.tends_to_max()
+            ), node
 
     @pytest.mark.parametrize(
         "text", ["bajrak(exp,pow:-1)", "gauss(gini(-0.2,-0.4),power(0))"]
@@ -555,19 +618,6 @@ class TestHardyConstant:
             return fields, None if pn is None else pn["values"].tobytes()
 
         assert report(0) == report(7)
-
-    def test_overflowing_ratio_on_the_default_grid_raises_no_warning(self):
-        # e**y * y passes the double range near the default grid's largest
-        # points, and at y = 1000 exp itself overflows: the kernel takes
-        # logs there, so every point is evaluated and none is skipped
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = hm.hardy_constant(
-                hm.parse_mean_expr("bajrak(exp,pow:-1)"), hm.HardyConfig(n_max=300)
-            )
-        assert est.y_grid == default_y_grid()
-        assert not any("skipped" in note for note in est.notes)
-        assert "grid maximum attained at y=1000" in est.notes
 
     def test_rules_name_their_reason(self):
         est = hm.hardy_constant(hm.Gini(-0.2, -0.4), hm.HardyConfig(n_max=500))
@@ -631,11 +681,11 @@ class TestHardyConstant:
         assert est.status == "certified-lower"
         monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
         undecided = hm.hardy_constant(hm.Power(p), cfg)
-        assert undecided.method == "sup-liminf-grid"
-        assert (
-            "no rule decides homogeneity, symmetry, increasing, jensen_concavity, "
-            "repetition_invariance"
-        ) in undecided.notes
+        assert undecided.method == "unit-scale-sweep"
+        assert undecided.notes[-1] == (
+            "estimate (uncertified): no rule decides homogeneity, symmetry, increasing, "
+            "jensen_concavity, repetition_invariance"
+        )
 
     def test_divergence_ceiling_names_witness(self, monkeypatch):
         # p_n = n along the harmonic vector, past the ceiling 1e6 at n = 10^6 + 1;
@@ -653,34 +703,18 @@ class TestHardyConstant:
         assert not est.divergent
         assert est.status == "estimate"
 
-    def test_grid_method_for_non_homogeneous(self, monkeypatch):
-        # with quasi(exp) >= A switched off, nothing decides it non-Hardy
-        monkeypatch.setattr(hm.QuasiArithmetic, "above_arithmetic", lambda self: None)
-        est = hm.hardy_constant(
-            hm.QuasiArithmetic(hm.EXP), hm.HardyConfig(n_max=2000)
-        )
-        assert est.method == "sup-liminf-grid"
-        assert est.y_grid == default_y_grid()
-        assert est.estimate >= 1.0
-        assert est.status == "inconclusive"
-        # exp overflows at y = 1000, where the kernel takes logs
-        assert not any("skipped" in note for note in est.notes)
-
     @pytest.mark.parametrize(
         "text,n_max",
         [("quasi(exp)", 2000), ("bajrak(exp,pow:0)", 32), ("bajrak(exp,pow:-1)", 300)],
     )
-    def test_maximum_at_grid_edge_is_inconclusive(self, text, n_max, monkeypatch):
-        # the values still rise at y = 1000, the last grid point, where exp
-        # overflows and the kernels take logs; quasi(exp) >= A is switched
-        # off, so that the grid alone reports the exp means
+    def test_scale_rule_alone_decides_exp_means(self, text, n_max, monkeypatch):
+        # with quasi(exp) >= A switched off, the scale rule alone reports
+        # the exp means, with a witness of min(n_max, 100) terms
         monkeypatch.setattr(hm.QuasiArithmetic, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
-        assert (est.estimate, est.divergent, est.tolerance) == (math.inf, False, None)
-        assert est.status == "inconclusive"
-        assert est.notes[0] == (
-            "estimate (uncertified): inconclusive, maximum at grid edge y=1000"
-        )
+        assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
+        assert (est.status, est.method, est.pn) == ("divergent", "scale-limit", None)
+        assert est.notes[2].startswith(f"witness x_k = 100000/k, n={min(n_max, 100)}: ratio ")
 
     # means that a rule puts above the arithmetic mean and the registry
     # does not decide; max is the one a rule also makes homogeneous
@@ -709,33 +743,31 @@ class TestHardyConstant:
         assert est.pn.values.tobytes() == pn.values.tobytes()
         # only a mean that a rule makes homogeneous reads its p_n as the
         # homogeneous limit
-        if name == "max":
-            assert (est.method, est.y_grid) == ("homogeneous-limit", None)
-        else:
-            assert (est.method, est.y_grid) == ("sup-liminf-grid", (1.0,))
+        assert est.method == ("homogeneous-limit" if name == "max" else "unit-scale-sweep")
 
-    @pytest.mark.parametrize("y_grid", [None, (0.5, 2.0, 8.0)])
-    def test_mean_above_the_arithmetic_mean_takes_one_sweep(self, y_grid, monkeypatch):
-        # one tail at y = 1 over every prefix, not one per grid point;
-        # the y-grid, given or default, is ignored
+    @pytest.mark.parametrize(
+        "text, sweeps",
+        [
+            ("power(0.5)", 1), ("gini(-1,-2)", 1), ("gauss(power(-1),power(0))", 1),
+            ("power(2)", 1), ("quasi(exp)", 1),
+            ("bajrak(exp,pow:-1)", 0), ("gauss(gini(-1,-2),quasi(exp))", 0),
+        ],
+    )  # fmt: skip
+    def test_one_sweep_per_report(self, text, sweeps, monkeypatch):
+        # the report calls pn_sequence through the module, where the
+        # benchmark's tracer times it; a mean that tends to max runs none
         from hardymeans import hardy
 
-        calls, tail = [], hardy._tail
+        calls, sweep = [], hardy.pn_sequence
 
-        def counted(expr, y, n_max, start):
-            calls.append((y, start))
-            return tail(expr, y, n_max, start)
+        def counted(expr, n_max):
+            calls.append(n_max)
+            return sweep(expr, n_max)
 
-        monkeypatch.setattr(hardy, "_tail", counted)
-        cfg = hm.HardyConfig(n_max=10_000, y_grid=y_grid)
-        assert hm.hardy_constant(hm.QuasiArithmetic(hm.EXP), cfg).divergent
-        assert calls == [(1.0, 1)]
-        # the grid the rule skips: one tail per point, from n_max // 2
-        calls.clear()
-        monkeypatch.setattr(hm.QuasiArithmetic, "above_arithmetic", lambda self: None)
-        hm.hardy_constant(hm.QuasiArithmetic(hm.EXP), cfg)
-        grid = default_y_grid() if y_grid is None else y_grid
-        assert calls == [(y, 5000) for y in grid]
+        monkeypatch.setattr(hardy, "pn_sequence", counted)
+        est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=2000))
+        assert calls == [2000] * sweeps
+        assert (est.pn is None) == (sweeps == 0)
 
     @pytest.mark.parametrize("overshoot,certified", [(1e-6, False), (1e-14, True)])
     def test_lower_bound_above_the_reference_is_not_certified(
@@ -755,52 +787,11 @@ class TestHardyConstant:
         exceeds = f"estimate (uncertified): {est.estimate:.6g} exceeds the registered constant"
         assert any(note.startswith(exceeds) for note in est.notes) != certified
 
-    def test_homogeneous_mean_on_the_grid_has_no_edge_maximum(self, monkeypatch):
-        # the grid's values do not depend on y, up to rounding
-        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
-        est = hm.hardy_constant(hm.Power(3e-7), hm.HardyConfig(n_max=2000))
-        assert est.method == "sup-liminf-grid"
-        assert math.isfinite(est.estimate)
-        assert not any("grid edge" in note for note in est.notes)
-
-    @pytest.mark.parametrize("grid", [(), (0.0,), (1.0, math.inf), (1.0, math.nan), (-1.0,)])
-    def test_bad_y_grid_is_rejected_when_built(self, grid):
-        with pytest.raises(ValueError, match="y_grid must be a nonempty"):
-            hm.HardyConfig(y_grid=grid)
-
-    def test_ygrid_point_that_underflows_is_rejected_when_built(self):
-        # 1e-320 / 10^4 is 0, which no sample may hold
-        with pytest.raises(ValueError, match=r"9\.99989e-321 / n_max=10000 underflows to 0"):
-            hm.HardyConfig(y_grid=(1e-320, 1.0))
-        assert hm.HardyConfig(n_max=1, y_grid=(5e-324,)).y_grid == (5e-324,)
-
-    def test_huge_ygrid_points_do_not_overflow(self):
-        # v_n(y) divides M by y before multiplying by n, so n * M never
-        # passes the double range
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = hm.hardy_constant(
-                hm.parse_mean_expr("bajrak(exp,pow:-1)"),
-                hm.HardyConfig(n_max=300, y_grid=(1e300, 1e304, 1e308)),
-            )
-        assert math.isfinite(est.estimate)
-        assert not any("skipped" in note for note in est.notes)
-
-    def test_ceiling_note_names_the_grid_tail(self, monkeypatch):
-        # v_n(y) = 1e5 n / y, past the ceiling from n = 50 on at y = 0.5
-        _past_the_ceiling(monkeypatch)
-        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
-        est = hm.hardy_constant(hm.Power(0.5), hm.HardyConfig(n_max=100, y_grid=(0.5, 2.0)))
-        assert est.status == "divergent"
-        assert est.notes[1] == (
-            "v_n(y=0.5) exceeded the divergence ceiling 1e+06 at n=50; non-Hardy at this scale"
-        )
-
-    def test_one_point_grid_is_the_homogeneous_path(self, monkeypatch):
+    def test_unit_scale_sweep_is_the_homogeneous_sweep(self, monkeypatch):
         ruled = hm.hardy_constant(hm.Power(0.5))
         monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
-        forced = hm.hardy_constant(hm.Power(0.5), hm.HardyConfig(y_grid=(1.0,)))
-        assert forced.method == "sup-liminf-grid"
+        forced = hm.hardy_constant(hm.Power(0.5))
+        assert forced.method == "unit-scale-sweep"
         assert forced.estimate == ruled.estimate
         assert forced.pn.values.tobytes() == ruled.pn.values.tobytes()
         assert forced.pn.max_decrease == ruled.pn.max_decrease
@@ -815,22 +806,6 @@ def _past_the_ceiling(monkeypatch):
     from hardymeans import hardy
 
     monkeypatch.setattr(hardy, "prefix_means", sweep_as(lambda n: 1e5 * np.arange(1.0, n + 1)))
-
-
-def _grid_of_a_homogeneous_mean(monkeypatch):
-    # with no rule, power(0.5) takes the grid, whose tails agree up to
-    # rounding, so the maximum is interior; y = 8 fails and is skipped
-    from hardymeans import hardy
-
-    tail = hardy._tail
-
-    def failing_at_8(expr, y, n_max, start):
-        if y == 8.0:
-            raise hm.MeanComputationError("no value")
-        return tail(expr, y, n_max, start)
-
-    monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
-    monkeypatch.setattr(hardy, "_tail", failing_at_8)
 
 
 def _overshooting_pn(monkeypatch):
@@ -852,50 +827,31 @@ def _decreasing_pn(monkeypatch):
 
 
 class TestStatusTable:
-    # one case per row of hardy_constant's table, in its order: the mean,
-    # n_max, y-grid and patch that put a run in the row, then the status,
-    # whether the estimate is finite, divergent and the tolerance
+    # one case per row of hardy_constant's table, in its order (the three
+    # non-Hardy rules share the first): the mean, n_max and patch that put
+    # a run in the row, then the status, whether the estimate is finite,
+    # divergent and the tolerance
     ROWS = {
-        "registry non-Hardy": ("power(2)", 2000, None, None, ("divergent", False, True, None)),
-        "M >= A": ("quasi(exp)", 300, None, None, ("divergent", False, True, None)),
-        "ceiling": ("power(0)", 100, None, _past_the_ceiling, ("divergent", False, True, None)),
-        "grid edge": ("bajrak(exp,pow:-1)", 300, None, None, ("inconclusive", False, False, None)),
-        "grid interior": (
-            "power(0.5)", 10_000, (0.5, 1.0, 2.0, 8.0), _grid_of_a_homogeneous_mean,
-            ("estimate", True, False, None),
-        ),
-        "gate": ("gini(-1,-2)", 2000, None, None, ("estimate", True, False, None)),
-        "p_n decrease": ("power(0)", 100, None, _decreasing_pn, ("estimate", True, False, None)),
-        "overshoot": (
-            "power(1e-20)", 300, None, _overshooting_pn, ("estimate", True, False, None)
-        ),
-        "certified": ("power(0)", 10_000, None, None, ("certified-lower", True, False, 0.005)),
+        "registry non-Hardy": ("power(2)", 2000, None, ("divergent", False, True, None)),
+        "M >= A": ("quasi(exp)", 300, None, ("divergent", False, True, None)),
+        "scale": ("bajrak(exp,pow:-1)", 300, None, ("divergent", False, True, None)),
+        "ceiling": ("power(0)", 100, _past_the_ceiling, ("divergent", False, True, None)),
+        "gate": ("gini(-1,-2)", 2000, None, ("estimate", True, False, None)),
+        "p_n decrease": ("power(0)", 100, _decreasing_pn, ("estimate", True, False, None)),
+        "overshoot": ("power(1e-20)", 300, _overshooting_pn, ("estimate", True, False, None)),
+        "certified": ("power(0)", 10_000, None, ("certified-lower", True, False, 0.005)),
     }  # fmt: skip
 
     @pytest.mark.parametrize("row", list(ROWS))
     def test_each_row_decides_the_verdict_fields(self, row, monkeypatch):
-        text, n_max, y_grid, patch, expected = self.ROWS[row]
+        text, n_max, patch, expected = self.ROWS[row]
         if patch is not None:
             patch(monkeypatch)
-        est = hm.hardy_constant(
-            hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max, y_grid=y_grid)
-        )
+        est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
         got = (est.status, math.isfinite(est.estimate), est.divergent, est.tolerance)
         assert got == expected
         if row == "ceiling":  # the one-point sweep at y = 1 is p_n
             assert est.notes[1].startswith("p_n exceeded the divergence ceiling 1e+06 at n=")
-
-    def test_grid_interior_row_skips_the_failing_point(self, monkeypatch):
-        # the estimate meets the 1.5% tolerance of 4, but only a certified
-        # estimate echoes a tolerance
-        _grid_of_a_homogeneous_mean(monkeypatch)
-        cfg = hm.HardyConfig(y_grid=(0.5, 1.0, 2.0, 8.0))
-        est = hm.hardy_constant(hm.Power(0.5), cfg)
-        assert abs(est.estimate - 4.0) < 0.015 * 4.0
-        assert (est.status, est.tolerance) == ("estimate", None)
-        assert est.notes[1] == "estimate (uncertified): grid approximation of a sup-liminf"
-        assert est.notes[2] in ("grid maximum attained at y=1", "grid maximum attained at y=2")
-        assert est.notes[-1] == "y=8 skipped (MeanComputationError)"
 
 
 class TestLiminfRatio:

@@ -59,9 +59,12 @@ def workloads():
 @pytest.mark.parametrize("workload", ["sweep", "fuzz", "cli"])
 def test_workload_tasks_pass_their_checks(workloads, workload):
     # every task the benchmark times, run once in this process, so that an
-    # input the benchmark passes and the package no longer accepts fails
-    # here; the mpmath oracles are left to the benchmark
+    # input the benchmark passes, or a result field its summary reads, that
+    # the package no longer has fails here; the mpmath oracles are left to
+    # the benchmark
     tasks = workloads.build(workload, seed=0, in_process=True)
     assert tasks
     for task in tasks:
-        assert task.check(task.run()) is None, task.id
+        result = task.run()
+        assert task.check(result) is None, task.id
+        assert isinstance(task.summary(result), str), task.id
