@@ -163,7 +163,7 @@ def _cmd_hardy(args) -> dict:
     notes = list(estimate.notes)
     if args.csv is not None:
         if estimate.pn is None:
-            notes.append("no p_n sweep on the scale-limit path; CSV not written")
+            notes.append("no p_n sweep for a mean a rule proves non-Hardy; CSV not written")
         else:
             _write_pn_csv(args.csv, estimate.pn)
     return {
@@ -201,7 +201,7 @@ def _cmd_liminf(args) -> dict:
         "nmax": result.n_max,
         "window": list(result.window),
         "estimate": result.estimate,
-        "notes": ["tail-window minimum; lower-bounds the summability constant"],
+        "notes": ["tail-window minimum; estimates the liminf, which is at most the constant"],
     }
 
 

@@ -4,22 +4,21 @@ For a mean M, the central quantity is the smallest constant C with
 sum_n M(x_1, ..., x_n) <= C * sum_n x_n over all positive summable
 sequences.  The tools here:
 
-* ``pn_sequence``   -- p_n = n * M(1, 1/2, ..., 1/n), a nondecreasing
-  lower approximation of the constant for homogeneous means that are
-  symmetric, increasing, Jensen concave and repetition invariant; its
-  limit is the constant itself, so a finite truncation is certified
-  from below.
-* ``hardy_constant`` -- the registry and the rules first, then one p_n
-  sweep, or for a mean that tends to max at large scale one witness
-  ratio, with one status that says how far its estimate can be trusted.
+* ``pn_sequence``   -- p_n = n * M(1, 1/2, ..., 1/n).  Each p_n that
+  does not decrease is a lower bound of the constant of any mean; for
+  homogeneous means that are symmetric, increasing, Jensen concave and
+  repetition invariant (the gate), its limit is the constant itself.
+* ``hardy_constant`` -- the registry and the rules decide non-Hardy
+  means with no sweep; every other mean takes one p_n sweep, with one
+  status that says how far its estimate can be trusted.
 * ``closed_form_hardy`` -- the registry of exactly known constants
   and of exactly known non-summability verdicts, read from the node
   classes in :mod:`hardymeans.core`.
 * ``hardy_sequence_bound`` -- multi-start derivative-free maximization
   of the n-term ratio, always reported as a lower bound, with an
   exhaustive simplex-grid oracle for small n.
-* ``liminf_ratio`` -- tail-window lower estimates along named
-  non-summable sequences.
+* ``liminf_ratio`` -- tail-window estimates of the liminf of
+  M(x_1, ..., x_n) / x_n along named non-summable sequences.
 """
 from __future__ import annotations
 
@@ -124,8 +123,6 @@ class HardyConfig:
             raise ValueError("n_max must be at least 1")
 
 
-# an estimate or a p_n above this reports the mean divergent
-_DIVERGENCE_CEILING = 1e6
 # a difference larger than this, relative to the estimate, is above
 # rounding level: a p_n decrease, or an estimate's excess over its
 # registered constant
@@ -153,7 +150,7 @@ class HardyEstimate:
     """
 
     status: str
-    method: str  # "homogeneous-limit" | "unit-scale-sweep" | "scale-limit"
+    method: str  # "homogeneous-limit" | "unit-scale-sweep" | "rule"
     estimate: float
     n_max: int
     reference: float | None
@@ -164,37 +161,33 @@ class HardyEstimate:
     pn: PnSequence | None = None
 
 
-def _growth_trace(pn: PnSequence) -> str:
-    checkpoints = sorted(
-        {max(1, pn.n_max // 100), max(1, pn.n_max // 10), max(1, pn.n_max // 2), pn.n_max}
-    )
-    pairs = ", ".join(f"p_{n}={pn.values[n - 1]:.6g}" for n in checkpoints)
-    return f"growth trace: {pairs}"
-
-
 def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEstimate:
     """Estimate the summability constant of a mean, and its status.
 
     The registry (``closed_form``), then M >= A (``above_arithmetic``),
     then the scale limit M(y*x)/y -> max x (``tends_to_max``) can decide
-    that a mean is not a Hardy mean.  A mean the scale rule decides runs
-    no sweep (method "scale-limit"): its report names a witness, the
-    n-term ratio on x_k = 1e5/k at n = min(n_max, 100), against its
+    that a mean is not a Hardy mean.  Such a mean runs no sweep (method
+    "rule"); when the scale rule decides it, its report names a witness,
+    the n-term ratio on x_k = 1e5/k at n = min(n_max, 100), against its
     limit n/H_n.  Every other mean takes one p_n sweep (``pn``), whose
     last value is the estimate: the homogeneous limit when a rule makes
-    the mean homogeneous ("homogeneous-limit"), else a lower estimate
-    that the gate leaves uncertified ("unit-scale-sweep").
+    the mean homogeneous ("homogeneous-limit"), else the sweep at unit
+    scale ("unit-scale-sweep").
 
-    The first row that holds gives ``status``, and its reason the first
-    verdict note, behind "estimate (uncertified): " in the estimate row;
-    rounding is 1e-12 relative to the estimate, and the gate is
-    ``known_properties``:
+    For every mean, a p_n that does not decrease is a lower bound of the
+    constant, as the n-term ratio on x_k = 1/k is.  The first row that
+    holds gives ``status``, and its reason the first verdict note, behind
+    "estimate (uncertified): " in the estimate rows; rounding is 1e-12
+    relative to the estimate:
 
-    divergent        not a Hardy mean, or a p_n past the ceiling 1e6
-    estimate         a gate property that a rule denies or leaves
-                     undecided; a p_n decrease or an excess over the
-                     registered constant above rounding
+    divergent        a rule proves the mean is not a Hardy mean
+    estimate         a p_n decrease above rounding
+    estimate         an excess over the registered constant above rounding
     certified-lower  a monotone p_n truncation, a lower bound
+
+    The gate (``known_properties``) changes no status: the paper makes
+    lim p_n the constant only for a mean that passes it, so a certified
+    note names the properties a rule denies or leaves undecided.
     """
     node = canonical(expr)
     form, source = closed_form_hardy(expr), "registry"
@@ -211,32 +204,16 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         reference_kind = "closed-form" if form.is_hardy else "not-a-hardy-mean"
         notes.append(f"{source}: {form.provenance}")
 
-    not_hardy = form is not None and not form.is_hardy
-    known = node.known_properties()
-    # why certification is withheld: a rule's reason for each property it
-    # denies, then the properties no rule decides
-    denied = [name for name in _GATE_PROPERTIES if known.get(name, True) is not True]
-    why = [f"rules: {known[name]}" for name in denied]
-    undecided = [name for name in _GATE_PROPERTIES if name not in known]
-    if undecided:
-        why.append("no rule decides " + ", ".join(undecided))
-    if scale is not None:
-        method, pn, final = "scale-limit", None, math.inf
+    if form is not None and not form.is_hardy:
+        method, pn, final = "rule", None, math.inf
     else:
+        known = node.known_properties()
         method = "homogeneous-limit" if known.get("homogeneity") is True else "unit-scale-sweep"
         pn = pn_sequence(expr, cfg.n_max)
         final = float(pn.values[-1])
-    # the claim: the first row that holds gives the status and its reason;
-    # a mean with no sweep is not Hardy, so the later rows all have one
-    if not_hardy:
+    # the claim: the first row that holds gives the status and its reason
+    if pn is None:
         status, reason = "divergent", "not a Hardy mean; no finite certified constant exists"
-    elif (exceeded := np.flatnonzero(pn.values > _DIVERGENCE_CEILING)).size:
-        status, reason = "divergent", (
-            f"p_n exceeded the divergence ceiling {_DIVERGENCE_CEILING:g} "
-            f"at n={1 + int(exceeded[0])}; non-Hardy at this scale"
-        )
-    elif why:
-        status, reason = "estimate", "; ".join(why)
     elif pn.max_decrease > _PN_DECREASE_TOL * final:
         status, reason = "estimate", (
             f"p_n decreased by {pn.max_decrease:.3g}, more than "
@@ -251,6 +228,15 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     else:
         status = "certified-lower"
         reason = "certified-from-below: monotone p_n truncation of the limit formula"
+        # why lim p_n may fall short of the constant: a rule's reason for
+        # each gate property it denies, then the properties no rule decides
+        denied = [name for name in _GATE_PROPERTIES if known.get(name, True) is not True]
+        why = [f"rules: {known[name]}" for name in denied]
+        undecided = [name for name in _GATE_PROPERTIES if name not in known]
+        if undecided:
+            why.append("no rule decides " + ", ".join(undecided))
+        if why:
+            reason += "; a lower bound only, as the gate fails: " + "; ".join(why)
     if status == "estimate":
         reason = "estimate (uncertified): " + reason
     notes.append(reason)
@@ -263,8 +249,6 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         except MeanComputationError as exc:
             witness = f"not evaluated ({exc})"
         notes.append(f"witness x_k = {_WITNESS_Y:g}/k, n={n}: {witness}")
-    elif status == "divergent":
-        notes.append(_growth_trace(pn))
     # a tolerance says how close a certified estimate is to the reference;
     # with no reference, or no certificate, it says nothing
     tolerance = None
@@ -279,7 +263,7 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     return HardyEstimate(
         status=status,
         method=method,
-        estimate=math.inf if status == "divergent" else final,
+        estimate=final,
         n_max=cfg.n_max,
         reference=reference,
         reference_kind=reference_kind,
@@ -311,8 +295,8 @@ class LiminfEstimate:
 
 def liminf_ratio(expr: MeanExpr, sequence: str, n_max: int) -> LiminfEstimate:
     """min over n in [n_max/2, n_max] of M(x_1, ..., x_n) / x_n along a
-    named non-summable sequence; a lower estimate of the liminf, which
-    in turn lower-bounds the summability constant."""
+    named non-summable sequence: an estimate of the liminf, not a bound
+    of it.  The liminf itself is at most the summability constant."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if sequence not in SEQUENCES:

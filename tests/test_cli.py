@@ -277,27 +277,26 @@ class TestHardyCommand:
 
     @pytest.mark.parametrize("text", ["quasi(exp)", "bajrak(exp,pow:0)"])
     def test_mean_above_the_arithmetic_mean_is_divergent(self, capsys, tmp_path, text):
-        # quasi(exp) >= A by Jensen's inequality, so one p_n sweep at y = 1
-        # reports it
+        # quasi(exp) >= A by Jensen's inequality, so the rule reports it
+        # with no p_n sweep, and no CSV
         path = tmp_path / "pn.csv"
         code, out, _ = run(capsys, ["hardy", text, "--nmax", "200", "--csv", str(path)])
         assert code == 0
         payload = json.loads(out)
-        assert payload["method"] == "unit-scale-sweep"
+        assert payload["method"] == "rule"
         assert (payload["estimate"], payload["divergent"], payload["tolerance"]) == (
             None,
             True,
             None,
         )
         assert (payload["reference"], payload["reference_kind"]) == (None, "not-a-hardy-mean")
-        assert payload["notes"][:2] == [
+        assert payload["notes"] == [
             "rules: quasi(exp) is >= the arithmetic mean: exp is convex and increasing (Jensen)",
             "not a Hardy mean; no finite certified constant exists",
+            "no p_n sweep for a mean a rule proves non-Hardy; CSV not written",
         ]
-        assert payload["notes"][2].startswith("growth trace: ")
-        assert payload["max_pn_decrease"] == 0.0
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,p_n" and len(lines) == 201
+        assert payload["max_pn_decrease"] is None
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "text", ["gauss(gini(-0.2,-0.4),power(0))", "bajrak(exp,pow:-1)"]
@@ -324,9 +323,15 @@ class TestHardyCommand:
         assert code == 2
         assert "unrecognized arguments: --ygrid 0.01:10:5" in err
 
-    def test_one_point_sweep_raises_its_own_error(self, capsys):
+    def test_one_point_sweep_raises_its_own_error(self, capsys, monkeypatch):
         # the one sweep of a report raises its error itself
-        argv = ["gauss(power(10000),power(-10000))", "--nmax", "4"]
+        def swept(expr, x, start=1):
+            raise hm.NonConvergenceError(
+                "Gaussian product did not converge", iterations=10_000, gap=7.327e-06
+            )
+
+        monkeypatch.setattr(hardy, "prefix_means", swept)
+        argv = ["gauss(power(-1),power(0))", "--nmax", "4"]
         code, out, err = run(capsys, ["hardy", *argv])
         assert (code, out) == (1, "")
         assert err == (
@@ -344,14 +349,14 @@ class TestHardyCommand:
             True,
             None,
         )
-        assert (payload["status"], payload["method"]) == ("divergent", "scale-limit")
+        assert (payload["status"], payload["method"]) == ("divergent", "rule")
         assert payload["max_pn_decrease"] is None
         path = tmp_path / "pn.csv"
         code, out, _ = run(capsys, [*argv, "--csv", str(path)])
         assert code == 0
         assert json.loads(out)["notes"] == [
             *payload["notes"],
-            "no p_n sweep on the scale-limit path; CSV not written",
+            "no p_n sweep for a mean a rule proves non-Hardy; CSV not written",
         ]
         assert not path.exists()
 
@@ -398,6 +403,10 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["estimate"] == pytest.approx(4 ** (2 / 3), rel=0.03)
         assert payload["window"] == [2000, 4000]
+        # the window minimum estimates the liminf; it claims no bound
+        assert payload["notes"] == [
+            "tail-window minimum; estimates the liminf, which is at most the constant"
+        ]
 
     def test_liminf_requires_sequence_choice(self, capsys):
         code, _, _ = run(capsys, ["liminf", "power(0)", "--seq", "primes"])

@@ -457,13 +457,38 @@ class TestHardyConstant:
             est = hm.hardy_constant(hm.Gini(p, q))
             assert est.estimate == pytest.approx(gini_constant(p, q), rel=0.015)
 
+    def test_gini_minus_one_minus_two_rises_to_three_halves(self):
+        # M(x) = sum x^-1 / sum x^-2, so p_n = 3n/(2n+1): it rises, and
+        # every certified estimate is below its limit 1.5
+        n = np.arange(1.0, 10_001.0)
+        exact = 3 * n / (2 * n + 1)
+        values = hm.pn_sequence(hm.Gini(-1, -2), 10_000).values
+        assert np.all(np.abs(values - exact) <= 4 * np.spacing(exact))
+        est = hm.hardy_constant(hm.Gini(-1, -2))
+        assert est.status == "certified-lower"
+        assert est.estimate <= 1.5
+
+    @pytest.mark.parametrize(
+        "p, q", [(-1, -2), (-0.2, -0.4), (-5, -0.1), (-300, -301), (-0.5, -0.5)]
+    )
+    def test_ungated_gini_certificate_is_below_the_limit(self, p, q):
+        # the registry leaves these out and the gate fails, yet a monotone
+        # p_n is a lower bound of the constant, below lim p_n:
+        # ((1-q)/(1-p))^(1/(p-q)), or e^(1/(1-p)) at p = q
+        expr = hm.Gini(p, q)
+        assert hm.closed_form_hardy(expr) is None
+        est = hm.hardy_constant(expr)
+        limit = math.exp(1 / (1 - p)) if p == q else gini_constant(p, q)
+        assert est.status == "certified-lower"
+        assert est.estimate <= limit * (1 + 1e-12)
+
     def test_non_hardy_reports_divergence(self):
         for expr in (hm.Power(1), hm.Power(2), hm.Gini(1.0, 0.5)):
             est = hm.hardy_constant(expr, hm.HardyConfig(n_max=2000))
             assert est.divergent
             assert est.estimate == math.inf
             assert est.reference_kind == "not-a-hardy-mean"
-            assert any("growth trace" in note for note in est.notes)
+            assert (est.method, est.pn) == ("rule", None)
 
     # each is also >= A by a rule; the registry's verdict and wording win
     @pytest.mark.parametrize(
@@ -471,16 +496,12 @@ class TestHardyConstant:
         ids=repr,
     )
     def test_registry_verdict_needs_no_probe(self, expr):
-        from hardymeans import hardy
-
         est = hm.hardy_constant(expr, hm.HardyConfig(n_max=2000))
-        pn = hm.pn_sequence(expr, 2000)
         assert est.notes == (
             f"registry: {hm.closed_form_hardy(expr).provenance}",
             "not a Hardy mean; no finite certified constant exists",
-            hardy._growth_trace(pn),
         )
-        assert np.array_equal(est.pn.values, pn.values)
+        assert (est.method, est.pn) == ("rule", None)
         assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
 
     @pytest.mark.parametrize(
@@ -524,12 +545,14 @@ class TestHardyConstant:
 
     def test_undecided_gauss_product_is_not_certified(self):
         # the gini child is neither increasing nor concave, so no rule
-        # decides either property of the product
+        # decides either property of the product: its monotone p_n is
+        # certified as a lower bound, not as the constant
         expr = hm.parse_mean_expr("gauss(gini(-0.2,-0.4),power(0))")
         est = hm.hardy_constant(expr, hm.HardyConfig(n_max=500))
-        assert (est.method, est.status) == ("homogeneous-limit", "estimate")
+        assert (est.method, est.status) == ("homogeneous-limit", "certified-lower")
         assert est.notes == (
-            "estimate (uncertified): no rule decides increasing, jensen_concavity",
+            "certified-from-below: monotone p_n truncation of the limit formula; "
+            "a lower bound only, as the gate fails: no rule decides increasing, jensen_concavity",
         )
 
     # the exp pairs in every spelling, and products with an exp child
@@ -546,7 +569,7 @@ class TestHardyConstant:
         # near its limit n/H_n, where exp overflows and the kernels take logs
         expr = hm.parse_mean_expr(text)
         est = hm.hardy_constant(expr)
-        assert (est.status, est.method, est.pn) == ("divergent", "scale-limit", None)
+        assert (est.status, est.method, est.pn) == ("divergent", "rule", None)
         assert (est.estimate, est.reference, est.reference_kind) == (
             math.inf, None, "not-a-hardy-mean"
         )
@@ -574,21 +597,26 @@ class TestHardyConstant:
     def test_witness_that_fails_is_noted(self):
         # the product does not converge at this scale, yet the rule holds
         est = hm.hardy_constant(hm.parse_mean_expr("gauss(quasi(exp),gini(-1,-300),quasi(id))"))
-        assert (est.status, est.method) == ("divergent", "scale-limit")
+        assert (est.status, est.method) == ("divergent", "rule")
         assert est.notes[2].startswith(
             "witness x_k = 100000/k, n=100: not evaluated (Gaussian product did not converge"
         )
 
     def test_min_child_stalls_the_scale_limit(self):
         # gauss(min, quasi(exp)) is min, with constant 1: no rule decides it,
-        # and its sweep at y = 1 is an uncertified estimate
+        # and its flat sweep at y = 1 certifies the lower bound 1
         expr = hm.Gauss((hm.MinOf(), hm.QuasiArithmetic(hm.EXP)))
         assert hm.evaluate(expr, [1.0, 2.0, 3.0]) == pytest.approx(1.0, rel=1e-13)
         assert hm.canonical(expr).tends_to_max() is None
         est = hm.hardy_constant(expr, hm.HardyConfig(n_max=300))
-        assert (est.status, est.method, est.divergent) == ("estimate", "unit-scale-sweep", False)
+        assert (est.status, est.method, est.divergent) == (
+            "certified-lower", "unit-scale-sweep", False
+        )
         assert est.estimate == pytest.approx(1.0, rel=1e-12)
-        assert est.notes == ("estimate (uncertified): no rule decides homogeneity, jensen_concavity",)
+        assert est.notes == (
+            "certified-from-below: monotone p_n truncation of the limit formula; "
+            "a lower bound only, as the gate fails: no rule decides homogeneity, jensen_concavity",
+        )
 
     def test_every_random_tree_is_decided_by_a_rule(self):
         # a tree that no rule makes homogeneous is non-Hardy by the
@@ -622,11 +650,14 @@ class TestHardyConstant:
     def test_rules_name_their_reason(self):
         est = hm.hardy_constant(hm.Gini(-0.2, -0.4), hm.HardyConfig(n_max=500))
         assert est.notes == (
-            "estimate (uncertified): rules: Gini mean with pq > 0 is not increasing; "
+            "certified-from-below: monotone p_n truncation of the limit formula; "
+            "a lower bound only, as the gate fails: "
+            "rules: Gini mean with pq > 0 is not increasing; "
             "rules: Gini mean is Jensen concave only when min(p,q) <= 0 <= max(p,q) <= 1",
         )
         est = hm.hardy_constant(hm.Gini(-300, -301), hm.HardyConfig(n_max=500))
-        assert est.status == "estimate"
+        assert est.status == "certified-lower"
+        assert est.notes[0].endswith(" <= max(p,q) <= 1")
 
     @pytest.mark.parametrize(
         "text",
@@ -673,7 +704,8 @@ class TestHardyConstant:
     @pytest.mark.parametrize("p", [3e-7, -3e-7, 1e-7])
     def test_rules_decide_the_cancellation_band(self, p, monkeypatch):
         # near p = 0 the rules know the mean is homogeneous, and without
-        # them nothing decides the gate
+        # them nothing decides the gate, so the certificate is a lower
+        # bound only
         cfg = hm.HardyConfig(n_max=2000)
         est = hm.hardy_constant(hm.Power(p), cfg)
         assert est.method == "homogeneous-limit"
@@ -682,26 +714,24 @@ class TestHardyConstant:
         monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
         undecided = hm.hardy_constant(hm.Power(p), cfg)
         assert undecided.method == "unit-scale-sweep"
-        assert undecided.notes[-1] == (
-            "estimate (uncertified): no rule decides homogeneity, symmetry, increasing, "
-            "jensen_concavity, repetition_invariance"
+        assert undecided.status == "certified-lower"
+        assert undecided.notes[1] == (
+            "certified-from-below: monotone p_n truncation of the limit formula; "
+            "a lower bound only, as the gate fails: no rule decides homogeneity, symmetry, "
+            "increasing, jensen_concavity, repetition_invariance"
         )
-
-    def test_divergence_ceiling_names_witness(self, monkeypatch):
-        # p_n = n along the harmonic vector, past the ceiling 1e6 at n = 10^6 + 1;
-        # with max >= A switched off, only the ceiling finds the divergence
-        monkeypatch.setattr(hm.MaxOf, "above_arithmetic", lambda self: None)
-        est = hm.hardy_constant(hm.MaxOf(), hm.HardyConfig(n_max=1_000_001))
-        assert est.divergent
-        assert any("n=1000001" in note for note in est.notes)
 
     def test_uncertified_annotation_when_probes_fail(self, monkeypatch):
         # max is homogeneous but not Jensen concave; with max >= A switched
-        # off, that failed rule alone withholds certification
+        # off, its p_n = n is a lower bound that the failed rule annotates,
+        # and no p_n, however large, makes the mean divergent
         monkeypatch.setattr(hm.MaxOf, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.MaxOf(), hm.HardyConfig(n_max=500))
-        assert not est.divergent
-        assert est.status == "estimate"
+        assert (est.status, est.estimate, est.divergent) == ("certified-lower", 500.0, False)
+        assert est.notes == (
+            "certified-from-below: monotone p_n truncation of the limit formula; "
+            "a lower bound only, as the gate fails: rules: max is convex, not Jensen concave",
+        )
 
     @pytest.mark.parametrize(
         "text,n_max",
@@ -713,11 +743,11 @@ class TestHardyConstant:
         monkeypatch.setattr(hm.QuasiArithmetic, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
         assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
-        assert (est.status, est.method, est.pn) == ("divergent", "scale-limit", None)
+        assert (est.status, est.method, est.pn) == ("divergent", "rule", None)
         assert est.notes[2].startswith(f"witness x_k = 100000/k, n={min(n_max, 100)}: ratio ")
 
     # means that a rule puts above the arithmetic mean and the registry
-    # does not decide; max is the one a rule also makes homogeneous
+    # does not decide
     ABOVE_ARITHMETIC = {
         "quasi(exp)": hm.QuasiArithmetic(hm.EXP),
         "bajrak(exp,pow:0)": hm.Bajraktarevic(hm.EXP, hm.power_generator(0.0)),
@@ -727,35 +757,29 @@ class TestHardyConstant:
 
     @pytest.mark.parametrize("name", list(ABOVE_ARITHMETIC))
     def test_mean_above_the_arithmetic_mean_is_divergent(self, name):
-        from hardymeans import hardy
-
         expr = self.ABOVE_ARITHMETIC[name]
         est = hm.hardy_constant(expr, hm.HardyConfig(n_max=300))
-        pn = hm.pn_sequence(expr, 300)
         assert hm.closed_form_hardy(expr) is None
         assert est.notes == (
             f"rules: {hm.canonical(expr).above_arithmetic()}",
             "not a Hardy mean; no finite certified constant exists",
-            hardy._growth_trace(pn),
         )
         assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
         assert (est.reference, est.reference_kind) == (None, "not-a-hardy-mean")
-        assert est.pn.values.tobytes() == pn.values.tobytes()
-        # only a mean that a rule makes homogeneous reads its p_n as the
-        # homogeneous limit
-        assert est.method == ("homogeneous-limit" if name == "max" else "unit-scale-sweep")
+        assert (est.method, est.pn) == ("rule", None)
 
     @pytest.mark.parametrize(
         "text, sweeps",
         [
             ("power(0.5)", 1), ("gini(-1,-2)", 1), ("gauss(power(-1),power(0))", 1),
-            ("power(2)", 1), ("quasi(exp)", 1),
+            ("power(2)", 0), ("quasi(exp)", 0),
             ("bajrak(exp,pow:-1)", 0), ("gauss(gini(-1,-2),quasi(exp))", 0),
         ],
     )  # fmt: skip
     def test_one_sweep_per_report(self, text, sweeps, monkeypatch):
         # the report calls pn_sequence through the module, where the
-        # benchmark's tracer times it; a mean that tends to max runs none
+        # benchmark's tracer times it; a mean that a rule proves
+        # non-Hardy runs none
         from hardymeans import hardy
 
         calls, sweep = [], hardy.pn_sequence
@@ -802,10 +826,13 @@ class TestHardyConstant:
             assert est.estimate >= 1.0 - 1e-12
 
 
-def _past_the_ceiling(monkeypatch):
+def _no_sweep(monkeypatch):
     from hardymeans import hardy
 
-    monkeypatch.setattr(hardy, "prefix_means", sweep_as(lambda n: 1e5 * np.arange(1.0, n + 1)))
+    def sweep(expr, n_max):
+        raise AssertionError("a rule's verdict runs no p_n sweep")
+
+    monkeypatch.setattr(hardy, "pn_sequence", sweep)
 
 
 def _overshooting_pn(monkeypatch):
@@ -828,17 +855,18 @@ def _decreasing_pn(monkeypatch):
 
 class TestStatusTable:
     # one case per row of hardy_constant's table, in its order (the three
-    # non-Hardy rules share the first): the mean, n_max and patch that put
-    # a run in the row, then the status, whether the estimate is finite,
-    # divergent and the tolerance
+    # non-Hardy rules share the first, and certification does not depend
+    # on the gate): the mean, n_max and patch that put a run in the row,
+    # then the status, whether the estimate is finite, divergent and the
+    # tolerance
     ROWS = {
         "registry non-Hardy": ("power(2)", 2000, None, ("divergent", False, True, None)),
         "M >= A": ("quasi(exp)", 300, None, ("divergent", False, True, None)),
         "scale": ("bajrak(exp,pow:-1)", 300, None, ("divergent", False, True, None)),
-        "ceiling": ("power(0)", 100, _past_the_ceiling, ("divergent", False, True, None)),
-        "gate": ("gini(-1,-2)", 2000, None, ("estimate", True, False, None)),
+        "rule without sweep": ("gini(2,1)", 2000, _no_sweep, ("divergent", False, True, None)),
         "p_n decrease": ("power(0)", 100, _decreasing_pn, ("estimate", True, False, None)),
         "overshoot": ("power(1e-20)", 300, _overshooting_pn, ("estimate", True, False, None)),
+        "ungated certified": ("gini(-1,-2)", 2000, None, ("certified-lower", True, False, None)),
         "certified": ("power(0)", 10_000, None, ("certified-lower", True, False, 0.005)),
     }  # fmt: skip
 
@@ -850,8 +878,8 @@ class TestStatusTable:
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
         got = (est.status, math.isfinite(est.estimate), est.divergent, est.tolerance)
         assert got == expected
-        if row == "ceiling":  # the one-point sweep at y = 1 is p_n
-            assert est.notes[1].startswith("p_n exceeded the divergence ceiling 1e+06 at n=")
+        # a rule's verdict, and only one, runs no sweep
+        assert (est.method == "rule") == (est.pn is None) == est.divergent
 
 
 class TestLiminfRatio:

@@ -62,7 +62,8 @@ CORPUS = (
     ("gini(1e-9,-1e-9)", 10_000),
     ("power(-0.01)", 10_000),
     ("gauss(power(-1e-9),power(1e-9))", 300),
-    # gates that no rule decides, or that a rule denies
+    # gates that no rule decides, or that a rule denies: certified lower
+    # bounds all the same
     ("gauss(gini(-0.2,-0.4),power(0))", 500),
     ("gini(-0.2,-0.4)", 500),
     # an unmet tolerance, and a product above the arithmetic mean
@@ -112,6 +113,9 @@ def test_verdict_fields_follow_from_the_status(case):
     status, estimate, reference = report["status"], report["estimate"], report["reference"]
     assert status in ("certified-lower", "estimate", "divergent")
     assert report["divergent"] == (status == "divergent")
+    # only a rule decides divergence, and it decides it with no sweep
+    assert (report["method"] == "rule") == (status == "divergent")
+    assert (report["reference_kind"] == "not-a-hardy-mean") == (status == "divergent")
     assert (estimate is None) == (status == "divergent")
     met = False
     if status == "certified-lower" and reference is not None:
