@@ -259,6 +259,7 @@ _ERRORS = (
     (OverflowError, "E_OVERFLOW", 1),
     (NonConvergenceError, "E_NONCONVERGENCE", 1),
     (MeanComputationError, "E_COMPUTE", 1),
+    (OSError, "E_IO", 1),
 )
 
 

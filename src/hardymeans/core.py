@@ -312,44 +312,16 @@ def as_mean_expr(obj) -> MeanExpr:
 
 @dataclass(frozen=True)
 class Power(MeanExpr):
-    """p-th power mean; geometric mean at p = 0."""
+    """p-th power mean; geometric mean at p = 0.  Its canonical node is
+    the Gini mean G(p, 0), whose kernel, registry entry and rules serve it."""
 
     p: float
 
     def __post_init__(self):
         _require_exponent("power exponent", self.p)
 
-    def kernel(self, xs, cols):
-        return families.gini_kernel(self.p, 0.0, xs, cols)
-
-    def closed_form(self):
-        """Constant (1-p)^(-1/p) for p < 0 or 0 < p < 1, e at p = 0, and
-        "not summable" for p >= 1."""
-        p = self.p
-        if p >= 1.0:
-            return ClosedForm(None, False, "power mean with p >= 1 is not summable")
-        if p == 0.0:
-            return ClosedForm(math.e, True, "geometric-mean constant e")
-        return ClosedForm(_gini_constant(p, 0.0), True, "power-mean constant (1-p)^(-1/p)")
-
-    def tolerance(self):
-        """0.5% for p <= 0, 1.5% for 0 < p < 1, where the singular endpoint
-        slows convergence like n^(p-1)."""
-        if self.p >= 1.0:
-            return None
-        return 0.005 if self.p <= 0.0 else 0.015
-
-    def known_properties(self):
-        """Every power mean is symmetric, increasing, homogeneous and
-        repetition invariant; by Minkowski's inequality it is Jensen
-        concave exactly when p <= 1 (Hardy, Littlewood & Polya,
-        *Inequalities*)."""
-        concave = _holds(self.p <= 1.0, "power mean with p > 1 is not Jensen concave")
-        return dict.fromkeys(_BASIC, True) | {"jensen_concavity": concave}
-
-    def above_arithmetic(self):
-        """M_p >= M_1 = A for p >= 1 (the power-mean inequality)."""
-        return "power mean with p >= 1 is >= the arithmetic mean" if self.p >= 1.0 else None
+    def canonical(self):
+        return Gini(self.p, 0.0)
 
 
 @dataclass(frozen=True)
@@ -374,9 +346,9 @@ class QuasiArithmetic(MeanExpr):
         """The log generator gives the geometric mean, a power t**p (id is
         t**1) the power mean p."""
         if self.gen == LOG:
-            return GEOM
+            return GEOM.canonical()
         a = _power_exponent(self.gen)
-        return self if a is None else Power(a)
+        return self if a is None else Power(a).canonical()
 
     def known_properties(self):
         """A quasi-arithmetic mean is symmetric, increasing and repetition
@@ -407,7 +379,8 @@ class QuasiArithmetic(MeanExpr):
 
 @dataclass(frozen=True)
 class Gini(MeanExpr):
-    """Ratio-of-power-sums mean with exponents p and q (order irrelevant)."""
+    """Ratio-of-power-sums mean with exponents p and q (order irrelevant);
+    G(p, 0) is the power mean M_p, and G(0, 0) the geometric mean."""
 
     p: float
     q: float
@@ -417,14 +390,13 @@ class Gini(MeanExpr):
         _require_exponent("Gini exponent q", self.q)
 
     def kernel(self, xs, cols):
-        return families.gini_kernel(max(self.p, self.q), min(self.p, self.q), xs, cols)
+        return families.gini_kernel(self.p, self.q, xs, cols)
 
     def canonical(self):
-        """A zero exponent gives the power mean of the other."""
-        if self.q == 0.0:
-            return Power(self.p)
-        if self.p == 0.0:
-            return Power(self.q)
+        """A zero exponent last, else the larger exponent first: the mean
+        is symmetric in them, so equal means share one node."""
+        if self.p == 0.0 or self.q != 0.0 and self.q > self.p:
+            return Gini(self.q, self.p)
         return self
 
     @property
@@ -434,19 +406,29 @@ class Gini(MeanExpr):
     def closed_form(self):
         """The mean is summable exactly when min(p,q) <= 0 and
         max(p,q) < 1; the constant ((1-q)/(1-p))^(1/(p-q)) is registered
-        on the region min(p,q) <= 0 <= max(p,q) < 1."""
+        on the region min(p,q) <= 0 <= max(p,q) < 1.  At q = 0 it is the
+        power-mean constant (1-p)^(-1/p), and e at p = q = 0."""
         p, q = self.p, self.q
         if not self._summable:
+            if q == 0.0:
+                return ClosedForm(None, False, "power mean with p >= 1 is not summable")
             why = "Gini mean is summable only when min(p,q) <= 0 and max(p,q) < 1"
             return ClosedForm(None, False, why)
         if max(p, q) < 0.0:
             return None  # summable, but the constant is not registered there
-        # p == q == 0 reduces to Power(0)
-        return ClosedForm(_gini_constant(p, q), True, "Gini constant ((1-q)/(1-p))^(1/(p-q))")
+        if q != 0.0:
+            return ClosedForm(_gini_constant(p, q), True, "Gini constant ((1-q)/(1-p))^(1/(p-q))")
+        if p == 0.0:
+            return ClosedForm(math.e, True, "geometric-mean constant e")
+        return ClosedForm(_gini_constant(p, q), True, "power-mean constant (1-p)^(-1/p)")
 
     def tolerance(self):
-        """As for the power mean of the larger exponent, where summable."""
-        return Power(max(self.p, self.q)).tolerance() if self._summable else None
+        """0.5% for max(p,q) <= 0, 1.5% for 0 < max(p,q) < 1, where the
+        singular endpoint slows convergence like n^(max(p,q)-1); none
+        where the mean is not summable."""
+        if not self._summable:
+            return None
+        return 0.005 if max(self.p, self.q) <= 0.0 else 0.015
 
     def known_properties(self):
         """Every Gini mean is symmetric, homogeneous and repetition
@@ -576,7 +558,7 @@ class Gauss(MeanExpr):
         if all(f is not None and f.is_hardy for f in forms):
             value = gauss.gauss_product(self.children, [f.value for f in forms])
             return ClosedForm(value, True, "product evaluated at the children's constants")
-        if all(isinstance(c, Power) for c in self.children):
+        if all(isinstance(c, Gini) and c.q == 0.0 for c in self.children):
             # summable iff every exponent is < 1
             return ClosedForm(None, False, "product of power means with max exponent >= 1")
         return None
@@ -686,9 +668,9 @@ def evaluate(expr: MeanExpr, x) -> float:
     """Evaluate a mean expression at a vector of positive reals.
 
     The result lies in [min(x), max(x)], up to a few ulps of rounding,
-    and equals the last entry of :func:`prefix_means` bit for bit.  Inner solver failures (deviation
-    roots, product iterations) raise explicit errors and are never
-    truncated to a best-effort value.
+    and equals the last entry of :func:`prefix_means` bit for bit.  A
+    Gaussian product that does not converge raises NonConvergenceError
+    and is never truncated to a best-effort value.
     """
     return float(_selected_means(expr, as_samples(x), LAST_PREFIX)[0])
 

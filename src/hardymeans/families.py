@@ -1,4 +1,4 @@
-"""The five concrete mean families, as array kernels.
+"""Array kernels of the Gini, quasi(exp) and Bajraktarevic nodes.
 
 Every kernel works along the last axis of a validated sample array and
 accepts leading batch axes.  It computes running sums over each row and

@@ -31,8 +31,10 @@ class GaussConfig:
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        # every envelope's relative gap is below 1, so a tolerance >= 1
+        # would stop at the midpoint of the data, before any step
+        if not 0.0 < self.tolerance < 1.0:
+            raise ValueError("tolerance must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

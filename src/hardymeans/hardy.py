@@ -488,7 +488,7 @@ def simplex_grid_bound(expr: MeanExpr, n: int, denominator: int = 64) -> float:
         x = np.maximum(comps / denominator, _GRID_FLOOR)
         try:
             ratios = hardy_ratio(expr, x)
-        except (ValueError, MeanComputationError):
+        except MeanComputationError:
             # re-score one by one, so the first failing point raises
             ratios = [hardy_ratio(expr, row) for row in x]
         best = max(best, float(np.max(ratios)))

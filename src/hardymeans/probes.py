@@ -55,8 +55,8 @@ class ProbeConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         lo, hi = self.dims
         if lo < 1 or hi < lo:
             raise ValueError("dims must satisfy 1 <= lo <= hi")

@@ -12,6 +12,16 @@ from hardymeans.cli import run_command
 from conftest import lambert_w_mean, sweep_as
 
 
+def loads(text):
+    """A report parsed as strict JSON: NaN and Infinity, which JSON does
+    not have, raise."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run(capsys, argv):
     code = run_command(argv)
     captured = capsys.readouterr()
@@ -28,14 +38,14 @@ def test_readme_examples_run(capsys, monkeypatch, tmp_path):
     for line in lines:
         code, out, err = run(capsys, shlex.split(line)[1:])
         assert (code, err) == (0, ""), line
-        assert json.loads(out)["command"] == shlex.split(line)[1:]
+        assert loads(out)["command"] == shlex.split(line)[1:]
 
 
 class TestEval:
     def test_evaluates_mean(self, capsys):
         code, out, _ = run(capsys, ["eval", "power(0)", "2", "8"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["value"] == pytest.approx(4.0, rel=1e-12)
         assert payload["version"] == hm.__version__
         assert payload["command"] == ["eval", "power(0)", "2", "8"]
@@ -52,7 +62,7 @@ class TestEval:
     def test_near_zero_exponents_give_the_geometric_mean(self, capsys, text, x, value):
         code, out, _ = run(capsys, ["eval", text, *x])
         assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(value, rel=1e-15)
+        assert loads(out)["value"] == pytest.approx(value, rel=1e-15)
 
     def test_parse_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["eval", "gini(0.5)", "1"])
@@ -84,13 +94,13 @@ class TestEval:
         # e**1000 overflows; the kernel takes the log of the mean of e**x
         code, out, _ = run(capsys, ["eval", "quasi(exp)", "1000", "1000"])
         assert code == 0
-        assert json.loads(out)["value"] == 1000.0
+        assert loads(out)["value"] == 1000.0
 
     def test_exp_pair_past_the_double_range_evaluates(self, capsys):
         mpmath = pytest.importorskip("mpmath")
         code, out, _ = run(capsys, ["eval", "bajrak(exp,pow:-1)", "1", "710"])
         assert code == 0
-        value = json.loads(out)["value"]
+        value = loads(out)["value"]
         with mpmath.mp.workdps(40):
             exact = lambert_w_mean(1, [mpmath.mpf(1), mpmath.mpf(710)])
             assert abs(value - exact) <= 4e-15 * exact
@@ -128,7 +138,7 @@ class TestEval:
         mp = pytest.importorskip("mpmath").mp
         with mp.workdps(40):
             exact = lambert_w_mean(c, [mp.mpf(v) for v in x])
-            assert abs(json.loads(out)["value"] - exact) <= 4e-15 * exact
+            assert abs(loads(out)["value"] - exact) <= 4e-15 * exact
 
     def test_overflowing_target_exit_code(self, capsys):
         # sum(e**x) / sum(1/x) overflows; the closed form takes its log
@@ -143,7 +153,7 @@ class TestHardyCommand:
     def test_report_keys_and_values(self, capsys):
         code, out, _ = run(capsys, ["hardy", "power(0)", "--nmax", "10000"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         for key in (
             "command",
             "version",
@@ -169,14 +179,14 @@ class TestHardyCommand:
             capsys, ["hardy", "gauss(power(-1),power(0))", "--nmax", "2000"]
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["reference"] == pytest.approx(2.318, rel=1e-3)
         assert payload["estimate"] == pytest.approx(payload["reference"], rel=0.03)
 
     def test_divergent_mean_has_no_finite_estimate(self, capsys):
         code, out, _ = run(capsys, ["hardy", "power(1)", "--nmax", "2000"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["estimate"] is None
         assert payload["divergent"] is True
         assert payload["reference_kind"] == "not-a-hardy-mean"
@@ -188,7 +198,7 @@ class TestHardyCommand:
         # all three are G_{2,1}, which is not a Hardy mean
         code, out, _ = run(capsys, ["hardy", text, "--nmax", "2000"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["divergent"] is True
         assert payload["reference_kind"] == "not-a-hardy-mean"
 
@@ -206,11 +216,11 @@ class TestHardyCommand:
         # log-domain kernel of G_{-300,1} and reports exactly as that mean
         code, out, _ = run(capsys, ["hardy", "bajrak(pow:-300,pow:1)"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["divergent"] is True
         code, gini_out, _ = run(capsys, ["hardy", "gini(-300,1)"])
         assert code == 0
-        gini = json.loads(gini_out)
+        gini = loads(gini_out)
         del payload["command"], gini["command"]
         assert payload == gini
 
@@ -222,7 +232,7 @@ class TestHardyCommand:
         assert (code, err) == (0, "")
         code, power_out, _ = run(capsys, ["hardy", "power(-300)"])
         assert code == 0
-        payload, power = json.loads(out), json.loads(power_out)
+        payload, power = loads(out), loads(power_out)
         del payload["command"], power["command"]
         assert payload == power
 
@@ -237,7 +247,7 @@ class TestHardyCommand:
         monkeypatch.setattr(hardy, "prefix_means", sweep_as(values))
         code, out, _ = run(capsys, ["hardy", "power(1e-14)"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["reference"] == pytest.approx(math.e, rel=1e-3)
         assert (payload["status"], payload["tolerance"]) == ("estimate", None)
         assert any("p_n decreased" in note for note in payload["notes"])
@@ -248,7 +258,7 @@ class TestHardyCommand:
         monkeypatch.setattr(hardy, "prefix_means", sweep_as(lambda n: np.arange(1.0, n + 1.0)))
         code, out, _ = run(capsys, ["hardy", "power(1e-300)", "--nmax", "200"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert (payload["estimate"], payload["reference"]) == (200.0, math.e)
         assert (payload["tolerance"], payload["max_pn_decrease"]) == (None, 0.0)
         assert payload["status"] == "estimate"
@@ -257,6 +267,12 @@ class TestHardyCommand:
             "estimate (uncertified): 200 exceeds the registered constant 2.71828 "
             "by more than rounding, so it is no lower bound",
         ]
+
+    def test_unwritable_csv_path_is_io_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "pn.csv"
+        code, out, err = run(capsys, ["hardy", "power(0.5)", "--nmax", "50", "--csv", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("E_IO: ")
 
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "pn.csv"
@@ -282,7 +298,7 @@ class TestHardyCommand:
         path = tmp_path / "pn.csv"
         code, out, _ = run(capsys, ["hardy", text, "--nmax", "200", "--csv", str(path)])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["method"] == "rule"
         assert (payload["estimate"], payload["divergent"], payload["tolerance"]) == (
             None,
@@ -306,7 +322,7 @@ class TestHardyCommand:
         for seed in ("1", "2"):
             code, out, _ = run(capsys, ["hardy", text, "--nmax", "500", "--seed", seed])
             assert code == 0
-            payload = json.loads(out)
+            payload = loads(out)
             assert payload.pop("command")[-1] == seed
             assert payload["seed"] is None
             payloads.append(payload)
@@ -315,7 +331,7 @@ class TestHardyCommand:
     def test_product_of_near_zero_exponents_is_certified(self, capsys):
         code, out, _ = run(capsys, ["hardy", "gauss(power(-1e-09),power(1e-09))", "--nmax", "300"])
         assert code == 0
-        assert json.loads(out)["status"] == "certified-lower"
+        assert loads(out)["status"] == "certified-lower"
 
     def test_bad_ygrid_is_usage_error(self, capsys):
         # the y-grid is gone, so argparse rejects the flag
@@ -343,7 +359,7 @@ class TestHardyCommand:
         argv = ["hardy", "bajrak(exp,pow:-1)", "--nmax", "300"]
         code, out, _ = run(capsys, argv)
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert (payload["estimate"], payload["divergent"], payload["tolerance"]) == (
             None,
             True,
@@ -354,7 +370,7 @@ class TestHardyCommand:
         path = tmp_path / "pn.csv"
         code, out, _ = run(capsys, [*argv, "--csv", str(path)])
         assert code == 0
-        assert json.loads(out)["notes"] == [
+        assert loads(out)["notes"] == [
             *payload["notes"],
             "no p_n sweep for a mean a rule proves non-Hardy; CSV not written",
         ]
@@ -365,7 +381,7 @@ class TestOtherCommands:
     def test_probe_reports_verdicts(self, capsys):
         code, out, _ = run(capsys, ["probe", "gini(2,1)", "--seed", "1"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["seed"] == 1
         assert payload["verdicts"]["jensen_concavity"]["holds_on_samples"] is False
         counterexample = payload["verdicts"]["jensen_concavity"]["counterexample"]
@@ -376,7 +392,7 @@ class TestOtherCommands:
         # the default samples run up to 1e3, past exp's double range
         code, out, _ = run(capsys, ["probe", text])
         assert code == 0
-        verdicts = json.loads(out)["verdicts"]
+        verdicts = loads(out)["verdicts"]
         violated = {name for name, v in verdicts.items() if not v["holds_on_samples"]}
         if text == "quasi(exp)":
             known = hm.QuasiArithmetic(hm.EXP).known_properties()
@@ -389,7 +405,7 @@ class TestOtherCommands:
             capsys, ["hardy-seq", "power(0)", "--n", "2", "--restarts", "6"]
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["estimate"] == pytest.approx((1 + math.sqrt(2)) / 2, rel=1e-3)
         assert len(payload["maximizer"]) == 2
         assert len(payload["trace"]) == payload["restarts"]
@@ -400,7 +416,7 @@ class TestOtherCommands:
             ["liminf", "gini(0.5,-1)", "--seq", "harmonic", "--nmax", "4000"],
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["estimate"] == pytest.approx(4 ** (2 / 3), rel=0.03)
         assert payload["window"] == [2000, 4000]
         # the window minimum estimates the liminf; it claims no bound
@@ -415,7 +431,7 @@ class TestOtherCommands:
     def test_kedlaya_coeffs(self, capsys):
         code, out, _ = run(capsys, ["kedlaya", "coeffs", "--n", "5"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["all_pass"] is True
         table = payload["coefficients"]
         for i in range(5):
@@ -425,7 +441,7 @@ class TestOtherCommands:
     def test_kedlaya_matrix(self, capsys):
         code, out, _ = run(capsys, ["kedlaya", "matrix", "--n", "3"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["occurrences_pass"] is True
         assert len(payload["matrix"]) == 6
 
@@ -434,7 +450,7 @@ class TestOtherCommands:
             capsys, ["kedlaya", "check", "power(0)", "--samples", "100", "--seed", "3"]
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["margin_min"] >= -1e-12
 
     def test_kedlaya_check_without_samples_is_usage_error(self, capsys):
@@ -453,12 +469,29 @@ class TestOtherCommands:
             ["gauss", "power(-1)", "power(0)", "--at", "2", repr(math.e)],
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert f"{payload['value']:.4g}" == "2.318"
 
     def test_gauss_command_needs_two_means(self, capsys):
         code, _, _ = run(capsys, ["gauss", "power(0)", "--at", "1", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a gap tolerance >= 1 would stop at the midpoint of the data
+            *(
+                ["gauss", "power(-1)", "power(0)", "--at", "1", "2", "--tolerance", value]
+                for value in ("inf", "1", "nan", "0")
+            ),
+            *(["probe", "power(0)", "--tolerance", value] for value in ("inf", "nan", "0")),
+        ],
+        ids=" ".join,
+    )
+    def test_tolerance_out_of_range_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("E_INVALID: tolerance must")
 
     def test_gauss_nonconvergence_exit_code(self, capsys):
         code, _, err = run(
@@ -488,7 +521,7 @@ class TestEnvelope:
         # only the randomized subcommands echo a seed
         code, out, _ = run(capsys, argv)
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert list(payload)[:3] == ["command", "version", "seed"]
         assert payload["command"] == argv
         assert payload["version"] == hm.__version__
@@ -516,7 +549,7 @@ class TestReportRoundTrip:
     def test_rerunning_echoed_command_reproduces_payload(self, capsys, argv):
         code, first, _ = run(capsys, argv)
         assert code == 0
-        echoed = json.loads(first)["command"]
+        echoed = loads(first)["command"]
         assert echoed == argv
         code, second, _ = run(capsys, echoed)
         assert code == 0

@@ -93,8 +93,9 @@ class TestGaussProduct:
         assert 1.0 <= value <= 1.0 + 3e-13
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            hm.GaussConfig(tolerance=0.0)
+        for tolerance in (0.0, 1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                hm.GaussConfig(tolerance=tolerance)
         with pytest.raises(ValueError):
             hm.GaussConfig(max_iterations=0)
 

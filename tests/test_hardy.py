@@ -25,18 +25,24 @@ def gini_constant(p, q):
 
 class TestCanonical:
     def test_quasi_reductions(self):
-        assert hm.canonical(hm.QuasiArithmetic(hm.IDENTITY)) == hm.Power(1.0)
-        assert hm.canonical(hm.QuasiArithmetic(hm.LOG)) == hm.Power(0.0)
-        assert hm.canonical(hm.QuasiArithmetic(hm.power_generator(0.5))) == hm.Power(0.5)
+        assert hm.canonical(hm.QuasiArithmetic(hm.IDENTITY)) == hm.Gini(1.0, 0.0)
+        assert hm.canonical(hm.QuasiArithmetic(hm.LOG)) == hm.Gini(0.0, 0.0)
+        assert hm.canonical(hm.QuasiArithmetic(hm.power_generator(0.5))) == hm.Gini(0.5, 0.0)
 
     def test_gini_power_reduction(self):
-        assert hm.canonical(hm.Gini(0.7, 0.0)) == hm.Power(0.7)
-        assert hm.canonical(hm.Gini(0.0, -1.0)) == hm.Power(-1.0)
+        # a power mean is G(p, 0), with the zero exponent last
+        assert hm.canonical(hm.Power(0.7)) == hm.Gini(0.7, 0.0)
+        assert hm.canonical(hm.Gini(0.0, -1.0)) == hm.Gini(-1.0, 0.0)
+        # spellings that define no mean: pow:0 is constant, and a pair
+        # deviation needs f/g = t**p increasing
+        for text in ("quasi(pow:0)", "dev(pair:pow:0,pow:0)", "dev(pair:pow:-1,pow:0)"):
+            with pytest.raises(ValueError):
+                hm.parse_mean_expr(text)
 
     def test_two_generator_reductions(self):
         two_gen = hm.Bajraktarevic(hm.power_generator(2), hm.power_generator(1))
         assert hm.canonical(two_gen) == hm.Gini(2.0, 1.0)
-        assert hm.canonical(hm.Deviation(hm.ARITHMETIC_DEVIATION)) == hm.Power(1.0)
+        assert hm.canonical(hm.Deviation(hm.ARITHMETIC_DEVIATION)) == hm.Gini(1.0, 0.0)
         dev = hm.Deviation(hm.PairDeviation(hm.power_generator(2), hm.power_generator(1)))
         assert hm.canonical(dev) == hm.Gini(2.0, 1.0)
 
@@ -44,13 +50,13 @@ class TestCanonical:
         # id is pow:1, so these are Gini means as much as pow:2/pow:1 is
         square = hm.power_generator(2)
         assert hm.canonical(hm.Bajraktarevic(square, hm.IDENTITY)) == hm.Gini(2.0, 1.0)
-        assert hm.canonical(hm.Bajraktarevic(hm.IDENTITY, square)) == hm.Gini(1.0, 2.0)
+        assert hm.canonical(hm.Bajraktarevic(hm.IDENTITY, square)) == hm.Gini(2.0, 1.0)
         dev = hm.Deviation(hm.PairDeviation(square, hm.IDENTITY))
         assert hm.canonical(dev) == hm.Gini(2.0, 1.0)
 
     def test_gauss_recurses(self):
         expr = hm.Gauss((hm.QuasiArithmetic(hm.LOG), hm.Gini(0.5, 0.0)))
-        assert hm.canonical(expr) == hm.Gauss((hm.Power(0.0), hm.Power(0.5)))
+        assert hm.canonical(expr) == hm.Gauss((hm.Gini(0.0, 0.0), hm.Gini(0.5, 0.0)))
 
     def test_swapped_exp_pairs_share_one_node(self):
         # bajrak(f, g) = bajrak(g, f): the normal form puts exp first
@@ -64,7 +70,7 @@ class TestCanonical:
         one = hm.power_generator(0)
         exp_mean = hm.Bajraktarevic(hm.EXP, one)
         assert hm.canonical(exp_mean) == hm.QuasiArithmetic(hm.EXP)
-        assert hm.canonical(hm.Bajraktarevic(hm.LOG, one)) == hm.Power(0.0)
+        assert hm.canonical(hm.Bajraktarevic(hm.LOG, one)) == hm.Gini(0.0, 0.0)
         # the registry answers through the reduction
         assert hm.closed_form_hardy(hm.Bajraktarevic(hm.LOG, one)).value == math.e
         assert hm.closed_form_hardy(hm.Bajraktarevic(hm.IDENTITY, one)).is_hardy is False
@@ -360,6 +366,28 @@ class TestPnSequence:
         assert np.allclose(fast, direct, rtol=1e-12)
 
 
+# every spelling of a power-sum mean, by the canonical node they share:
+# M_p = G(p, 0) = G(0, p), the generator t**p, and t**p over the constant 1;
+# a pair deviation needs f/g = t**p increasing, so p > 0
+POWER_SUM_SPELLINGS = {
+    hm.Gini(float(p), 0.0): [
+        f"power({p})",
+        f"gini({p},0)",
+        f"gini(0,{p})",
+        f"quasi(pow:{p})",
+        f"bajrak(pow:{p},pow:0)",
+        *([f"dev(pair:pow:{p},pow:0)"] if p > 0 else []),
+    ]
+    for p in (-300, -1, 0.5, 2)
+}
+POWER_SUM_SPELLINGS[hm.Gini(-1.0, 0.0)].append("harm")
+POWER_SUM_SPELLINGS |= {
+    hm.Gini(0.0, 0.0): ["power(0)", "geom", "gini(0,0)", "quasi(log)", "bajrak(log,pow:0)"],
+    hm.Gini(1.0, 0.0): ["arith", "power(1)", "quasi(id)", "dev(arith)"],
+    hm.Gini(2.0, 1.0): ["gini(1,2)", "gini(2,1)", "bajrak(pow:2,id)", "bajrak(id,pow:2)"],
+}
+
+
 class TestHardyConstant:
     def test_power_constants_at_desk_scale(self):
         for p in (-2.0, -1.0, -0.5, 0.0):
@@ -376,11 +404,19 @@ class TestHardyConstant:
     @pytest.mark.parametrize(
         "text",
         [
-            "gini(-2,0)",
+            "gini(0,-2)",
             "gini(0,-0.5)",
             "quasi(pow:-300)",
             "bajrak(pow:-300,pow:0)",
             "gauss(gini(0,-2),bajrak(pow:1,pow:-1))",
+            # one spelling of each group in POWER_SUM_SPELLINGS
+            "power(-300)",
+            "harm",
+            "geom",
+            "power(0.5)",
+            "arith",
+            "power(2)",
+            "gini(1,2)",
         ],
     )
     def test_equal_means_give_equal_reports(self, text):
@@ -388,11 +424,16 @@ class TestHardyConstant:
             est = hm.hardy_constant(expr)
             fields = dataclasses.asdict(est)
             pn = fields.pop("pn")
-            return fields, pn["values"].tobytes(), pn["n_max"], pn["max_decrease"]
+            return fields, pn and (pn["values"].tobytes(), pn["n_max"], pn["max_decrease"])
 
         expr = hm.parse_mean_expr(text)
-        assert hm.canonical(expr) != expr
-        assert report(expr) == report(hm.canonical(expr))
+        node = hm.canonical(expr)
+        assert node != expr
+        expected = report(node)
+        for spelling in POWER_SUM_SPELLINGS.get(node, [text]):
+            equal = hm.parse_mean_expr(spelling)
+            assert hm.canonical(equal) == node, spelling
+            assert report(equal) == expected, spelling
 
     def test_certification_note_for_clean_means(self):
         est = hm.hardy_constant(hm.Power(0))
@@ -711,7 +752,7 @@ class TestHardyConstant:
         assert est.method == "homogeneous-limit"
         assert est.estimate < est.reference
         assert est.status == "certified-lower"
-        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
+        monkeypatch.setattr(hm.Gini, "known_properties", lambda self: {})
         undecided = hm.hardy_constant(hm.Power(p), cfg)
         assert undecided.method == "unit-scale-sweep"
         assert undecided.status == "certified-lower"
@@ -813,7 +854,7 @@ class TestHardyConstant:
 
     def test_unit_scale_sweep_is_the_homogeneous_sweep(self, monkeypatch):
         ruled = hm.hardy_constant(hm.Power(0.5))
-        monkeypatch.setattr(hm.Power, "known_properties", lambda self: {})
+        monkeypatch.setattr(hm.Gini, "known_properties", lambda self: {})
         forced = hm.hardy_constant(hm.Power(0.5))
         assert forced.method == "unit-scale-sweep"
         assert forced.estimate == ruled.estimate
