@@ -1,4 +1,4 @@
-"""Array kernels of the Gini, quasi(exp) and Bajraktarevic nodes.
+"""Array kernels of the Gini and Bajraktarevic nodes.
 
 Every kernel works along the last axis of a validated sample array and
 accepts leading batch axes.  It computes running sums over each row and
@@ -17,12 +17,12 @@ log-domain accumulation, and only the prefixes whose sum (or Gini ratio
 of sums) leaves the normal range take ``np.logaddexp.accumulate``
 instead, so no kernel here raises.
 
-Implicit means (Bajraktarevic, the canonical node of most deviation
-means) solve (f/g)(y) = sum f / sum g.  In the node's normal form every
-pair but one shape reduces to another family, so one kernel,
-:func:`bajraktarevic_kernel`, solves the rest, exp over x**q with q < 0,
-in closed form through the Lambert W function, for every selected prefix
-at once.
+Implicit means (Bajraktarevic, the canonical node of quasi-arithmetic
+and most deviation means) solve (f/g)(y) = sum f / sum g.  In the node's
+normal form every pair but exp over x**q, q <= 0, reduces to another
+family; :func:`quasi_exp_kernel` solves it at q = 0, quasi(exp), and
+:func:`bajraktarevic_kernel` in closed form through the Lambert W
+function for q < 0, for every selected prefix at once.
 """
 from __future__ import annotations
 
@@ -91,11 +91,11 @@ def _abnormal(s: np.ndarray) -> np.ndarray:
 
 
 def quasi_exp_kernel(xs: np.ndarray, cols) -> np.ndarray:
-    """Quasi-arithmetic mean of the exp generator, log1p of the plain
-    average of expm1(x_i), which keeps its digits where the average of
-    exp(x_i) is near 1.  It is the only quasi-arithmetic kernel: every
-    other generator's mean is a power mean (``QuasiArithmetic.canonical``).
-    Where that average overflows, the mean is its log,
+    """Quasi-arithmetic mean of the exp generator, the Bajraktarevic
+    mean of exp over the constant 1: log1p of the plain average of
+    expm1(x_i), which keeps its digits where the average of exp(x_i) is
+    near 1.  Every other generator's quasi-arithmetic mean reduces to a
+    Gini mean.  Where that average overflows, the mean is its log,
     ``logaddexp.accumulate(x) - ln k``."""
     k = _counts(xs, cols)
     with np.errstate(over="ignore"):

@@ -44,6 +44,13 @@ def _step(means: tuple, w: np.ndarray, cols) -> np.ndarray:
     return np.stack([m.kernel(w, cols) for m in means], axis=-1)
 
 
+def _midpoint(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """0.5 * (hi + lo), or lo + 0.5 * (hi - lo) where that sum overflows."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (hi + lo)
+    return np.where(np.isinf(mid), lo + 0.5 * (hi - lo), mid)
+
+
 def gauss_kernel(
     means: tuple, xs: np.ndarray, cols, cfg: GaussConfig = GaussConfig()
 ) -> np.ndarray:
@@ -53,7 +60,7 @@ def gauss_kernel(
     lo = np.minimum.accumulate(xs, axis=-1)[..., cols]
     hi = np.maximum.accumulate(xs, axis=-1)[..., cols]
     gap = (hi - lo) / hi
-    out = 0.5 * (hi + lo)
+    out = _midpoint(hi, lo)
     flat = out.reshape(-1)
     rows = np.flatnonzero(~(gap <= cfg.tolerance))
     if rows.size == 0:
@@ -64,7 +71,7 @@ def gauss_kernel(
         hi, lo = reduce(np.maximum, w.T), reduce(np.minimum, w.T)
         gap = (hi - lo) / hi
         done = gap <= cfg.tolerance
-        flat[rows[done]] = 0.5 * (hi[done] + lo[done])
+        flat[rows[done]] = _midpoint(hi[done], lo[done])
         keep = ~done
         rows, w, gap = rows[keep], w[keep], gap[keep]
         if rows.size == 0:

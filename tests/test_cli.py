@@ -78,6 +78,12 @@ class TestEval:
         code, _, _ = run(capsys, ["eval", "power(0)", "1", "--frobnicate"])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["gini(9e307,-9e307)", "bajrak(pow:1e308,pow:-1e308)"])
+    def test_gini_exponents_whose_difference_overflows_are_usage_error(self, capsys, text):
+        code, out, err = run(capsys, ["eval", text, "2", "3", "5"])
+        assert (code, out) == (2, "")
+        assert err.startswith("E_INVALID: Gini exponents ")
+
     def test_subnormal_exponent_is_usage_error(self, capsys):
         code, out, err = run(capsys, ["eval", "power(1e-310)", "1", "2"])
         assert (code, out) == (2, "")
@@ -395,7 +401,7 @@ class TestOtherCommands:
         verdicts = loads(out)["verdicts"]
         violated = {name for name, v in verdicts.items() if not v["holds_on_samples"]}
         if text == "quasi(exp)":
-            known = hm.QuasiArithmetic(hm.EXP).known_properties()
+            known = hm.canonical(hm.QuasiArithmetic(hm.EXP)).known_properties()
             denied = {name for name, value in known.items() if value is not True}
             assert denied == {"homogeneity", "jensen_concavity"}
             assert denied <= violated
@@ -471,6 +477,12 @@ class TestOtherCommands:
         assert code == 0
         payload = loads(out)
         assert f"{payload['value']:.4g}" == "2.318"
+
+    def test_gauss_command_near_the_float_maximum(self, capsys):
+        # the envelope's midpoint, taken where hi + lo overflows
+        code, out, _ = run(capsys, ["gauss", "arith", "geom", "--at", "1.7e308", "1.7e308"])
+        assert code == 0
+        assert loads(out)["value"] == 1.7e308
 
     def test_gauss_command_needs_two_means(self, capsys):
         code, _, _ = run(capsys, ["gauss", "power(0)", "--at", "1", "2"])

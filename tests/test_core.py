@@ -52,6 +52,16 @@ class TestExpressionInvariants:
         with pytest.raises(ValueError, match="subnormal; write 0 instead"):
             hm.parse_mean_expr(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["gini(9e307,-9e307)", "gini(-1e308,1e308)", "bajrak(pow:1e308,pow:-1e308)",
+         "dev(pair:pow:1e308,pow:-1e308)"],
+    )  # fmt: skip
+    def test_gini_exponents_whose_difference_overflows_are_rejected(self, text):
+        # 1/(p - q) would be 0, and the mean 1 or nan
+        with pytest.raises(ValueError, match=r"Gini exponents \S+ and \S+: p - q overflows"):
+            hm.parse_mean_expr(text)
+
     def test_quasi_rejects_constant_generator(self):
         with pytest.raises(ValueError):
             hm.QuasiArithmetic(hm.power_generator(0.0))
@@ -374,7 +384,7 @@ class TestFamilyRules:
     def test_quasi_exp_rules_agree_with_the_probe(self):
         # the wide range passes exp's double range, where the kernel takes logs
         expr = hm.QuasiArithmetic(hm.EXP)
-        assert expr.known_properties()["homogeneity"] is not True
+        assert hm.canonical(expr).known_properties()["homogeneity"] is not True
         self._check_against_probe("quasi(exp)", expr)
 
     @pytest.mark.parametrize("name", ["min", "max"])

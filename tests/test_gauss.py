@@ -92,6 +92,23 @@ class TestGaussProduct:
         value = hm.evaluate(hm.Gauss((hm.MaxOf(), child)), x)
         assert 1.0 <= value <= 1.0 + 3e-13
 
+    @pytest.mark.parametrize(
+        "expr, x",
+        [
+            (hm.Gauss(HG), [1.7e308, 1.7e308]),
+            (hm.Gauss(AG), [1.7e308, 1.6e308]),
+            (hm.Gauss((hm.ARITH, hm.MaxOf())), [1.0, 1e308]),
+        ],
+        ids=["hg-equal-entries", "ag", "arith-max"],
+    )
+    def test_midpoint_near_the_float_maximum_is_finite(self, expr, x):
+        # hi + lo overflows there; hi and lo themselves do not.  Every
+        # product here is homogeneous, so a scaled-down run gives the value
+        value = hm.evaluate(expr, x)
+        assert value == pytest.approx(hm.evaluate(expr, np.divide(x, 1e10)) * 1e10, rel=1e-11)
+        if x[0] == x[1]:
+            assert value == x[0]
+
     def test_config_validation(self):
         for tolerance in (0.0, 1.0, math.inf, math.nan):
             with pytest.raises(ValueError):

@@ -64,12 +64,14 @@ class TestCanonical:
         assert swapped != normal
         assert hm.canonical(swapped) == hm.canonical(normal) == normal
         one_over_exp = hm.parse_mean_expr("bajrak(pow:0,exp)")
-        assert hm.canonical(one_over_exp) == hm.QuasiArithmetic(hm.EXP)
+        assert hm.canonical(one_over_exp) == hm.parse_mean_expr("bajrak(exp,pow:0)")
 
     def test_constant_denominator_gives_quasi_arithmetic(self):
         one = hm.power_generator(0)
         exp_mean = hm.Bajraktarevic(hm.EXP, one)
-        assert hm.canonical(exp_mean) == hm.QuasiArithmetic(hm.EXP)
+        # quasi(exp) is exp over the constant 1, the canonical node
+        assert hm.canonical(hm.QuasiArithmetic(hm.EXP)) == exp_mean
+        assert hm.canonical(exp_mean) is exp_mean
         assert hm.canonical(hm.Bajraktarevic(hm.LOG, one)) == hm.Gini(0.0, 0.0)
         # the registry answers through the reduction
         assert hm.closed_form_hardy(hm.Bajraktarevic(hm.LOG, one)).value == math.e
@@ -112,6 +114,25 @@ class TestCanonical:
                 assert abs(value - exact) <= bound * exact, (expr, x)
                 compared, products = compared + 1, products + gauss
         assert compared >= 1500
+
+    def test_canonical_trees_are_made_of_canonical_nodes(self):
+        # canonical nodes store no reduction, so canonical() returns them
+        # as they are, and every node of the tree is of a canonical class
+        rng = np.random.default_rng(20261)
+        for _ in range(2200):
+            node = hm.canonical(_random_tree(rng))
+            assert node.canonical() is node, node
+            for part in _nodes(node):
+                assert isinstance(part, (hm.Gini, hm.Gauss, hm.MinOf, hm.MaxOf)) or (
+                    isinstance(part, hm.Bajraktarevic) and part.f == hm.EXP and part.g.p <= 0.0
+                ), part
+
+
+def _nodes(node):
+    """The node and every node below it."""
+    yield node
+    for child in getattr(node, "children", ()):
+        yield from _nodes(child)
 
 
 def _evaluated_trees():
@@ -366,10 +387,11 @@ class TestPnSequence:
         assert np.allclose(fast, direct, rtol=1e-12)
 
 
-# every spelling of a power-sum mean, by the canonical node they share:
-# M_p = G(p, 0) = G(0, p), the generator t**p, and t**p over the constant 1;
-# a pair deviation needs f/g = t**p increasing, so p > 0
-POWER_SUM_SPELLINGS = {
+# every spelling of a power-sum or exp mean, by the canonical node they
+# share: M_p = G(p, 0) = G(0, p), the generator t**p, and t**p over the
+# constant 1 (a pair deviation needs f/g = t**p increasing, so p > 0);
+# quasi(exp), exp over the constant 1, and exp over t**q in either order
+SPELLINGS = {
     hm.Gini(float(p), 0.0): [
         f"power({p})",
         f"gini({p},0)",
@@ -380,11 +402,17 @@ POWER_SUM_SPELLINGS = {
     ]
     for p in (-300, -1, 0.5, 2)
 }
-POWER_SUM_SPELLINGS[hm.Gini(-1.0, 0.0)].append("harm")
-POWER_SUM_SPELLINGS |= {
+SPELLINGS[hm.Gini(-1.0, 0.0)].append("harm")
+SPELLINGS |= {
     hm.Gini(0.0, 0.0): ["power(0)", "geom", "gini(0,0)", "quasi(log)", "bajrak(log,pow:0)"],
     hm.Gini(1.0, 0.0): ["arith", "power(1)", "quasi(id)", "dev(arith)"],
     hm.Gini(2.0, 1.0): ["gini(1,2)", "gini(2,1)", "bajrak(pow:2,id)", "bajrak(id,pow:2)"],
+    hm.Bajraktarevic(hm.EXP, hm.power_generator(0)): [
+        "quasi(exp)", "bajrak(exp,pow:0)", "bajrak(pow:0,exp)", "dev(pair:exp,pow:0)"
+    ],
+    hm.Bajraktarevic(hm.EXP, hm.power_generator(-1)): [
+        "bajrak(exp,pow:-1)", "bajrak(pow:-1,exp)", "dev(pair:exp,pow:-1)"
+    ],
 }
 
 
@@ -409,7 +437,7 @@ class TestHardyConstant:
             "quasi(pow:-300)",
             "bajrak(pow:-300,pow:0)",
             "gauss(gini(0,-2),bajrak(pow:1,pow:-1))",
-            # one spelling of each group in POWER_SUM_SPELLINGS
+            # one spelling of each group in SPELLINGS
             "power(-300)",
             "harm",
             "geom",
@@ -417,6 +445,8 @@ class TestHardyConstant:
             "arith",
             "power(2)",
             "gini(1,2)",
+            "quasi(exp)",
+            "bajrak(pow:-1,exp)",
         ],
     )
     def test_equal_means_give_equal_reports(self, text):
@@ -430,7 +460,7 @@ class TestHardyConstant:
         node = hm.canonical(expr)
         assert node != expr
         expected = report(node)
-        for spelling in POWER_SUM_SPELLINGS.get(node, [text]):
+        for spelling in SPELLINGS.get(node, [text]):
             equal = hm.parse_mean_expr(spelling)
             assert hm.canonical(equal) == node, spelling
             assert report(equal) == expected, spelling
@@ -781,7 +811,7 @@ class TestHardyConstant:
     def test_scale_rule_alone_decides_exp_means(self, text, n_max, monkeypatch):
         # with quasi(exp) >= A switched off, the scale rule alone reports
         # the exp means, with a witness of min(n_max, 100) terms
-        monkeypatch.setattr(hm.QuasiArithmetic, "above_arithmetic", lambda self: None)
+        monkeypatch.setattr(hm.Bajraktarevic, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
         assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
         assert (est.status, est.method, est.pn) == ("divergent", "rule", None)
