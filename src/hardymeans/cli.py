@@ -273,13 +273,17 @@ def run_command(argv: list[str]) -> int:
         return int(code) if code is not None else 0
     try:
         fields = _HANDLERS[args.command](args)
+        seed = getattr(args, "seed", None)
+        payload = {"command": list(argv), "version": __version__, "seed": seed, **fields}
+        try:
+            report = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError as exc:  # nan or infinity, which JSON cannot hold
+            raise MeanComputationError(f"the report holds a non-finite number: {exc}") from None
     except tuple(error for error, _, _ in _ERRORS) as exc:
         prefix, code = next((p, c) for error, p, c in _ERRORS if isinstance(exc, error))
         sys.stderr.write(f"{prefix}: {exc}\n")
         return code
-    seed = getattr(args, "seed", None)
-    payload = {"command": list(argv), "version": __version__, "seed": seed, **fields}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(report + "\n")
     return 0
 
 

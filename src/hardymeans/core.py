@@ -226,6 +226,12 @@ def _require_exponent(name: str, value: float) -> None:
         raise ValueError(f"{name} {value!r} is subnormal; write 0 instead")
 
 
+def _require_moderate(name: str, value: float) -> None:
+    # log-domain power sums take p ln x, |ln x| < 745: two such terms stay finite
+    if abs(value) > 1e305:
+        raise ValueError(f"{name} {value!r} exceeds 1e305, where exponent * ln x overflows")
+
+
 def _gini_constant(p: float, q: float) -> float:
     """((1-q)/(1-p))^(1/(p-q)), p != q; log1p keeps the digits that 1 - p
     and 1 - q lose near 0."""
@@ -361,6 +367,8 @@ class Gini(MeanExpr):
         # the kernel's 1/(p-q) would be 0, and its mean 1 or nan
         if not math.isfinite(self.p - self.q):
             raise ValueError(f"Gini exponents {self.p!r} and {self.q!r}: p - q overflows")
+        _require_moderate("Gini exponent p", self.p)
+        _require_moderate("Gini exponent q", self.q)
         # a zero exponent last, else the larger exponent first: the mean
         # is symmetric in them, so equal means share one node
         if self.q != 0.0 and (self.p == 0.0 or self.q > self.p):
@@ -454,6 +462,7 @@ class Bajraktarevic(MeanExpr):
             self._reduce_to(Gini(0.0, 0.0))
         elif f != self.f:
             self._reduce_to(Bajraktarevic(f, g))
+        _require_moderate("Bajraktarevic exponent q", q)  # exp over t**q takes q ln x
 
     @property
     def _c(self) -> float:

@@ -32,6 +32,7 @@ from .core import (
     Bajraktarevic,
     Deviation,
     DeviationSpec,
+    LAST_PREFIX,
     Generator,
     Gini,
     Power,
@@ -65,6 +66,19 @@ def _counts(xs: np.ndarray, cols) -> np.ndarray:
     return np.arange(1.0, xs.shape[-1] + 1.0)[cols]
 
 
+def _prefix_sums(terms: np.ndarray, cols) -> np.ndarray:
+    """Running sums of terms along the last axis, at the prefixes ``cols``.
+    The last prefix alone of a 2- to 4-entry row (a Gauss iterate) is the
+    left fold of its columns: cumsum's order and bits, without its loop per row."""
+    n = terms.shape[-1]
+    if cols == LAST_PREFIX and 1 < n <= 4:
+        s = terms[..., :1]
+        for j in range(1, n):
+            s = s + terms[..., j : j + 1]
+        return s
+    return terms.cumsum(axis=-1)[..., cols]
+
+
 def _running_power_sum(xs: np.ndarray, p: float, cols) -> tuple[np.ndarray, float, float]:
     """Plain running sums of x**p at the prefixes ``cols``, with a lower
     and an upper bound of them: running sums of positive terms rise along
@@ -73,8 +87,10 @@ def _running_power_sum(xs: np.ndarray, p: float, cols) -> tuple[np.ndarray, floa
     if p == 0.0:
         s = _counts(xs, cols)
         return s, 1.0, float(s[-1])
-    s = (xs**p).cumsum(axis=-1)[..., cols]
-    return s, float(s[..., 0].min()), float(s[..., -1].max())
+    s = _prefix_sums(xs**p, cols)
+    # the ufuncs' own reductions, without the array methods' Python layer
+    lo, hi = np.minimum.reduce(s[..., 0], axis=None), np.maximum.reduce(s[..., -1], axis=None)
+    return s, float(lo), float(hi)
 
 
 def _log_power_sum(logx: np.ndarray, p: float, cols) -> np.ndarray:
@@ -99,7 +115,7 @@ def quasi_exp_kernel(xs: np.ndarray, cols) -> np.ndarray:
     ``logaddexp.accumulate(x) - ln k``."""
     k = _counts(xs, cols)
     with np.errstate(over="ignore"):
-        out = np.log1p(np.cumsum(np.expm1(xs), axis=-1)[..., cols] / k)
+        out = np.log1p(_prefix_sums(np.expm1(xs), cols) / k)
     if not np.isfinite(out).all():
         log_mean = np.logaddexp.accumulate(xs, axis=-1)[..., cols] - np.log(k)
         out = np.where(np.isfinite(out), out, log_mean)
@@ -124,7 +140,7 @@ def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
             # E, or at d = 0 ln x itself: the plain sums need no shift there
             terms = logx if d == 0.0 else np.expm1(d * (logx - c)) / d
             s, lo, hi = _running_power_sum(xs, q, cols)
-            num = (terms if q == 0.0 else xs**q * terms).cumsum(axis=-1)[..., cols]
+            num = _prefix_sums(terms if q == 0.0 else xs**q * terms, cols)
             out = np.exp(num / s) if d == 0.0 else np.exp(c + np.log1p(d * (num / s)) / d)
         finite = np.isfinite(num)
         if not (_TINY <= lo and hi <= _HUGE and finite.all()):
@@ -178,8 +194,8 @@ def bajraktarevic_kernel(c: float, xs: np.ndarray, cols) -> np.ndarray:
     prefix.
     """
     with np.errstate(all="ignore"):
-        sf = np.exp(xs).cumsum(axis=-1)[..., cols]
-        sg = (xs**-c).cumsum(axis=-1)[..., cols]
+        sf = _prefix_sums(np.exp(xs), cols)
+        sg = _prefix_sums(xs**-c, cols)
         log_t = np.log(sf) - np.log(sg)
     abnormal = _abnormal(sf) | _abnormal(sg)
     if abnormal.any():

@@ -23,6 +23,7 @@ import numpy as np
 from .core import LAST_PREFIX, Gauss, MeanExpr, NonConvergenceError, as_samples
 
 __all__ = ["GaussConfig", "gauss_kernel", "gauss_step", "gauss_product"]
+_HALF_HUGE = float(np.finfo(float).max) / 2  # no hi + lo overflows below it
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,13 @@ class GaussConfig:
 
 def _step(means: tuple, w: np.ndarray, cols) -> np.ndarray:
     """Every child's kernel on w at the prefixes cols, along a new last axis."""
-    return np.stack([m.kernel(w, cols) for m in means], axis=-1)
+    return np.concatenate([m.kernel(w, cols)[..., None] for m in means], axis=-1)
 
 
 def _midpoint(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """0.5 * (hi + lo), or lo + 0.5 * (hi - lo) where that sum overflows."""
+    if np.maximum.reduce(hi, axis=None) <= _HALF_HUGE:
+        return 0.5 * (hi + lo)
     with np.errstate(over="ignore"):
         mid = 0.5 * (hi + lo)
     return np.where(np.isinf(mid), lo + 0.5 * (hi - lo), mid)
@@ -59,42 +62,43 @@ def gauss_kernel(
     sample array; see :func:`gauss_product` for the stopping rule."""
     lo = np.minimum.accumulate(xs, axis=-1)[..., cols]
     hi = np.maximum.accumulate(xs, axis=-1)[..., cols]
-    gap = (hi - lo) / hi
     out = _midpoint(hi, lo)
     flat = out.reshape(-1)
-    rows = np.flatnonzero(~(gap <= cfg.tolerance))
+    rows = np.flatnonzero(~((hi - lo) / hi <= cfg.tolerance))
     if rows.size == 0:
         return out
+    # the iterate w, and its columns: each child's (rows, 1) values
     w = _step(means, xs, cols).reshape(-1, len(means))[rows]
+    outs = list(w.T[..., None])
+    seen = np.full(rows.size, np.nan)  # no width compares >= nan: no stall at the first check
     for iteration in range(1, cfg.max_iterations + 1):
-        # elementwise over the k columns; a short-axis reduction runs row by row
-        hi, lo = reduce(np.maximum, w.T), reduce(np.minimum, w.T)
+        hi, lo = reduce(np.maximum, outs)[:, 0], reduce(np.minimum, outs)[:, 0]
         gap = (hi - lo) / hi
-        done = gap <= cfg.tolerance
-        flat[rows[done]] = _midpoint(hi[done], lo[done])
-        keep = ~done
-        rows, w, gap = rows[keep], w[keep], gap[keep]
-        if rows.size == 0:
-            return out
+        # some row is done; fmin skips nan gaps, which never converge
+        if np.fmin.reduce(gap) <= cfg.tolerance:
+            done = gap <= cfg.tolerance
+            flat[rows[done]] = _midpoint(hi[done], lo[done])
+            keep = ~done
+            rows, w, gap, hi, lo, seen = (a[keep] for a in (rows, w, gap, hi, lo, seen))
+            if rows.size == 0:
+                return out
         if iteration == cfg.max_iterations:
             break
         # every fourth step: envelopes of means are nested, so a row whose
         # log-envelope width has shrunk by less than a relative 2^-20 since
         # the last check has stalled (the log width, as the gap rounds to 1
         # while the ends are orders of magnitude apart; log(max) - log(min)
-        # where max / min overflows)
+        # where max / min overflows); seen holds the live rows' last widths
         if iteration % 4 == 1:
-            hi, lo = hi[keep], lo[keep]
             with np.errstate(over="ignore"):
                 width = np.log(hi / lo)
             wide = np.isinf(width)
             width[wide] = np.log(hi[wide]) - np.log(lo[wide])
-            if iteration > 1:
-                at = np.searchsorted(seen_rows, rows)
-                if np.any(width >= seen_width[at] * (1.0 - 2.0**-20)):
-                    break
-            seen_rows, seen_width = rows, width
-        w = _step(means, w, LAST_PREFIX)[:, 0]
+            if (width >= seen * (1.0 - 2.0**-20)).any():
+                break
+            seen = width
+        outs = [m.kernel(w, LAST_PREFIX) for m in means]
+        w = np.concatenate(outs, axis=1)
     raise NonConvergenceError(
         "Gaussian product did not converge",
         iterations=iteration,

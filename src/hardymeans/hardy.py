@@ -324,9 +324,8 @@ def hardy_ratio(expr: MeanExpr, x) -> float | np.ndarray:
     if xs.ndim == 1:
         return math.fsum(means) / math.fsum(xs)
     n = xs.shape[-1]
-    num = np.array(list(map(math.fsum, means.reshape(-1, n).tolist())))
-    den = np.array(list(map(math.fsum, xs.reshape(-1, n).tolist())))
-    return (num / den).reshape(xs.shape[:-1])
+    rows = zip(means.reshape(-1, n).tolist(), xs.reshape(-1, n).tolist())
+    return np.array([math.fsum(m) / math.fsum(r) for m, r in rows]).reshape(xs.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -375,8 +374,8 @@ def _search_starts(n: int, cfg: SearchConfig, rng: np.random.Generator) -> list[
 def _softmax_points(z: np.ndarray) -> np.ndarray:
     """Simplex point of every row of z, floored so coordinates can decay
     to ~1e-300 but never to 0."""
-    w = np.exp(z - z.max(axis=-1, keepdims=True))
-    return np.maximum(w / w.sum(axis=-1, keepdims=True), 1e-300)
+    w = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return np.maximum(w / np.add.reduce(w, axis=-1, keepdims=True), 1e-300)
 
 
 def _negated_ratios(expr: MeanExpr, z: np.ndarray) -> np.ndarray:

@@ -19,6 +19,12 @@ class _BudgetSpent(Exception):
     """A Nelder-Mead lane asked for an evaluation past its budget."""
 
 
+def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The simplex and its scores in SciPy's order, best first."""
+    ind = fsim.argsort()
+    return sim.take(ind, 0), fsim[ind]
+
+
 def nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     """Nelder-Mead (1965) with the adaptive parameters of Gao & Han
     (2012, Comput. Optim. Appl. 51:259-277), as a coroutine.
@@ -53,15 +59,10 @@ def nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     along_xbar = np.array([[1 + rho], [1 + rho * chi], [1 + psi * rho], [1 - psi]])
     along_worst = np.array([[-rho], [-rho * chi], [-psi * rho], [psi]])
 
-    sim = np.empty((N + 1, N), dtype=float)
-    sim[0] = x0
+    # x0, and x0 with one coordinate scaled by 1 + nonzdelt, or zdelt if 0
+    sim = np.tile(x0, (N + 1, 1))
     for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
+        sim[k + 1, k] = (1 + nonzdelt) * x0[k] if x0[k] != 0 else zdelt
     fsim = np.full((N + 1,), np.inf, dtype=float)
     fcalls = 0
 
@@ -86,68 +87,49 @@ def nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
         yield from func(sim, fsim)
     except _BudgetSpent:
         pass
-    finally:
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    # sorted a second time, as in SciPy: argsort is not stable, so the
-    # second pass may reorder tied vertices
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+    # sorted twice, as in SciPy: argsort is not stable, so the second pass
+    # may reorder tied vertices
+    sim, fsim = _sorted(*_sorted(sim, fsim))
 
     iterations = 1
     while fcalls < maxfev and iterations < maxfev:
         try:
-            with np.errstate(invalid="ignore"):  # inf - inf: not converged
-                converged = (
-                    np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-                )
-            if converged:
-                break
+            # SciPy's stopping test on Python floats.  fsim is sorted, nan last, so
+            # max |fsim[0] - v| is f[-1] - f[0]; inf - inf is nan, which fails it
+            f = fsim.tolist()
+            if f[-1] - f[0] <= fatol:
+                x = sim.tolist()
+                if all(abs(a - b) <= xatol for row in x[1:] for a, b in zip(row, x[0])):
+                    break
             xbar = np.add.reduce(sim[:-1], 0) / N
-            xr, xe, xc, xcc = candidates = along_xbar * xbar + along_worst * sim[-1]
-            fxr, fxe, fxc, fxcc = yield candidates
+            candidates = along_xbar * xbar + along_worst * sim[-1]
+            # reflection, expansion, outside and inside contraction
+            fxr, fxe, fxc, fxcc = values = yield candidates
             spend()
-            doshrink = 0
-            if fxr < fsim[0]:
+            pick = None  # the candidate that replaces the worst vertex
+            if fxr < f[0]:
                 spend()
-                if fxe < fxr:
-                    sim[-1] = xe
-                    fsim[-1] = fxe
-                else:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-            elif fxr < fsim[-2]:
-                sim[-1] = xr
-                fsim[-1] = fxr
+                pick = 1 if fxe < fxr else 0
+            elif fxr < f[-2]:
+                pick = 0
             else:
                 spend()
-                if fxr < fsim[-1]:
-                    if fxc <= fxr:
-                        sim[-1] = xc
-                        fsim[-1] = fxc
-                    else:
-                        doshrink = 1
+                if fxr < f[-1]:
+                    pick = 2 if fxc <= fxr else None
                 else:
-                    if fxcc < fsim[-1]:
-                        sim[-1] = xcc
-                        fsim[-1] = fxcc
-                    else:
-                        doshrink = 1
-                if doshrink:
-                    # each vertex moves just before it is scored, so the
-                    # one refused for lack of budget has moved, unscored
+                    pick = 3 if fxcc < f[-1] else None
+                if pick is None:
+                    # shrink.  Each vertex moves just before it is scored,
+                    # so the one refused for lack of budget has moved, unscored
                     m = min(N, maxfev - fcalls + 1)
                     sim[1 : m + 1] = sim[0] + sigma * (sim[1 : m + 1] - sim[0])
                     yield from func(sim[1 : m + 1], fsim[1:])
+            if pick is not None:
+                sim[-1], fsim[-1] = candidates[pick], values[pick]
             iterations += 1
         except _BudgetSpent:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _sorted(sim, fsim)
     return sim[0], np.min(fsim), fcalls
 
 
@@ -178,7 +160,8 @@ def minimize_lockstep(score, starts, maxfev: int, xatol: float, fatol: float) ->
     while pending:
         asked = list(pending.items())
         pending.clear()
-        values = score(np.concatenate([points for _, points in asked]))
+        # Python floats: the lanes compare them one at a time
+        values = score(np.concatenate([points for _, points in asked])).tolist()
         stop = 0
         for i, points in asked:
             advance(i, values[stop : stop + len(points)])

@@ -38,6 +38,13 @@ IMPLICIT = {
 }
 
 
+# a stack whose rows near the largest double overflow hi + lo, beside
+# ordinary and tiny rows
+MIXED_NEAR_FLOAT_MAX = (
+    [[1.7e308, 1.6e308], [1.0, 2.0], [1.7e308, 1.7e308], [0.5, 4.0], [1e308, 1.0], [1e-300, 1e-299]]
+)
+
+
 def sweep_as(values):
     """A stand-in for ``hardy.prefix_means`` whose p_n = n * M are
     ``values(n_max)``."""

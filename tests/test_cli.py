@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hardymeans as hm
-from hardymeans import hardy
+from hardymeans import cli, hardy
 from hardymeans.cli import run_command
 from conftest import lambert_w_mean, sweep_as
 
@@ -83,6 +83,13 @@ class TestEval:
         code, out, err = run(capsys, ["eval", text, "2", "3", "5"])
         assert (code, out) == (2, "")
         assert err.startswith("E_INVALID: Gini exponents ")
+
+    @pytest.mark.parametrize("text", ["power(1e307)", "gini(1e306,-1e306)", "power(-1e307)"])
+    def test_exponent_whose_log_domain_terms_overflow_is_usage_error(self, capsys, text):
+        # p * ln x overflows there; the mean printed Infinity, which is not JSON
+        code, out, err = run(capsys, ["eval", text, "1e300", "2e300"])
+        assert (code, out) == (2, "")
+        assert err.startswith("E_INVALID: ") and "exceeds 1e305, where exponent * ln x" in err
 
     def test_subnormal_exponent_is_usage_error(self, capsys):
         code, out, err = run(capsys, ["eval", "power(1e-310)", "1", "2"])
@@ -538,6 +545,14 @@ class TestEnvelope:
         assert payload["command"] == argv
         assert payload["version"] == hm.__version__
         assert payload["seed"] == seed
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_is_a_computation_error(self, capsys, monkeypatch, value):
+        # the one writer refuses a report that would not be JSON
+        monkeypatch.setattr(cli, "evaluate", lambda expr, xs: value)
+        code, out, err = run(capsys, ["eval", "power(0)", "2", "8"])
+        assert (code, out) == (1, "")
+        assert err.startswith("E_COMPUTE: the report holds a non-finite number")
 
     def test_hardy_help_still_names_the_seed_flag(self, capsys):
         code, out, _ = run(capsys, ["hardy", "--help"])

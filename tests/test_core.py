@@ -62,6 +62,26 @@ class TestExpressionInvariants:
         with pytest.raises(ValueError, match=r"Gini exponents \S+ and \S+: p - q overflows"):
             hm.parse_mean_expr(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["power(1e307)", "gini(1e306,-1e306)", "power(-1e307)", "quasi(pow:-2e305)",
+         "bajrak(exp,pow:-1e307)", "bajrak(pow:-1e306,exp)"],
+    )  # fmt: skip
+    def test_exponent_past_1e305_is_rejected_when_built(self, text):
+        # the log-domain power sums take exponent * ln x, which overflows there
+        with pytest.raises(ValueError, match=r"exceeds 1e305, where exponent \* ln x overflows"):
+            hm.parse_mean_expr(text)
+
+    @pytest.mark.parametrize(
+        "text", ["power(1e305)", "power(-1e305)", "gini(1e305,-1e305)", "bajrak(exp,pow:-1e305)"]
+    )
+    def test_exponent_at_1e305_evaluates_at_the_range_ends(self, text):
+        # finite and without a warning; the log-domain sums round by about
+        # eps * |p ln x| / |p - q| there
+        expr = hm.parse_mean_expr(text)
+        for x in ([1e300, 2e300], [5e-324, 1.7e308], [5e-324, 1e-300]):
+            assert min(x) * (1 - 1e-12) <= hm.evaluate(expr, x) <= max(x) * (1 + 1e-12), x
+
     def test_quasi_rejects_constant_generator(self):
         with pytest.raises(ValueError):
             hm.QuasiArithmetic(hm.power_generator(0.0))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import hardymeans as hm
-from conftest import log_uniform
+from hardymeans.core import LAST_PREFIX
+from hardymeans.gauss import gauss_kernel
+from conftest import MIXED_NEAR_FLOAT_MAX, log_uniform
 
 AG = (hm.Power(1.0), hm.Power(0.0))
 HG = (hm.Power(-1.0), hm.Power(0.0))
@@ -108,6 +110,30 @@ class TestGaussProduct:
         assert value == pytest.approx(hm.evaluate(expr, np.divide(x, 1e10)) * 1e10, rel=1e-11)
         if x[0] == x[1]:
             assert value == x[0]
+
+    def test_first_check_only_records_the_widths(self):
+        # a child value of inf gives an infinite log width at the first
+        # check, which is no stall: the product runs on to its step limit
+        class Infinite:
+            def kernel(self, xs, cols):
+                return np.full(np.shape(xs[..., cols]), np.inf)
+
+        with np.errstate(all="ignore"), pytest.raises(hm.NonConvergenceError) as info:
+            gauss_kernel((hm.MaxOf(), Infinite()), np.array([1.0, 2.0]), LAST_PREFIX,
+                         hm.GaussConfig(max_iterations=10))  # fmt: skip
+        assert info.value.iterations == 10
+
+    @pytest.mark.parametrize("cols", [slice(None), LAST_PREFIX], ids=["prefixes", "last"])
+    @pytest.mark.parametrize("means", [AG, (hm.ARITH, hm.MaxOf())], ids=["ag", "arith-max"])
+    def test_mixed_stack_near_the_float_maximum_is_finite(self, means, cols):
+        # rows whose hi + lo overflows beside ordinary ones: every midpoint
+        # is finite and the one its row gets alone (the bits are pinned in
+        # test_pinned_bits)
+        children = hm.Gauss(means).canonical().children
+        out = gauss_kernel(children, np.array(MIXED_NEAR_FLOAT_MAX), cols)
+        assert np.isfinite(out).all()
+        for row, value in zip(MIXED_NEAR_FLOAT_MAX, out):
+            assert np.array_equal(value, gauss_kernel(children, np.array(row), cols)), row
 
     def test_config_validation(self):
         for tolerance in (0.0, 1.0, math.inf, math.nan):
