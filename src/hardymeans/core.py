@@ -306,6 +306,13 @@ class MeanExpr:
         tends to n/H_n, and C >= n/H_n for every n."""
         return None
 
+    def column_step(self, lo: float, hi: float, k: int):
+        """A function of the k columns of a Gaussian product's iterate,
+        entries in [lo, hi], that returns each row's mean, bit for bit
+        :meth:`kernel` on the stacked columns, which this default runs;
+        None where the node's rounding may leave [lo, hi] by far more."""
+        return lambda w: self.kernel(np.stack(w, axis=-1), LAST_PREFIX)[:, 0]
+
 
 # the gate properties other than Jensen concavity, which each family's
 # rules start from as holding
@@ -376,6 +383,9 @@ class Gini(MeanExpr):
 
     def kernel(self, xs, cols):
         return families.gini_kernel(self.p, self.q, xs, cols)
+
+    def column_step(self, lo, hi, k):
+        return families.gini_columns(self.p, self.q, lo, hi, k)
 
     @property
     def _summable(self) -> bool:

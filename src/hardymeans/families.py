@@ -26,13 +26,15 @@ function for q < 0, for every selected prefix at once.
 """
 from __future__ import annotations
 
+import math
+from functools import reduce
+
 import numpy as np
 
 from .core import (
     Bajraktarevic,
     Deviation,
     DeviationSpec,
-    LAST_PREFIX,
     Generator,
     Gini,
     Power,
@@ -59,24 +61,13 @@ _SHIFTED_BAND = 0.125
 
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
+# the normal range of a log, less a margin of 1 for the rounding of a bound
+_LN_RANGE = (math.log(_TINY) + 1.0, math.log(_HUGE) - 1.0)
 
 
 def _counts(xs: np.ndarray, cols) -> np.ndarray:
     """The prefix lengths 1, 2, ..., n along the last axis, at ``cols``."""
     return np.arange(1.0, xs.shape[-1] + 1.0)[cols]
-
-
-def _prefix_sums(terms: np.ndarray, cols) -> np.ndarray:
-    """Running sums of terms along the last axis, at the prefixes ``cols``.
-    The last prefix alone of a 2- to 4-entry row (a Gauss iterate) is the
-    left fold of its columns: cumsum's order and bits, without its loop per row."""
-    n = terms.shape[-1]
-    if cols == LAST_PREFIX and 1 < n <= 4:
-        s = terms[..., :1]
-        for j in range(1, n):
-            s = s + terms[..., j : j + 1]
-        return s
-    return terms.cumsum(axis=-1)[..., cols]
 
 
 def _running_power_sum(xs: np.ndarray, p: float, cols) -> tuple[np.ndarray, float, float]:
@@ -87,7 +78,7 @@ def _running_power_sum(xs: np.ndarray, p: float, cols) -> tuple[np.ndarray, floa
     if p == 0.0:
         s = _counts(xs, cols)
         return s, 1.0, float(s[-1])
-    s = _prefix_sums(xs**p, cols)
+    s = (xs**p).cumsum(axis=-1)[..., cols]
     # the ufuncs' own reductions, without the array methods' Python layer
     lo, hi = np.minimum.reduce(s[..., 0], axis=None), np.maximum.reduce(s[..., -1], axis=None)
     return s, float(lo), float(hi)
@@ -115,7 +106,7 @@ def quasi_exp_kernel(xs: np.ndarray, cols) -> np.ndarray:
     ``logaddexp.accumulate(x) - ln k``."""
     k = _counts(xs, cols)
     with np.errstate(over="ignore"):
-        out = np.log1p(_prefix_sums(np.expm1(xs), cols) / k)
+        out = np.log1p(np.expm1(xs).cumsum(axis=-1)[..., cols] / k)
     if not np.isfinite(out).all():
         log_mean = np.logaddexp.accumulate(xs, axis=-1)[..., cols] - np.log(k)
         out = np.where(np.isfinite(out), out, log_mean)
@@ -140,7 +131,7 @@ def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
             # E, or at d = 0 ln x itself: the plain sums need no shift there
             terms = logx if d == 0.0 else np.expm1(d * (logx - c)) / d
             s, lo, hi = _running_power_sum(xs, q, cols)
-            num = _prefix_sums(terms if q == 0.0 else xs**q * terms, cols)
+            num = (terms if q == 0.0 else xs**q * terms).cumsum(axis=-1)[..., cols]
             out = np.exp(num / s) if d == 0.0 else np.exp(c + np.log1p(d * (num / s)) / d)
         finite = np.isfinite(num)
         if not (_TINY <= lo and hi <= _HUGE and finite.all()):
@@ -171,6 +162,41 @@ def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
     return out
 
 
+def gini_columns(p: float, q: float, lo: float, hi: float, k: int):
+    """:func:`gini_kernel`'s plain path on the k columns of a Gauss
+    iterate: its ufunc calls in its order, each running sum the left fold
+    of the columns (cumsum's order), so its bits.  None unless on [lo, hi]
+    the power sums and their ratio, or the shifted form's weighted sum,
+    stay normal: else the kernel may take a log, which errs up to 9e-7."""
+    if not lo > 0.0:
+        return None
+    if shifted := abs(p - q) < _SHIFTED_BAND:
+        p, q = max(p, q), min(p, q)
+    d, ln_lo, ln_hi, ln_k = p - q, math.log(lo), math.log(hi), math.log(k)
+    (ap, bp), (aq, bq) = (sorted((e * ln_lo, e * ln_hi)) for e in (p, q))
+    # logs of the terms, and of the sums and ratios over k, which take ln k
+    # off the range; E is at most w e**(d w), w = ln(hi / lo), or |ln x| at d = 0
+    spread = ln_hi - ln_lo if d else max(-ln_lo, ln_hi)
+    logs = (ap, bp, aq, bq, ap - bq, bp - aq)
+    if shifted:
+        logs = (aq, bq + math.log1p(spread) + d * spread)
+    if not (_LN_RANGE[0] + ln_k < min(logs) and max(logs) < _LN_RANGE[1] - ln_k):
+        return None
+
+    def step(w: list) -> np.ndarray:
+        wq = [x**q for x in w] if q else None
+        s = reduce(np.add, wq) if q else k
+        if not shifted:
+            return (reduce(np.add, [x**p for x in w]) / s) ** (1.0 / d)
+        logx = [np.log(x) for x in w]
+        c = reduce(np.minimum, logx) if d else None
+        terms = [np.expm1(d * (lx - c)) / d for lx in logx] if d else logx
+        num = reduce(np.add, terms if q == 0.0 else map(np.multiply, wq, terms))
+        return np.exp(c + np.log1p(d * (num / s)) / d) if d else np.exp(num / s)
+
+    return step
+
+
 # Newton steps on e**v + v = u from the start below: on 40,002 points u
 # log-spaced in +-[1e-300, 1e300], 5 leave up to 1.1e-13 in v, and 6 are
 # within an ulp of 40 steps
@@ -194,8 +220,8 @@ def bajraktarevic_kernel(c: float, xs: np.ndarray, cols) -> np.ndarray:
     prefix.
     """
     with np.errstate(all="ignore"):
-        sf = _prefix_sums(np.exp(xs), cols)
-        sg = _prefix_sums(xs**-c, cols)
+        sf = np.exp(xs).cumsum(axis=-1)[..., cols]
+        sg = (xs**-c).cumsum(axis=-1)[..., cols]
         log_t = np.log(sf) - np.log(sg)
     abnormal = _abnormal(sf) | _abnormal(sg)
     if abnormal.any():

@@ -9,8 +9,13 @@ downstream estimates must never ingest an unconverged product.
 
 The kernel runs many products at once: the first step applies the
 children's kernels to the selected prefixes of every row of the input,
-and the later steps iterate the matrix of k-vectors together, dropping
-each row as it converges.
+and the later steps iterate the children's values as k column vectors,
+dropping each row as it converges.  A range proof runs once per call:
+each later entry is a mean of earlier ones, so it stays in the envelope
+[L, H] of the first step's values, widened by 2^-40 relative rounding a
+step for every step allowed.  Each child's ``column_step`` runs its plain
+arithmetic there, bit for bit its kernel's, where it can bound its
+rounding; if one cannot, every child runs its kernel on the columns.
 """
 from __future__ import annotations
 
@@ -23,7 +28,8 @@ import numpy as np
 from .core import LAST_PREFIX, Gauss, MeanExpr, NonConvergenceError, as_samples
 
 __all__ = ["GaussConfig", "gauss_kernel", "gauss_step", "gauss_product"]
-_HALF_HUGE = float(np.finfo(float).max) / 2  # no hi + lo overflows below it
+_HUGE = float(np.finfo(float).max)
+_HALF_HUGE = _HUGE / 2  # no hi + lo overflows below it
 
 
 @dataclass(frozen=True)
@@ -38,11 +44,6 @@ class GaussConfig:
             raise ValueError("tolerance must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-
-
-def _step(means: tuple, w: np.ndarray, cols) -> np.ndarray:
-    """Every child's kernel on w at the prefixes cols, along a new last axis."""
-    return np.concatenate([m.kernel(w, cols)[..., None] for m in means], axis=-1)
 
 
 def _midpoint(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -67,19 +68,27 @@ def gauss_kernel(
     rows = np.flatnonzero(~((hi - lo) / hi <= cfg.tolerance))
     if rows.size == 0:
         return out
-    # the iterate w, and its columns: each child's (rows, 1) values
-    w = _step(means, xs, cols).reshape(-1, len(means))[rows]
-    outs = list(w.T[..., None])
+    # the iterate w: its k columns, each child's values on the live rows
+    w = [m.kernel(xs, cols).reshape(-1)[rows] for m in means]
+    hi, lo = reduce(np.maximum, w), reduce(np.minimum, w)
+    top, bottom = float(np.maximum.reduce(hi)), float(np.minimum.reduce(lo))
+    if not top < np.inf:  # nor nan: neither ever converges
+        raise NonConvergenceError("Gaussian product left the float range", iterations=1, gap=np.nan)
+    slack = 1.0 + (cfg.max_iterations + 1) * 2.0**-40
+    env = (bottom / slack, top * slack, len(means))
+    steps = [m.column_step(*env) for m in means]
+    if not (bounded := None not in steps):
+        steps = [MeanExpr.column_step(m, *env) for m in means]
+    plain_width = bounded and env[1] < _HUGE * env[0]
     seen = np.full(rows.size, np.nan)  # no width compares >= nan: no stall at the first check
     for iteration in range(1, cfg.max_iterations + 1):
-        hi, lo = reduce(np.maximum, outs)[:, 0], reduce(np.minimum, outs)[:, 0]
         gap = (hi - lo) / hi
         # some row is done; fmin skips nan gaps, which never converge
         if np.fmin.reduce(gap) <= cfg.tolerance:
             done = gap <= cfg.tolerance
             flat[rows[done]] = _midpoint(hi[done], lo[done])
             keep = ~done
-            rows, w, gap, hi, lo, seen = (a[keep] for a in (rows, w, gap, hi, lo, seen))
+            rows, gap, hi, lo, seen, *w = (a[keep] for a in (rows, gap, hi, lo, seen, *w))
             if rows.size == 0:
                 return out
         if iteration == cfg.max_iterations:
@@ -88,17 +97,21 @@ def gauss_kernel(
         # log-envelope width has shrunk by less than a relative 2^-20 since
         # the last check has stalled (the log width, as the gap rounds to 1
         # while the ends are orders of magnitude apart; log(max) - log(min)
-        # where max / min overflows); seen holds the live rows' last widths
+        # where max / min overflows, which a bounded envelope rules out);
+        # seen holds the live rows' last widths
         if iteration % 4 == 1:
-            with np.errstate(over="ignore"):
+            if plain_width:
                 width = np.log(hi / lo)
-            wide = np.isinf(width)
-            width[wide] = np.log(hi[wide]) - np.log(lo[wide])
+            else:
+                with np.errstate(over="ignore"):
+                    width = np.log(hi / lo)
+                wide = np.isinf(width)
+                width[wide] = np.log(hi[wide]) - np.log(lo[wide])
             if (width >= seen * (1.0 - 2.0**-20)).any():
                 break
             seen = width
-        outs = [m.kernel(w, LAST_PREFIX) for m in means]
-        w = np.concatenate(outs, axis=1)
+        w = [step(w) for step in steps]
+        hi, lo = reduce(np.maximum, w), reduce(np.minimum, w)
     raise NonConvergenceError(
         "Gaussian product did not converge",
         iterations=iteration,
@@ -108,7 +121,8 @@ def gauss_kernel(
 
 def gauss_step(means: Sequence[MeanExpr], v) -> np.ndarray:
     """One simultaneous step: component i is means[i] evaluated on v."""
-    return _step(Gauss(means).canonical().children, as_samples(v), LAST_PREFIX)[0]
+    xs = as_samples(v)
+    return np.concatenate([m.kernel(xs, LAST_PREFIX) for m in Gauss(means).canonical().children])
 
 
 def gauss_product(
@@ -119,8 +133,9 @@ def gauss_product(
     Stops when (max - min) / max of the iterate falls below
     cfg.tolerance and returns the midpoint of the final envelope.
     Raises NonConvergenceError (with the gap and the iterations run)
-    after cfg.max_iterations, or on a stall: every fourth step, from the
-    fifth on, it checks each row's log-envelope width log(max / min) and
+    after cfg.max_iterations, on a first step that leaves the float
+    range (gap nan), or on a stall: every fourth step, from the fifth
+    on, it checks each row's log-envelope width log(max / min) and
     stops when some row's width has shrunk by less than a relative 2^-20
     since the last check.
     """

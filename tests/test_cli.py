@@ -520,6 +520,15 @@ class TestOtherCommands:
         assert code == 1
         assert err.startswith("E_NONCONVERGENCE:")
 
+    # the child's own overflow to inf, a kernel matter; the product stops
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_gauss_off_the_float_range_fails_at_once(self, capsys):
+        argv = ["gauss", "gini(300,299)", "power(0)", "--at", "1.7976931348623157e308", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("E_NONCONVERGENCE: Gaussian product left the float range")
+        assert "iterations=1, gap=nan" in err
+
 
 class TestEnvelope:
     @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,16 +114,28 @@ class TestGaussProduct:
             assert value == x[0]
 
     def test_first_check_only_records_the_widths(self):
-        # a child value of inf gives an infinite log width at the first
-        # check, which is no stall: the product runs on to its step limit
-        class Infinite:
+        # a child value of 0 gives an infinite log width at every check;
+        # the first only records it, and the second, four steps on, stalls
+        class Zero(hm.MeanExpr):
             def kernel(self, xs, cols):
-                return np.full(np.shape(xs[..., cols]), np.inf)
+                return np.zeros(np.shape(xs[..., cols]))
 
         with np.errstate(all="ignore"), pytest.raises(hm.NonConvergenceError) as info:
-            gauss_kernel((hm.MaxOf(), Infinite()), np.array([1.0, 2.0]), LAST_PREFIX,
+            gauss_kernel((hm.MaxOf(), Zero()), np.array([1.0, 2.0]), LAST_PREFIX,
                          hm.GaussConfig(max_iterations=10))  # fmt: skip
-        assert info.value.iterations == 10
+        assert info.value.iterations == 5
+
+    def test_first_step_off_the_float_range_fails_at_once(self):
+        # gini(300,299) rounds its mean of (max double, 1) to inf: inf and
+        # nan never converge, so the product stops after its first step
+        expr = hm.Gauss((hm.Gini(300.0, 299.0), hm.GEOM))
+        with warnings.catch_warnings(record=True) as seen, pytest.raises(
+            hm.NonConvergenceError
+        ) as info:
+            warnings.simplefilter("always")
+            hm.evaluate(expr, [1.7976931348623157e308, 1.0])
+        assert info.value.iterations <= 1 and math.isnan(info.value.gap)
+        assert seen and not [w for w in seen if w.filename.endswith("gauss.py")]
 
     @pytest.mark.parametrize("cols", [slice(None), LAST_PREFIX], ids=["prefixes", "last"])
     @pytest.mark.parametrize("means", [AG, (hm.ARITH, hm.MaxOf())], ids=["ag", "arith-max"])
@@ -202,3 +216,158 @@ class TestGaussProperties:
         nested = hm.Gauss((hm.Gauss(AG), hm.Power(-1.0)))
         value = hm.evaluate(nested, [1.0, 4.0])
         assert 1.0 <= value <= 4.0
+
+
+# ---------------------------------------------------------------------------
+# the column loop against a plain reference loop
+
+_HUGE = float(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _reference_midpoint(hi, lo):
+    mid = 0.5 * (hi + lo)
+    return np.where(np.isinf(mid), lo + 0.5 * (hi - lo), mid)
+
+
+def reference_gauss_kernel(means, xs, cols, cfg=hm.GaussConfig()):
+    """gauss_kernel's stopping rule in a plain loop: every step is each
+    child's kernel on the stacked columns, np.stack(w, 1)."""
+    with np.errstate(all="ignore"):
+        lo = np.minimum.accumulate(xs, axis=-1)[..., cols]
+        hi = np.maximum.accumulate(xs, axis=-1)[..., cols]
+        out = _reference_midpoint(hi, lo)
+        flat = out.reshape(-1)
+        rows = np.flatnonzero(~((hi - lo) / hi <= cfg.tolerance).reshape(-1))
+        if rows.size == 0:
+            return out
+        w = [m.kernel(xs, cols).reshape(-1)[rows] for m in means]
+        if not np.isfinite(w).all():
+            raise hm.NonConvergenceError("left the float range", iterations=1, gap=math.nan)
+        seen = np.full(rows.size, np.nan)
+        for iteration in range(1, cfg.max_iterations + 1):
+            hi, lo = np.max(np.stack(w, 1), axis=1), np.min(np.stack(w, 1), axis=1)
+            gap = (hi - lo) / hi
+            done = gap <= cfg.tolerance
+            flat[rows[done]] = _reference_midpoint(hi[done], lo[done])
+            rows, gap, hi, lo, seen = (a[~done] for a in (rows, gap, hi, lo, seen))
+            w = [c[~done] for c in w]
+            if rows.size == 0:
+                return out
+            if iteration == cfg.max_iterations:
+                break
+            if iteration % 4 == 1:
+                width = np.where(np.isinf(hi / lo), np.log(hi) - np.log(lo), np.log(hi / lo))
+                if (width >= seen * (1.0 - 2.0**-20)).any():
+                    break
+                seen = width
+            w = [m.kernel(np.stack(w, 1), LAST_PREFIX)[:, 0] for m in means]
+    raise hm.NonConvergenceError("did not converge", iterations=iteration, gap=float(np.max(gap)))
+
+
+def _outcome(kernel, means, xs, cols, cfg):
+    """The bits of the result, or the error's class, iterations and gap."""
+    try:
+        with np.errstate(all="ignore"):
+            return kernel(means, xs, cols, cfg).view(np.int64).tolist()
+    except hm.NonConvergenceError as error:
+        return type(error), error.iterations, np.float64(error.gap).view(np.int64)
+
+
+# Gini's ratio branch, its shifted branch at d = 0 and d > 0, with
+# exponents +-300, exp pairs, min, max and a nested product
+COLUMN_CHILDREN = {
+    "power(-1)": hm.HARM,
+    "power(0)": hm.GEOM,
+    "power(2)": hm.Power(2.0),
+    "power(300)": hm.Power(300.0),
+    "power(-300)": hm.Power(-300.0),
+    "gini(0.5,-1)": hm.Gini(0.5, -1.0),
+    "gini(300,299)": hm.Gini(300.0, 299.0),
+    "gini(-300,-301)": hm.Gini(-300.0, -301.0),
+    "gini(0.5,0.5)": hm.Gini(0.5, 0.5),
+    "gini(-300,-300)": hm.Gini(-300.0, -300.0),
+    "gini(0.5,0.45)": hm.Gini(0.5, 0.45),
+    "gini(-0.05,0)": hm.Gini(-0.05, 0.0),
+    "gini(300,299.95)": hm.Gini(300.0, 299.95),
+    "quasi(exp)": hm.QuasiArithmetic(hm.EXP),
+    "bajrak(exp,pow:-1)": hm.Bajraktarevic(hm.EXP, hm.power_generator(-1)),
+    "min": hm.MinOf(),
+    "max": hm.MaxOf(),
+    "gauss(power(1),power(0))": hm.Gauss(AG),
+}
+
+
+def _entries():
+    st = pytest.importorskip("hypothesis.strategies")
+    return st.one_of(
+        st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        st.floats(1.0, 1e3).map(lambda t: _TINY * t),
+        st.floats(1.0, 1e3).map(lambda t: _HUGE / t),
+    )
+
+
+def test_column_loop_matches_the_reference_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = st.lists(st.sampled_from(sorted(COLUMN_CHILDREN)), min_size=2, max_size=3)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(names, st.integers(1, 64), st.integers(1, 4), st.booleans(), st.data())
+    def check(names, rows, n, every_prefix, data):
+        means = hm.Gauss([COLUMN_CHILDREN[name] for name in names]).canonical().children
+        xs = np.array(data.draw(st.lists(_entries(), min_size=rows * n, max_size=rows * n)))
+        xs = xs.reshape(rows, n)
+        cols = slice(None) if every_prefix else LAST_PREFIX
+        cfg = hm.GaussConfig(max_iterations=400)
+        expected = _outcome(reference_gauss_kernel, means, xs, cols, cfg)
+        assert _outcome(gauss_kernel, means, xs, cols, cfg) == expected
+
+    check()
+
+
+def test_column_loop_matches_the_reference_on_moderate_stacks(rng):
+    # the common case, every child proven: log-uniform rows in [1e-3, 1e3]
+    for names in (["power(-1)", "power(0)"], ["gini(0.5,-1)", "gini(0.5,0.45)", "power(2)"]):
+        means = hm.Gauss([COLUMN_CHILDREN[name] for name in names]).canonical().children
+        for rows, n in ((1, 2), (13, 3), (64, 4)):
+            xs = log_uniform(rng, rows * n).reshape(rows, n)
+            for cols in (slice(None), LAST_PREFIX):
+                expected = _outcome(reference_gauss_kernel, means, xs, cols, hm.GaussConfig())
+                assert _outcome(gauss_kernel, means, xs, cols, hm.GaussConfig()) == expected
+
+
+def _proof_edge(node, k, end):
+    """The widest envelope [lo, 1] (end "lo") or [1, hi] (end "hi") on
+    which the node's column step is proven, and one just past it, on a
+    log scale to float precision."""
+    proven = lambda t: node.column_step(*sorted((1.0, math.exp(t))), k) is not None  # noqa: E731
+    inner, outer = 0.0, math.log(_TINY) if end == "lo" else math.log(_HUGE)
+    if proven(outer):
+        return math.exp(outer), None
+    while abs(outer - inner) > 1e-12 * abs(outer):
+        mid = 0.5 * (inner + outer)
+        inner, outer = (mid, outer) if proven(mid) else (inner, mid)
+    return math.exp(inner), math.exp(outer)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize(
+    "name",
+    ["power(-300)", "power(300)", "gini(300,299)", "gini(-300,-301)", "gini(-300,-300)",
+     "gini(300,299.95)", "gini(0.5,0.45)", "power(0)"],
+)  # fmt: skip
+def test_column_step_at_the_proof_boundary(name, end, k):
+    # at the edge of the envelope that the proof accepts, the column step
+    # still gives the kernel's bits on every row of the envelope's ends,
+    # without a warning; just past the edge the proof declines
+    node = COLUMN_CHILDREN[name].canonical()
+    edge, past = _proof_edge(node, k, end)
+    if past is not None:
+        assert node.column_step(*sorted((1.0, past)), k) is None
+    step = node.column_step(*sorted((1.0, edge)), k)
+    corners = np.array(list(itertools.product((edge, 1.0), repeat=k)))
+    w = [np.ascontiguousarray(c) for c in corners.T]
+    expected = node.kernel(np.stack(w, axis=-1), LAST_PREFIX)[:, 0]
+    assert np.array_equal(step(w), expected)
