@@ -309,8 +309,8 @@ class MeanExpr:
     def column_step(self, lo: float, hi: float, k: int):
         """A function of the k columns of a Gaussian product's iterate,
         entries in [lo, hi], that returns each row's mean, bit for bit
-        :meth:`kernel` on the stacked columns, which this default runs;
-        None where the node's rounding may leave [lo, hi] by far more."""
+        :meth:`kernel` on the stacked columns, which this default runs; a
+        node whose values may leave [lo, hi] by more than rounding returns None."""
         return lambda w: self.kernel(np.stack(w, axis=-1), LAST_PREFIX)[:, 0]
 
 
@@ -554,6 +554,10 @@ class Gauss(MeanExpr):
 
     def kernel(self, xs, cols):
         return gauss.gauss_kernel(self.children, xs, cols)
+
+    def column_step(self, lo, hi, k):
+        """None: a child's log-domain path may take the product far out of [lo, hi]."""
+        return None
 
     def closed_form(self):
         """The product of the children's constants, evaluated with the

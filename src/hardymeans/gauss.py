@@ -28,8 +28,7 @@ import numpy as np
 from .core import LAST_PREFIX, Gauss, MeanExpr, NonConvergenceError, as_samples
 
 __all__ = ["GaussConfig", "gauss_kernel", "gauss_step", "gauss_product"]
-_HUGE = float(np.finfo(float).max)
-_HALF_HUGE = _HUGE / 2  # no hi + lo overflows below it
+_HALF_HUGE = float(np.finfo(float).max) / 2  # no hi + lo overflows below it
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,8 @@ def gauss_kernel(
     slack = 1.0 + (cfg.max_iterations + 1) * 2.0**-40
     env = (bottom / slack, top * slack, len(means))
     steps = [m.column_step(*env) for m in means]
-    if not (bounded := None not in steps):
+    if None in steps:
         steps = [MeanExpr.column_step(m, *env) for m in means]
-    plain_width = bounded and env[1] < _HUGE * env[0]
     seen = np.full(rows.size, np.nan)  # no width compares >= nan: no stall at the first check
     for iteration in range(1, cfg.max_iterations + 1):
         gap = (hi - lo) / hi
@@ -97,16 +95,12 @@ def gauss_kernel(
         # log-envelope width has shrunk by less than a relative 2^-20 since
         # the last check has stalled (the log width, as the gap rounds to 1
         # while the ends are orders of magnitude apart; log(max) - log(min)
-        # where max / min overflows, which a bounded envelope rules out);
-        # seen holds the live rows' last widths
+        # where max / min overflows); seen holds the live rows' last widths
         if iteration % 4 == 1:
-            if plain_width:
+            with np.errstate(over="ignore"):
                 width = np.log(hi / lo)
-            else:
-                with np.errstate(over="ignore"):
-                    width = np.log(hi / lo)
-                wide = np.isinf(width)
-                width[wide] = np.log(hi[wide]) - np.log(lo[wide])
+            wide = np.isinf(width)
+            width[wide] = np.log(hi[wide]) - np.log(lo[wide])
             if (width >= seen * (1.0 - 2.0**-20)).any():
                 break
             seen = width

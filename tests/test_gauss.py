@@ -275,13 +275,16 @@ def _outcome(kernel, means, xs, cols, cfg):
 
 
 # Gini's ratio branch, its shifted branch at d = 0 and d > 0, with
-# exponents +-300, exp pairs, min, max and a nested product
+# exponents +-300, exp pairs, min, max and nested products, one of them
+# of a Gini mean whose log-domain path errs by factors of e
+WILD = hm.Gauss((hm.Gini(1e16, 1e16),) * 2)
 COLUMN_CHILDREN = {
     "power(-1)": hm.HARM,
     "power(0)": hm.GEOM,
     "power(2)": hm.Power(2.0),
     "power(300)": hm.Power(300.0),
     "power(-300)": hm.Power(-300.0),
+    "power(100)": hm.Power(100.0),
     "gini(0.5,-1)": hm.Gini(0.5, -1.0),
     "gini(300,299)": hm.Gini(300.0, 299.0),
     "gini(-300,-301)": hm.Gini(-300.0, -301.0),
@@ -295,6 +298,7 @@ COLUMN_CHILDREN = {
     "min": hm.MinOf(),
     "max": hm.MaxOf(),
     "gauss(power(1),power(0))": hm.Gauss(AG),
+    "gauss(gini(1e16,1e16),gini(1e16,1e16))": WILD,
 }
 
 
@@ -302,6 +306,7 @@ def _entries():
     st = pytest.importorskip("hypothesis.strategies")
     return st.one_of(
         st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
         st.floats(1.0, 1e3).map(lambda t: _TINY * t),
         st.floats(1.0, 1e3).map(lambda t: _HUGE / t),
     )
@@ -335,6 +340,18 @@ def test_column_loop_matches_the_reference_on_moderate_stacks(rng):
             for cols in (slice(None), LAST_PREFIX):
                 expected = _outcome(reference_gauss_kernel, means, xs, cols, hm.GaussConfig())
                 assert _outcome(gauss_kernel, means, xs, cols, hm.GaussConfig()) == expected
+
+
+def test_nested_product_sends_the_call_to_the_kernel_loop():
+    # the nested product converges far out of the first step's envelope,
+    # where power(100), proven on that envelope, would overflow its plain
+    # sums; every child runs its kernel instead, as in the reference
+    means = hm.Gauss((WILD, hm.Power(100.0))).canonical().children
+    xs = np.array([[3.966692716369023, 0.14283484069398636]])
+    assert WILD.column_step(0.1, 10.0, 2) is None
+    cfg = hm.GaussConfig(max_iterations=400)
+    expected = _outcome(reference_gauss_kernel, means, xs, LAST_PREFIX, cfg)
+    assert _outcome(gauss_kernel, means, xs, LAST_PREFIX, cfg) == expected
 
 
 def _proof_edge(node, k, end):
