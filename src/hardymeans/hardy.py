@@ -102,8 +102,9 @@ def pn_sequence(expr: MeanExpr, n_max: int) -> PnSequence:
     n = np.arange(1.0, n_max + 1.0)
     values = prefix_means(expr, 1.0 / n)
     values *= n
-    # the largest drop between consecutive values; 0 when none drops
-    max_decrease = float(max(0.0, np.max(values[:-1] - values[1:], initial=0.0)))
+    # the largest drop between consecutive values, in n's place; 0 when none drops
+    drops = np.subtract(values[:-1], values[1:], out=n[:-1])
+    max_decrease = float(max(0.0, np.max(drops, initial=0.0)))
     return PnSequence(expr=expr, n_max=n_max, values=values, max_decrease=max_decrease)
 
 
@@ -304,7 +305,7 @@ def liminf_ratio(expr: MeanExpr, sequence: str, n_max: int) -> LiminfEstimate:
     xs = SEQUENCES[sequence](np.arange(1.0, n_max + 1.0))
     lo = max(1, n_max // 2)
     tail = prefix_means(expr, xs, lo)
-    estimate = float(np.min(tail / xs[lo - 1 :]))
+    estimate = float(np.min(np.divide(tail, xs[lo - 1 :], out=tail)))
     return LiminfEstimate(sequence=sequence, n_max=n_max, window=(lo, n_max), estimate=estimate)
 
 
@@ -320,12 +321,14 @@ def hardy_ratio(expr: MeanExpr, x) -> float | np.ndarray:
     to the call on that row alone.
     """
     xs = as_sample_rows(x)
-    means = _selected_means(expr, xs, slice(None))  # prefix_means, validated once
-    if xs.ndim == 1:
-        return math.fsum(means) / math.fsum(xs)
-    n = xs.shape[-1]
-    rows = zip(means.reshape(-1, n).tolist(), xs.reshape(-1, n).tolist())
-    return np.array([math.fsum(m) / math.fsum(r) for m, r in rows]).reshape(xs.shape[:-1])
+    ratios = _ratios(canonical(expr), xs.reshape(-1, xs.shape[-1]))
+    return ratios[0] if xs.ndim == 1 else np.array(ratios).reshape(xs.shape[:-1])
+
+
+def _ratios(node: MeanExpr, xs: np.ndarray) -> list[float]:
+    """The n-term ratio of every row of a valid (rows, n) sample stack."""
+    means = _selected_means(node, xs, slice(None))
+    return [math.fsum(m) / math.fsum(r) for m, r in zip(means.tolist(), xs.tolist())]
 
 
 @dataclass(frozen=True)
@@ -378,24 +381,24 @@ def _softmax_points(z: np.ndarray) -> np.ndarray:
     return np.maximum(w / np.add.reduce(w, axis=-1, keepdims=True), 1e-300)
 
 
-def _negated_ratios(expr: MeanExpr, z: np.ndarray) -> np.ndarray:
+def _negated_ratios(node: MeanExpr, z: np.ndarray) -> list[float]:
     """Search objective on a stack of parameter rows: minus the n-term
-    ratio at each softmax point.  A row whose ratio raises
-    MeanComputationError scores +inf.  The softmax point of a finite
-    row is a valid sample, so on finite rows the objective never raises,
-    as the search requires: it also scores candidates it then discards.
-    Rows are independent, so after a stack fails each of its rows is
-    re-scored alone."""
+    ratio at each softmax point, by the canonical ``node``.  A row whose
+    ratio raises MeanComputationError scores +inf.  The softmax point of
+    a finite row is a valid sample, so it is scored unvalidated, and on
+    finite rows the objective never raises, as the search requires: it
+    also scores candidates it then discards.  Rows are independent, so
+    after a stack fails each of its rows is re-scored alone."""
     points = _softmax_points(z)
     try:
-        return -hardy_ratio(expr, points)
+        return [-r for r in _ratios(node, points)]
     except MeanComputationError:
-        out = np.empty(len(points))
-        for i, point in enumerate(points):
+        out = []
+        for row in points:
             try:
-                out[i] = -hardy_ratio(expr, point)
+                out.append(-_ratios(node, row[None])[0])
             except MeanComputationError:
-                out[i] = math.inf
+                out.append(math.inf)
         return out
 
 
@@ -424,8 +427,9 @@ def hardy_sequence_bound(
             trace=(),
         )
     starts = _search_starts(n, cfg, np.random.default_rng(cfg.seed))
+    node = canonical(expr)
     results = minimize_lockstep(
-        lambda z: _negated_ratios(expr, z), starts, cfg.budget, xatol=1e-12, fatol=1e-14
+        lambda z: _negated_ratios(node, z), starts, cfg.budget, xatol=1e-12, fatol=1e-14
     )
     best_value = -math.inf
     best_x: np.ndarray | None = None

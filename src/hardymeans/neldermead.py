@@ -138,7 +138,8 @@ def minimize_lockstep(score, starts, maxfev: int, xatol: float, fatol: float) ->
 
     Each round gathers every live lane's pending points into one (rows,
     N) stack and scores it with one ``score`` call, which must return
-    one value per row.  A lane adds N + 1 rows in its first round, then
+    one Python float per row, as a list: the lanes compare them one at a
+    time.  A lane adds N + 1 rows in its first round, then
     4 per iteration (its candidate points) or at most N (a shrink).
     ``score`` must be a pure per-row function that does not raise: it
     also scores candidates a lane then discards.  Returns each lane's
@@ -160,8 +161,7 @@ def minimize_lockstep(score, starts, maxfev: int, xatol: float, fatol: float) ->
     while pending:
         asked = list(pending.items())
         pending.clear()
-        # Python floats: the lanes compare them one at a time
-        values = score(np.concatenate([points for _, points in asked])).tolist()
+        values = score(np.concatenate([points for _, points in asked]))
         stop = 0
         for i, points in asked:
             advance(i, values[stop : stop + len(points)])

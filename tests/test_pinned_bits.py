@@ -1,18 +1,23 @@
-"""Pinned bits of the Gaussian-product kernel and of the n-term search.
+"""Pinned bits of the Gaussian-product kernel, the n-term search and the
+p_n sweeps.
 
-Both are exact computations whose every bit is a result: a faster
+All are exact computations whose every bit is a result: a faster
 kernel or search must reproduce them.  ``pinned_bits.json`` holds, as
 ``float.hex``, ``gauss_kernel`` on a corpus of stacks (softmax points
 floored at 1e-300 as the search makes them, a prefix sweep, rows that
 converge at different steps, rows near the largest double beside
 ordinary ones) and the benchmark's four fuzz searches (n = 3, four
-starts): estimate, maximizer and trace.  A change meant to move them
-rewrites the file with
+starts): estimate, maximizer and trace.  It also holds the p_n sweep of
+every report of the report corpus that sweeps, as the SHA-256 of its
+values' bytes and the hex of its largest decrease, and the benchmark's
+three sweep liminf estimates.  A change meant to move them rewrites the
+file with
 
     PYTHONPATH=src python tests/test_pinned_bits.py
 
 and the diff of the file shows what moved.
 """
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from hardymeans import hardy
 from hardymeans.core import LAST_PREFIX
 from hardymeans.gauss import gauss_kernel
 from conftest import MIXED_NEAR_FLOAT_MAX
+from test_report_corpus import CORPUS
 
 PINNED = Path(__file__).with_name("pinned_bits.json")
 
@@ -33,6 +39,9 @@ SEARCH_MEANS = {
     "quasi(pow:0.5)": hm.QuasiArithmetic(hm.power_generator(0.5)),
     "gauss(power(-1),power(0))": hm.Gauss((hm.Power(-1.0), hm.Power(0.0))),
 }
+
+# the benchmark's sweep liminf cases: (mean, sequence) at n_max = 10^4
+LIMINF_CASES = (("gini(0.5,-1)", "harmonic"), ("power(0)", "sqrt"), ("power(-1)", "constant"))
 
 
 def kernel_corpus() -> dict:
@@ -79,6 +88,24 @@ def _search_bits(name: str) -> dict:
     }
 
 
+def _pn_bits() -> dict:
+    """Case id -> the bits of its p_n sweep, for every corpus report that
+    sweeps."""
+    bits = {}
+    for text, n_max in CORPUS:
+        pn = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max)).pn
+        if pn is not None:
+            bits[f"{text} n_max={n_max}"] = {
+                "values_sha256": hashlib.sha256(pn.values.tobytes()).hexdigest(),
+                "max_decrease": float(pn.max_decrease).hex(),
+            }
+    return bits
+
+
+def _liminf_bits(text: str, sequence: str) -> str:
+    return hm.liminf_ratio(hm.parse_mean_expr(text), sequence, 10_000).estimate.hex()
+
+
 def _pinned() -> dict:
     return json.loads(PINNED.read_text())
 
@@ -93,15 +120,27 @@ def test_fuzz_search_is_pinned(name):
     assert _search_bits(name) == _pinned()["hardy_sequence_bound"][name]
 
 
+def test_pn_sweeps_are_pinned():
+    assert _pn_bits() == _pinned()["pn_sequence"]
+
+
+@pytest.mark.parametrize("case", LIMINF_CASES, ids=" ".join)
+def test_liminf_is_pinned(case):
+    assert _liminf_bits(*case) == _pinned()["liminf_ratio"][" ".join(case)]
+
+
 def test_pinned_bits_are_the_corpus():
     pinned = _pinned()
     assert set(pinned["gauss_kernel"]) == set(kernel_corpus())
     assert set(pinned["hardy_sequence_bound"]) == set(SEARCH_MEANS)
+    assert set(pinned["liminf_ratio"]) == {" ".join(case) for case in LIMINF_CASES}
 
 
 if __name__ == "__main__":
     bits = {
         "gauss_kernel": {name: _kernel_bits(name) for name in kernel_corpus()},
         "hardy_sequence_bound": {name: _search_bits(name) for name in SEARCH_MEANS},
+        "pn_sequence": _pn_bits(),
+        "liminf_ratio": {" ".join(case): _liminf_bits(*case) for case in LIMINF_CASES},
     }
     PINNED.write_text(json.dumps(bits, indent=1) + "\n")
