@@ -540,7 +540,9 @@ class Deviation(MeanExpr):
 @dataclass(frozen=True)
 class Gauss(MeanExpr):
     """Gaussian product: common limit of simultaneously iterated means.
-    It reduces to the product of its children's canonical nodes."""
+    It reduces to the product of its children's canonical nodes.  A min
+    (max) child holds each iterate's low (high) end at min x (max x), so
+    such a product is min (max); one with both is no mean: ValueError."""
 
     children: tuple
 
@@ -549,8 +551,11 @@ class Gauss(MeanExpr):
         if len(self.children) < 2:
             raise ValueError("Gauss needs at least two child means")
         children = tuple(c.canonical() for c in self.children)
-        if children != self.children:
-            self._reduce_to(Gauss(children))
+        ends = {type(c) for c in children} & {MinOf, MaxOf}
+        if len(ends) == 2:
+            raise ValueError("Gauss of min and max is no mean: its envelope stays [min x, max x]")
+        if ends or children != self.children:
+            self._reduce_to(ends.pop()() if ends else Gauss(children))
 
     def kernel(self, xs, cols):
         return gauss.gauss_kernel(self.children, xs, cols)
@@ -601,23 +606,18 @@ class Gauss(MeanExpr):
         return None
 
     def tends_to_max(self):
-        """Holds when a child tends to max and no min is in the tree.  As
-        y -> inf, the children's iterates of y*x, over y, tend to those of
-        the limit system with max in place of each such child (the other
-        children are homogeneous).  There the largest entry stays max x
-        and the smallest rises to it, as no child but min stays at the
-        minimum of a non-constant vector; the product lies between them.
-        A min child stalls the rise: gauss(min, quasi(exp)) is min."""
-        if any(c.tends_to_max() for c in self.children) and not _contains_min(self):
+        """Holds when a child tends to max.  As y -> inf, the children's
+        iterates of y*x, over y, tend to those of the limit system with
+        max in place of each such child (the other children are
+        homogeneous).  There the largest entry stays max x and the
+        smallest rises to it, as every child is a strict mean (a min child
+        reduces the product to min); the product lies between them."""
+        if any(c.tends_to_max() for c in self.children):
             return (
                 "Gauss product with a child that tends to max and no min in its tree "
                 "tends to max: M(y*x)/y -> max x, not M(x), as y -> inf"
             )
         return None
-
-
-def _contains_min(node: MeanExpr) -> bool:
-    return isinstance(node, MinOf) or any(map(_contains_min, getattr(node, "children", ())))
 
 
 @dataclass(frozen=True)

@@ -88,15 +88,18 @@ def _powers(xs: np.ndarray, p: float) -> np.ndarray:
     return xs**p
 
 
-def _running_power_sum(xs: np.ndarray, p: float, cols) -> tuple[np.ndarray, float, float]:
+def _running_power_sum(
+    xs: np.ndarray, p: float, cols, powers: np.ndarray | None = None
+) -> tuple[np.ndarray, float, float]:
     """Plain running sums of x**p at the prefixes ``cols``, with a lower
     and an upper bound of them: running sums of positive terms rise along
     each row, so each row's first and last sums give these without a
-    mask.  At p = 0 they are the exact prefix counts, at least 1."""
+    mask.  At p = 0 they are the exact prefix counts, at least 1.  Given
+    ``powers``, x**p already, it sums them in place."""
     if p == 0.0:
         s = _counts(xs, cols)
         return s, 1.0, float(s[-1])
-    s = _powers(xs, p)
+    s = _powers(xs, p) if powers is None else powers
     s = np.add.accumulate(s, axis=-1, out=s)[..., cols]  # cumsum, in place
     # the ufuncs' own reductions, without the array methods' Python layer
     lo, hi = np.minimum.reduce(s[..., 0], axis=None), np.maximum.reduce(s[..., -1], axis=None)
@@ -149,8 +152,9 @@ def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
         with np.errstate(all="ignore"):
             # E, or at d = 0 ln x itself: the plain sums need no shift there
             terms = logx if d == 0.0 else np.expm1(d * (logx - c)) / d
-            s, lo, hi = _running_power_sum(xs, q, cols)
-            num = (terms if q == 0.0 else _powers(xs, q) * terms).cumsum(axis=-1)[..., cols]
+            wq = None if q == 0.0 else _powers(xs, q)
+            num = (terms if q == 0.0 else wq * terms).cumsum(axis=-1)[..., cols]
+            s, lo, hi = _running_power_sum(xs, q, cols, wq)  # wq's running sums, in place
             out = np.exp(num / s) if d == 0.0 else np.exp(c + np.log1p(d * (num / s)) / d)
         finite = np.isfinite(num)
         if not (_TINY <= lo and hi <= _HUGE and finite.all()):
@@ -163,7 +167,8 @@ def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
             t = np.exp(log_num[..., cols] - _log_power_sum(logx, q, cols))
             if d != 0.0:
                 t = np.log1p(d * t) / d
-            out = np.where(_abnormal(s) | ~finite, np.exp(c + t), out)
+            with np.errstate(over="ignore"):  # a mean of finite entries is at most max x
+                out = np.where(_abnormal(s) | ~finite, np.minimum(np.exp(c + t), _HUGE), out)
         return out
     with np.errstate(all="ignore"):
         sp, sp_lo, sp_hi = _running_power_sum(xs, p, cols)
@@ -184,7 +189,8 @@ def gini_kernel(p: float, q: float, xs: np.ndarray, cols) -> np.ndarray:
         out **= 1.0 / (p - q)
     logx = np.log(xs)
     log_ratio = _log_power_sum(logx, p, cols) - _log_power_sum(logx, q, cols)
-    return np.where(logs, np.exp(log_ratio / (p - q)), out)
+    with np.errstate(over="ignore"):  # a mean of finite entries is at most max x
+        return np.where(logs, np.minimum(np.exp(log_ratio / (p - q)), _HUGE), out)
 
 
 def gini_columns(p: float, q: float, lo: float, hi: float, k: int):

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LAST_PREFIX, Gauss, MeanExpr, NonConvergenceError, as_samples
+from .core import LAST_PREFIX, Gauss, MeanExpr, NonConvergenceError, as_samples, evaluate
 
 __all__ = ["GaussConfig", "gauss_kernel", "gauss_step", "gauss_product"]
 _HALF_HUGE = float(np.finfo(float).max) / 2  # no hi + lo overflows below it
@@ -116,7 +116,7 @@ def gauss_kernel(
 def gauss_step(means: Sequence[MeanExpr], v) -> np.ndarray:
     """One simultaneous step: component i is means[i] evaluated on v."""
     xs = as_samples(v)
-    return np.concatenate([m.kernel(xs, LAST_PREFIX) for m in Gauss(means).canonical().children])
+    return np.concatenate([m.canonical().kernel(xs, LAST_PREFIX) for m in Gauss(means).children])
 
 
 def gauss_product(
@@ -133,5 +133,7 @@ def gauss_product(
     stops when some row's width has shrunk by less than a relative 2^-20
     since the last check.
     """
-    children = Gauss(means).canonical().children
-    return float(gauss_kernel(children, as_samples(v), LAST_PREFIX, cfg)[0])
+    node = Gauss(means).canonical()
+    if not isinstance(node, Gauss):  # a min or max child: the product is that child
+        return evaluate(node, v)
+    return float(gauss_kernel(node.children, as_samples(v), LAST_PREFIX, cfg)[0])

@@ -151,7 +151,7 @@ class HardyEstimate:
     """
 
     status: str
-    method: str  # "homogeneous-limit" | "unit-scale-sweep" | "rule"
+    method: str  # "homogeneous-limit" | "rule"
     estimate: float
     n_max: int
     reference: float | None
@@ -170,10 +170,8 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     that a mean is not a Hardy mean.  Such a mean runs no sweep (method
     "rule"); when the scale rule decides it, its report names a witness,
     the n-term ratio on x_k = 1e5/k at n = min(n_max, 100), against its
-    limit n/H_n.  Every other mean takes one p_n sweep (``pn``), whose
-    last value is the estimate: the homogeneous limit when a rule makes
-    the mean homogeneous ("homogeneous-limit"), else the sweep at unit
-    scale ("unit-scale-sweep").
+    limit n/H_n.  A rule makes every other mean homogeneous; it takes one
+    p_n sweep (``pn``), whose last value is the estimate ("homogeneous-limit").
 
     For every mean, a p_n that does not decrease is a lower bound of the
     constant, as the n-term ratio on x_k = 1/k is.  The first row that
@@ -208,9 +206,7 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
     if form is not None and not form.is_hardy:
         method, pn, final = "rule", None, math.inf
     else:
-        known = node.known_properties()
-        method = "homogeneous-limit" if known.get("homogeneity") is True else "unit-scale-sweep"
-        pn = pn_sequence(expr, cfg.n_max)
+        method, pn = "homogeneous-limit", pn_sequence(expr, cfg.n_max)
         final = float(pn.values[-1])
     # the claim: the first row that holds gives the status and its reason
     if pn is None:
@@ -231,6 +227,7 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         reason = "certified-from-below: monotone p_n truncation of the limit formula"
         # why lim p_n may fall short of the constant: a rule's reason for
         # each gate property it denies, then the properties no rule decides
+        known = node.known_properties()
         denied = [name for name in _GATE_PROPERTIES if known.get(name, True) is not True]
         why = [f"rules: {known[name]}" for name in denied]
         undecided = [name for name in _GATE_PROPERTIES if name not in known]

@@ -417,7 +417,7 @@ class TestFamilyRules:
 
     @pytest.mark.parametrize(
         "pair",
-        # and min, a non-strict child
+        # and min, a non-strict child, which makes the product min
         list(itertools.combinations(GAUSS_CHILDREN, 2)) + [("power(0)", "min")],
         ids="-".join,
     )

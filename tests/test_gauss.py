@@ -66,20 +66,27 @@ class TestGaussProduct:
 
     def test_stalled_product_fails_early(self):
         # max and min never move, so the gap stays 0.8 from the first step
-        expr = hm.Gauss((hm.MaxOf(), hm.MinOf(), hm.Gini(1.5, 3.0)))
+        # (no Gauss node holds both: the kernel runs on the children alone)
+        children = (hm.MaxOf(), hm.MinOf(), hm.Gini(1.5, 3.0).canonical())
         with pytest.raises(hm.NonConvergenceError) as info:
-            hm.evaluate(expr, [1.0, 2.0, 5.0])
+            gauss_kernel(children, np.array([1.0, 2.0, 5.0]), LAST_PREFIX)
         assert info.value.iterations < 10
         assert info.value.gap == pytest.approx(0.8)
 
     def test_nested_product_with_creeping_ends_fails_early(self):
         # the inner product tends to the max but returns the midpoint of its
         # final envelope, so the outer top end drops a few ulps every step
-        # while the gap stays 0.8
-        inner = hm.Gauss((hm.MaxOf(), hm.Gini(0.0, 3.0)))
-        expr = hm.Gauss((inner, hm.MinOf()))
+        # while the gap stays 0.8.  A Gauss node with a max child is max,
+        # so the inner product is a node of its own, on the kernel
+        class Inner(hm.MeanExpr):
+            def kernel(self, xs, cols):
+                return gauss_kernel((hm.MaxOf(), hm.Gini(3.0, 0.0)), xs, cols)
+
+            def column_step(self, lo, hi, k):
+                return None
+
         with pytest.raises(hm.NonConvergenceError) as info:
-            hm.evaluate(expr, [1.0, 2.0, 5.0])
+            gauss_kernel((Inner(), hm.MinOf()), np.array([1.0, 2.0, 5.0]), LAST_PREFIX)
         assert info.value.iterations <= 9
 
     def test_ends_too_far_apart_for_their_ratio_are_no_stall(self):
@@ -92,24 +99,26 @@ class TestGaussProduct:
     def test_first_step_onto_the_data_envelope_is_no_stall(self, child):
         # the sum rounds away the 3e-13 step, so the child's first value is
         # exactly min x and MaxOf's is max x; later steps still converge
-        x = [1.0] * 10_000 + [1.0 + 3e-13]
-        value = hm.evaluate(hm.Gauss((hm.MaxOf(), child)), x)
+        x = np.array([1.0] * 10_000 + [1.0 + 3e-13])
+        (value,) = gauss_kernel((hm.MaxOf(), child.canonical()), x, LAST_PREFIX)
         assert 1.0 <= value <= 1.0 + 3e-13
 
     @pytest.mark.parametrize(
-        "expr, x",
+        "means, x",
         [
-            (hm.Gauss(HG), [1.7e308, 1.7e308]),
-            (hm.Gauss(AG), [1.7e308, 1.6e308]),
-            (hm.Gauss((hm.ARITH, hm.MaxOf())), [1.0, 1e308]),
+            (HG, [1.7e308, 1.7e308]),
+            (AG, [1.7e308, 1.6e308]),
+            ((hm.ARITH, hm.MaxOf()), [1.0, 1e308]),
         ],
         ids=["hg-equal-entries", "ag", "arith-max"],
     )
-    def test_midpoint_near_the_float_maximum_is_finite(self, expr, x):
+    def test_midpoint_near_the_float_maximum_is_finite(self, means, x):
         # hi + lo overflows there; hi and lo themselves do not.  Every
         # product here is homogeneous, so a scaled-down run gives the value
-        value = hm.evaluate(expr, x)
-        assert value == pytest.approx(hm.evaluate(expr, np.divide(x, 1e10)) * 1e10, rel=1e-11)
+        children = tuple(m.canonical() for m in means)
+        (value,) = gauss_kernel(children, np.array(x), LAST_PREFIX)
+        (scaled,) = gauss_kernel(children, np.divide(x, 1e10), LAST_PREFIX)
+        assert value == pytest.approx(scaled * 1e10, rel=1e-11)
         if x[0] == x[1]:
             assert value == x[0]
 
@@ -126,16 +135,20 @@ class TestGaussProduct:
         assert info.value.iterations == 5
 
     def test_first_step_off_the_float_range_fails_at_once(self):
-        # gini(300,299) rounds its mean of (max double, 1) to inf: inf and
-        # nan never converge, so the product stops after its first step
-        expr = hm.Gauss((hm.Gini(300.0, 299.0), hm.GEOM))
+        # a child whose mean is inf: inf and nan never converge, so the
+        # product stops after its first step, with no warning of its own
+        class Inf(hm.MeanExpr):
+            def kernel(self, xs, cols):
+                return np.full(np.shape(xs[..., cols]), np.inf)
+
+        expr = hm.Gauss((Inf(), hm.GEOM))
         with warnings.catch_warnings(record=True) as seen, pytest.raises(
             hm.NonConvergenceError
         ) as info:
             warnings.simplefilter("always")
             hm.evaluate(expr, [1.7976931348623157e308, 1.0])
         assert info.value.iterations <= 1 and math.isnan(info.value.gap)
-        assert seen and not [w for w in seen if w.filename.endswith("gauss.py")]
+        assert not [w for w in seen if w.filename.endswith("gauss.py")]
 
     @pytest.mark.parametrize("cols", [slice(None), LAST_PREFIX], ids=["prefixes", "last"])
     @pytest.mark.parametrize("means", [AG, (hm.ARITH, hm.MaxOf())], ids=["ag", "arith-max"])
@@ -143,7 +156,7 @@ class TestGaussProduct:
         # rows whose hi + lo overflows beside ordinary ones: every midpoint
         # is finite and the one its row gets alone (the bits are pinned in
         # test_pinned_bits)
-        children = hm.Gauss(means).canonical().children
+        children = tuple(m.canonical() for m in means)
         out = gauss_kernel(children, np.array(MIXED_NEAR_FLOAT_MAX), cols)
         assert np.isfinite(out).all()
         for row, value in zip(MIXED_NEAR_FLOAT_MAX, out):
@@ -211,6 +224,20 @@ class TestGaussProperties:
                 lows.append(v.min())
             assert all(a >= b * (1 - 1e-12) for a, b in zip(highs, highs[1:]))
             assert all(a <= b * (1 + 1e-12) for a, b in zip(lows, lows[1:]))
+
+    @pytest.mark.parametrize("end", [hm.MinOf(), hm.MaxOf()], ids=repr)
+    def test_min_or_max_child_is_the_product(self, end, rng):
+        # that child holds the iterate's end at min x or max x, where the
+        # iteration itself converges
+        means = (hm.Power(0.5), end, hm.QuasiArithmetic(hm.EXP))
+        children = tuple(m.canonical() for m in means)
+        for _ in range(20):
+            v = log_uniform(rng, int(rng.integers(1, 7)))
+            value = hm.evaluate(end, v)
+            assert hm.gauss_product(means, v) == hm.evaluate(hm.Gauss(means), v) == value
+            assert hm.gauss_step(means, v)[1] == value
+            (iterated,) = gauss_kernel(children, v, LAST_PREFIX)
+            assert iterated == pytest.approx(value, rel=1e-12)
 
     def test_nested_products_evaluate(self):
         nested = hm.Gauss((hm.Gauss(AG), hm.Power(-1.0)))
@@ -320,7 +347,8 @@ def test_column_loop_matches_the_reference_bit_for_bit():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(names, st.integers(1, 64), st.integers(1, 4), st.booleans(), st.data())
     def check(names, rows, n, every_prefix, data):
-        means = hm.Gauss([COLUMN_CHILDREN[name] for name in names]).canonical().children
+        # the children alone: no Gauss node holds min or max
+        means = tuple(COLUMN_CHILDREN[name].canonical() for name in names)
         xs = np.array(data.draw(st.lists(_entries(), min_size=rows * n, max_size=rows * n)))
         xs = xs.reshape(rows, n)
         cols = slice(None) if every_prefix else LAST_PREFIX
@@ -334,7 +362,7 @@ def test_column_loop_matches_the_reference_bit_for_bit():
 def test_column_loop_matches_the_reference_on_moderate_stacks(rng):
     # the common case, every child proven: log-uniform rows in [1e-3, 1e3]
     for names in (["power(-1)", "power(0)"], ["gini(0.5,-1)", "gini(0.5,0.45)", "power(2)"]):
-        means = hm.Gauss([COLUMN_CHILDREN[name] for name in names]).canonical().children
+        means = tuple(COLUMN_CHILDREN[name].canonical() for name in names)
         for rows, n in ((1, 2), (13, 3), (64, 4)):
             xs = log_uniform(rng, rows * n).reshape(rows, n)
             for cols in (slice(None), LAST_PREFIX):

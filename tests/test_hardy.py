@@ -58,6 +58,22 @@ class TestCanonical:
         expr = hm.Gauss((hm.QuasiArithmetic(hm.LOG), hm.Gini(0.5, 0.0)))
         assert hm.canonical(expr) == hm.Gauss((hm.Gini(0.0, 0.0), hm.Gini(0.5, 0.0)))
 
+    def test_min_and_max_absorb_a_gauss_product(self):
+        # a min (max) child holds every iterate's low (high) end, also
+        # from inside a nested product
+        geom, quasi_exp = hm.GEOM, hm.QuasiArithmetic(hm.EXP)
+        assert hm.canonical(hm.Gauss((hm.MinOf(), geom))) == hm.MinOf()
+        assert hm.canonical(hm.Gauss((quasi_exp, geom, hm.MaxOf()))) == hm.MaxOf()
+        nested = hm.Gauss((hm.Gauss((geom, hm.MinOf())), quasi_exp))
+        assert hm.canonical(nested) == hm.MinOf()
+
+    def test_gauss_of_min_and_max_is_rejected_when_built(self):
+        # its envelope stays [min x, max x]: it is no mean
+        with pytest.raises(ValueError, match="Gauss of min and max is no mean"):
+            hm.Gauss((hm.MinOf(), hm.MaxOf()))
+        with pytest.raises(ValueError, match="Gauss of min and max is no mean"):
+            hm.Gauss((hm.Gauss((hm.GEOM, hm.MaxOf())), hm.ARITH, hm.MinOf()))
+
     def test_swapped_exp_pairs_share_one_node(self):
         # bajrak(f, g) = bajrak(g, f): the normal form puts exp first
         swapped, normal = map(hm.parse_mean_expr, ("bajrak(pow:-1,exp)", "bajrak(exp,pow:-1)"))
@@ -118,12 +134,14 @@ class TestCanonical:
     def test_canonical_trees_are_made_of_canonical_nodes(self):
         # canonical nodes store no reduction, so canonical() returns them
         # as they are, and every node of the tree is of a canonical class
+        # (min and max only at the root: they absorb a product)
         rng = np.random.default_rng(20261)
         for _ in range(2200):
             node = hm.canonical(_random_tree(rng))
             assert node.canonical() is node, node
             for part in _nodes(node):
-                assert isinstance(part, (hm.Gini, hm.Gauss, hm.MinOf, hm.MaxOf)) or (
+                ends = (hm.MinOf, hm.MaxOf) if part is node else ()
+                assert isinstance(part, (hm.Gini, hm.Gauss, *ends)) or (
                     isinstance(part, hm.Bajraktarevic) and part.f == hm.EXP and part.g.p <= 0.0
                 ), part
 
@@ -178,12 +196,13 @@ def _random_pair(rng, node=hm.Bajraktarevic):
 
 def _random_tree(rng, depth=0):
     """A random valid mean expression, weighted towards exact reductions.
-    Gauss children are strict means (a product of min and max never
-    converges), and a nested product has no further nesting."""
+    A nested product has no further nesting.  A product drawn with both
+    min and max, which is no mean, must raise ValueError; it is drawn
+    again."""
     if depth == 0:
         roll = int(rng.integers(0, 8))
     else:
-        roll = int(rng.choice([0, 1, 2, 3, 4, 6, 7] if depth == 1 else [0, 1, 2, 3, 4, 6]))
+        roll = int(rng.choice([0, 1, 2, 3, 4, 5, 6, 7] if depth == 1 else [0, 1, 2, 3, 4, 5, 6]))
     if roll == 0:
         return hm.Power(float(rng.choice(_EXPONENTS)))
     if roll == 1:
@@ -202,7 +221,13 @@ def _random_tree(rng, depth=0):
         return hm.MinOf() if rng.random() < 0.5 else hm.MaxOf()
     if roll == 6:
         return hm.Power(float(rng.uniform(-3.0, 3.0)))
-    return hm.Gauss(tuple(_random_tree(rng, depth + 1) for _ in range(int(rng.integers(2, 4)))))
+    while True:
+        children = tuple(_random_tree(rng, depth + 1) for _ in range(int(rng.integers(2, 4))))
+        ends = {type(c.canonical()) for c in children} & {hm.MinOf, hm.MaxOf}
+        if len(ends) < 2:
+            return hm.Gauss(children)
+        with pytest.raises(ValueError, match="Gauss of min and max is no mean"):
+            hm.Gauss(children)
 
 
 class TestClosedFormRegistry:
@@ -674,34 +699,49 @@ class TestHardyConstant:
         )
 
     def test_min_child_stalls_the_scale_limit(self):
-        # gauss(min, quasi(exp)) is min, with constant 1: no rule decides it,
-        # and its flat sweep at y = 1 certifies the lower bound 1
+        # gauss(min, quasi(exp)) is min, with constant 1: its min child
+        # holds the iterate's low end, so it does not tend to max, and it
+        # gives min's report, whose sweep p_n = n * (1/n) is flat at 1
         expr = hm.Gauss((hm.MinOf(), hm.QuasiArithmetic(hm.EXP)))
-        assert hm.evaluate(expr, [1.0, 2.0, 3.0]) == pytest.approx(1.0, rel=1e-13)
+        assert hm.evaluate(expr, [1.0, 2.0, 3.0]) == 1.0
         assert hm.canonical(expr).tends_to_max() is None
-        est = hm.hardy_constant(expr, hm.HardyConfig(n_max=300))
+        est = hm.hardy_constant(expr)
         assert (est.status, est.method, est.divergent) == (
-            "certified-lower", "unit-scale-sweep", False
+            "certified-lower", "homogeneous-limit", False
         )
-        assert est.estimate == pytest.approx(1.0, rel=1e-12)
-        assert est.notes == (
-            "certified-from-below: monotone p_n truncation of the limit formula; "
-            "a lower bound only, as the gate fails: no rule decides homogeneity, jensen_concavity",
+        assert est.estimate == 1.0
+        assert est.notes == ("certified-from-below: monotone p_n truncation of the limit formula",)
+        own = hm.hardy_constant(hm.MinOf())
+        fields = ("status", "method", "estimate", "reference", "tolerance", "notes")
+        assert [getattr(est, f) for f in fields] == [getattr(own, f) for f in fields]
+        assert est.pn.values.tobytes() == own.pn.values.tobytes()
+
+    def test_min_or_max_child_gives_an_exact_report(self):
+        # a min child makes the product min, certified at exactly its
+        # constant 1; a max child makes it max, which M >= A proves non-Hardy
+        est = hm.hardy_constant(hm.Gauss((hm.MinOf(), hm.GEOM)))
+        assert (est.status, est.method, est.estimate) == (
+            "certified-lower", "homogeneous-limit", 1.0
         )
+        est = hm.hardy_constant(hm.Gauss((hm.MaxOf(), hm.GEOM)))
+        assert (est.status, est.method, est.estimate, est.pn) == (
+            "divergent", "rule", math.inf, None
+        )
+        assert est.notes[0] == f"rules: {hm.MaxOf().above_arithmetic()}"
 
     def test_every_random_tree_is_decided_by_a_rule(self):
-        # a tree that no rule makes homogeneous is non-Hardy by the
-        # registry, by M >= A or by its scale limit
+        # every node of a canonical tree is homogeneous by a rule, or
+        # non-Hardy by the registry, by M >= A or by its scale limit
         rng = np.random.default_rng(20260)
-        for _ in range(2200):
-            node = hm.canonical(_random_tree(rng))
-            form = node.closed_form()
-            assert (
-                node.known_properties().get("homogeneity") is True
-                or form is not None and not form.is_hardy
-                or node.above_arithmetic()
-                or node.tends_to_max()
-            ), node
+        for _ in range(3000):
+            for node in _nodes(hm.canonical(_random_tree(rng))):
+                form = node.closed_form()
+                assert (
+                    node.known_properties().get("homogeneity") is True
+                    or form is not None and not form.is_hardy
+                    or node.above_arithmetic()
+                    or node.tends_to_max()
+                ), node
 
     @pytest.mark.parametrize(
         "text", ["bajrak(exp,pow:-1)", "gauss(gini(-0.2,-0.4),power(0))"]
@@ -784,7 +824,6 @@ class TestHardyConstant:
         assert est.status == "certified-lower"
         monkeypatch.setattr(hm.Gini, "known_properties", lambda self: {})
         undecided = hm.hardy_constant(hm.Power(p), cfg)
-        assert undecided.method == "unit-scale-sweep"
         assert undecided.status == "certified-lower"
         assert undecided.notes[1] == (
             "certified-from-below: monotone p_n truncation of the limit formula; "
@@ -881,15 +920,6 @@ class TestHardyConstant:
         assert (est.tolerance == 0.005) == certified
         exceeds = f"estimate (uncertified): {est.estimate:.6g} exceeds the registered constant"
         assert any(note.startswith(exceeds) for note in est.notes) != certified
-
-    def test_unit_scale_sweep_is_the_homogeneous_sweep(self, monkeypatch):
-        ruled = hm.hardy_constant(hm.Power(0.5))
-        monkeypatch.setattr(hm.Gini, "known_properties", lambda self: {})
-        forced = hm.hardy_constant(hm.Power(0.5))
-        assert forced.method == "unit-scale-sweep"
-        assert forced.estimate == ruled.estimate
-        assert forced.pn.values.tobytes() == ruled.pn.values.tobytes()
-        assert forced.pn.max_decrease == ruled.pn.max_decrease
 
     def test_estimate_at_least_one(self):
         for name in ("power(0)", "gini(0.5,-1)", "min"):

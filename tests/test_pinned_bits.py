@@ -48,7 +48,8 @@ def kernel_corpus() -> dict:
     """name -> (canonical children, stack, cols) of a gauss_kernel call."""
 
     def children(*means):
-        return hm.Gauss(means).canonical().children
+        # the canonical children themselves: a Gauss node with a max child is max
+        return tuple(m.canonical() for m in means)
 
     ag, hg = children(hm.ARITH, hm.GEOM), children(hm.HARM, hm.GEOM)
     am = children(hm.ARITH, hm.MaxOf())

@@ -4,10 +4,11 @@
 plain Gini root only on the prefixes that keep it, and divides and
 roots the running sums in place.  The references here are the plain
 form: ``x**p`` on every entry, then ``ratio ** (1/(p - q))`` on every
-prefix and ``np.where`` for the log-domain prefixes; ``pn_sequence``'s
-drops in a fresh array.  Kernel, prefix means and p_n sweep must agree
-with them in every bit and in every warning, on exponents past +-1
-(where terms overflow) and entries across the whole double range.
+prefix and ``np.where`` for the log-domain prefixes, whose exp is
+clamped to the largest double; ``pn_sequence``'s drops in a fresh
+array.  Kernel, prefix means and p_n sweep must agree with them in
+every bit and in every warning, on exponents past +-1 (where terms
+overflow) and entries across the whole double range.
 """
 import math
 import warnings
@@ -76,7 +77,8 @@ def reference_gini(p, q, xs, cols):
     logx = np.log(xs)
     log_ratio = families._log_power_sum(logx, p, cols) - families._log_power_sum(logx, q, cols)
     logs = families._abnormal(sp) | families._abnormal(sq) | families._abnormal(ratio)
-    return np.where(logs, np.exp(log_ratio / (p - q)), out)
+    with np.errstate(over="ignore"):  # a mean of finite entries is at most max x
+        return np.where(logs, np.minimum(np.exp(log_ratio / (p - q)), HUGE), out)
 
 
 def reference_pn(expr, n_max):
