@@ -55,7 +55,6 @@ from .hardy import (
     liminf_ratio,
     pn_sequence,
     prefix_means,
-    published_tolerance,
     simplex_grid_bound,
 )
 from .kedlaya import (

@@ -172,7 +172,6 @@ def _cmd_hardy(args) -> dict:
         "estimate": _finite_or_none(estimate.estimate),
         "reference": estimate.reference,
         "reference_kind": estimate.reference_kind,
-        "tolerance": estimate.tolerance,
         "nmax": estimate.n_max,
         "divergent": estimate.divergent,
         "max_pn_decrease": estimate.pn.max_decrease if estimate.pn else None,

@@ -259,13 +259,12 @@ class MeanExpr:
     works along the last axis of a validated sample array, keeps leading
     batch axes, and returns the mean of every prefix that the slice
     ``cols`` selects (index k is x[..., :k+1]; a slice, not an integer, so
-    the axis stays).  On canonical nodes, :meth:`closed_form` and
-    :meth:`tolerance` are the registry entry, :meth:`known_properties` the
-    structural facts that the family decides exactly,
-    :meth:`above_arithmetic` the comparison with the arithmetic mean, and
-    :meth:`tends_to_max` its limit at large scale.  The defaults here: no
-    reduction, no registry entry, no known property, no comparison, no
-    limit.
+    the axis stays).  On canonical nodes, :meth:`closed_form` is the
+    registry entry, :meth:`known_properties` the structural facts that
+    the family decides exactly, :meth:`above_arithmetic` the comparison
+    with the arithmetic mean, and :meth:`tends_to_max` its limit at large
+    scale.  The defaults here: no reduction, no registry entry, no known
+    property, no comparison, no limit.
     """
 
     _reduced: MeanExpr | None = None
@@ -279,11 +278,6 @@ class MeanExpr:
 
     def closed_form(self) -> ClosedForm | None:
         """Exact constant or non-summability verdict, when known."""
-        return None
-
-    def tolerance(self) -> float | None:
-        """Relative convergence tolerance of the n_max = 10^4 estimate
-        against the registered constant, when known."""
         return None
 
     def known_properties(self) -> dict[str, bool | str]:
@@ -314,9 +308,14 @@ class MeanExpr:
         return lambda w: self.kernel(np.stack(w, axis=-1), LAST_PREFIX)[:, 0]
 
 
+# the properties under which lim p_n is the constant (the gate), in the
+# order that a certified note lists them
+_GATE_PROPERTIES = (
+    "homogeneity", "symmetry", "increasing", "jensen_concavity", "repetition_invariance"
+)
 # the gate properties other than Jensen concavity, which each family's
 # rules start from as holding
-_BASIC = ("symmetry", "increasing", "homogeneity", "repetition_invariance")
+_BASIC = tuple(name for name in _GATE_PROPERTIES if name != "jensen_concavity")
 
 
 def _holds(holds: bool, reason: str) -> bool | str:
@@ -409,14 +408,6 @@ class Gini(MeanExpr):
         if p == 0.0:
             return ClosedForm(math.e, True, "geometric-mean constant e")
         return ClosedForm(_gini_constant(p, q), True, "power-mean constant (1-p)^(-1/p)")
-
-    def tolerance(self):
-        """0.5% for max(p,q) <= 0, 1.5% for 0 < max(p,q) < 1, where the
-        singular endpoint slows convergence like n^(max(p,q)-1); none
-        where the mean is not summable."""
-        if not self._summable:
-            return None
-        return 0.005 if max(self.p, self.q) <= 0.0 else 0.015
 
     def known_properties(self):
         """Every Gini mean is symmetric, homogeneous and repetition
@@ -576,11 +567,6 @@ class Gauss(MeanExpr):
             # summable iff every exponent is < 1
             return ClosedForm(None, False, "product of power means with max exponent >= 1")
         return None
-
-    def tolerance(self):
-        """The worst child's, when every child has one."""
-        tols = [c.tolerance() for c in self.children]
-        return None if None in tols else max(tols)
 
     def known_properties(self):
         """M(x) = G(M_1(x), ..., M_k(x)) inherits symmetry, homogeneity,

@@ -19,10 +19,10 @@ instead, so no kernel here raises.  A power term that certainly
 overflows is inf with no pow call, and only the prefixes that keep a
 plain root take one: pow costs 4 to 20 times more on such values.
 
-Implicit means (Bajraktarevic, the canonical node of quasi-arithmetic
-and most deviation means) solve (f/g)(y) = sum f / sum g.  In the node's
-normal form every pair but exp over x**q, q <= 0, reduces to another
-family; :func:`quasi_exp_kernel` solves it at q = 0, quasi(exp), and
+Implicit means solve (f/g)(y) = sum f / sum g.  A quasi-arithmetic,
+Bajraktarevic or deviation mean with no exp generator reduces to a Gini
+node; only the pair exp over x**q, q <= 0, stays a Bajraktarevic node.
+:func:`quasi_exp_kernel` solves it at q = 0, quasi(exp), and
 :func:`bajraktarevic_kernel` in closed form through the Lambert W
 function for q < 0, for every selected prefix at once.
 """

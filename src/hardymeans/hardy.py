@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _GATE_PROPERTIES,
     ClosedForm,
     MeanComputationError,
     MeanExpr,
@@ -43,7 +44,6 @@ __all__ = [
     "canonical",
     "ClosedForm",
     "closed_form_hardy",
-    "published_tolerance",
     "PnSequence",
     "pn_sequence",
     "prefix_means",
@@ -74,11 +74,6 @@ def canonical(expr: MeanExpr) -> MeanExpr:
 def closed_form_hardy(expr: MeanExpr) -> ClosedForm | None:
     """Exact constant or non-summability verdict, when known."""
     return canonical(expr).closed_form()
-
-
-def published_tolerance(expr: MeanExpr) -> float | None:
-    """Relative convergence tolerance of the n_max = 10^4 estimate."""
-    return canonical(expr).tolerance()
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +127,6 @@ _PN_DECREASE_TOL = 1e-12
 # at most 100 terms, as a Gauss product's witness at n = 10^4 takes seconds
 _WITNESS_Y, _WITNESS_N = 1e5, 100
 
-_GATE_PROPERTIES = (
-    "homogeneity", "symmetry", "increasing", "jensen_concavity", "repetition_invariance"
-)
-
 
 @dataclass(frozen=True, eq=False)
 class HardyEstimate:
@@ -143,9 +134,9 @@ class HardyEstimate:
 
     ``status`` is the claim that :func:`hardy_constant`'s table decides,
     and the verdict fields follow from it: ``divergent`` and ``estimate``
-    math.inf exactly when it is "divergent", ``tolerance`` only with
-    "certified-lower", when met.  ``reference`` is the registry constant,
-    and ``reference_kind`` "closed-form", "not-a-hardy-mean" or None.
+    math.inf exactly when it is "divergent".  ``reference`` is the
+    registry constant, and ``reference_kind`` "closed-form",
+    "not-a-hardy-mean" or None.
     ``method`` names what ran (see :func:`hardy_constant`), and ``pn``
     is the p_n sweep, if one ran.
     """
@@ -156,7 +147,6 @@ class HardyEstimate:
     n_max: int
     reference: float | None
     reference_kind: str | None
-    tolerance: float | None
     divergent: bool
     notes: tuple[str, ...]
     pn: PnSequence | None = None
@@ -247,17 +237,6 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         except MeanComputationError as exc:
             witness = f"not evaluated ({exc})"
         notes.append(f"witness x_k = {_WITNESS_Y:g}/k, n={n}: {witness}")
-    # a tolerance says how close a certified estimate is to the reference;
-    # with no reference, or no certificate, it says nothing
-    tolerance = None
-    if status == "certified-lower" and reference is not None:
-        tolerance = published_tolerance(expr)
-        if tolerance is not None and abs(final - reference) > tolerance * reference:
-            notes.append(
-                f"tolerance {tolerance:g} unmet: the estimate is "
-                f"{abs(final - reference) / reference:.3g} relative from the registered constant"
-            )
-            tolerance = None
     return HardyEstimate(
         status=status,
         method=method,
@@ -265,7 +244,6 @@ def hardy_constant(expr: MeanExpr, cfg: HardyConfig = HardyConfig()) -> HardyEst
         n_max=cfg.n_max,
         reference=reference,
         reference_kind=reference_kind,
-        tolerance=tolerance,
         divergent=status == "divergent",
         notes=tuple(notes),
         pn=pn,

@@ -45,8 +45,10 @@ def test_criterion_2_gini_constants(capsys):
         assert estimate == pytest.approx(reference, rel=0.015), (p, q)
         tail = hm.liminf_ratio(hm.Gini(p, q), "harmonic", 10_000).estimate
         assert tail == pytest.approx(reference, rel=0.02), (p, q)
-        published = hm.published_tolerance(hm.Gini(p, q))
-        assert tail == pytest.approx(estimate, rel=2 * published), (p, q)
+        # the tail and the estimate agree to twice the convergence band at
+        # n_max = 10^4: 0.5% when max(p,q) <= 0, else 1.5%
+        band = 0.005 if max(p, q) <= 0.0 else 0.015
+        assert tail == pytest.approx(estimate, rel=2 * band), (p, q)
     print("ACCEPTANCE 2 PASS: Gini constants, harmonic tails, and agreement")
 
 

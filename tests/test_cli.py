@@ -176,7 +176,6 @@ class TestHardyCommand:
             "estimate",
             "reference",
             "reference_kind",
-            "tolerance",
             "nmax",
             "notes",
         ):
@@ -186,6 +185,10 @@ class TestHardyCommand:
         assert payload["reference"] == pytest.approx(math.e)
         assert payload["reference_kind"] == "closed-form"
         assert payload["nmax"] == 10000
+
+    def test_nmax_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["hardy", "power(0)", "--nmax", "0"])
+        assert (code, out, err) == (2, "", "E_INVALID: n_max must be at least 1\n")
 
     def test_gauss_mean_cross_checked_against_registry(self, capsys):
         code, out, _ = run(
@@ -249,9 +252,8 @@ class TestHardyCommand:
         del payload["command"], power["command"]
         assert payload == power
 
-    def test_failed_pn_audit_drops_the_tolerance(self, capsys, monkeypatch):
-        # prefix means whose p_n = n * M rise from 1 to 2 but decrease once,
-        # so the published tolerance is not met
+    def test_failed_pn_audit_is_not_certified(self, capsys, monkeypatch):
+        # prefix means whose p_n = n * M rise from 1 to 2 but decrease once
         def values(n):
             v = np.linspace(1.0, 2.0, n)
             v[n // 2] = v[n // 2 + 1] + 1e-6
@@ -262,7 +264,7 @@ class TestHardyCommand:
         assert code == 0
         payload = loads(out)
         assert payload["reference"] == pytest.approx(math.e, rel=1e-3)
-        assert (payload["status"], payload["tolerance"]) == ("estimate", None)
+        assert payload["status"] == "estimate"
         assert any("p_n decreased" in note for note in payload["notes"])
 
     def test_lower_bound_above_the_reference_is_not_certified(self, capsys, monkeypatch):
@@ -273,7 +275,7 @@ class TestHardyCommand:
         assert code == 0
         payload = loads(out)
         assert (payload["estimate"], payload["reference"]) == (200.0, math.e)
-        assert (payload["tolerance"], payload["max_pn_decrease"]) == (None, 0.0)
+        assert payload["max_pn_decrease"] == 0.0
         assert payload["status"] == "estimate"
         assert payload["notes"] == [
             "registry: power-mean constant (1-p)^(-1/p)",
@@ -313,11 +315,7 @@ class TestHardyCommand:
         assert code == 0
         payload = loads(out)
         assert payload["method"] == "rule"
-        assert (payload["estimate"], payload["divergent"], payload["tolerance"]) == (
-            None,
-            True,
-            None,
-        )
+        assert (payload["estimate"], payload["divergent"]) == (None, True)
         assert (payload["reference"], payload["reference_kind"]) == (None, "not-a-hardy-mean")
         assert payload["notes"] == [
             "rules: quasi(exp) is >= the arithmetic mean: exp is convex and increasing (Jensen)",
@@ -373,11 +371,7 @@ class TestHardyCommand:
         code, out, _ = run(capsys, argv)
         assert code == 0
         payload = loads(out)
-        assert (payload["estimate"], payload["divergent"], payload["tolerance"]) == (
-            None,
-            True,
-            None,
-        )
+        assert (payload["estimate"], payload["divergent"]) == (None, True)
         assert (payload["status"], payload["method"]) == ("divergent", "rule")
         assert payload["max_pn_decrease"] is None
         path = tmp_path / "pn.csv"

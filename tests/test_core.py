@@ -152,6 +152,11 @@ class TestGenerators:
         with pytest.raises(ValueError, match="not positive"):
             ratio_direction(hm.IDENTITY, hm.LOG)
 
+    @pytest.mark.parametrize("p", [None, math.nan, math.inf])
+    def test_pow_needs_a_finite_exponent(self, p):
+        with pytest.raises(ValueError, match="'pow' generator needs a finite exponent"):
+            hm.Generator("pow", p)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             hm.Generator("sinh")
@@ -177,6 +182,9 @@ class TestEvaluate:
     def test_rejects_non_expressions(self):
         with pytest.raises(TypeError):
             hm.evaluate("power(0)", [1.0])
+
+    def test_scalar_is_a_one_vector(self):
+        assert hm.evaluate(hm.Gini(0.5, -1.0), 3.0) == 3.0
 
     @pytest.mark.parametrize("name", sorted(ZOO))
     def test_mean_value_bounds(self, name, rng):

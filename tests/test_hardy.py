@@ -96,9 +96,7 @@ class TestCanonical:
         x = [0.5, 2.0, 3.0]
         assert hm.evaluate(exp_mean, x) == hm.evaluate(hm.QuasiArithmetic(hm.EXP), x)
 
-    @pytest.mark.parametrize(
-        "entry", [hm.canonical, hm.closed_form_hardy, hm.published_tolerance]
-    )
+    @pytest.mark.parametrize("entry", [hm.canonical, hm.closed_form_hardy])
     def test_entry_points_reject_non_expressions(self, entry):
         for bad in ("power(0)", None, 1.0):
             with pytest.raises(TypeError):
@@ -303,14 +301,6 @@ class TestClosedFormRegistry:
             is None
         )
 
-    def test_published_tolerances(self):
-        assert hm.published_tolerance(hm.Power(-2)) == 0.005
-        assert hm.published_tolerance(hm.Power(0.5)) == 0.015
-        assert hm.published_tolerance(hm.Power(2)) is None
-        assert hm.published_tolerance(hm.Gini(-1, -2)) == 0.005
-        assert hm.published_tolerance(hm.Gini(0.5, -1)) == 0.015
-        assert hm.published_tolerance(hm.Gauss((hm.Power(-1), hm.Power(0)))) == 0.005
-
 
 # means whose running power sums overflow on x = 1/k, so that the
 # prefix kernels switch to log-domain accumulation part way along
@@ -382,18 +372,13 @@ class TestPnSequence:
         assert seq.values[2] == pytest.approx(3 * 6 ** (-1 / 3), rel=1e-12)
 
     def test_nondecreasing_for_concave_homogeneous_builtins(self):
+        from hardymeans import core
+
         cfg = hm.ProbeConfig(samples=100, seed=4, entry_range=(0.1, 10.0))
-        needed = (
-            "homogeneity",
-            "symmetry",
-            "increasing",
-            "jensen_concavity",
-            "repetition_invariance",
-        )
         checked = 0
         for name, expr in ZOO.items():
             report = hm.probe_properties(expr, cfg)
-            if not all(report.holds(p) for p in needed):
+            if not all(report.holds(p) for p in core._GATE_PROPERTIES):
                 continue
             n_max = 300 if isinstance(expr, (hm.Gauss, hm.Deviation, hm.Bajraktarevic)) else 3000
             seq = hm.pn_sequence(expr, n_max)
@@ -514,18 +499,14 @@ class TestHardyConstant:
         assert (est.status == "certified-lower") == certified
         assert any("p_n decreased" in note for note in est.notes) != certified
 
-    def test_no_tolerance_without_reference(self):
+    def test_reference_only_where_registered(self):
         # summable, but the registry has no constant for max(p, q) < 0
         est = hm.hardy_constant(hm.Gini(-0.2, -0.4), hm.HardyConfig(n_max=500))
         assert est.reference is None
-        assert est.tolerance is None
-        # 0.49% off at n_max 10^4 meets the 1.5% tolerance, 2.3% off at
-        # 500 does not, so only the first echoes it
-        est = hm.hardy_constant(hm.Gini(0.5, -1.0))
-        assert est.tolerance == 0.015 and est.reference is not None
-        est = hm.hardy_constant(hm.Gini(0.5, -1.0), hm.HardyConfig(n_max=500))
-        assert est.tolerance is None and est.reference is not None
-        assert any(note.startswith("tolerance 0.015 unmet") for note in est.notes)
+        # the reference is the registered constant, at any n_max
+        for n_max in (10_000, 500):
+            est = hm.hardy_constant(hm.Gini(0.5, -1.0), hm.HardyConfig(n_max=n_max))
+            assert est.reference == hm.closed_form_hardy(hm.Gini(0.5, -1.0)).value
 
     @pytest.mark.parametrize(
         "text, n_max",
@@ -538,15 +519,14 @@ class TestHardyConstant:
         ],
     )
     def test_unmet_tolerance_is_dropped(self, text, n_max):
-        expr = hm.parse_mean_expr(text)
-        est = hm.hardy_constant(expr, hm.HardyConfig(n_max=n_max))
-        gap = abs(est.estimate - est.reference) / est.reference
-        assert gap > hm.published_tolerance(expr) == 0.015
-        assert est.tolerance is None
-        assert (
-            f"tolerance 0.015 unmet: the estimate is {gap:.3g} relative "
-            "from the registered constant"
-        ) in est.notes
+        # p_n converges slowly here: the estimate lies more than 1.5% below
+        # the registered constant, and the report is a certified lower bound
+        # that states no band around the reference
+        est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
+        assert est.status == "certified-lower"
+        assert est.estimate < est.reference * (1 - 0.015)
+        assert not hasattr(est, "tolerance")
+        assert not any("tolerance" in note for note in est.notes)
 
     def test_gini_constants(self):
         for p, q in ((0.5, -1.0), (0.0, -1.0), (-1.0, -2.0)):
@@ -598,7 +578,7 @@ class TestHardyConstant:
             "not a Hardy mean; no finite certified constant exists",
         )
         assert (est.method, est.pn) == ("rule", None)
-        assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
+        assert (est.estimate, est.divergent) == (math.inf, True)
 
     @pytest.mark.parametrize(
         "text",
@@ -628,14 +608,14 @@ class TestHardyConstant:
 
     @pytest.mark.parametrize("text", SWEEP)
     def test_sweep_catalogue_needs_no_probe(self, text):
-        from hardymeans import hardy
+        from hardymeans import core
 
         # the rules decide every gate property, or the registry decides
         # that the mean is not a Hardy mean
         expr = hm.parse_mean_expr(text)
         form = hm.closed_form_hardy(expr)
         known = hm.canonical(expr).known_properties()
-        assert known.keys() >= set(hardy._GATE_PROPERTIES) or not form.is_hardy
+        assert known.keys() >= set(core._GATE_PROPERTIES) or not form.is_hardy
         est = hm.hardy_constant(expr, hm.HardyConfig(n_max=200))
         assert not any("no rule decides" in note for note in est.notes)
 
@@ -712,7 +692,7 @@ class TestHardyConstant:
         assert est.estimate == 1.0
         assert est.notes == ("certified-from-below: monotone p_n truncation of the limit formula",)
         own = hm.hardy_constant(hm.MinOf())
-        fields = ("status", "method", "estimate", "reference", "tolerance", "notes")
+        fields = ("status", "method", "estimate", "reference", "notes")
         assert [getattr(est, f) for f in fields] == [getattr(own, f) for f in fields]
         assert est.pn.values.tobytes() == own.pn.values.tobytes()
 
@@ -800,14 +780,14 @@ class TestHardyConstant:
         # the path, and whether any property fails, which withholds
         # certification; a 64-sample probe at two seeds agrees on both, and
         # refutes no property a rule says holds
-        from hardymeans import hardy
+        from hardymeans import core
 
         expr = hm.parse_mean_expr(text)
         known = hm.canonical(expr).known_properties()
         for seed in (0, 7):
             cfg = hm.ProbeConfig(samples=64, seed=seed, entry_range=(0.1, 10.0))
             report = hm.probe_properties(expr, cfg)
-            refuted = [name for name in hardy._GATE_PROPERTIES if not report.holds(name)]
+            refuted = [name for name in core._GATE_PROPERTIES if not report.holds(name)]
             assert not [name for name in refuted if known[name] is True]
             assert report.holds("homogeneity") == (known["homogeneity"] is True)
             assert bool(refuted) == any(value is not True for value in known.values())
@@ -852,7 +832,7 @@ class TestHardyConstant:
         # the exp means, with a witness of min(n_max, 100) terms
         monkeypatch.setattr(hm.Bajraktarevic, "above_arithmetic", lambda self: None)
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
-        assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
+        assert (est.estimate, est.divergent) == (math.inf, True)
         assert (est.status, est.method, est.pn) == ("divergent", "rule", None)
         assert est.notes[2].startswith(f"witness x_k = 100000/k, n={min(n_max, 100)}: ratio ")
 
@@ -874,7 +854,7 @@ class TestHardyConstant:
             f"rules: {hm.canonical(expr).above_arithmetic()}",
             "not a Hardy mean; no finite certified constant exists",
         )
-        assert (est.estimate, est.divergent, est.tolerance) == (math.inf, True, None)
+        assert (est.estimate, est.divergent) == (math.inf, True)
         assert (est.reference, est.reference_kind) == (None, "not-a-hardy-mean")
         assert (est.method, est.pn) == ("rule", None)
 
@@ -917,7 +897,6 @@ class TestHardyConstant:
         monkeypatch.setattr(hardy, "prefix_means", swept)
         est = hm.hardy_constant(hm.Power(0), hm.HardyConfig(n_max=100))
         assert (est.status == "certified-lower") == certified
-        assert (est.tolerance == 0.005) == certified
         exceeds = f"estimate (uncertified): {est.estimate:.6g} exceeds the registered constant"
         assert any(note.startswith(exceeds) for note in est.notes) != certified
 
@@ -958,17 +937,16 @@ class TestStatusTable:
     # one case per row of hardy_constant's table, in its order (the three
     # non-Hardy rules share the first, and certification does not depend
     # on the gate): the mean, n_max and patch that put a run in the row,
-    # then the status, whether the estimate is finite, divergent and the
-    # tolerance
+    # then the status, whether the estimate is finite, and divergent
     ROWS = {
-        "registry non-Hardy": ("power(2)", 2000, None, ("divergent", False, True, None)),
-        "M >= A": ("quasi(exp)", 300, None, ("divergent", False, True, None)),
-        "scale": ("bajrak(exp,pow:-1)", 300, None, ("divergent", False, True, None)),
-        "rule without sweep": ("gini(2,1)", 2000, _no_sweep, ("divergent", False, True, None)),
-        "p_n decrease": ("power(0)", 100, _decreasing_pn, ("estimate", True, False, None)),
-        "overshoot": ("power(1e-20)", 300, _overshooting_pn, ("estimate", True, False, None)),
-        "ungated certified": ("gini(-1,-2)", 2000, None, ("certified-lower", True, False, None)),
-        "certified": ("power(0)", 10_000, None, ("certified-lower", True, False, 0.005)),
+        "registry non-Hardy": ("power(2)", 2000, None, ("divergent", False, True)),
+        "M >= A": ("quasi(exp)", 300, None, ("divergent", False, True)),
+        "scale": ("bajrak(exp,pow:-1)", 300, None, ("divergent", False, True)),
+        "rule without sweep": ("gini(2,1)", 2000, _no_sweep, ("divergent", False, True)),
+        "p_n decrease": ("power(0)", 100, _decreasing_pn, ("estimate", True, False)),
+        "overshoot": ("power(1e-20)", 300, _overshooting_pn, ("estimate", True, False)),
+        "ungated certified": ("gini(-1,-2)", 2000, None, ("certified-lower", True, False)),
+        "certified": ("power(0)", 10_000, None, ("certified-lower", True, False)),
     }  # fmt: skip
 
     @pytest.mark.parametrize("row", list(ROWS))
@@ -977,7 +955,7 @@ class TestStatusTable:
         if patch is not None:
             patch(monkeypatch)
         est = hm.hardy_constant(hm.parse_mean_expr(text), hm.HardyConfig(n_max=n_max))
-        got = (est.status, math.isfinite(est.estimate), est.divergent, est.tolerance)
+        got = (est.status, math.isfinite(est.estimate), est.divergent)
         assert got == expected
         # a rule's verdict, and only one, runs no sweep
         assert (est.method == "rule") == (est.pn is None) == est.divergent
@@ -1019,6 +997,26 @@ class TestLiminfRatio:
             hm.liminf_ratio(hm.Power(0), "fibonacci", 100)
         with pytest.raises(ValueError):
             hm.liminf_ratio(hm.Power(0), "harmonic", 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hm.pn_sequence(hm.Power(0), 0), "n_max must be at least 1"),
+        (lambda: hm.HardyConfig(n_max=0), "n_max must be at least 1"),
+        (lambda: hm.SearchConfig(restarts=0), "restarts must be at least 1"),
+        (lambda: hm.SearchConfig(budget=9), "budget must be at least 10"),
+        (lambda: hm.hardy_sequence_bound(hm.Power(0), 0), "n must be at least 1"),
+        (lambda: hm.simplex_grid_bound(hm.Power(0), 0), "n must be at least 1"),
+    ],
+    ids=[
+        "pn_sequence", "HardyConfig", "SearchConfig.restarts", "SearchConfig.budget",
+        "hardy_sequence_bound", "simplex_grid_bound",
+    ],
+)  # fmt: skip
+def test_sizes_below_their_minimum_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestHardySequenceBound:
@@ -1100,9 +1098,8 @@ class TestOrderingChain:
             est = hm.hardy_constant(expr, hm.HardyConfig(n_max=4000))
             li = hm.liminf_ratio(expr, "harmonic", 4000)
             form = hm.closed_form_hardy(expr)
-            tol = hm.published_tolerance(expr)
             assert li.estimate <= est.estimate + 1e-12
-            assert est.estimate <= form.value * (1 + tol)
+            assert est.estimate <= form.value * (1 + 1e-12)
 
 
 class TestPartialCheck:

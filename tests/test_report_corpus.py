@@ -2,8 +2,8 @@
 
 The corpus is the benchmark's sweep catalogue at its n_max, and runs
 that reach the rows and notes of the status table on real inputs: means
-that tend to max, tiny exponents, undecided and denied gates, an unmet
-tolerance.  Each report is compared with ``hardy_reports.json``:
+that tend to max, tiny exponents, undecided and denied gates, slow
+convergence.  Each report is compared with ``hardy_reports.json``:
 the claim and its wording exactly, the numbers within 5 eps.  A change
 meant to alter a report rewrites the file with
 
@@ -66,12 +66,13 @@ CORPUS = (
     # bounds all the same
     ("gauss(gini(-0.2,-0.4),power(0))", 500),
     ("gini(-0.2,-0.4)", 500),
-    # an unmet tolerance, and a product above the arithmetic mean
+    # slow convergence, where p_n at n_max = 10^4 lies 41% and 11% below
+    # the registered constant, and a product above the arithmetic mean
     ("power(0.9)", 10_000),
     ("gini(0.8,-0.5)", 10_000),
     ("gauss(power(2),quasi(exp))", 300),
 )
-EXACT = ("status", "method", "divergent", "reference_kind", "tolerance", "notes")
+EXACT = ("status", "method", "divergent", "reference_kind", "notes")
 
 
 def _case_id(text, n_max):
@@ -117,11 +118,6 @@ def test_verdict_fields_follow_from_the_status(case):
     assert (report["method"] == "rule") == (status == "divergent")
     assert (report["reference_kind"] == "not-a-hardy-mean") == (status == "divergent")
     assert (estimate is None) == (status == "divergent")
-    met = False
-    if status == "certified-lower" and reference is not None:
-        tolerance = hm.published_tolerance(hm.parse_mean_expr(case[0]))
-        met = abs(estimate - reference) <= tolerance * reference
-    assert (report["tolerance"] is not None) == met
     uncertified = [note.startswith("estimate (uncertified): ") for note in report["notes"]]
     assert any(uncertified) == (status == "estimate")
 

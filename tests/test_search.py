@@ -264,6 +264,17 @@ class TestSequenceBoundMatchesScipy:
             assert bound.trace[1:] == (-math.inf,) * 5
             assert bound.trace[0] == pytest.approx(1.0, rel=1e-12)
 
+    def test_no_feasible_evaluation_is_an_error(self):
+        # a mean that fails on every row, constant ones included, scores
+        # +inf at every point of every restart
+        class AlwaysFailing(hm.MeanExpr):
+            def kernel(self, xs, cols):
+                raise hm.MeanComputationError("no row is computed")
+
+        cfg = hm.SearchConfig(restarts=4, budget=10)
+        with pytest.raises(hm.MeanComputationError, match="no feasible evaluation"):
+            hm.hardy_sequence_bound(AlwaysFailing(), 2, cfg)
+
     def test_fixed_and_extra_starts_always_run(self):
         # the four fixed starts run even when restarts asks for fewer
         bound = hm.hardy_sequence_bound(hm.Power(0), 2, hm.SearchConfig(restarts=1))
