@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "random starts are added up to this count (default 12)",
     )
     p_seq.add_argument("--seed", type=int, default=0)
-    p_seq.add_argument("--budget", type=int, default=2000)
 
     p_liminf = sub.add_parser("liminf", help="tail-window ratio along a named sequence")
     p_liminf.add_argument("mean")
@@ -181,15 +180,20 @@ def _cmd_hardy(args) -> dict:
 
 def _cmd_hardy_seq(args) -> dict:
     expr = parse_mean_expr(args.mean)
-    cfg = SearchConfig(restarts=args.restarts, seed=args.seed, budget=args.budget)
+    cfg = SearchConfig(restarts=args.restarts, seed=args.seed)
     bound = hardy_sequence_bound(expr, args.n, cfg)
+    notes = ["lower bound: the n-term constant is at least this large"]
+    if bound.upper is not None:
+        notes.append("upper: the mean is homogeneous and Jensen concave, so the n-term "
+                     "constant is at most this large")
     return {
         "n": bound.n,
         "estimate": bound.estimate,
+        "upper": bound.upper,
         "maximizer": list(bound.maximizer),
         "restarts": bound.restarts,
         "trace": [_finite_or_none(v) for v in bound.trace],
-        "notes": ["lower bound: the n-term constant is at least this large"],
+        "notes": notes,
     }
 
 

@@ -9,6 +9,7 @@ Bajraktarevic (exp over t**q, q <= 0), Gaussian product, min and max.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -248,6 +249,25 @@ class ClosedForm:
     provenance: str
 
 
+def _rule(method):
+    """A rule method that answers for the mean: on a node that reduces to
+    another, the canonical node's answer, whatever spelling built it.
+    Every class whose nodes may reduce wraps its own rule methods too."""
+
+    @functools.wraps(method)
+    def answer(self):
+        if self._reduced is None:
+            return method(self)
+        return getattr(self.canonical(), method.__name__)()
+
+    return answer
+
+
+# the relative step of a forward difference, about the square root of eps,
+# and the most entries of one stack of differences
+_DIFFERENCE_STEP, _DIFFERENCE_STACK = 2.0**-26, 1 << 20
+
+
 class MeanExpr:
     """A node of a mean expression: one class per family.
 
@@ -259,15 +279,19 @@ class MeanExpr:
     works along the last axis of a validated sample array, keeps leading
     batch axes, and returns the mean of every prefix that the slice
     ``cols`` selects (index k is x[..., :k+1]; a slice, not an integer, so
-    the axis stays).  On canonical nodes, :meth:`closed_form` is the
-    registry entry, :meth:`known_properties` the structural facts that
-    the family decides exactly, :meth:`above_arithmetic` the comparison
-    with the arithmetic mean, and :meth:`tends_to_max` its limit at large
-    scale.  The defaults here: no reduction, no registry entry, no known
-    property, no comparison, no limit.
+    the axis stays).  The rule methods answer for the mean: on a spelled
+    node they are the canonical node's (:func:`_rule`).  There,
+    :meth:`closed_form` is the registry entry, :meth:`known_properties`
+    the structural facts that the family decides exactly,
+    :meth:`above_arithmetic` the comparison with the arithmetic mean, and
+    :meth:`tends_to_max` its limit at large scale.  The defaults here: no
+    reduction, no registry entry, no known property, no comparison, no
+    limit, and a gradient of the n-term sum by forward differences.
     """
 
     _reduced: MeanExpr | None = None
+    # whether :meth:`sum_gradient` is exact up to rounding, not a difference
+    analytic_gradient = False
 
     def _reduce_to(self, node: MeanExpr) -> None:
         object.__setattr__(self, "_reduced", node)
@@ -276,22 +300,26 @@ class MeanExpr:
         """The node reduced along exact family identities."""
         return self if self._reduced is None else self._reduced.canonical()
 
+    @_rule
     def closed_form(self) -> ClosedForm | None:
         """Exact constant or non-summability verdict, when known."""
         return None
 
+    @_rule
     def known_properties(self) -> dict[str, bool | str]:
         """{property: True, or the reason it fails} for the probe
         properties that a theorem of the family decides; a property not
         named is unknown.  A reason is truthy, so test ``is True``."""
         return {}
 
+    @_rule
     def above_arithmetic(self) -> str | None:
         """Why M >= A (the arithmetic mean) at every sample, when a
         theorem of the family says so; None when no rule decides it.
         Such a mean is not a Hardy mean, because A is not one."""
         return None
 
+    @_rule
     def tends_to_max(self) -> str | None:
         """Why M(y*x)/y -> max x as y -> inf, when a theorem of the family
         says so; None when no rule decides it.  Such a mean is not a
@@ -306,6 +334,23 @@ class MeanExpr:
         :meth:`kernel` on the stacked columns, which this default runs; a
         node whose values may leave [lo, hi] by more than rounding returns None."""
         return lambda w: self.kernel(np.stack(w, axis=-1), LAST_PREFIX)[:, 0]
+
+    def sum_gradient(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f(x) = M(x_1) + M(x_1, x_2) + ... + M(x_1, ..., x_n) at every row
+        of a valid (rows, n) sample stack, and its gradient in x.  Here by
+        forward differences, with steps 2^-26 x_i: one (n + 1)-row stack
+        per row, scored by the canonical node's kernel, all rows at once
+        unless that stack exceeds 2^20 entries."""
+        rows, n = xs.shape
+        if rows > 1 and rows * (n + 1) * n > _DIFFERENCE_STACK:
+            f, grad = zip(*(self.sum_gradient(row[None]) for row in xs))
+            return np.concatenate(f), np.concatenate(grad)
+        cols = np.arange(n)
+        stack = np.repeat(xs[:, None, :], n + 1, axis=1)
+        stack[:, cols + 1, cols] += _DIFFERENCE_STEP * xs
+        steps = stack[:, cols + 1, cols] - xs  # as rounded
+        f = np.add.reduce(_selected_means(self, stack, slice(None)), axis=-1)
+        return f[:, 0], (f[:, 1:] - f[:, :1]) / steps
 
 
 # the properties under which lim p_n is the constant (the gate), in the
@@ -386,10 +431,17 @@ class Gini(MeanExpr):
     def column_step(self, lo, hi, k):
         return families.gini_columns(self.p, self.q, lo, hi, k)
 
+    analytic_gradient = True
+
+    def sum_gradient(self, xs):
+        means = _selected_means(self, xs, slice(None))
+        return np.add.reduce(means, axis=-1), families.gini_gradient(self.p, self.q, xs, means)
+
     @property
     def _summable(self) -> bool:
         return min(self.p, self.q) <= 0.0 and max(self.p, self.q) < 1.0
 
+    @_rule
     def closed_form(self):
         """The mean is summable exactly when min(p,q) <= 0 and
         max(p,q) < 1; the constant ((1-q)/(1-p))^(1/(p-q)) is registered
@@ -409,6 +461,7 @@ class Gini(MeanExpr):
             return ClosedForm(math.e, True, "geometric-mean constant e")
         return ClosedForm(_gini_constant(p, q), True, "power-mean constant (1-p)^(-1/p)")
 
+    @_rule
     def known_properties(self):
         """Every Gini mean is symmetric, homogeneous and repetition
         invariant.  It is increasing exactly when pq <= 0, and Jensen
@@ -424,6 +477,7 @@ class Gini(MeanExpr):
             ),
         }
 
+    @_rule
     def above_arithmetic(self):
         """G(p,q) increases in each exponent and G(1,0) = A, so
         G(p,q) >= A when min(p,q) >= 0 and max(p,q) >= 1."""
@@ -476,6 +530,7 @@ class Bajraktarevic(MeanExpr):
             return families.quasi_exp_kernel(xs, cols)
         return families.bajraktarevic_kernel(self._c, xs, cols)
 
+    @_rule
     def known_properties(self):
         """sum f(x_i) / sum g(x_i) does not depend on the order of the
         entries, and repeating every entry k times multiplies both sums
@@ -491,6 +546,7 @@ class Bajraktarevic(MeanExpr):
             known["jensen_concavity"] = "quasi(exp) is not Jensen concave; log-mean-exp is convex"
         return known
 
+    @_rule
     def above_arithmetic(self):
         """At q = 0, exp is convex and increasing, so Jensen's inequality
         gives log(mean of e**x) >= mean of x (Mikusinski's comparison,
@@ -499,6 +555,7 @@ class Bajraktarevic(MeanExpr):
             return "quasi(exp) is >= the arithmetic mean: exp is convex and increasing (Jensen)"
         return None
 
+    @_rule
     def tends_to_max(self):
         """The mean m of y*x solves m + c ln m = ln sum e**(y x_i)
         - ln sum (y x_i)**q.  With M = max x, u = min x and n entries, the
@@ -555,6 +612,7 @@ class Gauss(MeanExpr):
         """None: a child's log-domain path may take the product far out of [lo, hi]."""
         return None
 
+    @_rule
     def closed_form(self):
         """The product of the children's constants, evaluated with the
         product itself, when every child is registered and summable; a
@@ -568,6 +626,7 @@ class Gauss(MeanExpr):
             return ClosedForm(None, False, "product of power means with max exponent >= 1")
         return None
 
+    @_rule
     def known_properties(self):
         """M(x) = G(M_1(x), ..., M_k(x)) inherits symmetry, homogeneity,
         increasingness and repetition invariance when every child has
@@ -584,6 +643,7 @@ class Gauss(MeanExpr):
             known["homogeneity"] = not_homogeneous
         return known
 
+    @_rule
     def above_arithmetic(self):
         """The product lies in the envelope of its children's values, so
         it is >= A when every child is."""
@@ -591,6 +651,7 @@ class Gauss(MeanExpr):
             return "Gauss product of means >= the arithmetic mean lies in their envelope"
         return None
 
+    @_rule
     def tends_to_max(self):
         """Holds when a child tends to max.  As y -> inf, the children's
         iterates of y*x, over y, tend to those of the limit system with

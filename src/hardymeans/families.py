@@ -19,6 +19,9 @@ instead, so no kernel here raises.  A power term that certainly
 overflows is inf with no pow call, and only the prefixes that keep a
 plain root take one: pow costs 4 to 20 times more on such values.
 
+:func:`gini_gradient` differentiates the n-term sum of a Gini node's
+prefix means in O(n), for the n-term search.
+
 Implicit means solve (f/g)(y) = sum f / sum g.  A quasi-arithmetic,
 Bajraktarevic or deviation mean with no exp generator reduces to a Gini
 node; only the pair exp over x**q, q <= 0, stays a Bajraktarevic node.
@@ -48,6 +51,7 @@ __all__ = [
     "quasi_exp_kernel",
     "gini_kernel",
     "bajraktarevic_kernel",
+    "gini_gradient",
     "power_mean",
     "quasi_arithmetic_mean",
     "gini_mean",
@@ -226,6 +230,46 @@ def gini_columns(p: float, q: float, lo: float, hi: float, k: int):
         return np.exp(c + np.log1p(d * (num / s)) / d) if d else np.exp(num / s)
 
     return step
+
+
+def gini_gradient(p: float, q: float, xs: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """The gradient of f = G_1 + ... + G_n, the Gini means ``means`` of
+    the prefixes of every row of ``xs``, in O(n).  With S_e(k) the sum of
+    x**e over the first k entries,
+
+        d f / d x_i = [p x_i**(p-1) sum_{k>=i} G_k / S_p(k)
+                       - q x_i**(q-1) sum_{k>=i} G_k / S_q(k)] / (p - q),
+
+    and at p = q, x_i**(p-1) sum_{k>=i} G_k (1 + p ln(x_i / G_k)) / S_p(k).
+    Each x_i**e sum_{k>=i} G_k / S_e(k) is at most sum_{k>=i} G_k, so it
+    is taken from logs, by reverse running ``logaddexp``: a power or a
+    sum that overflows for entries near 1e-300 overflows no term.  Where
+    min(p,q) <= 0 <= max(p,q), the two terms share a sign and nothing
+    cancels; elsewhere the gradient loses about eps max(|p|,|q|)/|p - q|."""
+    logx, logm = np.log(xs), np.log(means)
+    everything = slice(None)
+
+    def tail(e: float, logs: np.ndarray) -> np.ndarray:
+        # x_i**e sum_{k>=i} exp(logs_k) / S_e(k)
+        terms = (logs - _log_power_sum(logx, e, everything))[..., ::-1]
+        return np.exp(e * logx + np.logaddexp.accumulate(terms, axis=-1)[..., ::-1])
+
+    if p != q:
+        grad = p * tail(p, logm)
+        if q != 0.0:
+            grad -= q * tail(q, logm)
+        grad /= p - q
+    else:
+        # ln G_k = c + (ln G_k - c) with c the row minimum of ln x, at most
+        # every ln G_k, so the sum with ln G_k has nonnegative terms
+        c = logx.min(axis=-1, keepdims=True)
+        grad = (1.0 + p * (logx - c)) * tail(p, logm)
+        if p != 0.0:
+            # a G_k at the row minimum, or rounded below it, adds nothing
+            with np.errstate(divide="ignore"):
+                grad -= p * tail(p, logm + np.log(np.maximum(logm - c, 0.0)))
+    grad /= xs
+    return grad
 
 
 # Newton steps on e**v + v = u from the start below: on 40,002 points u

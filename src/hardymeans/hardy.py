@@ -14,9 +14,10 @@ sequences.  The tools here:
 * ``closed_form_hardy`` -- the registry of exactly known constants
   and of exactly known non-summability verdicts, read from the node
   classes in :mod:`hardymeans.core`.
-* ``hardy_sequence_bound`` -- multi-start derivative-free maximization
-  of the n-term ratio, always reported as a lower bound, with an
-  exhaustive simplex-grid oracle for small n.
+* ``hardy_sequence_bound`` -- multi-start gradient (mirror) ascent on
+  the n-term ratio, reported as a lower bound, with an upper bound where
+  the mean is concave and its gradient analytic, and an exhaustive
+  simplex-grid oracle for small n.
 * ``liminf_ratio`` -- tail-window estimates of the liminf of
   M(x_1, ..., x_n) / x_n along named non-summable sequences.
 """
@@ -38,7 +39,6 @@ from .core import (
     as_sample_rows,
     prefix_means,
 )
-from .neldermead import minimize_lockstep
 
 __all__ = [
     "canonical",
@@ -316,22 +316,22 @@ class SearchConfig:
 
     restarts: int = 12
     seed: int = 0
-    budget: int = 2000  # objective evaluations per restart
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.budget < 10:
-            raise ValueError("budget must be at least 10")
 
 
 @dataclass(frozen=True)
 class HardySeqBound:
     """Lower estimate of the n-term constant: best ratio found, the
-    vector achieving it, and the per-restart best values."""
+    vector achieving it, and the per-restart best values.  ``upper``
+    bounds the n-term constant from above where the mean is homogeneous
+    and Jensen concave and its gradient is analytic; else it is None."""
 
     n: int
     estimate: float
+    upper: float | None
     maximizer: tuple[float, ...]
     restarts: int
     trace: tuple[float, ...]
@@ -356,74 +356,95 @@ def _softmax_points(z: np.ndarray) -> np.ndarray:
     return np.maximum(w / np.add.reduce(w, axis=-1, keepdims=True), 1e-300)
 
 
-def _negated_ratios(node: MeanExpr, z: np.ndarray) -> list[float]:
-    """Search objective on a stack of parameter rows: minus the n-term
-    ratio at each softmax point, by the canonical ``node``.  A row whose
-    ratio raises MeanComputationError scores +inf.  The softmax point of
-    a finite row is a valid sample, so it is scored unvalidated, and on
-    finite rows the objective never raises, as the search requires: it
-    also scores candidates it then discards.  Rows are independent, so
-    after a stack fails each of its rows is re-scored alone."""
-    points = _softmax_points(z)
+def _ascent_scores(node: MeanExpr, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n-term ratio f(x)/sum x at every row of a stack of simplex
+    points, and the gradient of f, by the canonical ``node``.  A row whose
+    mean raises MeanComputationError, or whose gradient overflows, scores
+    -inf.  Rows are independent, so after a stack fails each of its rows
+    is re-scored alone."""
     try:
-        return [-r for r in _ratios(node, points)]
+        f, grad = node.sum_gradient(points)
     except MeanComputationError:
-        out = []
-        for row in points:
+        f, grad = np.full(len(points), -math.inf), np.zeros_like(points)
+        for i in range(len(points)):
             try:
-                out.append(-_ratios(node, row[None])[0])
+                (f[i],), grad[i] = node.sum_gradient(points[i : i + 1])
             except MeanComputationError:
-                out.append(math.inf)
-        return out
+                pass
+    ratio = f / np.add.reduce(points, axis=-1)
+    ratio[~np.isfinite(grad).all(axis=-1)] = -math.inf
+    return ratio, grad
+
+
+# the ascent stops a start when its Frank-Wolfe gap max_i df/dx_i - f/sum x
+# falls to _GAP_TOL of its ratio or its step below _MIN_STEP, and every
+# start after _MAX_ROUNDS rounds
+_GAP_TOL, _MIN_STEP, _MAX_ROUNDS = 1e-13, 1e-8, 5_000
 
 
 def hardy_sequence_bound(
     expr: MeanExpr, n: int, cfg: SearchConfig = SearchConfig()
 ) -> HardySeqBound:
-    """Maximize the n-term ratio by multi-start Nelder-Mead.
+    """Maximize the n-term ratio by multi-start mirror ascent.
 
     The ratio is scale invariant whenever the mean is homogeneous, so
-    the search runs on softmax-parametrized simplex points; boundary
-    suprema are reachable because the parametrization lets coordinates
-    decay to ~1e-300.  The restarts run in lockstep (see
-    :func:`~hardymeans.neldermead.minimize_lockstep`), each exactly as
-    SciPy's adaptive Nelder-Mead would run it.  The result is a lower
-    estimate of the n-term constant, achieved by the reported vector.
+    the search runs on the simplex, at the softmax points of log
+    coordinates z; coordinates can decay to ~1e-300.  Each start takes
+    exponentiated-gradient steps z <- z + eta grad f (Kivinen and Warmuth,
+    Inform. and Comput. 132, 1997), each with its own step: a step that
+    raises the ratio is taken and doubles eta, any other quarters it.
+    The starts run in lockstep, one stacked ``sum_gradient`` call a round.
+    The first step moves no log coordinate by more than 1.  A start stops
+    when its Frank-Wolfe gap max_i df/dx_i - f/sum x (Jaggi, ICML 2013)
+    falls to 1e-13 of its ratio, or eta below 1e-8; a failed evaluation is
+    a failed step.
+
+    The estimate is the exactly rounded ratio at the best start's point, a
+    lower bound of the n-term constant C_n.  Where the mean is homogeneous
+    and Jensen concave, f is concave and 1-homogeneous, so
+    f(y) <= grad f(x) . y for every y, and C_n <= max_i df/dx_i at any
+    point.  ``upper`` is that bound at the maximizer, up to the rounding
+    of the gradient, when the node's gradient is analytic.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n == 1:
-        x = (1.0,)
-        return HardySeqBound(
-            n=1,
-            estimate=hardy_ratio(expr, x),
-            maximizer=x,
-            restarts=0,
-            trace=(),
-        )
-    starts = _search_starts(n, cfg, np.random.default_rng(cfg.seed))
     node = canonical(expr)
-    results = minimize_lockstep(
-        lambda z: _negated_ratios(node, z), starts, cfg.budget, xatol=1e-12, fatol=1e-14
-    )
-    best_value = -math.inf
-    best_x: np.ndarray | None = None
-    trace: list[float] = []
-    for x, fun, _ in results:
-        value = -fun if math.isfinite(fun) else -math.inf
-        trace.append(value)
-        if value > best_value:  # ties keep the earliest restart
-            best_value = value
-            best_x = _softmax_points(x)
-    if best_x is None:
-        raise MeanComputationError("search budget exhausted with no feasible evaluation")
-    maximizer = tuple(float(v) for v in best_x)
+    points = _softmax_points(np.array(_search_starts(n, cfg, np.random.default_rng(cfg.seed))))
+    values, grads = _ascent_scores(node, points)
+    with np.errstate(divide="ignore"):  # a start at a stationary point is done
+        steps = 1.0 / np.maximum.reduce(np.abs(grads - values[:, None]), axis=-1)
+    live = np.isfinite(values)
+    for _ in range(_MAX_ROUNDS):
+        live &= (steps >= _MIN_STEP) & ~(
+            np.maximum.reduce(grads, axis=-1) - values <= _GAP_TOL * values
+        )
+        if not live.any():
+            break
+        (at,) = live.nonzero()
+        trial = _softmax_points(np.log(points[at]) + steps[at, None] * grads[at])
+        ratio, grad = _ascent_scores(node, trial)
+        up = ratio > values[at]
+        won = at[up]
+        points[won], values[won], grads[won] = trial[up], ratio[up], grad[up]
+        steps[at] *= np.where(up, 2.0, 0.25)
+    # each start's exactly rounded ratio at its last point; ties keep the
+    # earliest start
+    trace = np.full(len(points), -math.inf)
+    evaluated = np.flatnonzero(values > -math.inf)
+    if evaluated.size == 0:
+        raise MeanComputationError("no start of the search evaluates")
+    trace[evaluated] = _ratios(node, points[evaluated])
+    best = int(np.argmax(trace))
+    maximizer = tuple(points[best].tolist())
+    known = node.known_properties()
+    concave = all(known.get(name) is True for name in ("homogeneity", "jensen_concavity"))
     return HardySeqBound(
         n=n,
         estimate=hardy_ratio(expr, maximizer),
+        upper=float(np.max(grads[best])) if concave and node.analytic_gradient else None,
         maximizer=maximizer,
-        restarts=len(trace),
-        trace=tuple(trace),
+        restarts=len(points),
+        trace=tuple(trace.tolist()),
     )
 
 

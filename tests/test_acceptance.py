@@ -121,7 +121,7 @@ def test_criterion_6_gauss_product_consistency():
 
 
 def test_criterion_7_sequence_bounds():
-    """Derivative-free bounds against the exhaustive grid oracle, the
+    """n-term search bounds against the exhaustive grid oracle, the
     closed two-term values, the classical upper envelopes, and
     monotonicity in n."""
     targets = {

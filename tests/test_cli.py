@@ -416,6 +416,13 @@ class TestOtherCommands:
         assert payload["estimate"] == pytest.approx((1 + math.sqrt(2)) / 2, rel=1e-3)
         assert len(payload["maximizer"]) == 2
         assert len(payload["trace"]) == payload["restarts"]
+        # the geometric mean is concave, and its gradient analytic
+        assert payload["estimate"] <= payload["upper"] <= payload["estimate"] * (1 + 1e-5)
+        assert payload["notes"][1].startswith("upper: ")
+
+    def test_hardy_seq_takes_no_budget(self, capsys):
+        code, _, _ = run(capsys, ["hardy-seq", "power(0)", "--n", "2", "--budget", "10"])
+        assert code == 2
 
     def test_liminf(self, capsys):
         code, out, _ = run(

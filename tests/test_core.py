@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +335,44 @@ def _assert_matches_reference(report, reference):
         if prop in reference:
             ce = verdict.counterexample
             assert (ce.margin, ce.vectors, ce.observed) == reference[prop], prop
+
+
+def _sweep_catalogue() -> list[str]:
+    """The means of the benchmark's sweep workload, read from its source
+    without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench/workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "SWEEP_CATALOGUE" for t in node.targets
+        ):
+            return [text for text, _, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/workloads.py defines no SWEEP_CATALOGUE")
+
+
+SPELLED = {**ZOO, **IMPLICIT, **{text: hm.parse_mean_expr(text) for text in _sweep_catalogue()}}
+RULES = ("closed_form", "known_properties", "above_arithmetic", "tends_to_max")
+
+
+class TestSpelledNodes:
+    """A node's rule methods answer for the mean, whatever spelling built it."""
+
+    @pytest.mark.parametrize("name", sorted(SPELLED))
+    def test_spelled_and_canonical_nodes_agree(self, name):
+        spelled = SPELLED[name]
+        node = spelled.canonical()
+        for rule in RULES:
+            assert getattr(spelled, rule)() == getattr(node, rule)(), rule
+
+    def test_corpus_has_spelled_nodes_of_every_reducing_class(self):
+        reduced = {type(e) for e in SPELLED.values() if e.canonical() is not e}
+        assert reduced >= {
+            hm.Power, hm.QuasiArithmetic, hm.Gini, hm.Bajraktarevic, hm.Deviation, hm.Gauss
+        }
+
+    def test_gauss_of_spelled_children_is_registered(self):
+        form = hm.Gauss((hm.Power(-1), hm.Power(0))).closed_form()
+        assert form.value == pytest.approx(2.317996020390303, rel=1e-15)
+        assert hm.Gauss((hm.Power(-1), hm.Power(0))).known_properties()["jensen_concavity"] is True
 
 
 class TestFamilyRules:

@@ -1005,13 +1005,12 @@ class TestLiminfRatio:
         (lambda: hm.pn_sequence(hm.Power(0), 0), "n_max must be at least 1"),
         (lambda: hm.HardyConfig(n_max=0), "n_max must be at least 1"),
         (lambda: hm.SearchConfig(restarts=0), "restarts must be at least 1"),
-        (lambda: hm.SearchConfig(budget=9), "budget must be at least 10"),
         (lambda: hm.hardy_sequence_bound(hm.Power(0), 0), "n must be at least 1"),
         (lambda: hm.simplex_grid_bound(hm.Power(0), 0), "n must be at least 1"),
     ],
     ids=[
-        "pn_sequence", "HardyConfig", "SearchConfig.restarts", "SearchConfig.budget",
-        "hardy_sequence_bound", "simplex_grid_bound",
+        "pn_sequence", "HardyConfig", "SearchConfig.restarts", "hardy_sequence_bound",
+        "simplex_grid_bound",
     ],
 )  # fmt: skip
 def test_sizes_below_their_minimum_are_rejected(call, message):
@@ -1119,7 +1118,7 @@ class TestPartialCheck:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the start-up time; only hardy-seq needs it
+    # scipy.optimize would be most of the start-up time; no command needs it
     src = Path(hm.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "import sys, hardymeans.cli; print('scipy.optimize' in sys.modules)"
@@ -1131,8 +1130,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_runs_on_numpy_alone():
-    # the closed-form kernel needs no scipy.special; scipy and mpmath are
-    # test dependencies only
+    # the closed-form kernel needs no scipy.special; mpmath is a test
+    # dependency only
     src = Path(hm.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = (
@@ -1148,7 +1147,7 @@ def test_cli_runs_on_numpy_alone():
 
 
 def test_hardy_seq_loads_no_scipy():
-    # the search runs its own Nelder-Mead; scipy is only a test dependency
+    # the search is a gradient ascent on numpy alone
     src = Path(hm.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = (

@@ -7,7 +7,7 @@ kernel or search must reproduce them.  ``pinned_bits.json`` holds, as
 floored at 1e-300 as the search makes them, a prefix sweep, rows that
 converge at different steps, rows near the largest double beside
 ordinary ones) and the benchmark's four fuzz searches (n = 3, four
-starts): estimate, maximizer and trace.  It also holds the p_n sweep of
+starts, by mirror ascent): estimate, maximizer and trace.  It also holds the p_n sweep of
 every report of the report corpus that sweeps, as the SHA-256 of its
 values' bytes and the hex of its largest decrease, and the benchmark's
 three sweep liminf estimates.  A change meant to move them rewrites the
