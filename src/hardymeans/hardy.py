@@ -377,9 +377,9 @@ def _ascent_scores(node: MeanExpr, points: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 # the ascent stops a start when its Frank-Wolfe gap max_i df/dx_i - f/sum x
-# falls to _GAP_TOL of its ratio or its step below _MIN_STEP, and every
-# start after _MAX_ROUNDS rounds
-_GAP_TOL, _MIN_STEP, _MAX_ROUNDS = 1e-13, 1e-8, 5_000
+# falls to _GAP_TOL of its ratio or a failed step's first-order rise below
+# _RESOLVED of it, and every start after _MAX_ROUNDS rounds
+_GAP_TOL, _RESOLVED, _MAX_ROUNDS = 1e-13, 4.0 * np.finfo(float).eps, 5_000
 
 
 def hardy_sequence_bound(
@@ -396,8 +396,11 @@ def hardy_sequence_bound(
     The starts run in lockstep, one stacked ``sum_gradient`` call a round.
     The first step moves no log coordinate by more than 1.  A start stops
     when its Frank-Wolfe gap max_i df/dx_i - f/sum x (Jaggi, ICML 2013)
-    falls to 1e-13 of its ratio, or eta below 1e-8; a failed evaluation is
-    a failed step.
+    falls to 1e-13 of its ratio, or when a step fails whose first-order
+    rise is below the ratio's float resolution: along z + eta g, Euler's
+    identity for 1-homogeneous f makes the ratio R rise at the rate
+    Var_x(g) = sum_i x_i (df/dx_i - R)^2 / sum x, and a rise eta Var_x(g)
+    under 4 eps R cannot be seen.  A failed evaluation is a failed step.
 
     The estimate is the exactly rounded ratio at the best start's point, a
     lower bound of the n-term constant C_n.  Where the mean is homogeneous
@@ -415,18 +418,19 @@ def hardy_sequence_bound(
         steps = 1.0 / np.maximum.reduce(np.abs(grads - values[:, None]), axis=-1)
     live = np.isfinite(values)
     for _ in range(_MAX_ROUNDS):
-        live &= (steps >= _MIN_STEP) & ~(
-            np.maximum.reduce(grads, axis=-1) - values <= _GAP_TOL * values
-        )
+        live &= np.maximum.reduce(grads, axis=-1) - values > _GAP_TOL * values
         if not live.any():
             break
         (at,) = live.nonzero()
-        trial = _softmax_points(np.log(points[at]) + steps[at, None] * grads[at])
+        x, g, r, eta = points[at], grads[at], values[at], steps[at]
+        trial = _softmax_points(np.log(x) + eta[:, None] * g)
         ratio, grad = _ascent_scores(node, trial)
-        up = ratio > values[at]
+        up = ratio > r
+        # x is on the simplex, so its first-order rise is eta Var_x(g)
+        live[at] = up | (eta * np.add.reduce(x * (g - r[:, None]) ** 2, axis=-1) >= _RESOLVED * r)
         won = at[up]
         points[won], values[won], grads[won] = trial[up], ratio[up], grad[up]
-        steps[at] *= np.where(up, 2.0, 0.25)
+        steps[at] = eta * np.where(up, 2.0, 0.25)
     # each start's exactly rounded ratio at its last point; ties keep the
     # earliest start
     trace = np.full(len(points), -math.inf)

@@ -4,15 +4,15 @@ The coefficient family a_k(i, j) and the block matrix built from it
 underlie the mixing argument showing that every symmetric, Jensen
 concave, repetition invariant mean satisfies the prefix-average
 inequality checked by :func:`check_kedlaya_inequality`.  Coefficients
-are exact integers computed from multiplicative binomials; the "factorial
-of a negative integer is infinite" convention becomes "out-of-range
-binomials vanish", which is division free.
+are exact integers, one int64 array expression over a Pascal table; the
+"factorial of a negative integer is infinite" convention becomes
+"out-of-range binomials vanish", which is division free.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = [
 
 # (n-1)! scale keeps every coefficient inside exact 64-bit range
 MAX_COEFFICIENT_N = 12
-# the matrix has (n!)^2 entries; 6! = 720 keeps memory modest
+# the matrix has (n!)^2 int8 entries; 6! = 720 keeps them at 518 KB
 MAX_MATRIX_N = 6
 MARGIN_DIMS = (1, 6)
 MARGIN_ENTRY_RANGE = (0.1, 10.0)
@@ -49,19 +49,14 @@ def kedlaya_coefficient(n: int, i: int, j: int, k: int) -> int:
     """Exact nonnegative integer a_k(i, j) for symbols 1..n.
 
     a_k(i, j) = (n-1)! * C(n-i, j-k) * C(i-1, k-1) / C(n-1, j-1),
-    with out-of-range binomials evaluating to 0.
+    with out-of-range binomials evaluating to 0; read from
+    :func:`kedlaya_table`.
     """
     _check_n(n, MAX_COEFFICIENT_N)
     for name, v in (("i", i), ("j", j), ("k", k)):
         if not (1 <= v <= n):
             raise ValueError(f"{name} must be in [1, {n}], got {v}")
-    if j - k < 0:
-        return 0
-    num = factorial(n - 1) * comb(n - i, j - k) * comb(i - 1, k - 1)
-    q, r = divmod(num, comb(n - 1, j - 1))
-    if r:  # structurally impossible; guards the integrality contract
-        raise ArithmeticError(f"a_{k}({i},{j}) is not integral at n={n}")
-    return q
+    return kedlaya_table(n).coefficient(i, j, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,17 +93,25 @@ class KedlayaTable:
 
 def kedlaya_table(n: int) -> KedlayaTable:
     _check_n(n, MAX_COEFFICIENT_N)
-    rng = range(1, n + 1)
-    coefficients = np.array(
-        [[[kedlaya_coefficient(n, i, j, k) for k in rng] for j in rng] for i in rng],
-        dtype=np.int64,
-    )
+    # binomial[a, b + n] is C(a, b) for 0 <= a <= n and -n <= b <= n, 0
+    # outside 0 <= b <= a: Pascal's rule, one row per a
+    binomial = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
+    binomial[:, n] = 1
+    for a in range(1, n + 1):
+        binomial[a, n + 1 :] = binomial[a - 1, n + 1 :] + binomial[a - 1, n:-1]
+    i, j, k = np.ogrid[1 : n + 1, 1 : n + 1, 1 : n + 1]
+    # by Vandermonde each product of binomials is at most C(n-1, j-1) <= 462,
+    # so the numerator stays below 11! * 462 < 2^63
+    numerator = factorial(n - 1) * binomial[n - i, n + j - k] * binomial[i - 1, n + k - 1]
+    coefficients, remainder = np.divmod(numerator, binomial[n - 1, n + j - 1])
+    if remainder.any():  # structurally impossible; guards the integrality contract
+        raise ArithmeticError(f"a Kedlaya coefficient is not integral at n={n}")
     return KedlayaTable(n=n, coefficients=coefficients)
 
 
 @dataclass(frozen=True, eq=False)
 class KedlayaMatrix:
-    """n! x n! matrix of symbols 1..n in (n-1)! x (n-1)! cyclic blocks.
+    """n! x n! int8 matrix of symbols 1..n in (n-1)! x (n-1)! cyclic blocks.
 
     Block (i, j) has first row listing symbol k with multiplicity
     a_k(i, j) in ascending symbol order; the remaining rows are its
@@ -124,20 +127,23 @@ class KedlayaMatrix:
         return factorial(self.n - 1)
 
     def block(self, i: int, j: int) -> np.ndarray:
+        if not 1 <= min(i, j) <= max(i, j) <= self.n:
+            raise ValueError(f"i and j must lie in [1, {self.n}]")
         m = self.block_size
         return self.entries[(i - 1) * m : i * m, (j - 1) * m : j * m]
 
     def audit_occurrences(self) -> bool:
         """Exhaustively verify row and column symbol counts: row and
         column p carry symbol k n!/b times for k <= b and never for k > b,
-        where b = floor((p-1)/(n-1)!) + 1 is the block row of p."""
+        where b = floor((p-1)/(n-1)!) + 1 is the block row of p.  Cells
+        compare in the entries' dtype; counts (at most 720) sum in int16."""
         n, size = self.n, factorial(self.n)
         band = np.arange(size) // self.block_size + 1
         for k in range(1, n + 1):
             expected = np.where(k <= band, size // band, 0)
-            at_k = self.entries == k
+            at_k = (self.entries == k).view(np.uint8)
             for axis in (1, 0):
-                if not np.array_equal(np.count_nonzero(at_k, axis=axis), expected):
+                if not np.array_equal(np.add.reduce(at_k, axis, dtype=np.int16), expected):
                     return False
         return True
 
@@ -147,8 +153,8 @@ def kedlaya_matrix(n: int) -> KedlayaMatrix:
     table = kedlaya_table(n)
     m = factorial(n - 1)
     size = factorial(n)
-    entries = np.zeros((size, size), dtype=np.int64)
-    symbols = np.arange(1, n + 1)
+    entries = np.zeros((size, size), dtype=np.int8)
+    symbols = np.arange(1, n + 1, dtype=np.int8)
     # row r of a block is its first row shifted left by r
     cyclic = np.add.outer(np.arange(m), np.arange(m)) % m
     for i in range(1, n + 1):

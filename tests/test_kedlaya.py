@@ -40,6 +40,24 @@ class TestCoefficients:
                     )
 
     @pytest.mark.parametrize("n", range(1, MAX_COEFFICIENT_N + 1))
+    def test_table_matches_factorial_oracle(self, n):
+        table = hm.kedlaya_table(n)
+        assert table.coefficients.dtype == np.int64
+        assert table.coefficients.shape == (n, n, n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                for k in range(1, n + 1):
+                    expected = coefficient_oracle(n, i, j, k)
+                    assert table.coefficients[i - 1, j - 1, k - 1] == expected
+                    assert hm.kedlaya_coefficient(n, i, j, k) == table.coefficient(i, j, k)
+
+    def test_a_remainder_raises(self, monkeypatch):
+        # without the (n-1)! scale, a_1(2, 2) at n = 5 would be C(3,1)/C(4,1)
+        monkeypatch.setattr(hm.kedlaya, "factorial", lambda m: 1)
+        with pytest.raises(ArithmeticError, match="not integral at n=5"):
+            hm.kedlaya_table(5)
+
+    @pytest.mark.parametrize("n", range(1, MAX_COEFFICIENT_N + 1))
     def test_structural_properties_exact(self, n):
         audit = hm.kedlaya_table(n).audit()
         assert all(audit.values()), audit
@@ -117,6 +135,38 @@ class TestMatrix:
         row[[a, b]] = row[[b, a]]
         assert not dataclasses.replace(matrix, entries=entries).audit_occurrences()
         assert matrix.audit_occurrences()
+
+    def test_occurrence_audit_sees_a_swap_within_a_column(self):
+        matrix = hm.kedlaya_matrix(4)
+        entries = matrix.entries.copy()
+        column = entries[:, -1]  # the last block column carries every symbol
+        a, b = 0, int(np.flatnonzero(column != column[0])[0])
+        column[[a, b]] = column[[b, a]]
+        assert not dataclasses.replace(matrix, entries=entries).audit_occurrences()
+
+    @pytest.mark.parametrize("n", range(2, MAX_MATRIX_N + 1))
+    @pytest.mark.parametrize("symbol", ("zero", "beyond"))
+    def test_occurrence_audit_sees_a_symbol_out_of_range(self, n, symbol):
+        matrix = hm.kedlaya_matrix(n)
+        entries = matrix.entries.copy()
+        entries[-1, -1] = 0 if symbol == "zero" else n + 1
+        assert not dataclasses.replace(matrix, entries=entries).audit_occurrences()
+
+    @pytest.mark.parametrize("n", range(2, MAX_MATRIX_N + 1))
+    def test_entries_are_int8_and_audit_alike_as_int64(self, n):
+        matrix = hm.kedlaya_matrix(n)
+        assert matrix.entries.dtype == np.int8
+        wide = dataclasses.replace(matrix, entries=matrix.entries.astype(np.int64))
+        assert wide.audit_occurrences()
+        entries = wide.entries.copy()
+        entries[0, 0] = n + 1
+        assert not dataclasses.replace(wide, entries=entries).audit_occurrences()
+
+    def test_block_range_validation(self):
+        matrix = hm.kedlaya_matrix(3)
+        for ij in ((0, 1), (4, 1), (1, -1), (1, 4)):
+            with pytest.raises(ValueError, match=r"\[1, 3\]"):
+                matrix.block(*ij)
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_block_rows_and_columns_share_multiset(self, n):

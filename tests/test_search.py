@@ -181,6 +181,31 @@ class TestMirrorAscent:
         bound = hm.hardy_sequence_bound(hm.Power(0), 2, hm.SearchConfig(restarts=1))
         assert bound.restarts == len(bound.trace) == 4
 
+    @pytest.mark.parametrize(
+        "name, floor_calls",
+        [
+            ("power(0)", 56),
+            ("gini(0.5,-1)", 55),
+            ("quasi(pow:0.5)", 53),
+            ("gauss(power(-1),power(0))", 28),
+        ],
+    )
+    def test_fuzz_searches_stop_at_float_resolution(self, name, floor_calls, monkeypatch):
+        # the benchmark's fuzz searches make fewer stacked scorings, the
+        # first one included, than floor_calls, the count of the search
+        # that stopped each start only when its step fell below 1e-8
+        calls = []
+        scores = hardy._ascent_scores
+
+        def counting(node, points):
+            calls.append(len(points))
+            return scores(node, points)
+
+        monkeypatch.setattr(hardy, "_ascent_scores", counting)
+        expr = NELDER_MEAD_ESTIMATES[name][0]
+        hm.hardy_sequence_bound(expr, 3, hm.SearchConfig(restarts=4))
+        assert len(calls) < floor_calls
+
 
 # the estimates of the benchmark's four fuzz searches (n = 3, four starts)
 # as the Nelder-Mead search that the ascent replaced found them
